@@ -136,6 +136,7 @@ def _emit(text: str, args) -> None:
 
 
 def _load_kraus(args) -> tuple[list[np.ndarray], dict, bool]:
+    dcqd.check_register_size(args.n)
     spec = serialize.parse_channel_arg(args.channel)
     kraus = channels.as_kraus(spec, args.n)
     gap = np.eye(kraus[0].shape[0]) - sum(k.conj().T @ k for k in kraus)

@@ -20,13 +20,29 @@ digit k carries the (stabilizer, normalizer) eigenvalue pair
 
 The pop setting returns the full diagonal of chi in one measurement; each
 coh setting returns two off-diagonal entries of chi (four real numbers) in
-one measurement.  All 4**n configurations together determine every entry,
-either through the closed-form route below (n = 1) or through stacked
-linear inversion (any n), which is the normative reconstruction path.
+one measurement.  All 4**n configurations together determine every entry.
+
+Every pair sees the same four settings and the same measurement, so the
+experiment factorizes over pairs and one per-pair engine carries every
+exact and sampled path:
+
+* forward model: a 16 x 4 readout table per pair maps each Kraus operator,
+  arranged with one (a, a') axis per pair, to the outcome amplitudes of all
+  4**n configurations at once (a state-vector contraction);
+* solver: the stacked design of all configurations is a permuted n-fold
+  Kronecker power of the 16 x 16 single-pair design A1, so chi is A1^-1
+  applied along every pair axis of the data, and the design's rank and
+  condition number are rank(A1)**n and cond(A1)**n.
+
+The single-pair closed forms below (n = 1) are the paper's route and serve
+as an independent cross-check of the solver.  The dense per-configuration
+design matrices remain as reference implementations for tests and for the
+partial Bell-analyzer model.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -121,6 +137,10 @@ class Configuration:
         bad = [s for s in self.settings if s not in SETTINGS]
         if bad:
             raise InvalidConfigurationError(f"unknown settings {bad}; valid: {SETTINGS}")
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise InvalidConfigurationError(
+                f"amplitudes must be finite, got alpha={self.alpha!r}, beta={self.beta!r}"
+            )
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(norm - 1.0) > 1e-10:
             raise InvalidConfigurationError(f"|alpha|^2 + |beta|^2 = {norm!r} != 1")
@@ -243,14 +263,109 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
 
+# ---------------------------------------------------------------------------
+# Per-pair factored engine
+# ---------------------------------------------------------------------------
+
+# Largest process matrix any entry point builds: 16**n complex entries,
+# 16 MiB at n = 5.  Checked before anything of size 16**n is allocated.
+MAX_CHI_ENTRIES = 16**5
+
+# Kraus operators are contracted in batches of at most this many amplitudes.
+_BATCH_ENTRIES = 2**20
+
+
+def check_register_size(n: int) -> None:
+    """Reject register sizes whose process matrix exceeds MAX_CHI_ENTRIES."""
+    if n < 1:
+        raise InvalidConfigurationError(f"need at least one pair, got n={n}")
+    if 16**n > MAX_CHI_ENTRIES:
+        raise InvalidConfigurationError(
+            f"n = {n} needs a process matrix of 16**{n} complex entries "
+            f"({16**n * 16 / 2**20:.0f} MiB); the limit is {MAX_CHI_ENTRIES} entries"
+        )
+
+
+def _readout_table(settings: Sequence[str], alpha: complex, beta: complex) -> np.ndarray:
+    """Per-pair readout M[(s, k), (a, a')] = sum_b conj(W_s[(a, b), k]) psi_s[(a', b)].
+
+    W_s holds the pair's measurement states and psi_s its input, so outcome
+    k's amplitude after a primary-qubit operator K is sum K[a, a'] M[k, (a, a')].
+    """
+    rows = []
+    for s in settings:
+        config = Configuration(settings=(s,), alpha=alpha, beta=beta)
+        w = np.array(measurement_basis(config)).reshape(4, 2, 2)
+        psi = build_input_state(config, check=False).reshape(2, 2)
+        rows.append(np.einsum("kab,cb->kac", w.conj(), psi).reshape(4, 4))
+    return np.vstack(rows)
+
+
+def _pair_axes(x: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(..., d**n, d**n) -> (..., d*d, ..., d*d) with axis i = (row digit i, col digit i)."""
+    lead = x.shape[:-2]
+    k = len(lead)
+    perm = list(range(k)) + [k + j for i in range(n) for j in (i, n + i)]
+    return x.reshape(lead + (d,) * (2 * n)).transpose(perm).reshape(lead + (d * d,) * n)
+
+
+def _unpair_axes(t: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Inverse of `_pair_axes` without leading axes: (d*d,)*n -> (d**n, d**n)."""
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return t.reshape((d,) * (2 * n)).transpose(perm).reshape(d**n, d**n)
+
+
+def _per_pair(t: np.ndarray, mats: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
+    """Apply mats[i] along pair axis i (the axes after the first `lead`)."""
+    for m in mats:
+        # contracts the current first pair axis and appends the result last,
+        # so after n steps the pair axes are back in order
+        t = np.tensordot(t, m, axes=([lead], [1]))
+    return t
+
+
+def _pair_probabilities(kraus: Sequence[np.ndarray], tables: Sequence[np.ndarray]) -> np.ndarray:
+    """q[r_1, .., r_n] = sum_K |sum_{a, a'} K[a, a'] prod_i tables[i][r_i, (a_i, a'_i)]|^2."""
+    n = len(tables)
+    k = _pair_axes(np.asarray(kraus, dtype=complex), n, 2)
+    shape = tuple(t.shape[0] for t in tables)
+    step = max(1, _BATCH_ENTRIES // math.prod(shape))
+    q = np.zeros(math.prod(shape))
+    for start in range(0, len(k), step):
+        amp = _per_pair(k[start : start + step], tables, lead=1)
+        # |amp|^2 summed over Kraus operators, on the (re, im) float view
+        parts = amp.reshape(len(amp), -1).view(float)
+        squares = np.einsum("ki,ki->i", parts, parts)
+        q += squares[0::2] + squares[1::2]
+    return q.reshape(shape)
+
+
 def outcome_probabilities(channel, config: Configuration) -> OutcomeDistribution:
     """Probabilities q_k = Tr[P_k E(rho_c)] with the channel on the primary block."""
     kraus = channels.as_kraus(channel, config.n)
-    psi = build_input_state(config, check=False)
-    rho = ops.projector(psi)
-    rho_out = channels.apply_channel(kraus, rho, ancilla_dim=2**config.n)
-    q = np.array([np.vdot(b, rho_out @ b).real for b in measurement_basis(config)])
-    return OutcomeDistribution(config=config, probabilities=q)
+    tables = [_readout_table((s,), config.alpha, config.beta) for s in config.settings]
+    q = _pair_probabilities(kraus, tables)
+    return OutcomeDistribution(config=config, probabilities=q.ravel())
+
+
+def all_outcome_probabilities(
+    channel, n: int, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
+) -> list[OutcomeDistribution]:
+    """Exact distributions of all 4**n configurations, in index order.
+
+    Checks the register size and validates every configuration first, then
+    computes every probability in one contraction of the channel's Kraus
+    operators with the per-pair readout table.
+    """
+    check_register_size(n)
+    configs = all_configurations(n, alpha, beta)
+    for config in configs:
+        validate_configuration(config)
+    kraus = channels.as_kraus(channel, n)
+    q = _pair_probabilities(kraus, [_readout_table(SETTINGS, alpha, beta)] * n)
+    # axis i of q is (setting_i, outcome_i); rows become configurations
+    q = _unpair_axes(q, n, 4)
+    return [OutcomeDistribution(config=c, probabilities=p) for c, p in zip(configs, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +473,7 @@ def map_frame(setting: str, coh_stab: complex, coh_norm: complex) -> dict[tuple[
 
 
 # ---------------------------------------------------------------------------
-# Generic linear inversion
+# Design matrices and the factored solver
 # ---------------------------------------------------------------------------
 
 
@@ -390,19 +505,35 @@ def real_design_matrix(config: Configuration) -> np.ndarray:
 
 
 def stacked_design(configs: Sequence[Configuration]) -> np.ndarray:
-    """Vertically stacked real design matrix of a configuration set."""
+    """Vertically stacked real design matrix of a configuration set.
+
+    Dense reference for rank checks; the solver never builds it.
+    """
     return np.vstack([real_design_matrix(c) for c in configs])
+
+
+def pair_design(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) -> np.ndarray:
+    """Single-pair complex design A1[(s, k), (m, m')] = C_s[k, m] conj(C_s[k, m']).
+
+    C_s is the single-pair `amplitude_matrix` of setting s, obtained here
+    from the readout table as C_s[k, m] = sum_{a, a'} M_s[k, (a, a')] E_m[a, a'].
+    Rows run over (setting, outcome), columns over (m, m') of chi.
+    """
+    c = _readout_table(SETTINGS, alpha, beta) @ ops.pauli_basis(1).reshape(4, 4).T
+    return np.einsum("rm,rn->rmn", c, c.conj()).reshape(16, 16)
 
 
 @dataclass
 class ReconstructionResult:
     """Reconstructed process matrix plus solver diagnostics.
 
-    `chi` always comes from the stacked linear inversion (the normative
-    path).  For a single pair the closed-form route is also evaluated and
-    `residual` is the max entrywise distance between the two; with more
-    pairs the closed forms are not defined and both fields are None.
-    Design diagnostics are None when their computation was skipped.
+    `chi` comes from the factored solver and is exactly Hermitian.  For a
+    single pair the closed-form route is also evaluated and `residual` is
+    the max entrywise distance between the two; with more pairs the closed
+    forms are not defined and both fields are None.  `design_rank` and
+    `design_cond` describe the complex design of all configurations,
+    rank(A1)**n and cond(A1)**n, at every n; the partial Bell-analyzer path
+    reports its real merged design instead.
     """
 
     chi: np.ndarray
@@ -434,47 +565,44 @@ def closed_form_chi(dists: Sequence[OutcomeDistribution]) -> np.ndarray:
 
 
 def reconstruct_from_probabilities(
-    configs: Sequence[Configuration],
-    probabilities: Sequence[np.ndarray],
-    compute_diagnostics: Optional[bool] = None,
+    configs: Sequence[Configuration], probabilities: Sequence[np.ndarray]
 ) -> ReconstructionResult:
-    """Solve the stacked linear system for chi from per-configuration data.
+    """Solve for chi from the data of all 4**n configurations.
 
-    `probabilities` may be exact probabilities or empirical frequencies;
-    the estimator is the same either way and applies no renormalization or
-    positivity repair.  Diagnostics (rank/condition via SVD) default to on
-    for n <= 2 and off above, where the cost becomes noticeable; the
-    system itself is square and solved exactly in both regimes.
+    `configs` must be `all_configurations(n, alpha, beta)` and
+    `probabilities` one row per configuration, exact probabilities or
+    empirical frequencies alike; no renormalization or positivity repair is
+    applied.  The solve applies A1^-1 along each pair axis of the data.  A
+    rank-deficient A1 (degenerate amplitudes) raises instead of returning a
+    wrong chi.
     """
     n = configs[0].n
-    dim = 4**n
-    if compute_diagnostics is None:
-        compute_diagnostics = n <= 2
-    a = stacked_design(configs)
-    b = np.concatenate([np.asarray(p, dtype=float) for p in probabilities])
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"{a.shape[0]} design rows vs {b.shape[0]} measured values"
+    alpha, beta = configs[0].alpha, configs[0].beta
+    if list(configs) != all_configurations(n, alpha, beta):
+        raise InvalidConfigurationError(
+            "the solver needs the 4**n configurations of all_configurations(n, alpha, beta) "
+            "in index order"
         )
-    rank = cond = None
-    if compute_diagnostics:
-        svals = np.linalg.svd(a, compute_uv=False)
-        tol = svals.max() * max(a.shape) * np.finfo(float).eps
-        rank = int(np.sum(svals > tol))
-        if rank < dim * dim:
-            raise IllPosedConfigurationError(
-                f"stacked design matrix has rank {rank} < {dim * dim}; "
-                "the configuration set does not determine chi"
-            )
-        cond = float(svals.max() / svals.min())
-    x = inversion.solve_hermitian(a, b)
-    chi = inversion.unflatten_hermitian(x, dim)
+    q = np.asarray(probabilities, dtype=float)
+    if q.shape != (4**n, 4**n):
+        raise DimensionMismatchError(f"data of shape {q.shape}, expected {(4**n, 4**n)}")
+    a1 = pair_design(alpha, beta)
+    svals = np.linalg.svd(a1, compute_uv=False)
+    rank = int(np.sum(svals > svals.max() * 16 * np.finfo(float).eps))
+    if rank < 16:
+        raise IllPosedConfigurationError(
+            f"single-pair design has rank {rank} < 16, so the stacked design has rank "
+            f"{rank}**{n} < 16**{n}; the configuration set does not determine chi"
+        )
+    x = _per_pair(_pair_axes(q, n, 4), [np.linalg.inv(a1)] * n)
+    # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
+    chi = _unpair_axes(x, n, 4)
     return ReconstructionResult(
-        chi=chi,
+        chi=(chi + chi.conj().T) / 2,
         n_qubits=n,
         n_configurations=len(configs),
-        design_rank=rank,
-        design_cond=cond,
+        design_rank=16**n,
+        design_cond=float(svals.max() / svals.min()) ** n,
     )
 
 
@@ -483,7 +611,6 @@ def characterize(
     n: int = 1,
     alpha: complex = DEFAULT_ALPHA,
     beta: complex = DEFAULT_BETA,
-    compute_diagnostics: Optional[bool] = None,
 ) -> ReconstructionResult:
     """Full chi reconstruction from exact statistics of all 4**n configurations.
 
@@ -491,15 +618,9 @@ def characterize(
     matrix of the channel to solver precision, for trace-preserving and
     trace-decreasing channels alike.
     """
-    if not 1 <= n <= 3:
-        raise InvalidConfigurationError(f"supported register sizes are n = 1..3, got {n}")
-    kraus = channels.as_kraus(channel, n)
-    configs = all_configurations(n, alpha, beta)
-    for config in configs:
-        validate_configuration(config)
-    dists = [outcome_probabilities(kraus, config) for config in configs]
+    dists = all_outcome_probabilities(channel, n, alpha, beta)
     result = reconstruct_from_probabilities(
-        configs, [d.probabilities for d in dists], compute_diagnostics
+        [d.config for d in dists], [d.probabilities for d in dists]
     )
     if n == 1:
         chi_cf = closed_form_chi(dists)

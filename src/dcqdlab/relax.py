@@ -25,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channels, ops, sampling
-from .dcqd import COH_Z, Configuration, OutcomeDistribution
+from . import channels, dcqd, ops, sampling
 from .exceptions import (
     IllPosedInputError,
     InconsistentDataError,
@@ -155,14 +154,11 @@ def joint_estimate(
     distribution (or, with `shots`, a single counts table).
     """
     psi = _pair_state(alpha, beta)
-    rho_out = channels.apply_channel(channels.as_kraus(channel, 1), ops.projector(psi), ancilla_dim=2)
-    q = np.array([np.vdot(b, rho_out @ b).real for b in ops.bell_basis()])
-    config = Configuration(settings=(COH_Z,), alpha=alpha, beta=beta)
+    config = dcqd.Configuration(settings=(dcqd.COH_Z,), alpha=alpha, beta=beta)
+    dist = dcqd.outcome_probabilities(channel, config)
+    q = dist.probabilities
     if shots is not None:
-        table = sampling.sample_counts(
-            OutcomeDistribution(config=config, probabilities=q), shots, seed
-        )
-        q = sampling.empirical_frequencies(table)
+        q = sampling.empirical_frequencies(sampling.sample_counts(dist, shots, seed))
     p_minus = float(q[1] + q[2])
     x_out = float(q[0] + q[1] - q[2] - q[3])
     x_in = 2.0 * (alpha * beta.conjugate()).real

@@ -120,17 +120,14 @@ def characterize_sampled(
     frequencies) together with its Frobenius distance from the exact
     process matrix of the channel.
     """
-    kraus = channels.as_kraus(channel, n)
-    configs = dcqd.all_configurations(n, alpha, beta)
-    for config in configs:
-        dcqd.validate_configuration(config)
-    children = _seed_sequence(seed).spawn(len(configs))
-    freqs = []
-    for config, child in zip(configs, children):
-        dist = dcqd.outcome_probabilities(kraus, config)
-        freqs.append(empirical_frequencies(sample_counts(dist, shots, child)))
-    result = dcqd.reconstruct_from_probabilities(configs, freqs)
-    chi_true = channels.chi_from_kraus(kraus)
+    dists = dcqd.all_outcome_probabilities(channel, n, alpha, beta)
+    children = _seed_sequence(seed).spawn(len(dists))
+    freqs = [
+        empirical_frequencies(sample_counts(dist, shots, child))
+        for dist, child in zip(dists, children)
+    ]
+    result = dcqd.reconstruct_from_probabilities([d.config for d in dists], freqs)
+    chi_true = channels.chi_from_kraus(channels.as_kraus(channel, n))
     delta = result.chi - chi_true
     metrics = SampledMetrics(
         shots=shots,
@@ -240,21 +237,17 @@ def characterize_with_optics(
     """
     model = model if model is not None else OpticsModel()
     settings = [model, model.complement()]
-    kraus = channels.as_kraus(channel, 1)
-    configs = dcqd.all_configurations(1, alpha, beta)
-    for config in configs:
-        dcqd.validate_configuration(config)
-    children = _seed_sequence(seed).spawn(len(configs) * len(settings))
+    dists = dcqd.all_outcome_probabilities(channel, 1, alpha, beta)
+    children = _seed_sequence(seed).spawn(len(dists) * len(settings))
     rows = []
     values = []
-    for i, config in enumerate(configs):
-        dist = dcqd.outcome_probabilities(kraus, config)
-        base = dcqd.real_design_matrix(config)
+    for i, dist in enumerate(dists):
+        base = dcqd.real_design_matrix(dist.config)
         for j, setting in enumerate(settings):
             rows.append(merge_rows(base, setting))
             merged = np.array(list(apply_optics_model(dist, setting).values()))
             if shots is not None:
-                merged_dist = dcqd.OutcomeDistribution(config=config, probabilities=merged)
+                merged_dist = dcqd.OutcomeDistribution(config=dist.config, probabilities=merged)
                 table = sample_counts(merged_dist, shots, children[i * len(settings) + j])
                 merged = empirical_frequencies(table)
             values.append(merged)
@@ -266,7 +259,7 @@ def characterize_with_optics(
     return dcqd.ReconstructionResult(
         chi=inversion.unflatten_hermitian(x, 4),
         n_qubits=1,
-        n_configurations=len(configs) * len(settings),
+        n_configurations=len(dists) * len(settings),
         design_rank=rank,
         design_cond=float(svals.max() / svals.min()) if svals.min() > 0 else math.inf,
     )

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dcqdlab import channels, dcqd, ops
+
 # naive Pauli definitions, written out rather than imported
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,6 +59,18 @@ def random_density(n, rng):
     g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def density_matrix_probabilities(kraus, config):
+    """Outcome probabilities by full density-matrix simulation of the register.
+
+    Builds the 2n-qubit input projector, applies the channel to the primary
+    block and reads out every joint measurement state; independent of the
+    per-pair factored engine.
+    """
+    rho = ops.projector(dcqd.build_input_state(config, check=False))
+    rho_out = channels.apply_channel(kraus, rho, ancilla_dim=2**config.n)
+    return np.array([np.vdot(b, rho_out @ b).real for b in dcqd.measurement_basis(config)])
 
 
 @pytest.fixture

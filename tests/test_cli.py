@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from dcqdlab import cli, serialize
+from dcqdlab import channels, cli, serialize
 
 
 def run(args, capsys):
@@ -91,6 +91,25 @@ class TestExitCodes:
         )
         assert code == 3
         assert "alpha" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--shots", "1000", "--seed", "1"], ["--optics"]])
+    def test_non_finite_amplitude(self, extra, capsys):
+        code, _, err = run(
+            ["characterize", "--channel", "depolarizing:0.1", "--alpha", "nan", "--beta", "0.5"]
+            + extra,
+            capsys,
+        )
+        assert code == cli.EXIT_ILL_POSED
+        assert "finite" in err
+
+    def test_register_size_limit(self, capsys, monkeypatch):
+        def untouched(*args, **kwargs):
+            raise AssertionError("channel expanded before the size check")
+
+        monkeypatch.setattr(channels, "as_kraus", untouched)
+        code, _, err = run(["characterize", "--channel", "identity", "--n", "6"], capsys)
+        assert code == cli.EXIT_ILL_POSED
+        assert "16**6" in err
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2

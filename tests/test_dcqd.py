@@ -1,10 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from conftest import density_matrix_probabilities
 from dcqdlab import channels, dcqd, inversion, ops
-from dcqdlab.exceptions import IllPosedConfigurationError, InvalidConfigurationError
+from dcqdlab.exceptions import (
+    DimensionMismatchError,
+    IllPosedConfigurationError,
+    InvalidConfigurationError,
+)
 
 S2 = 1.0 / math.sqrt(2)
 
@@ -49,6 +55,16 @@ class TestConfiguration:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidConfigurationError):
             dcqd.Configuration(settings=(dcqd.COH_Z,), alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(float("nan"), 0.5), (0.5, complex(0.0, float("nan"))), (float("inf"), 0.5)],
+    )
+    def test_rejects_non_finite_amplitudes(self, alpha, beta):
+        with pytest.raises(InvalidConfigurationError):
+            dcqd.Configuration(settings=(dcqd.COH_Z,), alpha=alpha, beta=beta)
+        with pytest.raises(InvalidConfigurationError):
+            dcqd.characterize(channels.depolarizing(0.1), 1, alpha=alpha, beta=beta)
 
     def test_pop_only_ignores_amplitudes(self):
         dcqd.validate_configuration(config_for(dcqd.POP, S2, S2))
@@ -360,9 +376,19 @@ class TestCharacterize:
         with pytest.raises(IllPosedConfigurationError, match="rank"):
             dcqd.reconstruct_from_probabilities(configs, probs)
 
-    def test_register_size_guard(self):
-        with pytest.raises(InvalidConfigurationError):
-            dcqd.characterize(channels.identity_channel(), 4)
+    def test_register_size_guard(self, monkeypatch):
+        # the bound is on chi's 16**n entries and is checked before the
+        # channel is expanded or anything of size 16**n is allocated
+        assert 16**5 <= dcqd.MAX_CHI_ENTRIES < 16**6
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("channel expanded before the size check")
+
+        monkeypatch.setattr(channels, "as_kraus", untouched)
+        with pytest.raises(InvalidConfigurationError, match="n=0"):
+            dcqd.characterize(channels.identity_channel(), 0)
+        with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
+            dcqd.characterize(channels.identity_channel(), 6)
 
     def test_unitary_two_qubit_channel(self):
         # a non-product channel: CNOT with primary block as control/target
@@ -382,3 +408,100 @@ def test_outcome_labels():
     labels2 = dcqd.outcome_labels(dcqd.Configuration(settings=(dcqd.POP, dcqd.COH_Z)))
     assert len(labels2) == 16
     assert labels2[1] == "phi+;psi+"
+
+
+class TestFactoredEngine:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("tp", [True, False])
+    def test_probabilities_match_density_matrix(self, n, tp, rng):
+        kraus = channels.random_channel(n, trace_preserving=tp, rng=rng)
+        dists = dcqd.all_outcome_probabilities(kraus, n)
+        for config, dist in zip(dcqd.all_configurations(n), dists):
+            want = density_matrix_probabilities(kraus, config)
+            assert dist.config == config
+            assert np.max(np.abs(dist.probabilities - want)) < 1e-14
+            got = dcqd.outcome_probabilities(kraus, config).probabilities
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_probabilities_match_density_matrix_three_pairs(self, rng):
+        kraus = channels.random_channel(3, trace_preserving=False, rng=rng)
+        dists = dcqd.all_outcome_probabilities(kraus, 3)
+        for index in range(0, 64, 9):
+            config = dists[index].config
+            want = density_matrix_probabilities(kraus, config)
+            assert np.max(np.abs(dists[index].probabilities - want)) < 1e-14
+            got = dcqd.outcome_probabilities(kraus, config).probabilities
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_pair_design_matches_single_pair_designs(self):
+        dense = np.vstack([dcqd.design_matrix(c) for c in dcqd.all_configurations(1)])
+        assert np.max(np.abs(dcqd.pair_design() - dense)) < 1e-15
+
+    def test_stacked_design_is_permuted_kronecker_square(self):
+        a1 = dcqd.pair_design()
+        dense = np.vstack([dcqd.design_matrix(c) for c in dcqd.all_configurations(2)])
+        # kron rows (s1 k1 s2 k2), cols (m1 m1' m2 m2'); dense rows
+        # (s1 s2 k1 k2), cols (m1 m2 m1' m2')
+        kron = np.kron(a1, a1).reshape((4,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+        assert np.max(np.abs(kron.reshape(256, 256) - dense)) < 1e-15
+
+    def test_chi_matches_dense_lstsq(self, rng):
+        kraus = channels.random_channel(2, trace_preserving=False, rng=rng)
+        dists = dcqd.all_outcome_probabilities(kraus, 2)
+        configs = [d.config for d in dists]
+        probs = [d.probabilities for d in dists]
+        x, *_ = np.linalg.lstsq(dcqd.stacked_design(configs), np.concatenate(probs), rcond=None)
+        dense = inversion.unflatten_hermitian(x, 16)
+        chi = dcqd.reconstruct_from_probabilities(configs, probs).chi
+        assert np.max(np.abs(chi - dense)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["random", "iid"])
+    def test_three_qubit_characterize(self, kind, rng):
+        if kind == "random":
+            channel = channels.random_channel(3, trace_preserving=True, rng=rng)
+        else:
+            channel = channels.ChannelSpec(kind="amplitude_damping", params={"gamma": 0.3})
+        start = time.perf_counter()
+        result = dcqd.characterize(channel, 3)
+        elapsed = time.perf_counter() - start
+        chi_true = channels.chi_from_kraus(channels.as_kraus(channel, 3))
+        assert np.max(np.abs(result.chi - chi_true)) < 1e-10
+        assert ops.hermiticity_deviation(result.chi) == 0.0
+        assert result.n_configurations == 64
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "n,kraus",
+        [
+            (4, channels.compose(channels.rotation("y", 0.7), channels.amplitude_damping(0.2))),
+            (5, channels.rotation("y", 0.7)),
+        ],
+        ids=["n4", "n5"],
+    )
+    def test_larger_registers(self, n, kraus):
+        # an i.i.d. channel's chi is the Kronecker power of its one-qubit chi
+        result = dcqd.characterize(kraus, n)
+        chi_true = ops.tensor(*[channels.chi_from_kraus(kraus)] * n)
+        assert np.max(np.abs(result.chi - chi_true)) < 1e-10
+
+    def test_diagnostics_at_every_n(self):
+        cond1 = np.linalg.cond(dcqd.pair_design())
+        assert cond1 == pytest.approx(6.2, abs=0.01)
+        for n in (1, 2, 3):
+            result = dcqd.characterize(channels.identity_channel(), n)
+            assert result.design_rank == 16**n
+            assert result.design_cond == pytest.approx(cond1**n, rel=1e-12)
+        dense = np.vstack([dcqd.design_matrix(c) for c in dcqd.all_configurations(2)])
+        assert np.linalg.cond(dense) == pytest.approx(cond1**2, rel=1e-10)
+
+    def test_degenerate_pair_design_rank(self):
+        assert np.linalg.matrix_rank(dcqd.pair_design(0.8, 0.6)) == 10
+
+    def test_solver_needs_full_configuration_set(self):
+        dists = dcqd.all_outcome_probabilities(channels.identity_channel(), 1)
+        configs = [d.config for d in dists]
+        probs = [d.probabilities for d in dists]
+        with pytest.raises(InvalidConfigurationError):
+            dcqd.reconstruct_from_probabilities(configs[::-1], probs)
+        with pytest.raises(DimensionMismatchError):
+            dcqd.reconstruct_from_probabilities(configs, [p[:3] for p in probs])

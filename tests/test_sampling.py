@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcqdlab import channels, dcqd, sampling
-from dcqdlab.exceptions import InvalidDistributionError
+from dcqdlab.exceptions import InvalidConfigurationError, InvalidDistributionError
 
 
 def pop_dist(probabilities):
@@ -85,6 +85,27 @@ class TestCharacterizeSampled:
             for shots in (10**3, 10**5)
         }
         assert errs[10**5] < errs[10**3] / 3
+
+    def test_register_size_guard(self, monkeypatch):
+        # same bound as the exact path, checked before the channel is expanded
+        def untouched(*args, **kwargs):
+            raise AssertionError("channel expanded before the size check")
+
+        monkeypatch.setattr(channels, "as_kraus", untouched)
+        with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
+            sampling.characterize_sampled(channels.identity_channel(), n=6, shots=10, seed=0)
+
+    def test_rejects_non_finite_amplitudes(self):
+        with pytest.raises(InvalidConfigurationError, match="finite"):
+            sampling.characterize_sampled(
+                channels.bit_flip(0.1), shots=10, seed=0, alpha=float("nan"), beta=0.5
+            )
+
+    def test_two_pair_sampled_reconstruction(self, rng):
+        kraus = channels.random_channel(2, trace_preserving=True, rng=rng)
+        result, metrics = sampling.characterize_sampled(kraus, n=2, shots=10**6, seed=5)
+        assert result.design_rank == 256
+        assert metrics.frobenius_error < 40 / math.sqrt(10**6)
 
     def test_no_renormalization_for_subnormalized_maps(self, rng):
         kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
