@@ -55,6 +55,11 @@ __all__ = [
 ]
 
 
+def trace_gap(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """I - sum K^dag K: zero for a trace-preserving set, PSD for a trace-decreasing one."""
+    return np.eye(kraus[0].shape[0]) - sum(k.conj().T @ k for k in kraus)
+
+
 def check_kraus(
     kraus: Sequence[np.ndarray],
     trace_preserving: Optional[bool] = None,
@@ -75,8 +80,7 @@ def check_kraus(
             raise InvalidChannelError(f"Kraus operators must share a square shape, got {k.shape}")
     if d < 2 or d & (d - 1):
         raise InvalidChannelError(f"Kraus dimension {d} is not a power of 2")
-    total = sum(k.conj().T @ k for k in mats)
-    gap = np.eye(d) - total
+    gap = trace_gap(mats)
     lo = ops.min_eigenvalue(gap)
     if lo < -atol:
         raise InvalidChannelError(
@@ -405,10 +409,11 @@ def _rate_from_args(
         return float(direct)
     if t is None or tc is None:
         raise InvalidChannelError(f"need {name} or both t and {tc_name}")
-    if tc <= 0:
+    # written so that NaN fails both checks; tc = inf (no decay) is allowed
+    if not tc > 0:
         raise InvalidChannelError(f"{tc_name} must be positive, got {tc!r}")
-    if t < 0:
-        raise InvalidChannelError(f"duration t must be non-negative, got {t!r}")
+    if not 0 <= t < math.inf:
+        raise InvalidChannelError(f"duration t must be finite and non-negative, got {t!r}")
     return 1.0 - math.exp(-t / tc)
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from . import channels, dcqd, relax, resources, sampling, serialize, sqpt
 from .exceptions import (
     DcqdLabError,
-    IllConditionedPlanError,
     IllPosedConfigurationError,
     IllPosedInputError,
     InconsistentDataError,
@@ -139,8 +138,7 @@ def _load_kraus(args) -> tuple[list[np.ndarray], dict, bool]:
     dcqd.check_register_size(args.n)
     spec = serialize.parse_channel_arg(args.channel)
     kraus = channels.as_kraus(spec, args.n)
-    gap = np.eye(kraus[0].shape[0]) - sum(k.conj().T @ k for k in kraus)
-    trace_preserving = bool(np.max(np.abs(gap)) <= 1e-10)
+    trace_preserving = bool(np.max(np.abs(channels.trace_gap(kraus))) <= 1e-10)
     return kraus, serialize.spec_to_dict(spec), trace_preserving
 
 
@@ -403,7 +401,6 @@ def main(argv=None) -> int:
     except (
         InvalidStateError,
         InvalidDistributionError,
-        IllConditionedPlanError,
         SaturationError,
         InconsistentDataError,
     ) as exc:

@@ -23,12 +23,13 @@ coh setting returns two off-diagonal entries of chi (four real numbers) in
 one measurement.  All 4**n configurations together determine every entry.
 
 Every pair sees the same four settings and the same measurement, so the
-experiment factorizes over pairs and one per-pair engine carries every
-exact and sampled path:
+experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
+readout table (4 settings x 4 outcomes) and hands it to the shared engine
+in `inversion`, which carries every exact and sampled path:
 
-* forward model: a 16 x 4 readout table per pair maps each Kraus operator,
-  arranged with one (a, a') axis per pair, to the outcome amplitudes of all
-  4**n configurations at once (a state-vector contraction);
+* forward model: the table maps each Kraus operator, arranged with one
+  (a, a') axis per pair, to the outcome amplitudes of all 4**n
+  configurations at once (a state-vector contraction);
 * solver: the stacked design of all configurations is a permuted n-fold
   Kronecker power of the 16 x 16 single-pair design A1, so chi is A1^-1
   applied along every pair axis of the data, and the design's rank and
@@ -36,8 +37,8 @@ exact and sampled path:
 
 The single-pair closed forms below (n = 1) are the paper's route and serve
 as an independent cross-check of the solver.  The dense per-configuration
-design matrices remain as reference implementations for tests and for the
-partial Bell-analyzer model.
+`design_matrix` is kept as a reference for tests and for rank analysis of
+the partial Bell analyzer (`sampling.merged_design_matrix`).
 """
 
 from __future__ import annotations
@@ -264,15 +265,12 @@ class OutcomeDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Per-pair factored engine
+# Forward model through the per-pair engine
 # ---------------------------------------------------------------------------
 
 # Largest process matrix any entry point builds: 16**n complex entries,
 # 16 MiB at n = 5.  Checked before anything of size 16**n is allocated.
 MAX_CHI_ENTRIES = 16**5
-
-# Kraus operators are contracted in batches of at most this many amplitudes.
-_BATCH_ENTRIES = 2**20
 
 
 def check_register_size(n: int) -> None:
@@ -301,50 +299,11 @@ def _readout_table(settings: Sequence[str], alpha: complex, beta: complex) -> np
     return np.vstack(rows)
 
 
-def _pair_axes(x: np.ndarray, n: int, d: int) -> np.ndarray:
-    """(..., d**n, d**n) -> (..., d*d, ..., d*d) with axis i = (row digit i, col digit i)."""
-    lead = x.shape[:-2]
-    k = len(lead)
-    perm = list(range(k)) + [k + j for i in range(n) for j in (i, n + i)]
-    return x.reshape(lead + (d,) * (2 * n)).transpose(perm).reshape(lead + (d * d,) * n)
-
-
-def _unpair_axes(t: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Inverse of `_pair_axes` without leading axes: (d*d,)*n -> (d**n, d**n)."""
-    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return t.reshape((d,) * (2 * n)).transpose(perm).reshape(d**n, d**n)
-
-
-def _per_pair(t: np.ndarray, mats: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
-    """Apply mats[i] along pair axis i (the axes after the first `lead`)."""
-    for m in mats:
-        # contracts the current first pair axis and appends the result last,
-        # so after n steps the pair axes are back in order
-        t = np.tensordot(t, m, axes=([lead], [1]))
-    return t
-
-
-def _pair_probabilities(kraus: Sequence[np.ndarray], tables: Sequence[np.ndarray]) -> np.ndarray:
-    """q[r_1, .., r_n] = sum_K |sum_{a, a'} K[a, a'] prod_i tables[i][r_i, (a_i, a'_i)]|^2."""
-    n = len(tables)
-    k = _pair_axes(np.asarray(kraus, dtype=complex), n, 2)
-    shape = tuple(t.shape[0] for t in tables)
-    step = max(1, _BATCH_ENTRIES // math.prod(shape))
-    q = np.zeros(math.prod(shape))
-    for start in range(0, len(k), step):
-        amp = _per_pair(k[start : start + step], tables, lead=1)
-        # |amp|^2 summed over Kraus operators, on the (re, im) float view
-        parts = amp.reshape(len(amp), -1).view(float)
-        squares = np.einsum("ki,ki->i", parts, parts)
-        q += squares[0::2] + squares[1::2]
-    return q.reshape(shape)
-
-
 def outcome_probabilities(channel, config: Configuration) -> OutcomeDistribution:
     """Probabilities q_k = Tr[P_k E(rho_c)] with the channel on the primary block."""
     kraus = channels.as_kraus(channel, config.n)
     tables = [_readout_table((s,), config.alpha, config.beta) for s in config.settings]
-    q = _pair_probabilities(kraus, tables)
+    q = inversion.pair_probabilities(kraus, tables)
     return OutcomeDistribution(config=config, probabilities=q.ravel())
 
 
@@ -362,9 +321,9 @@ def all_outcome_probabilities(
     for config in configs:
         validate_configuration(config)
     kraus = channels.as_kraus(channel, n)
-    q = _pair_probabilities(kraus, [_readout_table(SETTINGS, alpha, beta)] * n)
+    q = inversion.pair_probabilities(kraus, [_readout_table(SETTINGS, alpha, beta)] * n)
     # axis i of q is (setting_i, outcome_i); rows become configurations
-    q = _unpair_axes(q, n, 4)
+    q = inversion.unpair_axes(q, n, 4)
     return [OutcomeDistribution(config=c, probabilities=p) for c, p in zip(configs, q)]
 
 
@@ -473,7 +432,7 @@ def map_frame(setting: str, coh_stab: complex, coh_norm: complex) -> dict[tuple[
 
 
 # ---------------------------------------------------------------------------
-# Design matrices and the factored solver
+# Design matrices and the solve
 # ---------------------------------------------------------------------------
 
 
@@ -499,28 +458,14 @@ def design_matrix(config: Configuration) -> np.ndarray:
     return np.einsum("km,kn->kmn", c, c.conj()).reshape(c.shape[0], -1)
 
 
-def real_design_matrix(config: Configuration) -> np.ndarray:
-    """Real design matrix over the Hermitian parameter vector of chi."""
-    return inversion.real_design_from_amplitudes(amplitude_matrix(config))
-
-
-def stacked_design(configs: Sequence[Configuration]) -> np.ndarray:
-    """Vertically stacked real design matrix of a configuration set.
-
-    Dense reference for rank checks; the solver never builds it.
-    """
-    return np.vstack([real_design_matrix(c) for c in configs])
-
-
 def pair_design(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) -> np.ndarray:
     """Single-pair complex design A1[(s, k), (m, m')] = C_s[k, m] conj(C_s[k, m']).
 
     C_s is the single-pair `amplitude_matrix` of setting s, obtained here
-    from the readout table as C_s[k, m] = sum_{a, a'} M_s[k, (a, a')] E_m[a, a'].
-    Rows run over (setting, outcome), columns over (m, m') of chi.
+    from the readout table (`inversion.readout_design`).  Rows run over
+    (setting, outcome), columns over (m, m') of chi.
     """
-    c = _readout_table(SETTINGS, alpha, beta) @ ops.pauli_basis(1).reshape(4, 4).T
-    return np.einsum("rm,rn->rmn", c, c.conj()).reshape(16, 16)
+    return inversion.readout_design(_readout_table(SETTINGS, alpha, beta))
 
 
 @dataclass
@@ -533,7 +478,7 @@ class ReconstructionResult:
     forms are not defined and both fields are None.  `design_rank` and
     `design_cond` describe the complex design of all configurations,
     rank(A1)**n and cond(A1)**n, at every n; the partial Bell-analyzer path
-    reports its real merged design instead.
+    reports its merged design instead.
     """
 
     chi: np.ndarray
@@ -572,8 +517,8 @@ def reconstruct_from_probabilities(
     `configs` must be `all_configurations(n, alpha, beta)` and
     `probabilities` one row per configuration, exact probabilities or
     empirical frequencies alike; no renormalization or positivity repair is
-    applied.  The solve applies A1^-1 along each pair axis of the data.  A
-    rank-deficient A1 (degenerate amplitudes) raises instead of returning a
+    applied.  The solve (`inversion.solve`) applies A1^-1 along each pair
+    axis of the data.  A rank-deficient A1 (degenerate amplitudes) raises instead of returning a
     wrong chi.
     """
     n = configs[0].n
@@ -586,23 +531,13 @@ def reconstruct_from_probabilities(
     q = np.asarray(probabilities, dtype=float)
     if q.shape != (4**n, 4**n):
         raise DimensionMismatchError(f"data of shape {q.shape}, expected {(4**n, 4**n)}")
-    a1 = pair_design(alpha, beta)
-    svals = np.linalg.svd(a1, compute_uv=False)
-    rank = int(np.sum(svals > svals.max() * 16 * np.finfo(float).eps))
-    if rank < 16:
-        raise IllPosedConfigurationError(
-            f"single-pair design has rank {rank} < 16, so the stacked design has rank "
-            f"{rank}**{n} < 16**{n}; the configuration set does not determine chi"
-        )
-    x = _per_pair(_pair_axes(q, n, 4), [np.linalg.inv(a1)] * n)
-    # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
-    chi = _unpair_axes(x, n, 4)
+    chi, cond = inversion.solve(pair_design(alpha, beta), inversion.pair_axes(q, n, 4))
     return ReconstructionResult(
-        chi=(chi + chi.conj().T) / 2,
+        chi=chi,
         n_qubits=n,
         n_configurations=len(configs),
         design_rank=16**n,
-        design_cond=float(svals.max() / svals.min()) ** n,
+        design_cond=cond,
     )
 
 

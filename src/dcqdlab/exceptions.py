@@ -37,10 +37,6 @@ class InvalidDistributionError(DcqdLabError, ValueError):
     """An outcome distribution has negative entries or excess total mass."""
 
 
-class IllConditionedPlanError(DcqdLabError, ValueError):
-    """A tomography plan whose input states do not span operator space."""
-
-
 class SaturationError(DcqdLabError, ValueError):
     """Relaxation data consistent only with complete damping; the time
     constant cannot be resolved from the given duration."""

@@ -1,107 +1,103 @@
-"""Linear inversion machinery for Hermitian process matrices.
+"""The per-pair factored engine behind every reconstruction in dcqdlab.
 
-A Hermitian D x D matrix has D**2 real degrees of freedom.  The fixed
-parameter order used everywhere in this package is:
+Every experiment here is n copies of one small experiment: each primary
+qubit (with its ancilla, if any) gets the same inputs and the same readout.
+One readout table T describes the small experiment.  Row r is one (input,
+outcome) pair and an operator K on the qubit gives that row the amplitude
+sum_{a, a'} K[a, a'] T[r, (a, a')].  From T come
 
-    [chi_00, chi_11, ..., chi_(D-1)(D-1),
-     Re chi_01, Im chi_01, Re chi_02, Im chi_02, ..., Re chi_(D-2)(D-1), ...]
+* the forward model `pair_probabilities`: each Kraus operator, arranged
+  with one (a, a') axis per qubit, contracted with T along every axis,
+  gives the probabilities of all R**n joint rows at once;
+* the per-pair design `readout_design`, D1[r, (m, m')] = c[r, m]
+  conj(c[r, m']) with c[r, m] = sum T[r, (a, a')] E_m[a, a'], so the design
+  of all n copies is a permuted n-fold Kronecker power of D1;
+* the solver `solve`: one SVD of D1 gives its rank (the full design has
+  rank(D1)**n), cond(D1)**n and pinv(D1); pinv(D1) applied along every
+  pair axis of the data is the least-squares chi.
 
-i.e. all diagonals first, then (Re, Im) pairs over the strict upper
-triangle in row-major order.  Any linear functional of chi of the form
-row(chi) = sum_mn M[m, n] chi[m, n] then becomes a real-linear functional
-of this parameter vector, which is what the solvers below consume.
+The direct protocol (`dcqd`), the partial Bell analyzer (`sampling`, a merge
+matrix on the rows of D1) and the SQPT baseline (`sqpt`) differ only in T.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "flatten_hermitian",
-    "unflatten_hermitian",
-    "real_design_from_amplitudes",
-    "real_design_from_functionals",
-    "upper_triangle_indices",
-]
+from . import ops
+from .exceptions import IllPosedConfigurationError
+
+__all__ = ["pair_axes", "pair_probabilities", "readout_design", "solve", "unpair_axes"]
+
+# Kraus operators are contracted in batches of at most this many amplitudes.
+_BATCH_ENTRIES = 2**20
 
 
-def upper_triangle_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the strict upper triangle, row-major."""
-    return np.triu_indices(dim, k=1)
+def pair_axes(x: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(..., d**n, d**n) -> (..., d*d, ..., d*d) with axis i = (row digit i, col digit i)."""
+    lead = x.shape[:-2]
+    k = len(lead)
+    perm = list(range(k)) + [k + j for i in range(n) for j in (i, n + i)]
+    return x.reshape(lead + (d,) * (2 * n)).transpose(perm).reshape(lead + (d * d,) * n)
 
 
-def flatten_hermitian(chi: np.ndarray) -> np.ndarray:
-    """Real parameter vector of a Hermitian matrix (see module docstring)."""
-    chi = np.asarray(chi, dtype=complex)
-    dim = chi.shape[0]
-    rows, cols = upper_triangle_indices(dim)
-    upper = chi[rows, cols]
-    out = np.empty(dim * dim)
-    out[:dim] = chi.diagonal().real
-    out[dim::2] = upper.real
-    out[dim + 1 :: 2] = upper.imag
-    return out
+def unpair_axes(t: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Inverse of `pair_axes` without leading axes: (d*d,)*n -> (d**n, d**n)."""
+    perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return t.reshape((d,) * (2 * n)).transpose(perm).reshape(d**n, d**n)
 
 
-def unflatten_hermitian(x: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of `flatten_hermitian`; always returns an exactly Hermitian matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim * dim,):
-        raise ValueError(f"parameter vector length {x.shape} != {dim * dim}")
-    chi = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(chi, x[:dim])
-    rows, cols = upper_triangle_indices(dim)
-    upper = x[dim::2] + 1j * x[dim + 1 :: 2]
-    chi[rows, cols] = upper
-    chi[cols, rows] = upper.conj()
-    return chi
+def _per_pair(t: np.ndarray, mats: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
+    """Apply mats[i] along pair axis i (the axes after the first `lead`)."""
+    for m in mats:
+        # contracts the current first pair axis and appends the result last,
+        # so after n steps the pair axes are back in order
+        t = np.tensordot(t, m, axes=([lead], [1]))
+    return t
 
 
-def real_design_from_amplitudes(c: np.ndarray) -> np.ndarray:
-    """Real design matrix of outcome probabilities q_k = (C chi C^dag)_kk.
+def pair_probabilities(kraus: Sequence[np.ndarray], tables: Sequence[np.ndarray]) -> np.ndarray:
+    """q[r_1, .., r_n] = sum_K |sum_{a, a'} K[a, a'] prod_i tables[i][r_i, (a_i, a'_i)]|^2."""
+    n = len(tables)
+    k = pair_axes(np.asarray(kraus, dtype=complex), n, 2)
+    shape = tuple(t.shape[0] for t in tables)
+    step = max(1, _BATCH_ENTRIES // math.prod(shape))
+    q = np.zeros(math.prod(shape))
+    for start in range(0, len(k), step):
+        amp = _per_pair(k[start : start + step], tables, lead=1)
+        # |amp|^2 summed over Kraus operators, on the (re, im) float view
+        parts = amp.reshape(len(amp), -1).view(float)
+        squares = np.einsum("ki,ki->i", parts, parts)
+        q += squares[0::2] + squares[1::2]
+    return q.reshape(shape)
 
-    `c` holds measurement amplitudes c[k, m] = <outcome_k| E_m |input>; the
-    returned matrix A satisfies q = A @ flatten_hermitian(chi) exactly.
+
+def readout_design(table: np.ndarray) -> np.ndarray:
+    """Per-pair design D1[r, (m, m')] = c[r, m] conj(c[r, m']) of an R x 4 readout table."""
+    c = np.asarray(table) @ ops.pauli_basis(1).reshape(4, 4).T
+    return np.einsum("rm,rn->rmn", c, c.conj()).reshape(len(c), 16)
+
+
+def solve(design: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares chi of n pairs and the condition number of their design.
+
+    `design` is the R x 16 per-pair design and `data` has one axis of length
+    R per pair.  Returns the exactly Hermitian (chi + chi^H)/2 and
+    cond(design)**n.  A rank-deficient design raises instead of returning a
+    wrong chi.
     """
-    c = np.asarray(c, dtype=complex)
-    n_rows, dim = c.shape
-    out = np.empty((n_rows, dim * dim))
-    out[:, :dim] = (c * c.conj()).real
-    rows, cols = upper_triangle_indices(dim)
-    cross = c[:, rows] * c[:, cols].conj()
-    out[:, dim::2] = 2.0 * cross.real
-    out[:, dim + 1 :: 2] = -2.0 * cross.imag
-    return out
-
-
-def real_design_from_functionals(m: np.ndarray) -> np.ndarray:
-    """Real design matrix of general complex functionals of chi.
-
-    `m` has shape (R, D, D) with row r representing the functional
-    b_r = sum_mn m[r, m, n] chi[m, n].  Returns the real (2R, D**2) matrix
-    mapping the parameter vector to [Re b; Im b].
-    """
-    m = np.asarray(m, dtype=complex)
-    n_rows, dim, _ = m.shape
-    cplx = np.empty((n_rows, dim * dim), dtype=complex)
-    cplx[:, :dim] = np.diagonal(m, axis1=1, axis2=2)
-    rows, cols = upper_triangle_indices(dim)
-    cplx[:, dim::2] = m[:, rows, cols] + m[:, cols, rows]
-    cplx[:, dim + 1 :: 2] = 1j * (m[:, rows, cols] - m[:, cols, rows])
-    return np.vstack([cplx.real, cplx.imag])
-
-
-def stack_real_rhs(b: np.ndarray) -> np.ndarray:
-    """Right-hand side matching `real_design_from_functionals` row stacking."""
-    b = np.asarray(b, dtype=complex)
-    return np.concatenate([b.real, b.imag])
-
-
-def solve_hermitian(
-    a_real: np.ndarray, b_real: np.ndarray, rcond: Optional[float] = None
-) -> np.ndarray:
-    """Least-squares solution of A x = b over the real parameter vector."""
-    x, *_ = np.linalg.lstsq(np.asarray(a_real, float), np.asarray(b_real, float), rcond=rcond)
-    return x
+    n = data.ndim
+    u, s, vh = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))
+    if rank < 16:
+        raise IllPosedConfigurationError(
+            f"per-pair design has rank {rank} < 16, so the design of {n} pair(s) has rank "
+            f"{rank}**{n} < 16**{n}; the data do not determine chi"
+        )
+    pinv = (vh.conj().T / s) @ u.conj().T
+    # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
+    chi = unpair_axes(_per_pair(data, [pinv] * n), n, 4)
+    return (chi + chi.conj().T) / 2, float(s[0] / s[-1]) ** n

@@ -59,9 +59,9 @@ class RelaxEstimate:
     t2: float
 
 
-def _pair_state(alpha: complex, beta: complex) -> np.ndarray:
-    psi = np.array([alpha, 0, 0, beta], dtype=complex)
-    return ops.check_state_vector(psi, atol=1e-10)
+def _pair_config(alpha: complex, beta: complex) -> dcqd.Configuration:
+    """The coh_z configuration of a|00> + b|11>; it validates the amplitudes."""
+    return dcqd.Configuration(settings=(dcqd.COH_Z,), alpha=alpha, beta=beta)
 
 
 def forward_model(
@@ -74,7 +74,7 @@ def forward_model(
     <00|rho_f|00> + <01|rho_f|01> = 1 - exp(-t1/T1) (1 - |a|^2) and the
     entangled coherence is <00|rho_f|11> = exp(-t'/(2 T2')) a b*.
     """
-    rho = ops.projector(_pair_state(alpha, beta))
+    rho = ops.projector(dcqd.build_input_state(_pair_config(alpha, beta), check=False))
     sequence = channels.compose(
         channels.amplitude_damping(t=t1, T1=T1),
         channels.phase_damping(t=t2, T2=T2),
@@ -153,8 +153,8 @@ def joint_estimate(
     and the normalizer expectation are read off that single outcome
     distribution (or, with `shots`, a single counts table).
     """
-    psi = _pair_state(alpha, beta)
-    config = dcqd.Configuration(settings=(dcqd.COH_Z,), alpha=alpha, beta=beta)
+    config = _pair_config(alpha, beta)
+    psi = dcqd.build_input_state(config, check=False)
     dist = dcqd.outcome_probabilities(channel, config)
     q = dist.probabilities
     if shots is not None:

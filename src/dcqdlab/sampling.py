@@ -10,15 +10,15 @@ are reported, not hidden.
 
 The optics model captures a linear-optics Bell analyzer that can only
 resolve two of the four Bell states and reports the other two as a single
-merged symbol.  Merged outcomes make a single configuration's design
-matrix rank deficient; measuring the complementary analyzer setting as
-well (swapping which pair is resolved) restores full rank at twice the
-configuration count.
-"""
+merged symbol.  It is a merge matrix G on the four outcome rows of each
+setting.  Merged outcomes make a single configuration's design rank
+deficient; measuring the complementary analyzer setting as well (swapping
+which pair is resolved) restores full rank at twice the configuration
+count.  The single-pair design is then [G; G_complement] applied to each
+setting's rows of A1, and the shared solver in `inversion` inverts it."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -184,6 +184,11 @@ class OpticsModel:
 
         return ["/".join(BELL_LABELS[i] for i in g) for g in self.groups()]
 
+    @property
+    def merge_matrix(self) -> np.ndarray:
+        """G[g, k] = 1 when outcome k belongs to group g of `groups()`, else 0."""
+        return np.array([[float(k in g) for k in range(4)] for g in self.groups()])
+
 
 def apply_optics_model(dist: dcqd.OutcomeDistribution, model: OpticsModel) -> dict[str, float]:
     """Merge outcome probabilities the analyzer cannot tell apart.
@@ -193,31 +198,22 @@ def apply_optics_model(dist: dcqd.OutcomeDistribution, model: OpticsModel) -> di
     q = np.asarray(dist.probabilities, dtype=float)
     if q.shape != (4,):
         raise DimensionMismatchError("optics model is defined per pair (n = 1)")
-    return {
-        label: float(q[list(group)].sum())
-        for label, group in zip(model.labels(), model.groups())
-    }
-
-
-def merge_rows(matrix: np.ndarray, model: OpticsModel) -> np.ndarray:
-    """Collapse the 4 outcome rows of a design matrix into analyzer groups."""
-    matrix = np.asarray(matrix)
-    if matrix.shape[0] != 4:
-        raise DimensionMismatchError("expected 4 outcome rows (single pair)")
-    return np.stack([matrix[list(group)].sum(axis=0) for group in model.groups()])
+    return dict(zip(model.labels(), map(float, model.merge_matrix @ q)))
 
 
 def merged_design_matrix(
     config: dcqd.Configuration, models: Sequence[OpticsModel]
 ) -> np.ndarray:
-    """Stacked real design matrix of one configuration under analyzer models.
+    """Stacked complex design matrix of one configuration under analyzer models.
 
-    One model per analyzer setting; each contributes its merged rows.  Rank
-    analysis of this matrix quantifies what a partial Bell analyzer can and
-    cannot reconstruct.
+    One model per analyzer setting; each contributes its merged rows G @ A.
+    Rank analysis of this matrix quantifies what a partial Bell analyzer can
+    and cannot reconstruct.
     """
-    base = dcqd.real_design_matrix(config)
-    return np.vstack([merge_rows(base, model) for model in models])
+    if config.n != 1:
+        raise DimensionMismatchError("optics model is defined per pair (n = 1)")
+    base = dcqd.design_matrix(config)
+    return np.vstack([model.merge_matrix @ base for model in models])
 
 
 def characterize_with_optics(
@@ -236,30 +232,26 @@ def characterize_with_optics(
     setting is sampled independently.
     """
     model = model if model is not None else OpticsModel()
-    settings = [model, model.complement()]
+    merges = [model.merge_matrix, model.complement().merge_matrix]
     dists = dcqd.all_outcome_probabilities(channel, 1, alpha, beta)
-    children = _seed_sequence(seed).spawn(len(dists) * len(settings))
-    rows = []
+    children = _seed_sequence(seed).spawn(len(dists) * len(merges))
     values = []
     for i, dist in enumerate(dists):
-        base = dcqd.real_design_matrix(dist.config)
-        for j, setting in enumerate(settings):
-            rows.append(merge_rows(base, setting))
-            merged = np.array(list(apply_optics_model(dist, setting).values()))
+        for j, g in enumerate(merges):
+            merged = g @ dist.probabilities
             if shots is not None:
                 merged_dist = dcqd.OutcomeDistribution(config=dist.config, probabilities=merged)
-                table = sample_counts(merged_dist, shots, children[i * len(settings) + j])
+                table = sample_counts(merged_dist, shots, children[i * len(merges) + j])
                 merged = empirical_frequencies(table)
             values.append(merged)
-    a = np.vstack(rows)
-    b = np.concatenate(values)
-    svals = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(svals > svals.max() * max(a.shape) * np.finfo(float).eps))
-    x = inversion.solve_hermitian(a, b)
+    # rows (setting, analyzer setting, group), matching `values`
+    a1 = dcqd.pair_design(alpha, beta).reshape(len(dists), 4, 16)
+    design = np.vstack([g @ block for block in a1 for g in merges])
+    chi, cond = inversion.solve(design, np.concatenate(values))
     return dcqd.ReconstructionResult(
-        chi=inversion.unflatten_hermitian(x, 4),
+        chi=chi,
         n_qubits=1,
-        n_configurations=len(dists) * len(settings),
-        design_rank=rank,
-        design_cond=float(svals.max() / svals.min()) if svals.min() > 0 else math.inf,
+        n_configurations=len(values),
+        design_rank=16,
+        design_cond=cond,
     )

@@ -1,11 +1,14 @@
 """Standard quantum process tomography baseline.
 
-Prepares the 4**n product inputs over {|0>, |1>, |+>, |+i>}, performs full
-Pauli state tomography of every output (exact expectation values; finite
-shots are deliberately not modelled here), and linearly inverts for chi.
-Bookkeeping counts 4**n measurement settings per input, i.e. 16**n
-experimental configurations in total, against 4**n for the direct
-protocol in `dcqd`.
+Prepares the 4**n product inputs over {|0>, |1>, |+>, |+i>}, measures every
+qubit of each output in the eigenbases of X, Y and Z (exact probabilities;
+finite shots are deliberately not modelled here), and linearly inverts for
+chi.  Inputs and readout are the same on every qubit, so the experiment is
+n copies of a one-qubit experiment: a 24 x 4 readout table (4 inputs x 3
+bases x 2 eigenvectors) drives the shared forward model and solver in
+`inversion`.  Bookkeeping counts 4**n Pauli settings per input, i.e. 16**n
+experimental configurations in total, against 4**n for the direct protocol
+in `dcqd` (see `resources`).
 """
 
 from __future__ import annotations
@@ -16,23 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, inversion, ops
-from .exceptions import IllConditionedPlanError, InvalidConfigurationError
+from . import channels, dcqd, inversion, resources
 
 _KET_0 = np.array([1, 0], dtype=complex)
 _KET_1 = np.array([0, 1], dtype=complex)
 _KET_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
+_KET_MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
 _KET_PLUS_I = np.array([1, 1j], dtype=complex) / math.sqrt(2)
+_KET_MINUS_I = np.array([1, -1j], dtype=complex) / math.sqrt(2)
 INPUT_KETS = (_KET_0, _KET_1, _KET_PLUS, _KET_PLUS_I)
 INPUT_LABELS = ("0", "1", "+", "+i")
+# +1 and -1 eigenvectors of X, Y and Z
+READOUT_KETS = (_KET_PLUS, _KET_MINUS, _KET_PLUS_I, _KET_MINUS_I, _KET_0, _KET_1)
 
 
 @dataclass
 class SqptPlan:
-    """Input states and measurement bookkeeping of an SQPT run."""
+    """Input labels and measurement bookkeeping of an SQPT run."""
 
     n: int
-    states: list[np.ndarray]
     labels: list[str]
     n_inputs: int
     n_settings_per_input: int
@@ -43,38 +48,20 @@ class SqptPlan:
 
 
 def make_plan(n: int) -> SqptPlan:
-    """Build and validate the informationally complete product-input plan."""
-    if not 1 <= n <= 2:
-        raise InvalidConfigurationError(f"SQPT baseline supports n = 1..2, got {n}")
-    states = []
-    labels = []
-    for combo in itertools.product(range(4), repeat=n):
-        ket = INPUT_KETS[combo[0]]
-        for i in combo[1:]:
-            ket = np.kron(ket, INPUT_KETS[i])
-        states.append(ops.projector(ket))
-        labels.append("".join(INPUT_LABELS[i] for i in combo))
-    gram = np.array(
-        [[np.trace(a.conj().T @ b) for b in states] for a in states]
-    )
-    if np.linalg.matrix_rank(gram) < len(states):
-        raise IllConditionedPlanError("input states do not span operator space")
+    """Check the register size and count the product-input plan."""
+    dcqd.check_register_size(n)
+    counts = resources.resource_counts(n)["sqpt"]
     return SqptPlan(
         n=n,
-        states=states,
-        labels=labels,
-        n_inputs=4**n,
-        n_settings_per_input=4**n,
+        labels=["".join(INPUT_LABELS[i] for i in c) for c in itertools.product(range(4), repeat=n)],
+        n_inputs=counts["n_inputs"],
+        n_settings_per_input=counts["n_measurements"],
     )
 
 
-def tomograph_state(rho: np.ndarray) -> np.ndarray:
-    """Reconstruct a density operator from its full set of Pauli expectations."""
-    rho = np.asarray(rho, dtype=complex)
-    n = int(round(math.log2(rho.shape[0])))
-    basis = ops.pauli_basis(n)
-    coeffs = np.einsum("mab,ba->m", basis, rho) / 2**n
-    return np.tensordot(coeffs, basis, axes=1)
+def _readout_table() -> np.ndarray:
+    """T[(i, e), (a, a')] = conj(e[a]) psi_i[a'], so <e|K|psi_i> = sum K[a, a'] T[(i, e), (a, a')]."""
+    return np.array([np.outer(e.conj(), psi).ravel() for psi in INPUT_KETS for e in READOUT_KETS])
 
 
 @dataclass
@@ -91,27 +78,14 @@ class SqptResult:
 def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     """Reconstruct chi by preparing product inputs and tomographing outputs.
 
-    Exact expectation values make the state-tomography step lossless, so
-    the result matches the ground-truth process matrix to solver precision;
-    what this baseline quantifies is the experiment count, not accuracy.
+    Exact probabilities make the tomography lossless, so the result matches
+    the ground-truth process matrix to solver precision; what this baseline
+    quantifies is the experiment count, not accuracy.
     """
     plan = make_plan(n)
-    kraus = channels.as_kraus(channel, n)
-    basis = ops.pauli_basis(n)
-    functionals = []
-    rhs = []
-    for rho_in in plan.states:
-        rho_out = tomograph_state(channels.apply_channel(kraus, rho_in))
-        # row block: E(rho_in)[u, v] = sum_mn chi[m, n] (E_m rho_in E_n)[u, v]
-        block = np.einsum("mua,ab,nbv->uvmn", basis, rho_in, basis)
-        functionals.append(block.reshape(-1, 4**n, 4**n))
-        rhs.append(rho_out.reshape(-1))
-    m = np.concatenate(functionals)
-    b = np.concatenate(rhs)
-    a_real = inversion.real_design_from_functionals(m)
-    b_real = inversion.stack_real_rhs(b)
-    x = inversion.solve_hermitian(a_real, b_real)
-    chi = inversion.unflatten_hermitian(x, 4**n)
+    table = _readout_table()
+    q = inversion.pair_probabilities(channels.as_kraus(channel, n), [table] * n)
+    chi, _cond = inversion.solve(inversion.readout_design(table), q)
     return SqptResult(
         chi=chi,
         n_qubits=n,

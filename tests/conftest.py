@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcqdlab import channels, dcqd, ops
+from dcqdlab import channels, dcqd, ops, sampling
 
 # naive Pauli definitions, written out rather than imported
 I2 = np.eye(2, dtype=complex)
@@ -71,6 +71,64 @@ def density_matrix_probabilities(kraus, config):
     rho = ops.projector(dcqd.build_input_state(config, check=False))
     rho_out = channels.apply_channel(kraus, rho, ancilla_dim=2**config.n)
     return np.array([np.vdot(b, rho_out @ b).real for b in dcqd.measurement_basis(config)])
+
+
+def stacked_design(configs):
+    """Dense complex design of a configuration set, rows stacked in order."""
+    return np.vstack([dcqd.design_matrix(c) for c in configs])
+
+
+def real_design(config):
+    """Real design of one configuration over the Hermitian parameters of chi.
+
+    Parameters: the diagonal of chi, then (Re, Im) of its strict upper
+    triangle in row-major order (see `unflatten_hermitian`).
+    """
+    c = dcqd.amplitude_matrix(config)
+    dim = c.shape[1]
+    rows, cols = np.triu_indices(dim, k=1)
+    cross = c[:, rows] * c[:, cols].conj()
+    out = np.empty((len(c), dim * dim))
+    out[:, :dim] = np.abs(c) ** 2
+    out[:, dim::2] = 2.0 * cross.real
+    out[:, dim + 1 :: 2] = -2.0 * cross.imag
+    return out
+
+
+def unflatten_hermitian(x, dim):
+    """Hermitian matrix of a parameter vector in the order of `real_design`."""
+    chi = np.diag(x[:dim]).astype(complex)
+    rows, cols = np.triu_indices(dim, k=1)
+    upper = x[dim::2] + 1j * x[dim + 1 :: 2]
+    chi[rows, cols] = upper
+    chi[cols, rows] = upper.conj()
+    return chi
+
+
+def optics_lstsq_oracle(channel, shots=None, seed=None):
+    """Partial Bell-analyzer chi by real-parameter least squares.
+
+    Sums the rows of each outcome group of the real design and the matching
+    probabilities, draws the same seeded counts as the library (one spawned
+    seed per configuration and analyzer setting, in that order) and solves
+    with a dense `lstsq`; independent of the per-pair solver.
+    """
+    model = sampling.OpticsModel()
+    dists = dcqd.all_outcome_probabilities(channel, 1)
+    children = np.random.SeedSequence(seed).spawn(2 * len(dists))
+    rows, values = [], []
+    for i, dist in enumerate(dists):
+        base = real_design(dist.config)
+        for j, setting in enumerate([model, model.complement()]):
+            groups = [list(g) for g in setting.groups()]
+            rows += [base[g].sum(axis=0) for g in groups]
+            merged = np.array([dist.probabilities[g].sum() for g in groups])
+            if shots is not None:
+                merged_dist = dcqd.OutcomeDistribution(config=dist.config, probabilities=merged)
+                merged = sampling.sample_counts(merged_dist, shots, children[2 * i + j]).counts / shots
+            values.append(merged)
+    x, *_ = np.linalg.lstsq(np.array(rows), np.concatenate(values), rcond=None)
+    return unflatten_hermitian(x, 4)
 
 
 @pytest.fixture

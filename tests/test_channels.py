@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import actions_agree, chi_action, kraus_action, random_density
-from dcqdlab import channels, inversion, ops
+from dcqdlab import channels, ops
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -213,15 +213,14 @@ class TestValidateChi:
 
     def test_tp_constraint_rank_is_four(self):
         # the TP condition sum_mn chi[m,n] E_n E_m = I removes exactly 4 of
-        # the 16 real parameters of a single-qubit chi
+        # the 16 parameters of a single-qubit chi: the map from chi to
+        # sum_mn chi[m,n] E_n E_m has rank 4 (complex rank here, equal to
+        # the real rank on Hermitian chi)
         basis = ops.pauli_basis(1)
-        columns = []
-        for idx in range(16):
-            x = np.zeros(16)
-            x[idx] = 1.0
-            chi = inversion.unflatten_hermitian(x, 4)
-            acc = np.einsum("mn,nab,mbc->ac", chi, basis, basis)
-            columns.append(inversion.flatten_hermitian(acc))
+        columns = [
+            np.einsum("mn,nab,mbc->ac", unit.reshape(4, 4), basis, basis).ravel()
+            for unit in np.eye(16)
+        ]
         assert np.linalg.matrix_rank(np.array(columns).T) == 4
 
 
@@ -288,6 +287,29 @@ class TestSpecs:
             channels.amplitude_damping(gamma=0.1, t=1.0, T1=1.0)
         with pytest.raises(InvalidChannelError):
             channels.kraus_from_spec(channels.ChannelSpec("nonsense"))
+
+    @pytest.mark.parametrize(
+        "build,kwargs",
+        [
+            (channels.amplitude_damping, {"t": 1.0, "T1": math.nan}),
+            (channels.amplitude_damping, {"t": math.nan, "T1": 2.0}),
+            (channels.amplitude_damping, {"t": math.inf, "T1": math.inf}),
+            (channels.phase_damping, {"t": 1.0, "T2": math.nan}),
+            (channels.phase_damping, {"t": math.nan, "T2": 2.0}),
+        ],
+    )
+    def test_non_finite_time_arguments_rejected(self, build, kwargs):
+        with pytest.raises(InvalidChannelError):
+            build(**kwargs)
+
+    def test_infinite_time_constant_means_no_decay(self):
+        assert np.allclose(channels.amplitude_damping(t=1.0, T1=math.inf)[0], np.eye(2))
+        assert np.allclose(channels.phase_damping(t=1.0, T2=math.inf)[0], np.eye(2))
+
+    def test_trace_gap(self):
+        assert np.max(np.abs(channels.trace_gap(channels.depolarizing(0.3)))) < 1e-15
+        gap = channels.trace_gap(amplitude_damping_total(sub=0.5))
+        assert ops.min_eigenvalue(gap) > 0.1
 
     def test_composed_spec(self):
         spec = channels.ChannelSpec(

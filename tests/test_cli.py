@@ -111,6 +111,19 @@ class TestExitCodes:
         assert code == cli.EXIT_ILL_POSED
         assert "16**6" in err
 
+    @pytest.mark.parametrize("channel", ["amplitude_damping:t=1,T1=nan", "phase_damping:t=nan,T2=1"])
+    def test_nan_time_constant(self, channel, capsys):
+        code, _, err = run(["characterize", "--channel", channel], capsys)
+        assert code == cli.EXIT_PARSE
+        assert "must be" in err
+
+    @pytest.mark.parametrize("amplitudes", [["--alpha", "nan"], ["--alpha", "0.9", "--beta", "0.1"]])
+    def test_partial_bad_amplitudes(self, amplitudes, capsys):
+        argv = ["partial", "--T1", "2", "--T2", "1", "--t1", "1", "--t2", "1"] + amplitudes
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_ILL_POSED
+        assert "alpha" in err
+
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 

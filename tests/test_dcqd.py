@@ -4,8 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import density_matrix_probabilities
-from dcqdlab import channels, dcqd, inversion, ops
+from conftest import density_matrix_probabilities, stacked_design
+from dcqdlab import channels, dcqd, ops
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     IllPosedConfigurationError,
@@ -184,10 +184,10 @@ class TestOutcomeProbabilities:
         # independent routes: Kraus application vs design-matrix contraction
         for tp in (True, False):
             kraus = channels.random_channel(1, trace_preserving=tp, rng=rng)
-            x = inversion.flatten_hermitian(channels.chi_from_kraus(kraus))
+            x = channels.chi_from_kraus(kraus).ravel()
             for config in dcqd.all_configurations(1):
                 direct = dcqd.outcome_probabilities(kraus, config).probabilities
-                via_design = dcqd.real_design_matrix(config) @ x
+                via_design = dcqd.design_matrix(config) @ x
                 assert np.allclose(direct, via_design, atol=1e-12)
 
     def test_completeness_sums_to_channel_trace(self, rng):
@@ -308,12 +308,12 @@ class TestDesignMatrix:
         assert np.allclose(a, want, atol=1e-14)
 
     def test_stacked_rank_full_with_defaults(self):
-        a = dcqd.stacked_design(dcqd.all_configurations(1))
+        a = stacked_design(dcqd.all_configurations(1))
         assert a.shape == (16, 16)
         assert np.linalg.matrix_rank(a) == 16
 
     def test_stacked_rank_two_pairs(self):
-        a = dcqd.stacked_design(dcqd.all_configurations(2))
+        a = stacked_design(dcqd.all_configurations(2))
         assert a.shape == (256, 256)
         assert np.linalg.matrix_rank(a) == 256
 
@@ -322,7 +322,7 @@ class TestDesignMatrix:
             dcqd.Configuration(settings=c.settings, alpha=0.8, beta=0.6)
             for c in dcqd.all_configurations(1)
         ]
-        assert np.linalg.matrix_rank(dcqd.stacked_design(configs)) < 16
+        assert np.linalg.matrix_rank(stacked_design(configs)) < 16
 
 
 class TestCharacterize:
@@ -450,8 +450,8 @@ class TestFactoredEngine:
         dists = dcqd.all_outcome_probabilities(kraus, 2)
         configs = [d.config for d in dists]
         probs = [d.probabilities for d in dists]
-        x, *_ = np.linalg.lstsq(dcqd.stacked_design(configs), np.concatenate(probs), rcond=None)
-        dense = inversion.unflatten_hermitian(x, 16)
+        x, *_ = np.linalg.lstsq(stacked_design(configs), np.concatenate(probs), rcond=None)
+        dense = x.reshape(16, 16)
         chi = dcqd.reconstruct_from_probabilities(configs, probs).chi
         assert np.max(np.abs(chi - dense)) < 1e-12
 

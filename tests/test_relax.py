@@ -8,6 +8,7 @@ from dcqdlab import channels, ops, relax
 from dcqdlab.exceptions import (
     IllPosedInputError,
     InconsistentDataError,
+    InvalidConfigurationError,
     InvalidStateError,
     SaturationError,
 )
@@ -160,6 +161,11 @@ class TestJointEstimate:
         a = relax.joint_estimate(seq, ALPHA, BETA, 1.0, 1.0, shots=5000, seed=2)
         b = relax.joint_estimate(seq, ALPHA, BETA, 1.0, 1.0, shots=5000, seed=2)
         assert (a.T1, a.T2) == (b.T1, b.T2)
+
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, BETA), (0.9, 0.1)])
+    def test_bad_amplitudes_rejected_by_configuration(self, alpha, beta):
+        with pytest.raises(InvalidConfigurationError):
+            relax.joint_estimate(channels.identity_channel(), alpha, beta, 1.0, 1.0)
 
     def test_no_decay_channel(self):
         est = relax.joint_estimate(channels.identity_channel(), ALPHA, BETA, 1.0, 1.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import optics_lstsq_oracle
 from dcqdlab import channels, dcqd, sampling
 from dcqdlab.exceptions import InvalidConfigurationError, InvalidDistributionError
 
@@ -165,6 +166,24 @@ class TestOpticsModel:
         result = sampling.characterize_with_optics(kraus)
         assert np.linalg.norm(result.chi - chi_true) < 1e-9
         assert result.n_configurations == 8  # doubled
+
+    def test_merge_matrix(self):
+        model = sampling.OpticsModel()
+        assert model.merge_matrix.tolist() == [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+        assert model.complement().merge_matrix.tolist() == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    def test_optics_matches_real_lstsq_oracle(self, shots, rng):
+        # the complex least-squares solution of real data is Hermitian, so the
+        # per-pair solver and a real-parameter lstsq give the same chi; the
+        # seeded counts are the same too
+        kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
+        for seed in range(3):
+            result = sampling.characterize_with_optics(kraus, shots=shots, seed=seed)
+            want = optics_lstsq_oracle(kraus, shots=shots, seed=seed)
+            assert np.max(np.abs(result.chi - want)) < 1e-12
+        assert result.design_rank == 16
+        assert result.design_cond == pytest.approx(9.93, abs=0.01)
 
     def test_characterize_with_optics_sampled(self):
         result = sampling.characterize_with_optics(channels.bit_flip(0.25), shots=10**5, seed=3)

@@ -1,8 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from conftest import random_density
-from dcqdlab import channels, dcqd, resources, sqpt
+from dcqdlab import channels, dcqd, inversion, ops, resources, sqpt
 from dcqdlab.exceptions import InvalidConfigurationError
 
 
@@ -13,18 +14,27 @@ def test_plan_counts_and_span():
     assert plan.n_experiments == 16
     plan2 = sqpt.make_plan(2)
     assert plan2.n_experiments == 256
-    assert len(plan2.states) == 16
+    assert len(plan2.labels) == 16
 
 
-def test_register_size_guard():
-    with pytest.raises(InvalidConfigurationError):
-        sqpt.make_plan(3)
+def test_register_size_guard(monkeypatch):
+    # the shared bound of every entry point, checked before the channel is expanded
+    def untouched(*args, **kwargs):
+        raise AssertionError("channel expanded before the size check")
+
+    monkeypatch.setattr(channels, "as_kraus", untouched)
+    with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
+        sqpt.make_plan(6)
+    with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
+        sqpt.sqpt_characterize(channels.identity_channel(), 6)
 
 
-def test_state_tomography_is_lossless(rng):
-    for n in (1, 2):
-        rho = random_density(n, rng)
-        assert np.allclose(sqpt.tomograph_state(rho), rho, atol=1e-12)
+def test_single_qubit_design():
+    # 4 inputs x 3 bases x 2 eigenvectors against the 16 entries of chi
+    design = inversion.readout_design(sqpt._readout_table())
+    assert design.shape == (24, 16)
+    assert np.linalg.matrix_rank(design) == 16
+    assert np.linalg.cond(design) == pytest.approx(5.59, abs=0.01)
 
 
 def test_identity_channel():
@@ -60,6 +70,30 @@ def test_two_qubit_baseline(rng):
     result = sqpt.sqpt_characterize(kraus, 2)
     assert np.linalg.norm(result.chi - chi_true) < 1e-8
     assert result.n_experiments == 256
+
+
+@pytest.mark.parametrize("tp", [True, False])
+def test_two_qubit_method_equivalence_with_dcqd(tp, rng):
+    kraus = channels.random_channel(2, trace_preserving=tp, rng=rng)
+    r_sqpt = sqpt.sqpt_characterize(kraus, 2)
+    r_dcqd = dcqd.characterize(kraus, 2)
+    assert np.max(np.abs(r_sqpt.chi - r_dcqd.chi)) < 1e-12
+    assert ops.hermiticity_deviation(r_sqpt.chi) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["random", "iid"])
+def test_three_qubit_baseline(kind, rng):
+    if kind == "random":
+        channel = channels.random_channel(3, trace_preserving=True, rng=rng)
+    else:
+        channel = channels.ChannelSpec(kind="amplitude_damping", params={"gamma": 0.3})
+    start = time.perf_counter()
+    result = sqpt.sqpt_characterize(channel, 3)
+    elapsed = time.perf_counter() - start
+    chi_true = channels.chi_from_kraus(channels.as_kraus(channel, 3))
+    assert np.max(np.abs(result.chi - chi_true)) < 1e-10
+    assert (result.n_inputs, result.n_settings_per_input, result.n_experiments) == (64, 64, 4096)
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2])
