@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import ops
+from . import inversion, ops
 from .exceptions import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -54,6 +54,19 @@ __all__ = [
     "validate_chi",
 ]
 
+# Largest register any entry point accepts: its process matrix has
+# 16**n complex entries, 16 MiB at n = 5.  Checked before anything of size
+# 16**n is allocated.
+MAX_QUBITS = 5
+
+# One-qubit Pauli matrices (E_m = ops.PAULIS[m]) that the n-qubit maps below
+# apply along every pair axis: TRACE[m, (a, a')] = E_m[a', a] / 2 takes K to
+# Tr(E_m K) / 2, EXPAND[(a, a'), m] = E_m[a, a'] takes v to sum_m v[m] E_m,
+# and PRODUCTS[(a, c), (m, n)] = (E_n E_m)[a, c].
+_PAULI_TRACE = np.array([e.T.ravel() for e in ops.PAULIS]) / 2
+_PAULI_EXPAND = np.array([e.ravel() for e in ops.PAULIS]).T
+_PAULI_PRODUCTS = np.einsum("nab,mbc->acmn", ops.PAULIS, ops.PAULIS).reshape(4, 16)
+
 
 def trace_gap(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """I - sum K^dag K: zero for a trace-preserving set, PSD for a trace-decreasing one."""
@@ -80,6 +93,13 @@ def check_kraus(
             raise InvalidChannelError(f"Kraus operators must share a square shape, got {k.shape}")
     if d < 2 or d & (d - 1):
         raise InvalidChannelError(f"Kraus dimension {d} is not a power of 2")
+    # sum K^dag K <= I bounds every entry by 1; checking first also keeps
+    # NaN and overflow out of the eigenvalue check below
+    if not np.all(np.abs(np.array(mats).view(float)) <= 1 + atol):
+        raise InvalidChannelError(
+            "Kraus set has a non-finite entry or a real or imaginary part beyond 1, "
+            "which no trace non-increasing set has"
+        )
     gap = trace_gap(mats)
     lo = ops.min_eigenvalue(gap)
     if lo < -atol:
@@ -106,11 +126,10 @@ def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     Expands each operator as K_i = sum_m c[i, m] E_m with
     c[i, m] = Tr(E_m K_i) / 2**n, then chi[m, n] = sum_i c[i, m] c[i, n]*.
     """
-    mats = [np.asarray(k, dtype=complex) for k in kraus]
+    mats = np.asarray(kraus, dtype=complex)
     n = n_qubits(mats)
-    d = 2**n
-    basis = ops.pauli_basis(n)
-    c = np.array([[np.trace(e @ k) / d for e in basis] for k in mats])
+    c = inversion.per_pair(inversion.pair_axes(mats, n, 2), [_PAULI_TRACE] * n, lead=1)
+    c = c.reshape(len(mats), 4**n)
     return c.T @ c.conj()
 
 
@@ -131,16 +150,13 @@ def kraus_from_chi(chi: np.ndarray, atol: float = 1e-9, keep_tol: float = 1e-12)
         raise NotCompletelyPositiveError(
             f"chi has eigenvalue {vals.min():.3e} below -{atol}; no Kraus form exists"
         )
-    basis = ops.pauli_basis(n)
-    out = []
-    for lam, vec in zip(vals, vecs.T):
-        if lam <= keep_tol:
-            continue
-        out.append(math.sqrt(lam) * np.tensordot(vec, basis, axes=1))
-    if not out:
+    keep = vals > keep_tol
+    if not keep.any():
         # the all-zero map still needs one (zero) operator to stay a valid set
-        out.append(np.zeros((2**n, 2**n), dtype=complex))
-    return out
+        return [np.zeros((2**n, 2**n), dtype=complex)]
+    # row i holds sqrt(lam_i) v_i, one axis per qubit
+    v = (vecs[:, keep] * np.sqrt(vals[keep])).T.reshape((-1,) + (4,) * n)
+    return list(inversion.unpair_axes(inversion.per_pair(v, [_PAULI_EXPAND] * n, lead=1), n, 2))
 
 
 def apply_channel(
@@ -227,8 +243,8 @@ def validate_chi(
     tp_ok = None
     if trace_preserving:
         n = int(round(math.log2(chi.shape[0]) / 2))
-        basis = ops.pauli_basis(n)
-        acc = np.einsum("mn,nab,mbc->ac", chi, basis, basis)
+        pairs = inversion.pair_axes(chi, n, 4)
+        acc = inversion.unpair_axes(inversion.per_pair(pairs, [_PAULI_PRODUCTS] * n), n, 2)
         tp_residual = float(np.max(np.abs(acc - np.eye(2**n))))
         tp_ok = tp_residual <= tp_atol
     return ChiValidation(
@@ -386,6 +402,8 @@ def rotation(axis: str, angle: float) -> list[np.ndarray]:
         p = {"x": ops.PAULI_X, "y": ops.PAULI_Y, "z": ops.PAULI_Z}[axis.lower()]
     except KeyError:
         raise InvalidChannelError(f"rotation axis must be x, y or z, got {axis!r}") from None
+    if not math.isfinite(angle):
+        raise InvalidChannelError(f"rotation angle must be finite, got {angle!r}")
     u = math.cos(angle / 2) * ops.IDENTITY_2 - 1j * math.sin(angle / 2) * p
     return [u]
 
@@ -454,9 +472,14 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
     """Build the Kraus set a ChannelSpec describes (single qubit unless the
     spec carries explicit multi-qubit operators)."""
     kind = spec.kind
-    params = dict(spec.params)
+    params = {k: v if k == "axis" else _number(kind, k, v) for k, v in spec.params.items()}
     if kind == "identity":
-        return identity_channel(int(params.pop("n", 1)))
+        n = params.pop("n", 1.0)
+        if not (n.is_integer() and 1 <= n <= MAX_QUBITS):
+            raise InvalidChannelError(
+                f"identity n must be an integer in 1..{MAX_QUBITS}, got {n!r}"
+            )
+        return identity_channel(int(n))
     if kind == "bit_flip":
         return bit_flip(_take(params, "p", kind))
     if kind == "phase_flip":
@@ -473,16 +496,12 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
         if spec.operators is not None:
             if len(spec.operators) != 1:
                 raise InvalidChannelError("unitary spec takes exactly one matrix")
-            u = np.asarray(spec.operators[0], dtype=complex)
-            d = u.shape[0]
-            if u.ndim != 2 or u.shape != (d, d) or np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-10:
-                raise InvalidChannelError("unitary matrix is not unitary within 1e-10")
-            return [u]
+            return check_kraus(spec.operators, trace_preserving=True)
         axis = params.pop("axis", None)
         angle = params.pop("angle", None)
         if axis is None or angle is None:
             raise InvalidChannelError("unitary spec needs a matrix or axis and angle")
-        return rotation(str(axis), float(angle))
+        return rotation(str(axis), angle)
     if kind == "explicit_kraus":
         if not spec.operators:
             raise InvalidChannelError("explicit_kraus spec carries no operators")
@@ -501,7 +520,9 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
     """Normalize a channel argument (spec or Kraus sequence) to a Kraus list.
 
     When `n` is given, a single-qubit set is extended to n qubits as an
-    i.i.d. tensor product; an explicit n-qubit set is passed through.
+    i.i.d. tensor product; an explicit n-qubit set is passed through.  A
+    one-qubit map has Kraus rank <= 4, so a larger one-qubit set is first
+    replaced by its canonical set, which keeps the product at <= 4**n operators.
     """
     if isinstance(channel, ChannelSpec):
         kraus = kraus_from_spec(channel)
@@ -512,6 +533,8 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
         if have == n:
             return kraus
         if have == 1 and n > 1:
+            if len(kraus) > 4:
+                kraus = kraus_from_chi(chi_from_kraus(kraus))
             out = kraus
             for _ in range(n - 1):
                 out = kraus_tensor(out, kraus)
@@ -522,6 +545,15 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
 
 def _take(params: dict, key: str, kind: str) -> float:
     try:
-        return float(params.pop(key))
+        return params.pop(key)
     except KeyError:
         raise InvalidChannelError(f"{kind} spec needs parameter {key!r}") from None
+
+
+def _number(kind: str, key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidChannelError(
+            f"{kind} parameter {key!r} must be a number, got {value!r}"
+        ) from None

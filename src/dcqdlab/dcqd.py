@@ -24,16 +24,16 @@ one measurement.  All 4**n configurations together determine every entry.
 
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
-readout table (4 settings x 4 outcomes) and hands it to the shared engine
-in `inversion`, which carries every exact and sampled path:
+readout table (4 settings x 4 outcomes); its 16 x 16 single-pair design A1
+(`inversion.readout_design`) carries every exact and sampled path through
+the shared per-pair map in `inversion`:
 
-* forward model: the table maps each Kraus operator, arranged with one
-  (a, a') axis per pair, to the outcome amplitudes of all 4**n
-  configurations at once (a state-vector contraction);
+* forward model: the probabilities of all 4**n configurations are A1
+  applied along every pair axis of the channel's chi;
 * solver: the stacked design of all configurations is a permuted n-fold
-  Kronecker power of the 16 x 16 single-pair design A1, so chi is A1^-1
-  applied along every pair axis of the data, and the design's rank and
-  condition number are rank(A1)**n and cond(A1)**n.
+  Kronecker power of A1, so chi is A1^-1 applied along every pair axis of
+  the data, and the design's rank and condition number are rank(A1)**n and
+  cond(A1)**n.
 
 The single-pair closed forms below (n = 1) are the paper's route and serve
 as an independent cross-check of the solver.  The dense per-configuration
@@ -268,30 +268,25 @@ class OutcomeDistribution:
 # Forward model through the per-pair engine
 # ---------------------------------------------------------------------------
 
-# Largest process matrix any entry point builds: 16**n complex entries,
-# 16 MiB at n = 5.  Checked before anything of size 16**n is allocated.
-MAX_CHI_ENTRIES = 16**5
-
-
 def check_register_size(n: int) -> None:
-    """Reject register sizes whose process matrix exceeds MAX_CHI_ENTRIES."""
+    """Reject register sizes outside 1..`channels.MAX_QUBITS` (chi of 16**n entries)."""
     if n < 1:
         raise InvalidConfigurationError(f"need at least one pair, got n={n}")
-    if 16**n > MAX_CHI_ENTRIES:
+    if n > channels.MAX_QUBITS:
         raise InvalidConfigurationError(
-            f"n = {n} needs a process matrix of 16**{n} complex entries "
-            f"({16**n * 16 / 2**20:.0f} MiB); the limit is {MAX_CHI_ENTRIES} entries"
+            f"n = {n} needs a process matrix of 16**{n} complex entries; the limit is "
+            f"16**{channels.MAX_QUBITS} entries (16 MiB)"
         )
 
 
-def _readout_table(settings: Sequence[str], alpha: complex, beta: complex) -> np.ndarray:
+def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
     """Per-pair readout M[(s, k), (a, a')] = sum_b conj(W_s[(a, b), k]) psi_s[(a', b)].
 
-    W_s holds the pair's measurement states and psi_s its input, so outcome
-    k's amplitude after a primary-qubit operator K is sum K[a, a'] M[k, (a, a')].
+    W_s holds setting s's measurement states and psi_s its input, so outcome
+    k's amplitude after a primary-qubit operator K is sum K[a, a'] M[(s, k), (a, a')].
     """
     rows = []
-    for s in settings:
+    for s in SETTINGS:
         config = Configuration(settings=(s,), alpha=alpha, beta=beta)
         w = np.array(measurement_basis(config)).reshape(4, 2, 2)
         psi = build_input_state(config, check=False).reshape(2, 2)
@@ -301,9 +296,11 @@ def _readout_table(settings: Sequence[str], alpha: complex, beta: complex) -> np
 
 def outcome_probabilities(channel, config: Configuration) -> OutcomeDistribution:
     """Probabilities q_k = Tr[P_k E(rho_c)] with the channel on the primary block."""
-    kraus = channels.as_kraus(channel, config.n)
-    tables = [_readout_table((s,), config.alpha, config.beta) for s in config.settings]
-    q = inversion.pair_probabilities(kraus, tables)
+    check_register_size(config.n)
+    chi = channels.chi_from_kraus(channels.as_kraus(channel, config.n))
+    # rows of A1 grouped by setting: a1[s] is setting s's 4 x 16 design
+    a1 = pair_design(config.alpha, config.beta).reshape(4, 4, 16)
+    q = inversion.forward([a1[SETTINGS.index(s)] for s in config.settings], chi)
     return OutcomeDistribution(config=config, probabilities=q.ravel())
 
 
@@ -313,15 +310,14 @@ def all_outcome_probabilities(
     """Exact distributions of all 4**n configurations, in index order.
 
     Checks the register size and validates every configuration first, then
-    computes every probability in one contraction of the channel's Kraus
-    operators with the per-pair readout table.
+    applies A1 along every pair axis of the channel's chi.
     """
     check_register_size(n)
     configs = all_configurations(n, alpha, beta)
     for config in configs:
         validate_configuration(config)
-    kraus = channels.as_kraus(channel, n)
-    q = inversion.pair_probabilities(kraus, [_readout_table(SETTINGS, alpha, beta)] * n)
+    chi = channels.chi_from_kraus(channels.as_kraus(channel, n))
+    q = inversion.forward([pair_design(alpha, beta)] * n, chi)
     # axis i of q is (setting_i, outcome_i); rows become configurations
     q = inversion.unpair_axes(q, n, 4)
     return [OutcomeDistribution(config=c, probabilities=p) for c, p in zip(configs, q)]
@@ -465,7 +461,7 @@ def pair_design(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) ->
     from the readout table (`inversion.readout_design`).  Rows run over
     (setting, outcome), columns over (m, m') of chi.
     """
-    return inversion.readout_design(_readout_table(SETTINGS, alpha, beta))
+    return inversion.readout_design(_readout_table(alpha, beta))
 
 
 @dataclass

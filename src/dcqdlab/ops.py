@@ -100,11 +100,6 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
     """Tr(op rho).
 
@@ -179,10 +174,6 @@ def hermiticity_deviation(a: np.ndarray) -> float:
     """Max entrywise deviation of a from its conjugate transpose."""
     a = np.asarray(a)
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
-def is_hermitian(a: np.ndarray, atol: float = 1e-12) -> bool:
-    return hermiticity_deviation(a) <= atol
 
 
 def min_eigenvalue(a: np.ndarray) -> float:

@@ -98,7 +98,7 @@ def matrix_from_pairs(rows) -> np.ndarray:
         return np.array(
             [[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=complex
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidChannelError(f"malformed complex matrix: {exc}") from None
 
 
@@ -120,6 +120,9 @@ def spec_from_dict(data: dict) -> channels.ChannelSpec:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise InvalidChannelError("'params' must be an object")
+    for key in ("operators", "stages"):
+        if not isinstance(data.get(key, []), list):
+            raise InvalidChannelError(f"'{key}' must be a list")
     operators = None
     if "operators" in data:
         operators = tuple(matrix_from_pairs(op) for op in data["operators"])

@@ -5,10 +5,10 @@ qubit of each output in the eigenbases of X, Y and Z (exact probabilities;
 finite shots are deliberately not modelled here), and linearly inverts for
 chi.  Inputs and readout are the same on every qubit, so the experiment is
 n copies of a one-qubit experiment: a 24 x 4 readout table (4 inputs x 3
-bases x 2 eigenvectors) drives the shared forward model and solver in
-`inversion`.  Bookkeeping counts 4**n Pauli settings per input, i.e. 16**n
-experimental configurations in total, against 4**n for the direct protocol
-in `dcqd` (see `resources`).
+bases x 2 eigenvectors) gives the 24 x 16 per-qubit design that `inversion`
+applies to chi and inverts.  Bookkeeping counts 4**n Pauli settings per
+input, i.e. 16**n experimental configurations in total, against 4**n for
+the direct protocol in `dcqd` (see `resources`).
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     quantifies is the experiment count, not accuracy.
     """
     plan = make_plan(n)
-    table = _readout_table()
-    q = inversion.pair_probabilities(channels.as_kraus(channel, n), [table] * n)
-    chi, _cond = inversion.solve(inversion.readout_design(table), q)
+    design = inversion.readout_design(_readout_table())
+    q = inversion.forward([design] * n, channels.chi_from_kraus(channels.as_kraus(channel, n)))
+    chi, _cond = inversion.solve(design, q)
     return SqptResult(
         chi=chi,
         n_qubits=n,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import actions_agree, chi_action, kraus_action, random_density
+from conftest import actions_agree, chi_action, kraus_action, naive_pauli_list, random_density
 from dcqdlab import channels, ops
 from dcqdlab.exceptions import (
     DimensionMismatchError,
@@ -53,7 +53,7 @@ class TestChiFromKraus:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_reproduces_channel_on_random_maps(self, n, rng):
         kraus = channels.random_channel(n, trace_preserving=False, rng=rng)
         chi = channels.chi_from_kraus(kraus)
@@ -89,7 +89,7 @@ class TestKrausFromChi:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("tp", [True, False])
     def test_round_trip_preserves_action(self, n, tp, rng):
         kraus = channels.random_channel(n, trace_preserving=tp, rng=rng)
@@ -210,6 +210,16 @@ class TestValidateChi:
         assert report.tp_residual > 0.1
         assert not report.tp_ok
         assert channels.validate_chi(chi).all_ok  # fine as a non-TP map
+
+    @pytest.mark.parametrize("tp", [True, False])
+    def test_tp_residual_matches_double_sum(self, tp, rng):
+        chi = channels.chi_from_kraus(channels.random_channel(3, trace_preserving=tp, rng=rng))
+        paulis = naive_pauli_list(3)
+        acc = sum(chi[m, k] * paulis[k] @ paulis[m] for m in range(64) for k in range(64))
+        want = np.max(np.abs(acc - np.eye(8)))
+        report = channels.validate_chi(chi, trace_preserving=True)
+        assert report.tp_residual == pytest.approx(want, abs=1e-13)
+        assert report.tp_ok is tp
 
     def test_tp_constraint_rank_is_four(self):
         # the TP condition sum_mn chi[m,n] E_n E_m = I removes exactly 4 of

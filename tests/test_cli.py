@@ -4,6 +4,7 @@ import math
 import pytest
 
 from dcqdlab import channels, cli, serialize
+from dcqdlab.exceptions import InvalidChannelError
 
 
 def run(args, capsys):
@@ -123,6 +124,34 @@ class TestExitCodes:
         code, _, err = run(argv, capsys)
         assert code == cli.EXIT_ILL_POSED
         assert "alpha" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "bit_flip", "params": {"p": None}},
+            {"kind": "bit_flip", "params": {"p": "abc"}},
+            {"kind": "explicit_kraus", "operators": [[[["nan", 0], [0, 0]], [[0, 0], [1, 0]]]]},
+            {"kind": "explicit_kraus", "operators": [[[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+            {"kind": "unitary", "operators": [[[["nan", 0], [0, 0]], [[0, 0], [1, 0]]]]},
+            {"kind": "unitary", "params": {"axis": "z", "angle": "nan"}},
+            {"kind": "identity", "params": {"n": 1.7}},
+            {"kind": "identity", "params": {"n": 40}},
+            {"kind": "identity", "params": {"n": 13}},
+            {"kind": "composed", "stages": None},
+        ],
+        ids=[
+            "p_null", "p_text", "kraus_nan", "kraus_huge", "unitary_nan", "angle_nan",
+            "identity_fraction", "identity_n40", "identity_n13", "stages_null",
+        ],
+    )
+    def test_malformed_spec_file(self, doc, tmp_path, capsys):
+        with pytest.raises(InvalidChannelError):
+            channels.kraus_from_spec(serialize.spec_from_dict(doc))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["characterize", "--channel", f"@{path}"], capsys)
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: ")
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2

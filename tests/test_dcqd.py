@@ -379,7 +379,7 @@ class TestCharacterize:
     def test_register_size_guard(self, monkeypatch):
         # the bound is on chi's 16**n entries and is checked before the
         # channel is expanded or anything of size 16**n is allocated
-        assert 16**5 <= dcqd.MAX_CHI_ENTRIES < 16**6
+        assert channels.MAX_QUBITS == 5
 
         def untouched(*args, **kwargs):
             raise AssertionError("channel expanded before the size check")
@@ -389,6 +389,12 @@ class TestCharacterize:
             dcqd.characterize(channels.identity_channel(), 0)
         with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
             dcqd.characterize(channels.identity_channel(), 6)
+        config6 = dcqd.Configuration(settings=(dcqd.POP,) * 6)
+        with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
+            dcqd.outcome_probabilities(channels.identity_channel(), config6)
+        # a huge n is compared as a qubit count; 16**n is never computed
+        with pytest.raises(InvalidConfigurationError):
+            dcqd.check_register_size(10**12)
 
     def test_unitary_two_qubit_channel(self):
         # a non-product channel: CNOT with primary block as control/target
@@ -475,14 +481,33 @@ class TestFactoredEngine:
         [
             (4, channels.compose(channels.rotation("y", 0.7), channels.amplitude_damping(0.2))),
             (5, channels.rotation("y", 0.7)),
+            # four Kraus operators, so 4**5 = 1024 at n = 5
+            (5, channels.random_channel(1, seed=3)),
         ],
-        ids=["n4", "n5"],
+        ids=["n4", "n5", "n5_rank4"],
     )
     def test_larger_registers(self, n, kraus):
         # an i.i.d. channel's chi is the Kronecker power of its one-qubit chi
+        start = time.perf_counter()
         result = dcqd.characterize(kraus, n)
+        elapsed = time.perf_counter() - start
         chi_true = ops.tensor(*[channels.chi_from_kraus(kraus)] * n)
         assert np.max(np.abs(result.chi - chi_true)) < 1e-10
+        assert elapsed < 5.0
+
+    def test_iid_expansion_uses_canonical_kraus_set(self):
+        # three composed depolarizing stages: 64 one-qubit Kraus operators,
+        # which would be 64**3 at n = 3 without the canonical set
+        stages = tuple(channels.ChannelSpec("depolarizing", {"p": p}) for p in (0.1, 0.2, 0.3))
+        spec = channels.ChannelSpec("composed", stages=stages)
+        assert len(channels.kraus_from_spec(spec)) == 64
+        assert len(channels.as_kraus(spec, 3)) <= 4**3
+        start = time.perf_counter()
+        result = dcqd.characterize(spec, 3)
+        elapsed = time.perf_counter() - start
+        chi1 = channels.chi_from_kraus(channels.kraus_from_spec(spec))
+        assert np.max(np.abs(result.chi - ops.tensor(chi1, chi1, chi1))) < 1e-10
+        assert elapsed < 1.0
 
     def test_diagnostics_at_every_n(self):
         cond1 = np.linalg.cond(dcqd.pair_design())

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcqdlab import channels, dcqd, serialize
-from dcqdlab.exceptions import InvalidChannelError
+from dcqdlab.exceptions import DcqdLabError, InvalidChannelError
 
 
 class TestParseChannelArg:
@@ -77,6 +79,80 @@ class TestSpecJson:
             serialize.spec_from_dict({"params": {}})
         with pytest.raises(InvalidChannelError):
             serialize.matrix_from_pairs([[["x", 0.0]]])
+
+
+# JSON-like values, valid and not: null, booleans, numbers of any size
+# including non-finite ones, numeric and non-numeric strings, short lists
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(["nan", "inf", "-1", "0.25", "1e308", "abc", "x", "z", "2"]),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2))
+_PARAMS = st.dictionaries(
+    st.sampled_from(["p", "gamma", "lambda", "t", "T1", "T2", "axis", "angle", "n"]),
+    _VALUES,
+    max_size=4,
+)
+_ENTRY = st.one_of(st.tuples(_SCALARS, _SCALARS).map(list), _VALUES)
+_MATRIX = st.one_of(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(_ENTRY, min_size=d, max_size=d), min_size=d, max_size=d)
+    ),
+    _VALUES,
+)
+_LEAF = st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(channels.CHANNEL_KINDS), _SCALARS)},
+    optional={
+        "params": st.one_of(_PARAMS, _SCALARS),
+        "operators": st.one_of(st.lists(_MATRIX, max_size=2), _SCALARS),
+    },
+)
+_DOCUMENTS = st.one_of(
+    _SCALARS,
+    st.recursive(
+        _LEAF,
+        lambda inner: st.fixed_dictionaries(
+            {"kind": st.just("composed")},
+            optional={"stages": st.one_of(st.lists(inner, max_size=3), _SCALARS)},
+        ),
+        max_leaves=4,
+    ),
+)
+
+
+# compact flag text: a known kind, then numbers, names and separators
+_FLAGS = st.builds(
+    "{}:{}".format,
+    st.sampled_from(channels.CHANNEL_KINDS),
+    st.text(alphabet="0123456789.,=-+einafxyzT_", max_size=14),
+)
+FUZZ = settings(derandomize=True, database=None, max_examples=400, deadline=None)
+
+
+def _finite_kraus_or_dcqdlab_error(make_spec):
+    try:
+        kraus = channels.kraus_from_spec(make_spec())
+    except DcqdLabError:
+        return
+    assert all(np.isfinite(k).all() for k in kraus)
+
+
+@FUZZ
+@given(_DOCUMENTS)
+def test_spec_documents_raise_only_dcqdlab_errors(doc):
+    _finite_kraus_or_dcqdlab_error(lambda: serialize.spec_from_dict(doc))
+
+
+@FUZZ
+@given(_FLAGS)
+@example("unitary:z,nan")
+@example("identity:n=1.7")
+@example("identity:n=1e400")
+def test_channel_flags_raise_only_dcqdlab_errors(text):
+    _finite_kraus_or_dcqdlab_error(lambda: serialize.parse_channel_arg(text))
 
 
 class TestChiReport:
