@@ -511,30 +511,40 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
             raise InvalidChannelError("composed spec carries no stages")
         kraus = kraus_from_spec(spec.stages[0])
         for stage in spec.stages[1:]:
-            kraus = compose(kraus, kraus_from_spec(stage))
+            kraus = _canonical(compose(kraus, kraus_from_spec(stage)))
         return kraus
     raise InvalidChannelError(f"unknown channel kind {kind!r} (known: {', '.join(CHANNEL_KINDS)})")
+
+
+def _canonical(kraus: list[np.ndarray]) -> list[np.ndarray]:
+    """The canonical set of a Kraus set of more than d**2 operators.
+
+    d**2 is the largest Kraus rank on dimension d; a smaller set is returned
+    as it is.
+    """
+    if len(kraus) > kraus[0].shape[0] ** 2:
+        return kraus_from_chi(chi_from_kraus(kraus))
+    return kraus
 
 
 def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
     """Normalize a channel argument (spec or Kraus sequence) to a Kraus list.
 
-    When `n` is given, a single-qubit set is extended to n qubits as an
-    i.i.d. tensor product; an explicit n-qubit set is passed through.  A
-    one-qubit map has Kraus rank <= 4, so a larger one-qubit set is first
-    replaced by its canonical set, which keeps the product at <= 4**n operators.
+    A raw Kraus sequence is validated by `check_kraus`.  When `n` is given,
+    a single-qubit set is extended to n qubits as an i.i.d. tensor product;
+    an explicit n-qubit set is passed through.  A one-qubit set is first
+    reduced by `_canonical`, which keeps the product at <= 4**n operators.
     """
     if isinstance(channel, ChannelSpec):
         kraus = kraus_from_spec(channel)
     else:
-        kraus = [np.asarray(k, dtype=complex) for k in channel]
+        kraus = check_kraus(channel)
     if n is not None:
         have = n_qubits(kraus)
         if have == n:
             return kraus
         if have == 1 and n > 1:
-            if len(kraus) > 4:
-                kraus = kraus_from_chi(chi_from_kraus(kraus))
+            kraus = _canonical(kraus)
             out = kraus
             for _ in range(n - 1):
                 out = kraus_tensor(out, kraus)

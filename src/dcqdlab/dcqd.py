@@ -22,14 +22,20 @@ The pop setting returns the full diagonal of chi in one measurement; each
 coh setting returns two off-diagonal entries of chi (four real numbers) in
 one measurement.  All 4**n configurations together determine every entry.
 
+An experiment's data are one float array of shape (4**n, 4**n): row c is
+configuration c of `all_configurations(n, alpha, beta)` and column k its
+joint outcome (digits pair 1 first).  Exact probabilities
+(`all_outcome_probabilities`) and sampled frequencies share this layout;
+`reconstruct_from_probabilities` reads n from its shape.
+
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
 readout table (4 settings x 4 outcomes); its 16 x 16 single-pair design A1
 (`inversion.readout_design`) carries every exact and sampled path through
 the shared per-pair map in `inversion`:
 
-* forward model: the probabilities of all 4**n configurations are A1
-  applied along every pair axis of the channel's chi;
+* forward model: the probability array is A1 applied along every pair axis
+  of the channel's chi;
 * solver: the stacked design of all configurations is a permuted n-fold
   Kronecker power of A1, so chi is A1^-1 applied along every pair axis of
   the data, and the design's rank and condition number are rank(A1)**n and
@@ -47,7 +53,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -306,21 +312,21 @@ def outcome_probabilities(channel, config: Configuration) -> OutcomeDistribution
 
 def all_outcome_probabilities(
     channel, n: int, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
-) -> list[OutcomeDistribution]:
-    """Exact distributions of all 4**n configurations, in index order.
+) -> np.ndarray:
+    """Exact outcome probabilities of all 4**n configurations, shape (4**n, 4**n).
 
-    Checks the register size and validates every configuration first, then
-    applies A1 along every pair axis of the channel's chi.
+    Row c is configuration c of `all_configurations(n, alpha, beta)` and
+    column k its joint outcome.  Checks the register size, then the
+    amplitudes (once: every coherence configuration carries the same
+    constraints, and every n has one), then the channel, and applies A1
+    along every pair axis of the channel's chi.
     """
     check_register_size(n)
-    configs = all_configurations(n, alpha, beta)
-    for config in configs:
-        validate_configuration(config)
+    validate_configuration(Configuration(settings=(COH_Z,), alpha=alpha, beta=beta))
     chi = channels.chi_from_kraus(channels.as_kraus(channel, n))
     q = inversion.forward([pair_design(alpha, beta)] * n, chi)
     # axis i of q is (setting_i, outcome_i); rows become configurations
-    q = inversion.unpair_axes(q, n, 4)
-    return [OutcomeDistribution(config=c, probabilities=p) for c, p in zip(configs, q)]
+    return inversion.unpair_axes(q, n, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +492,21 @@ class ReconstructionResult:
     design_cond: Optional[float] = None
 
 
-def closed_form_chi(dists: Sequence[OutcomeDistribution]) -> np.ndarray:
+def closed_form_chi(
+    probabilities, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
+) -> np.ndarray:
     """Single-pair chi assembled from the four per-setting closed forms.
 
-    Expects the distributions of the 4 single-pair configurations in index
-    order (pop, coh_z, coh_x, coh_y).
+    Expects the 4 x 4 probability array of one pair, rows in setting order
+    (pop, coh_z, coh_x, coh_y).
     """
-    if len(dists) != 4 or any(d.config.n != 1 for d in dists):
+    q = np.asarray(probabilities, dtype=float)
+    if q.shape != (4, 4):
         raise InvalidConfigurationError("closed form needs the 4 single-pair distributions")
+    dists = [
+        OutcomeDistribution(Configuration(settings=(s,), alpha=alpha, beta=beta), row)
+        for s, row in zip(SETTINGS, q)
+    ]
     diag = reconstruct_population(dists[0])
     chi = np.zeros((4, 4), dtype=complex)
     np.fill_diagonal(chi, diag)
@@ -506,32 +519,28 @@ def closed_form_chi(dists: Sequence[OutcomeDistribution]) -> np.ndarray:
 
 
 def reconstruct_from_probabilities(
-    configs: Sequence[Configuration], probabilities: Sequence[np.ndarray]
+    probabilities, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
 ) -> ReconstructionResult:
     """Solve for chi from the data of all 4**n configurations.
 
-    `configs` must be `all_configurations(n, alpha, beta)` and
-    `probabilities` one row per configuration, exact probabilities or
-    empirical frequencies alike; no renormalization or positivity repair is
+    `probabilities` is the (4**n, 4**n) array of `all_outcome_probabilities`
+    (row c configuration c of `all_configurations(n, alpha, beta)`, column k
+    its joint outcome), exact probabilities or empirical frequencies alike;
+    n comes from its shape, and no renormalization or positivity repair is
     applied.  The solve (`inversion.solve`) applies A1^-1 along each pair
-    axis of the data.  A rank-deficient A1 (degenerate amplitudes) raises instead of returning a
-    wrong chi.
+    axis of the data.  A rank-deficient A1 (degenerate amplitudes) raises
+    instead of returning a wrong chi.
     """
-    n = configs[0].n
-    alpha, beta = configs[0].alpha, configs[0].beta
-    if list(configs) != all_configurations(n, alpha, beta):
-        raise InvalidConfigurationError(
-            "the solver needs the 4**n configurations of all_configurations(n, alpha, beta) "
-            "in index order"
-        )
     q = np.asarray(probabilities, dtype=float)
-    if q.shape != (4**n, 4**n):
-        raise DimensionMismatchError(f"data of shape {q.shape}, expected {(4**n, 4**n)}")
+    rows = q.shape[0] if q.ndim else 0
+    n = (rows.bit_length() - 1) // 2
+    if n < 1 or q.shape != (4**n, 4**n):
+        raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
     chi, cond = inversion.solve(pair_design(alpha, beta), inversion.pair_axes(q, n, 4))
     return ReconstructionResult(
         chi=chi,
         n_qubits=n,
-        n_configurations=len(configs),
+        n_configurations=4**n,
         design_rank=16**n,
         design_cond=cond,
     )
@@ -549,12 +558,10 @@ def characterize(
     matrix of the channel to solver precision, for trace-preserving and
     trace-decreasing channels alike.
     """
-    dists = all_outcome_probabilities(channel, n, alpha, beta)
-    result = reconstruct_from_probabilities(
-        [d.config for d in dists], [d.probabilities for d in dists]
-    )
+    q = all_outcome_probabilities(channel, n, alpha, beta)
+    result = reconstruct_from_probabilities(q, alpha, beta)
     if n == 1:
-        chi_cf = closed_form_chi(dists)
+        chi_cf = closed_form_chi(q, alpha, beta)
         result.chi_closed_form = chi_cf
         result.residual = float(np.max(np.abs(chi_cf - result.chi)))
     return result

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, InvalidStateError
+from .exceptions import DimensionMismatchError
 
 PAULI_LABELS = "IXYZ"
 
@@ -181,47 +181,3 @@ def min_eigenvalue(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex)
     return float(np.linalg.eigvalsh((a + a.conj().T) / 2).min())
 
-
-def check_state_vector(psi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate and return a state vector (finite, unit norm, 2**k dim)."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size == 0 or psi.size & (psi.size - 1):
-        raise InvalidStateError(f"state dimension {psi.size} is not a power of 2")
-    if not np.isfinite(psi).all():
-        raise InvalidStateError("state vector contains non-finite entries")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > atol:
-        raise InvalidStateError(f"state vector norm {norm!r} deviates from 1 beyond {atol}")
-    return psi
-
-
-def check_density_operator(
-    rho: np.ndarray,
-    atol: float = 1e-12,
-    eig_floor: float = -1e-10,
-    allow_subnormalized: bool = False,
-) -> np.ndarray:
-    """Validate and return a density operator.
-
-    Checks Hermiticity, positive semidefiniteness (eigenvalues above
-    `eig_floor`) and unit trace; `allow_subnormalized` relaxes the trace
-    check to 0 <= trace <= 1 + atol for post-selected states.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"density operator must be square, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise InvalidStateError("density operator contains non-finite entries")
-    dev = hermiticity_deviation(rho)
-    if dev > atol:
-        raise InvalidStateError(f"density operator non-Hermitian by {dev:.3e} (> {atol})")
-    tr = np.trace(rho).real
-    if allow_subnormalized:
-        if tr < -atol or tr > 1.0 + atol:
-            raise InvalidStateError(f"sub-normalized trace {tr!r} outside [0, 1]")
-    elif abs(tr - 1.0) > atol:
-        raise InvalidStateError(f"trace {tr!r} deviates from 1 beyond {atol}")
-    lo = min_eigenvalue(rho)
-    if lo < eig_floor:
-        raise InvalidStateError(f"density operator has eigenvalue {lo:.3e} below {eig_floor}")
-    return rho

@@ -155,10 +155,9 @@ def joint_estimate(
     """
     config = _pair_config(alpha, beta)
     psi = dcqd.build_input_state(config, check=False)
-    dist = dcqd.outcome_probabilities(channel, config)
-    q = dist.probabilities
+    q = dcqd.outcome_probabilities(channel, config).probabilities
     if shots is not None:
-        q = sampling.empirical_frequencies(sampling.sample_counts(dist, shots, seed))
+        q = sampling.empirical_frequencies(sampling.sample_counts(q, shots, seed))
     p_minus = float(q[1] + q[2])
     x_out = float(q[0] + q[1] - q[2] - q[3])
     x_in = 2.0 * (alpha * beta.conjugate()).real

@@ -1,12 +1,12 @@
 """Finite-shot statistics and the partial Bell-analyzer measurement model.
 
 Sampling is multinomial per configuration, driven by one documented seed:
-`numpy.random.SeedSequence(seed)` is spawned once per configuration in
-index order, so runs are bit-identical for a given seed and independent
-across configurations.  Reconstruction from sampled frequencies is the
-same raw linear inversion as the exact path; no renormalization and no
-positivity repair is applied, so negative chi eigenvalues at finite shots
-are reported, not hidden.
+`numpy.random.SeedSequence(seed)` is spawned once per configuration and
+child c draws row c of the probability array, so runs are bit-identical
+for a given seed and independent across configurations.  Reconstruction
+from sampled frequencies is the same raw linear inversion as the exact
+path; no renormalization and no positivity repair is applied, so negative
+chi eigenvalues at finite shots are reported, not hidden.
 
 The optics model captures a linear-optics Bell analyzer that can only
 resolve two of the four Bell states and reports the other two as a single
@@ -48,30 +48,29 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 @dataclass
 class CountsTable:
-    """Multinomial counts over the outcomes of one configuration.
+    """Multinomial counts over the outcomes of one probability vector.
 
     For trace-decreasing channels a trial can produce no outcome at all;
     those trials land in `lost`, so counts.sum() + lost == shots always
     holds (lost == 0 for trace-preserving channels).
     """
 
-    config: dcqd.Configuration
     shots: int
     counts: np.ndarray
     lost: int = 0
 
 
-def sample_counts(
-    dist: dcqd.OutcomeDistribution, shots: int, seed=None
-) -> CountsTable:
-    """Draw a multinomial sample from an outcome distribution.
+def sample_counts(probabilities, shots: int, seed=None) -> CountsTable:
+    """Draw a multinomial sample from a vector of outcome probabilities.
 
     `seed` is anything `numpy.random.default_rng` accepts (int,
     SeedSequence, Generator); identical seeds give identical counts.
     """
     if shots <= 0:
         raise InvalidDistributionError(f"shots must be positive, got {shots}")
-    q = np.asarray(dist.probabilities, dtype=float)
+    q = np.asarray(probabilities, dtype=float)
+    if q.ndim != 1 or not q.size:
+        raise DimensionMismatchError(f"expected a non-empty probability vector, got shape {q.shape}")
     if q.min() < -1e-12:
         raise InvalidDistributionError(f"negative outcome probability {q.min():.3e}")
     total = q.sum()
@@ -82,9 +81,7 @@ def sample_counts(
     pvals /= pvals.sum()
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, pvals)
-    return CountsTable(
-        config=dist.config, shots=shots, counts=drawn[:-1], lost=int(drawn[-1])
-    )
+    return CountsTable(shots=shots, counts=drawn[:-1], lost=int(drawn[-1]))
 
 
 def empirical_frequencies(table: CountsTable) -> np.ndarray:
@@ -120,13 +117,13 @@ def characterize_sampled(
     frequencies) together with its Frobenius distance from the exact
     process matrix of the channel.
     """
-    dists = dcqd.all_outcome_probabilities(channel, n, alpha, beta)
-    children = _seed_sequence(seed).spawn(len(dists))
+    q = dcqd.all_outcome_probabilities(channel, n, alpha, beta)
+    children = _seed_sequence(seed).spawn(len(q))
     freqs = [
-        empirical_frequencies(sample_counts(dist, shots, child))
-        for dist, child in zip(dists, children)
+        empirical_frequencies(sample_counts(row, shots, child))
+        for row, child in zip(q, children)
     ]
-    result = dcqd.reconstruct_from_probabilities([d.config for d in dists], freqs)
+    result = dcqd.reconstruct_from_probabilities(freqs, alpha, beta)
     chi_true = channels.chi_from_kraus(channels.as_kraus(channel, n))
     delta = result.chi - chi_true
     metrics = SampledMetrics(
@@ -233,19 +230,18 @@ def characterize_with_optics(
     """
     model = model if model is not None else OpticsModel()
     merges = [model.merge_matrix, model.complement().merge_matrix]
-    dists = dcqd.all_outcome_probabilities(channel, 1, alpha, beta)
-    children = _seed_sequence(seed).spawn(len(dists) * len(merges))
+    q = dcqd.all_outcome_probabilities(channel, 1, alpha, beta)
+    children = _seed_sequence(seed).spawn(len(q) * len(merges))
     values = []
-    for i, dist in enumerate(dists):
+    for i, row in enumerate(q):
         for j, g in enumerate(merges):
-            merged = g @ dist.probabilities
+            merged = g @ row
             if shots is not None:
-                merged_dist = dcqd.OutcomeDistribution(config=dist.config, probabilities=merged)
-                table = sample_counts(merged_dist, shots, children[i * len(merges) + j])
+                table = sample_counts(merged, shots, children[i * len(merges) + j])
                 merged = empirical_frequencies(table)
             values.append(merged)
     # rows (setting, analyzer setting, group), matching `values`
-    a1 = dcqd.pair_design(alpha, beta).reshape(len(dists), 4, 16)
+    a1 = dcqd.pair_design(alpha, beta).reshape(len(q), 4, 16)
     design = np.vstack([g @ block for block in a1 for g in merges])
     chi, cond = inversion.solve(design, np.concatenate(values))
     return dcqd.ReconstructionResult(

@@ -13,7 +13,6 @@ the direct protocol in `dcqd` (see `resources`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,35 +27,8 @@ _KET_MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
 _KET_PLUS_I = np.array([1, 1j], dtype=complex) / math.sqrt(2)
 _KET_MINUS_I = np.array([1, -1j], dtype=complex) / math.sqrt(2)
 INPUT_KETS = (_KET_0, _KET_1, _KET_PLUS, _KET_PLUS_I)
-INPUT_LABELS = ("0", "1", "+", "+i")
 # +1 and -1 eigenvectors of X, Y and Z
 READOUT_KETS = (_KET_PLUS, _KET_MINUS, _KET_PLUS_I, _KET_MINUS_I, _KET_0, _KET_1)
-
-
-@dataclass
-class SqptPlan:
-    """Input labels and measurement bookkeeping of an SQPT run."""
-
-    n: int
-    labels: list[str]
-    n_inputs: int
-    n_settings_per_input: int
-
-    @property
-    def n_experiments(self) -> int:
-        return self.n_inputs * self.n_settings_per_input
-
-
-def make_plan(n: int) -> SqptPlan:
-    """Check the register size and count the product-input plan."""
-    dcqd.check_register_size(n)
-    counts = resources.resource_counts(n)["sqpt"]
-    return SqptPlan(
-        n=n,
-        labels=["".join(INPUT_LABELS[i] for i in c) for c in itertools.product(range(4), repeat=n)],
-        n_inputs=counts["n_inputs"],
-        n_settings_per_input=counts["n_measurements"],
-    )
 
 
 def _readout_table() -> np.ndarray:
@@ -82,14 +54,15 @@ def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     the ground-truth process matrix to solver precision; what this baseline
     quantifies is the experiment count, not accuracy.
     """
-    plan = make_plan(n)
+    dcqd.check_register_size(n)
+    counts = resources.resource_counts(n)["sqpt"]
     design = inversion.readout_design(_readout_table())
     q = inversion.forward([design] * n, channels.chi_from_kraus(channels.as_kraus(channel, n)))
     chi, _cond = inversion.solve(design, q)
     return SqptResult(
         chi=chi,
         n_qubits=n,
-        n_inputs=plan.n_inputs,
-        n_settings_per_input=plan.n_settings_per_input,
-        n_experiments=plan.n_experiments,
+        n_inputs=counts["n_inputs"],
+        n_settings_per_input=counts["n_measurements"],
+        n_experiments=counts["n_experiments"],
     )

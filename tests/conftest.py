@@ -114,18 +114,17 @@ def optics_lstsq_oracle(channel, shots=None, seed=None):
     with a dense `lstsq`; independent of the per-pair solver.
     """
     model = sampling.OpticsModel()
-    dists = dcqd.all_outcome_probabilities(channel, 1)
-    children = np.random.SeedSequence(seed).spawn(2 * len(dists))
+    probs = dcqd.all_outcome_probabilities(channel, 1)
+    children = np.random.SeedSequence(seed).spawn(2 * len(probs))
     rows, values = [], []
-    for i, dist in enumerate(dists):
-        base = real_design(dist.config)
+    for i, (config, q) in enumerate(zip(dcqd.all_configurations(1), probs)):
+        base = real_design(config)
         for j, setting in enumerate([model, model.complement()]):
             groups = [list(g) for g in setting.groups()]
             rows += [base[g].sum(axis=0) for g in groups]
-            merged = np.array([dist.probabilities[g].sum() for g in groups])
+            merged = np.array([q[g].sum() for g in groups])
             if shots is not None:
-                merged_dist = dcqd.OutcomeDistribution(config=dist.config, probabilities=merged)
-                merged = sampling.sample_counts(merged_dist, shots, children[2 * i + j]).counts / shots
+                merged = sampling.sample_counts(merged, shots, children[2 * i + j]).counts / shots
             values.append(merged)
     x, *_ = np.linalg.lstsq(np.array(rows), np.concatenate(values), rcond=None)
     return unflatten_hermitian(x, 4)

@@ -218,7 +218,7 @@ def test_10_ill_posed_guard():
         dcqd.outcome_probabilities(channels.identity_channel(), c).probabilities for c in configs
     ]
     try:
-        dcqd.reconstruct_from_probabilities(configs, probs)
+        dcqd.reconstruct_from_probabilities(probs, alpha=0.8, beta=0.6)
     except IllPosedConfigurationError:
         rank_deficient = True
     verdict(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import actions_agree, chi_action, kraus_action, naive_pauli_list, random_density
-from dcqdlab import channels, ops
+from dcqdlab import channels, dcqd, ops, sampling, sqpt
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -335,6 +335,15 @@ class TestSpecs:
         )
         assert all(np.allclose(x, y) for x, y in zip(kraus, want))
 
+    def test_composed_spec_is_bounded(self):
+        # 8 depolarizing stages compose to 4**8 operators without the canonical set
+        p = 0.15
+        stages = tuple(channels.ChannelSpec("depolarizing", {"p": p}) for _ in range(8))
+        kraus = channels.kraus_from_spec(channels.ChannelSpec("composed", stages=stages))
+        assert len(kraus) <= 4
+        want = channels.chi_from_kraus(channels.depolarizing(1 - (1 - p) ** 8))
+        assert np.max(np.abs(channels.chi_from_kraus(kraus) - want)) < 1e-12
+
     def test_explicit_kraus_validated(self):
         bad = channels.ChannelSpec(
             "explicit_kraus", operators=(np.array([[2, 0], [0, 2]], dtype=complex),)
@@ -351,3 +360,27 @@ class TestSpecs:
         assert np.allclose(kraus_action(kraus2, rho), want, atol=1e-12)
         with pytest.raises(DimensionMismatchError):
             channels.as_kraus(channels.random_channel(2, seed=1), n=1)
+
+
+BAD_RAW_KRAUS = {
+    "nan": [np.full((2, 2), np.nan)],
+    "trace_increasing": [5 * np.eye(2)],
+    "not_square": [np.ones((2, 4))],
+    "empty": [],
+    "not_power_of_two": [np.eye(3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RAW_KRAUS))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda k: dcqd.characterize(k, 1),
+        lambda k: sampling.characterize_sampled(k, 1, shots=10, seed=0),
+        lambda k: sqpt.sqpt_characterize(k, 1),
+    ],
+    ids=["characterize", "characterize_sampled", "sqpt_characterize"],
+)
+def test_raw_kraus_validated_at_entry_points(entry, case):
+    with pytest.raises(InvalidChannelError):
+        entry(BAD_RAW_KRAUS[case])

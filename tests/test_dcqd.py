@@ -374,7 +374,7 @@ class TestCharacterize:
             for c in configs
         ]
         with pytest.raises(IllPosedConfigurationError, match="rank"):
-            dcqd.reconstruct_from_probabilities(configs, probs)
+            dcqd.reconstruct_from_probabilities(probs, alpha=0.8, beta=0.6)
 
     def test_register_size_guard(self, monkeypatch):
         # the bound is on chi's 16**n entries and is checked before the
@@ -421,21 +421,22 @@ class TestFactoredEngine:
     @pytest.mark.parametrize("tp", [True, False])
     def test_probabilities_match_density_matrix(self, n, tp, rng):
         kraus = channels.random_channel(n, trace_preserving=tp, rng=rng)
-        dists = dcqd.all_outcome_probabilities(kraus, n)
-        for config, dist in zip(dcqd.all_configurations(n), dists):
+        probs = dcqd.all_outcome_probabilities(kraus, n)
+        assert probs.shape == (4**n, 4**n)
+        for config, row in zip(dcqd.all_configurations(n), probs):
             want = density_matrix_probabilities(kraus, config)
-            assert dist.config == config
-            assert np.max(np.abs(dist.probabilities - want)) < 1e-14
+            assert np.max(np.abs(row - want)) < 1e-14
             got = dcqd.outcome_probabilities(kraus, config).probabilities
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_probabilities_match_density_matrix_three_pairs(self, rng):
         kraus = channels.random_channel(3, trace_preserving=False, rng=rng)
-        dists = dcqd.all_outcome_probabilities(kraus, 3)
+        probs = dcqd.all_outcome_probabilities(kraus, 3)
+        configs = dcqd.all_configurations(3)
         for index in range(0, 64, 9):
-            config = dists[index].config
+            config = configs[index]
             want = density_matrix_probabilities(kraus, config)
-            assert np.max(np.abs(dists[index].probabilities - want)) < 1e-14
+            assert np.max(np.abs(probs[index] - want)) < 1e-14
             got = dcqd.outcome_probabilities(kraus, config).probabilities
             assert np.max(np.abs(got - want)) < 1e-14
 
@@ -453,12 +454,11 @@ class TestFactoredEngine:
 
     def test_chi_matches_dense_lstsq(self, rng):
         kraus = channels.random_channel(2, trace_preserving=False, rng=rng)
-        dists = dcqd.all_outcome_probabilities(kraus, 2)
-        configs = [d.config for d in dists]
-        probs = [d.probabilities for d in dists]
-        x, *_ = np.linalg.lstsq(stacked_design(configs), np.concatenate(probs), rcond=None)
+        probs = dcqd.all_outcome_probabilities(kraus, 2)
+        configs = dcqd.all_configurations(2)
+        x, *_ = np.linalg.lstsq(stacked_design(configs), probs.ravel(), rcond=None)
         dense = x.reshape(16, 16)
-        chi = dcqd.reconstruct_from_probabilities(configs, probs).chi
+        chi = dcqd.reconstruct_from_probabilities(probs).chi
         assert np.max(np.abs(chi - dense)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["random", "iid"])
@@ -497,10 +497,15 @@ class TestFactoredEngine:
 
     def test_iid_expansion_uses_canonical_kraus_set(self):
         # three composed depolarizing stages: 64 one-qubit Kraus operators,
-        # which would be 64**3 at n = 3 without the canonical set
+        # which would be 64**3 at n = 3 without the canonical set; a composed
+        # spec is reduced while it is built, a raw Kraus list by `as_kraus`
         stages = tuple(channels.ChannelSpec("depolarizing", {"p": p}) for p in (0.1, 0.2, 0.3))
         spec = channels.ChannelSpec("composed", stages=stages)
-        assert len(channels.kraus_from_spec(spec)) == 64
+        first, second, third = (channels.kraus_from_spec(s) for s in stages)
+        raw = channels.compose(channels.compose(first, second), third)
+        assert len(raw) == 64
+        assert len(channels.as_kraus(raw, 3)) <= 4**3
+        assert len(channels.kraus_from_spec(spec)) <= 4
         assert len(channels.as_kraus(spec, 3)) <= 4**3
         start = time.perf_counter()
         result = dcqd.characterize(spec, 3)
@@ -523,10 +528,34 @@ class TestFactoredEngine:
         assert np.linalg.matrix_rank(dcqd.pair_design(0.8, 0.6)) == 10
 
     def test_solver_needs_full_configuration_set(self):
-        dists = dcqd.all_outcome_probabilities(channels.identity_channel(), 1)
-        configs = [d.config for d in dists]
-        probs = [d.probabilities for d in dists]
-        with pytest.raises(InvalidConfigurationError):
-            dcqd.reconstruct_from_probabilities(configs[::-1], probs)
+        probs = dcqd.all_outcome_probabilities(channels.identity_channel(), 1)
         with pytest.raises(DimensionMismatchError):
-            dcqd.reconstruct_from_probabilities(configs, [p[:3] for p in probs])
+            dcqd.reconstruct_from_probabilities(probs[:, :3])
+
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 1), (4,), (16, 4), ()])
+    def test_solver_reads_n_from_shape(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            dcqd.reconstruct_from_probabilities(np.zeros(shape))
+
+    def test_solver_checks_amplitudes(self):
+        probs = dcqd.all_outcome_probabilities(channels.identity_channel(), 1)
+        with pytest.raises(InvalidConfigurationError):
+            dcqd.reconstruct_from_probabilities(probs, alpha=math.nan)
+        with pytest.raises(InvalidConfigurationError):
+            dcqd.reconstruct_from_probabilities(probs, alpha=1.0, beta=1.0)
+
+    def test_configuration_objects_do_not_grow_with_n(self, monkeypatch):
+        built = []
+        original = dcqd.Configuration.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(dcqd.Configuration, "__post_init__", counting)
+        per_n = []
+        for n in (2, 3):
+            built.clear()
+            dcqd.characterize(channels.identity_channel(), n)
+            per_n.append(len(built))
+        assert per_n[0] == per_n[1] <= 9

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_density
 from dcqdlab import ops
-from dcqdlab.exceptions import DimensionMismatchError, InvalidStateError
+from dcqdlab.exceptions import DimensionMismatchError
 
 
 def ket(*bits):
@@ -179,26 +179,6 @@ class TestPermuteQubits:
     def test_rejects_bad_perm(self):
         with pytest.raises(ValueError):
             ops.permute_qubits(np.zeros(4), [0, 0])
-
-
-class TestChecks:
-    def test_state_vector_norm(self):
-        ops.check_state_vector(ops.bell_basis()[0])
-        with pytest.raises(InvalidStateError):
-            ops.check_state_vector(np.array([1.0, 1.0]))
-        with pytest.raises(InvalidStateError):
-            ops.check_state_vector(np.ones(3) / math.sqrt(3))
-
-    def test_density_operator(self, rng):
-        ops.check_density_operator(random_density(2, rng))
-        with pytest.raises(InvalidStateError):
-            ops.check_density_operator(np.diag([0.75, 0.75]))
-        with pytest.raises(InvalidStateError):
-            ops.check_density_operator(np.array([[0.5, 0.5], [0.0, 0.5]]))
-        with pytest.raises(InvalidStateError):
-            ops.check_density_operator(np.diag([1.5, -0.5]))
-        # sub-normalized is fine when flagged
-        ops.check_density_operator(np.diag([0.25, 0.25]), allow_subnormalized=True)
 
 
 def test_mutually_unbiased_prep_bases():

@@ -33,17 +33,12 @@ amplitudes = st.builds(
 )
 
 
-def reconstruct(dists):
-    return dcqd.reconstruct_from_probabilities(
-        [d.config for d in dists], [d.probabilities for d in dists]
-    )
-
-
 @PROPERTIES
 @given(cp_maps(), amplitudes)
 def test_inverse_undoes_forward(channel, amps):
     n, kraus = channel
-    result = reconstruct(dcqd.all_outcome_probabilities(kraus, n, *amps))
+    probs = dcqd.all_outcome_probabilities(kraus, n, *amps)
+    result = dcqd.reconstruct_from_probabilities(probs, *amps)
     assert np.max(np.abs(result.chi - channels.chi_from_kraus(kraus))) < 1e-10
 
 
@@ -51,18 +46,18 @@ def test_inverse_undoes_forward(channel, amps):
 @given(cp_maps(), amplitudes)
 def test_forward_undoes_inverse(channel, amps):
     n, kraus = channel
-    dists = dcqd.all_outcome_probabilities(kraus, n, *amps)
-    chi = reconstruct(dists).chi
+    probs = dcqd.all_outcome_probabilities(kraus, n, *amps)
+    chi = dcqd.reconstruct_from_probabilities(probs, *amps).chi
     again = dcqd.all_outcome_probabilities(channels.kraus_from_chi(chi), n, *amps)
-    for d, e in zip(dists, again):
-        assert np.max(np.abs(d.probabilities - e.probabilities)) < 1e-12
+    assert np.max(np.abs(probs - again)) < 1e-12
 
 
 @PROPERTIES
 @given(cp_maps(), amplitudes)
 def test_chi_exactly_hermitian(channel, amps):
     n, kraus = channel
-    chi = reconstruct(dcqd.all_outcome_probabilities(kraus, n, *amps)).chi
+    probs = dcqd.all_outcome_probabilities(kraus, n, *amps)
+    chi = dcqd.reconstruct_from_probabilities(probs, *amps).chi
     assert ops.hermiticity_deviation(chi) == 0.0
 
 
@@ -70,7 +65,7 @@ def test_chi_exactly_hermitian(channel, amps):
 @given(cp_maps(), amplitudes)
 def test_all_pop_mass_is_chi_trace(channel, amps):
     n, kraus = channel
-    dists = dcqd.all_outcome_probabilities(kraus, n, *amps)
-    assert all(s == dcqd.POP for s in dists[0].config.settings)
-    chi = reconstruct(dists).chi
-    assert math.isclose(dists[0].probabilities.sum(), np.trace(chi).real, abs_tol=1e-12)
+    probs = dcqd.all_outcome_probabilities(kraus, n, *amps)
+    assert all(s == dcqd.POP for s in dcqd.all_configurations(n)[0].settings)
+    chi = dcqd.reconstruct_from_probabilities(probs, *amps).chi
+    assert math.isclose(probs[0].sum(), np.trace(chi).real, abs_tol=1e-12)

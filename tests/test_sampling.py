@@ -5,51 +5,50 @@ import pytest
 
 from conftest import optics_lstsq_oracle
 from dcqdlab import channels, dcqd, sampling
-from dcqdlab.exceptions import InvalidConfigurationError, InvalidDistributionError
-
-
-def pop_dist(probabilities):
-    config = dcqd.Configuration(settings=(dcqd.POP,))
-    return dcqd.OutcomeDistribution(config=config, probabilities=np.asarray(probabilities, float))
+from dcqdlab.exceptions import (
+    DimensionMismatchError,
+    InvalidConfigurationError,
+    InvalidDistributionError,
+)
 
 
 class TestSampleCounts:
     def test_deterministic_distribution(self):
-        table = sampling.sample_counts(pop_dist([1, 0, 0, 0]), shots=1000, seed=3)
+        table = sampling.sample_counts([1, 0, 0, 0], shots=1000, seed=3)
         assert np.array_equal(table.counts, [1000, 0, 0, 0])
         assert table.lost == 0
 
     def test_same_seed_same_counts(self):
-        a = sampling.sample_counts(pop_dist([0.4, 0.3, 0.2, 0.1]), shots=5000, seed=11)
-        b = sampling.sample_counts(pop_dist([0.4, 0.3, 0.2, 0.1]), shots=5000, seed=11)
+        a = sampling.sample_counts([0.4, 0.3, 0.2, 0.1], shots=5000, seed=11)
+        b = sampling.sample_counts([0.4, 0.3, 0.2, 0.1], shots=5000, seed=11)
         assert np.array_equal(a.counts, b.counts)
 
     def test_binomial_concentration(self):
         # 5 sigma band around p = 0.75 at 10^6 shots: sigma = sqrt(pq/N)
         shots = 10**6
-        table = sampling.sample_counts(pop_dist([0.75, 0.25, 0, 0]), shots=shots, seed=123)
+        table = sampling.sample_counts([0.75, 0.25, 0, 0], shots=shots, seed=123)
         sigma = math.sqrt(0.75 * 0.25 / shots)
         assert abs(table.counts[0] / shots - 0.75) < 5 * sigma
 
     def test_counts_conserved(self):
-        table = sampling.sample_counts(pop_dist([0.4, 0.3, 0.2, 0.1]), shots=777, seed=5)
+        table = sampling.sample_counts([0.4, 0.3, 0.2, 0.1], shots=777, seed=5)
         assert table.counts.sum() + table.lost == 777
 
     def test_subnormalized_mass_goes_to_lost(self):
-        table = sampling.sample_counts(pop_dist([0.25, 0.25, 0, 0]), shots=10**5, seed=9)
+        table = sampling.sample_counts([0.25, 0.25, 0, 0], shots=10**5, seed=9)
         assert table.counts.sum() + table.lost == 10**5
         assert abs(table.lost / 10**5 - 0.5) < 0.01
 
     def test_negative_probability_rejected(self):
         with pytest.raises(InvalidDistributionError):
-            sampling.sample_counts(pop_dist([0.5, 0.6, -0.1, 0]), shots=10, seed=0)
+            sampling.sample_counts([0.5, 0.6, -0.1, 0], shots=10, seed=0)
 
     def test_excess_mass_rejected(self):
         with pytest.raises(InvalidDistributionError):
-            sampling.sample_counts(pop_dist([0.5, 0.6, 0, 0]), shots=10, seed=0)
+            sampling.sample_counts([0.5, 0.6, 0, 0], shots=10, seed=0)
 
     def test_tiny_negative_clipped(self):
-        table = sampling.sample_counts(pop_dist([1.0, -1e-14, 0, 0]), shots=100, seed=0)
+        table = sampling.sample_counts([1.0, -1e-14, 0, 0], shots=100, seed=0)
         assert table.counts[0] == 100
 
     def test_hoeffding_band(self):
@@ -58,8 +57,13 @@ class TestSampleCounts:
         shots = 20000
         bound = 5 * math.sqrt(math.log(8 / 0.01) / (2 * shots))
         for seed in range(10):
-            table = sampling.sample_counts(pop_dist(q), shots=shots, seed=seed)
+            table = sampling.sample_counts(q, shots=shots, seed=seed)
             assert np.max(np.abs(table.counts / shots - q)) < bound
+
+    @pytest.mark.parametrize("shape", [(2, 2), (0,), ()])
+    def test_needs_probability_vector(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            sampling.sample_counts(np.full(shape, 0.25), shots=10, seed=0)
 
 
 class TestCharacterizeSampled:
@@ -69,6 +73,23 @@ class TestCharacterizeSampled:
         r2, m2 = sampling.characterize_sampled(kraus, shots=2000, seed=42)
         assert np.array_equal(r1.chi, r2.chi)
         assert m1.frobenius_error == m2.frobenius_error
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_seeding_contract(self, n, rng):
+        # row c of the probability array is drawn with child c of SeedSequence(seed)
+        kraus = channels.random_channel(n, trace_preserving=False, rng=rng)
+        shots, seed = 3000, 17
+        probs = dcqd.all_outcome_probabilities(kraus, n)
+        children = np.random.SeedSequence(seed).spawn(4**n)
+        freqs = []
+        for q, child in zip(probs, children):
+            q = np.clip(q, 0.0, None)
+            pvals = np.append(q, max(0.0, 1.0 - q.sum()))
+            counts = np.random.default_rng(child).multinomial(shots, pvals / pvals.sum())
+            freqs.append(counts[:-1] / shots)
+        want = dcqd.reconstruct_from_probabilities(freqs).chi
+        result, _ = sampling.characterize_sampled(kraus, n, shots=shots, seed=seed)
+        assert np.array_equal(result.chi, want)
 
     def test_bit_flip_population_accuracy(self):
         result, _ = sampling.characterize_sampled(channels.bit_flip(0.25), shots=10**5, seed=7)
@@ -128,7 +149,10 @@ class TestOpticsModel:
             sampling.OpticsModel(resolved=(1, 2), merged=(2, 3))
 
     def test_merging_example(self):
-        merged = sampling.apply_optics_model(pop_dist([0.75, 0.25, 0, 0]), sampling.OpticsModel())
+        dist = dcqd.OutcomeDistribution(
+            dcqd.Configuration(settings=(dcqd.POP,)), np.array([0.75, 0.25, 0, 0])
+        )
+        merged = sampling.apply_optics_model(dist, sampling.OpticsModel())
         assert merged == {"phi+/phi-": 0.75, "psi+": 0.25, "psi-": 0.0}
 
     def test_mass_preserved(self, rng):

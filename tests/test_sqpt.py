@@ -8,13 +8,12 @@ from dcqdlab.exceptions import InvalidConfigurationError
 
 
 def test_plan_counts_and_span():
-    plan = sqpt.make_plan(1)
-    assert plan.n_inputs == 4
-    assert plan.n_settings_per_input == 4
-    assert plan.n_experiments == 16
-    plan2 = sqpt.make_plan(2)
-    assert plan2.n_experiments == 256
-    assert len(plan2.labels) == 16
+    result = sqpt.sqpt_characterize(channels.identity_channel(), 1)
+    assert result.n_inputs == 4
+    assert result.n_settings_per_input == 4
+    assert result.n_experiments == 16
+    result2 = sqpt.sqpt_characterize(channels.identity_channel(2), 2)
+    assert result2.n_experiments == 256
 
 
 def test_register_size_guard(monkeypatch):
@@ -23,8 +22,6 @@ def test_register_size_guard(monkeypatch):
         raise AssertionError("channel expanded before the size check")
 
     monkeypatch.setattr(channels, "as_kraus", untouched)
-    with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
-        sqpt.make_plan(6)
     with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
         sqpt.sqpt_characterize(channels.identity_channel(), 6)
 
