@@ -1,7 +1,8 @@
 """Quantum channels: Kraus, process-matrix (chi) and Choi representations.
 
-A channel on n qubits is represented throughout as a plain sequence of
-2**n x 2**n complex Kraus operators.  The process matrix chi is the
+A channel on n qubits is given as a plain sequence of 2**n x 2**n complex
+Kraus operators, or as a `ChannelSpec`; a one-qubit channel given for n
+qubits means n independent copies of it.  The process matrix chi is the
 coefficient matrix of the same map expanded in the Pauli-string basis,
 
     E(rho) = sum_mn chi[m, n] E_m rho E_n^dag,
@@ -9,7 +10,10 @@ coefficient matrix of the same map expanded in the Pauli-string basis,
 with rows/columns ordered like `ops.pauli_strings(n)`.  chi is Hermitian,
 positive semidefinite, and has trace <= 1 (= 1 for trace-preserving maps);
 its diagonal and off-diagonal entries are referred to as the dynamical
-population and coherence of the map.
+population and coherence of the map.  `as_chi` is the channel boundary of
+every reconstruction: it validates a channel once and returns its chi on n
+qubits, the Kronecker power of the 4 x 4 chi for a one-qubit channel, so
+no i.i.d. channel is expanded to 4**n Kraus operators.
 
 The Choi matrix used here lives on (input factor) x (output factor):
 C = sum_ij |i><j| (x) E(|i><j|), so trace-preservation reads
@@ -36,6 +40,7 @@ __all__ = [
     "ChiValidation",
     "amplitude_damping",
     "apply_channel",
+    "as_chi",
     "bit_flip",
     "check_kraus",
     "chi_from_kraus",
@@ -70,7 +75,8 @@ _PAULI_PRODUCTS = np.einsum("nab,mbc->acmn", ops.PAULIS, ops.PAULIS).reshape(4, 
 
 def trace_gap(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """I - sum K^dag K: zero for a trace-preserving set, PSD for a trace-decreasing one."""
-    return np.eye(kraus[0].shape[0]) - sum(k.conj().T @ k for k in kraus)
+    mats = np.asarray(kraus, dtype=complex)
+    return np.eye(mats.shape[-1]) - np.einsum("kba,kbc->ac", mats.conj(), mats)
 
 
 def check_kraus(
@@ -93,14 +99,15 @@ def check_kraus(
             raise InvalidChannelError(f"Kraus operators must share a square shape, got {k.shape}")
     if d < 2 or d & (d - 1):
         raise InvalidChannelError(f"Kraus dimension {d} is not a power of 2")
+    stacked = np.array(mats)
     # sum K^dag K <= I bounds every entry by 1; checking first also keeps
     # NaN and overflow out of the eigenvalue check below
-    if not np.all(np.abs(np.array(mats).view(float)) <= 1 + atol):
+    if not np.all(np.abs(stacked.view(float)) <= 1 + atol):
         raise InvalidChannelError(
             "Kraus set has a non-finite entry or a real or imaginary part beyond 1, "
             "which no trace non-increasing set has"
         )
-    gap = trace_gap(mats)
+    gap = trace_gap(stacked)
     lo = ops.min_eigenvalue(gap)
     if lo < -atol:
         raise InvalidChannelError(
@@ -242,10 +249,7 @@ def validate_chi(
     tp_residual = None
     tp_ok = None
     if trace_preserving:
-        n = int(round(math.log2(chi.shape[0]) / 2))
-        pairs = inversion.pair_axes(chi, n, 4)
-        acc = inversion.unpair_axes(inversion.per_pair(pairs, [_PAULI_PRODUCTS] * n), n, 2)
-        tp_residual = float(np.max(np.abs(acc - np.eye(2**n))))
+        tp_residual = _tp_residual(chi)
         tp_ok = tp_residual <= tp_atol
     return ChiValidation(
         hermiticity_deviation=dev,
@@ -257,6 +261,14 @@ def validate_chi(
         trace_ok=tr <= 1.0 + trace_atol,
         tp_ok=tp_ok,
     )
+
+
+def _tp_residual(chi: np.ndarray) -> float:
+    """max |sum_mn chi[m, n] E_n E_m - I|, which is max |I - sum K^dag K| of chi's Kraus sets."""
+    n = int(round(math.log2(chi.shape[0]) / 2))
+    pairs = inversion.pair_axes(chi, n, 4)
+    acc = inversion.unpair_axes(inversion.per_pair(pairs, [_PAULI_PRODUCTS] * n), n, 2)
+    return float(np.max(np.abs(acc - np.eye(2**n))))
 
 
 # ---------------------------------------------------------------------------
@@ -527,30 +539,62 @@ def _canonical(kraus: list[np.ndarray]) -> list[np.ndarray]:
     return kraus
 
 
-def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
-    """Normalize a channel argument (spec or Kraus sequence) to a Kraus list.
+def _validated(channel, n: Optional[int]) -> tuple[list[np.ndarray], int]:
+    """The Kraus set of a channel argument and how many i.i.d. copies of it act on n qubits.
 
-    A raw Kraus sequence is validated by `check_kraus`.  When `n` is given,
-    a single-qubit set is extended to n qubits as an i.i.d. tensor product;
-    an explicit n-qubit set is passed through.  A one-qubit set is first
-    reduced by `_canonical`, which keeps the product at <= 4**n operators.
+    A spec is built by `kraus_from_spec`, a raw Kraus sequence is validated
+    by `check_kraus`.  A set on n qubits (or any set when n is None) is one
+    copy; a one-qubit set is n copies; any other size raises.
     """
     if isinstance(channel, ChannelSpec):
         kraus = kraus_from_spec(channel)
     else:
         kraus = check_kraus(channel)
-    if n is not None:
-        have = n_qubits(kraus)
-        if have == n:
-            return kraus
-        if have == 1 and n > 1:
-            kraus = _canonical(kraus)
-            out = kraus
-            for _ in range(n - 1):
-                out = kraus_tensor(out, kraus)
-            return out
-        raise DimensionMismatchError(f"channel acts on {have} qubits, expected {n}")
-    return kraus
+    have = n_qubits(kraus)
+    if n is None or have == n:
+        return kraus, 1
+    if have == 1 and n > 1:
+        return kraus, n
+    raise DimensionMismatchError(f"channel acts on {have} qubits, expected {n}")
+
+
+def as_chi(channel, n: int) -> np.ndarray:
+    """Process matrix on n qubits of a channel argument (spec or Kraus sequence).
+
+    The channel boundary of every path that needs the channel's chi: the
+    channel is validated once, at the size it was given.  A set on n qubits
+    is converted by `chi_from_kraus`; a one-qubit set is the i.i.d. channel
+    on n qubits, whose chi is the n-fold Kronecker power of its 4 x 4 chi
+    (Pauli strings are ordered like `ops.pauli_strings`, qubit 1 most
+    significant, so no permutation is needed).  Any other size raises
+    `DimensionMismatchError`.
+    """
+    kraus, copies = _validated(channel, n)
+    chi1 = chi_from_kraus(kraus)
+    chi = chi1
+    for _ in range(copies - 1):
+        chi = np.kron(chi, chi1)
+    return chi
+
+
+def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
+    """Normalize a channel argument (spec or Kraus sequence) to a Kraus list.
+
+    For callers that need the Kraus operators themselves; chi comes from
+    `as_chi`, which never expands a channel.  A raw Kraus sequence is
+    validated by `check_kraus`.  When `n` is given, a single-qubit set is
+    extended to n qubits as an i.i.d. tensor product of up to 4**n
+    operators (it is first reduced by `_canonical`); an explicit n-qubit
+    set is passed through.
+    """
+    kraus, copies = _validated(channel, n)
+    if copies == 1:
+        return kraus
+    kraus = _canonical(kraus)
+    out = kraus
+    for _ in range(copies - 1):
+        out = kraus_tensor(out, kraus)
+    return out
 
 
 def _take(params: dict, key: str, kind: str) -> float:

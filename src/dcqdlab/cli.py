@@ -134,12 +134,19 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _load_kraus(args) -> tuple[list[np.ndarray], dict, bool]:
+def _load_kraus(args) -> tuple[list[np.ndarray], np.ndarray, dict, bool]:
+    """The channel's Kraus set as loaded, its chi on n qubits, its spec and its TP flag.
+
+    A one-qubit set stays one-qubit (`channels.as_chi` extends it).  The
+    flag is judged on the channel on n qubits, from chi: the n-fold power of
+    a one-qubit set deviates from trace preservation up to n times as much.
+    """
     dcqd.check_register_size(args.n)
     spec = serialize.parse_channel_arg(args.channel)
-    kraus = channels.as_kraus(spec, args.n)
-    trace_preserving = bool(np.max(np.abs(channels.trace_gap(kraus))) <= 1e-10)
-    return kraus, serialize.spec_to_dict(spec), trace_preserving
+    kraus = channels.as_kraus(spec)
+    chi = channels.as_chi(kraus, args.n)
+    trace_preserving = channels._tp_residual(chi) <= 1e-10
+    return kraus, chi, serialize.spec_to_dict(spec), trace_preserving
 
 
 def _amplitudes(args) -> tuple[complex, complex]:
@@ -156,9 +163,8 @@ def _emit_chi(report: dict, args) -> None:
 
 
 def cmd_characterize(args) -> int:
-    kraus, spec_dict, tp = _load_kraus(args)
+    kraus, chi_true, spec_dict, tp = _load_kraus(args)
     alpha, beta = _amplitudes(args)
-    chi_true = channels.chi_from_kraus(kraus)
     extra: dict = {"shots": args.shots, "seed": args.seed}
     if args.optics:
         if args.n != 1:
@@ -201,9 +207,8 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_sqpt(args) -> int:
-    kraus, spec_dict, tp = _load_kraus(args)
+    kraus, chi_true, spec_dict, tp = _load_kraus(args)
     result = sqpt.sqpt_characterize(kraus, n=args.n)
-    chi_true = channels.chi_from_kraus(kraus)
     validation = channels.validate_chi(result.chi, trace_preserving=tp)
     if not validation.all_ok:
         raise InvalidStateError(
@@ -225,9 +230,8 @@ def cmd_sqpt(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    kraus, spec_dict, tp = _load_kraus(args)
+    kraus, chi_true, spec_dict, tp = _load_kraus(args)
     alpha, beta = _amplitudes(args)
-    chi_true = channels.chi_from_kraus(kraus)
     r_dcqd = dcqd.characterize(kraus, n=args.n, alpha=alpha, beta=beta)
     r_sqpt = sqpt.sqpt_characterize(kraus, n=args.n)
     diff = r_dcqd.chi - r_sqpt.chi
@@ -340,22 +344,18 @@ def cmd_resources(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    kraus, spec_dict, _tp = _load_kraus(args)
+    kraus, _chi, spec_dict, _tp = _load_kraus(args)
     alpha, beta = _amplitudes(args)
     if args.repeats < 1 or any(s < 1 for s in args.shots):
         raise InvalidDistributionError("shots and repeats must be positive")
+    experiment = dcqd._experiment(kraus, args.n, alpha, beta)
     children = np.random.SeedSequence(args.seed).spawn(len(args.shots) * args.repeats)
     rows = []
     for i, shots in enumerate(args.shots):
         errors = []
         for j in range(args.repeats):
-            _, metrics = sampling.characterize_sampled(
-                kraus,
-                n=args.n,
-                shots=shots,
-                seed=children[i * args.repeats + j],
-                alpha=alpha,
-                beta=beta,
+            _, metrics = sampling._sample_and_solve(
+                experiment, shots, children[i * args.repeats + j]
             )
             errors.append(metrics.frobenius_error)
         rows.append(

@@ -121,6 +121,17 @@ for _setting in (COH_Z, COH_X, COH_Y):
     )
 
 
+def _check_amplitudes(alpha: complex, beta: complex) -> None:
+    """The input amplitudes must be finite and normalized."""
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise InvalidConfigurationError(
+            f"amplitudes must be finite, got alpha={alpha!r}, beta={beta!r}"
+        )
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm - 1.0) > 1e-10:
+        raise InvalidConfigurationError(f"|alpha|^2 + |beta|^2 = {norm!r} != 1")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One experimental configuration: a setting per pair plus amplitudes.
@@ -144,13 +155,7 @@ class Configuration:
         bad = [s for s in self.settings if s not in SETTINGS]
         if bad:
             raise InvalidConfigurationError(f"unknown settings {bad}; valid: {SETTINGS}")
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
-            raise InvalidConfigurationError(
-                f"amplitudes must be finite, got alpha={self.alpha!r}, beta={self.beta!r}"
-            )
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-10:
-            raise InvalidConfigurationError(f"|alpha|^2 + |beta|^2 = {norm!r} != 1")
+        _check_amplitudes(self.alpha, self.beta)
 
     @property
     def n(self) -> int:
@@ -288,14 +293,23 @@ def check_register_size(n: int) -> None:
 def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
     """Per-pair readout M[(s, k), (a, a')] = sum_b conj(W_s[(a, b), k]) psi_s[(a', b)].
 
-    W_s holds setting s's measurement states and psi_s its input, so outcome
-    k's amplitude after a primary-qubit operator K is sum K[a, a'] M[(s, k), (a, a')].
+    Setting s prepares psi_s = (V_s (x) I)(a|00> + b|11>), with
+    (a, b) = (alpha, beta) and (1, 1)/sqrt(2) for pop, and measures the Bell
+    states rotated the same way, W_s[:, k] = (V_s (x) I) |Bell_k>, with V_s
+    from PREP_ROTATIONS.  Outcome k's amplitude after a primary-qubit
+    operator K is then sum K[a, a'] M[(s, k), (a, a')].  Raises
+    `InvalidConfigurationError` on non-finite or unnormalized amplitudes.
     """
+    alpha, beta = complex(alpha), complex(beta)
+    _check_amplitudes(alpha, beta)
+    # bell[k, a, b]: Bell state k with the primary qubit first
+    bell = np.array(ops.bell_basis()).reshape(4, 2, 2)
+    pop = 1.0 / math.sqrt(2)
     rows = []
     for s in SETTINGS:
-        config = Configuration(settings=(s,), alpha=alpha, beta=beta)
-        w = np.array(measurement_basis(config)).reshape(4, 2, 2)
-        psi = build_input_state(config, check=False).reshape(2, 2)
+        v = PREP_ROTATIONS[s]
+        w = np.einsum("ac,kcb->kab", v, bell)
+        psi = v @ np.diag([pop, pop] if s == POP else [alpha, beta])
         rows.append(np.einsum("kab,cb->kac", w.conj(), psi).reshape(4, 4))
     return np.vstack(rows)
 
@@ -303,11 +317,27 @@ def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
 def outcome_probabilities(channel, config: Configuration) -> OutcomeDistribution:
     """Probabilities q_k = Tr[P_k E(rho_c)] with the channel on the primary block."""
     check_register_size(config.n)
-    chi = channels.chi_from_kraus(channels.as_kraus(channel, config.n))
+    chi = channels.as_chi(channel, config.n)
     # rows of A1 grouped by setting: a1[s] is setting s's 4 x 16 design
     a1 = pair_design(config.alpha, config.beta).reshape(4, 4, 16)
     q = inversion.forward([a1[SETTINGS.index(s)] for s in config.settings], chi)
     return OutcomeDistribution(config=config, probabilities=q.ravel())
+
+
+def _experiment(
+    channel, n: int, alpha: complex, beta: complex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A1, the channel's chi on n qubits and its exact data, one axis per pair.
+
+    Checks the register size, then the amplitudes (once: every coherence
+    configuration carries the same constraints, and every n has one), then
+    the channel.  Axis i of the data is (setting_i, outcome_i).
+    """
+    check_register_size(n)
+    validate_configuration(Configuration(settings=(COH_Z,), alpha=alpha, beta=beta))
+    a1 = pair_design(alpha, beta)
+    chi = channels.as_chi(channel, n)
+    return a1, chi, inversion.forward([a1] * n, chi)
 
 
 def all_outcome_probabilities(
@@ -317,15 +347,11 @@ def all_outcome_probabilities(
 
     Row c is configuration c of `all_configurations(n, alpha, beta)` and
     column k its joint outcome.  Checks the register size, then the
-    amplitudes (once: every coherence configuration carries the same
-    constraints, and every n has one), then the channel, and applies A1
-    along every pair axis of the channel's chi.
+    amplitudes, then the channel, and applies A1 along every pair axis of
+    the channel's chi (`channels.as_chi`).
     """
-    check_register_size(n)
-    validate_configuration(Configuration(settings=(COH_Z,), alpha=alpha, beta=beta))
-    chi = channels.chi_from_kraus(channels.as_kraus(channel, n))
-    q = inversion.forward([pair_design(alpha, beta)] * n, chi)
-    # axis i of q is (setting_i, outcome_i); rows become configurations
+    _, _, q = _experiment(channel, n, alpha, beta)
+    # rows become configurations
     return inversion.unpair_axes(q, n, 4)
 
 
@@ -518,6 +544,19 @@ def closed_form_chi(
     return chi
 
 
+def _solve(a1: np.ndarray, data: np.ndarray) -> ReconstructionResult:
+    """Solve on A1 for chi from data with one axis per pair (`inversion.solve`)."""
+    n = data.ndim
+    chi, cond = inversion.solve(a1, data)
+    return ReconstructionResult(
+        chi=chi,
+        n_qubits=n,
+        n_configurations=4**n,
+        design_rank=16**n,
+        design_cond=cond,
+    )
+
+
 def reconstruct_from_probabilities(
     probabilities, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
 ) -> ReconstructionResult:
@@ -536,14 +575,7 @@ def reconstruct_from_probabilities(
     n = (rows.bit_length() - 1) // 2
     if n < 1 or q.shape != (4**n, 4**n):
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
-    chi, cond = inversion.solve(pair_design(alpha, beta), inversion.pair_axes(q, n, 4))
-    return ReconstructionResult(
-        chi=chi,
-        n_qubits=n,
-        n_configurations=4**n,
-        design_rank=16**n,
-        design_cond=cond,
-    )
+    return _solve(pair_design(alpha, beta), inversion.pair_axes(q, n, 4))
 
 
 def characterize(
@@ -556,12 +588,13 @@ def characterize(
 
     With exact probabilities the result equals the ground-truth process
     matrix of the channel to solver precision, for trace-preserving and
-    trace-decreasing channels alike.
+    trace-decreasing channels alike.  A1 is built once: the channel's chi
+    is forwarded through it and the data are solved on it.
     """
-    q = all_outcome_probabilities(channel, n, alpha, beta)
-    result = reconstruct_from_probabilities(q, alpha, beta)
+    a1, _, data = _experiment(channel, n, alpha, beta)
+    result = _solve(a1, data)
     if n == 1:
-        chi_cf = closed_form_chi(q, alpha, beta)
+        chi_cf = closed_form_chi(data.reshape(4, 4), alpha, beta)
         result.chi_closed_form = chi_cf
         result.residual = float(np.max(np.abs(chi_cf - result.chi)))
     return result

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import channels, dcqd, inversion
+from . import dcqd, inversion
 from .exceptions import DimensionMismatchError, InvalidDistributionError
 
 __all__ = [
@@ -117,14 +117,21 @@ def characterize_sampled(
     frequencies) together with its Frobenius distance from the exact
     process matrix of the channel.
     """
-    q = dcqd.all_outcome_probabilities(channel, n, alpha, beta)
+    return _sample_and_solve(dcqd._experiment(channel, n, alpha, beta), shots, seed)
+
+
+def _sample_and_solve(
+    experiment: tuple[np.ndarray, np.ndarray, np.ndarray], shots: int, seed
+) -> tuple[dcqd.ReconstructionResult, SampledMetrics]:
+    """`characterize_sampled` of an exact experiment (A1, chi, data) of `dcqd._experiment`."""
+    a1, chi_true, data = experiment
+    n = data.ndim
+    q = inversion.unpair_axes(data, n, 4)
     children = _seed_sequence(seed).spawn(len(q))
-    freqs = [
-        empirical_frequencies(sample_counts(row, shots, child))
-        for row, child in zip(q, children)
-    ]
-    result = dcqd.reconstruct_from_probabilities(freqs, alpha, beta)
-    chi_true = channels.chi_from_kraus(channels.as_kraus(channel, n))
+    freqs = np.array(
+        [empirical_frequencies(sample_counts(row, shots, child)) for row, child in zip(q, children)]
+    )
+    result = dcqd._solve(a1, inversion.pair_axes(freqs, n, 4))
     delta = result.chi - chi_true
     metrics = SampledMetrics(
         shots=shots,
@@ -230,7 +237,8 @@ def characterize_with_optics(
     """
     model = model if model is not None else OpticsModel()
     merges = [model.merge_matrix, model.complement().merge_matrix]
-    q = dcqd.all_outcome_probabilities(channel, 1, alpha, beta)
+    a1, _, data = dcqd._experiment(channel, 1, alpha, beta)
+    q = data.reshape(4, 4)
     children = _seed_sequence(seed).spawn(len(q) * len(merges))
     values = []
     for i, row in enumerate(q):
@@ -241,8 +249,7 @@ def characterize_with_optics(
                 merged = empirical_frequencies(table)
             values.append(merged)
     # rows (setting, analyzer setting, group), matching `values`
-    a1 = dcqd.pair_design(alpha, beta).reshape(len(q), 4, 16)
-    design = np.vstack([g @ block for block in a1 for g in merges])
+    design = np.vstack([g @ block for block in a1.reshape(len(q), 4, 16) for g in merges])
     chi, cond = inversion.solve(design, np.concatenate(values))
     return dcqd.ReconstructionResult(
         chi=chi,

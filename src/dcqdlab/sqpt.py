@@ -57,7 +57,7 @@ def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     dcqd.check_register_size(n)
     counts = resources.resource_counts(n)["sqpt"]
     design = inversion.readout_design(_readout_table())
-    q = inversion.forward([design] * n, channels.chi_from_kraus(channels.as_kraus(channel, n)))
+    q = inversion.forward([design] * n, channels.as_chi(channel, n))
     chi, _cond = inversion.solve(design, q)
     return SqptResult(
         chi=chi,

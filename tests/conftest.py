@@ -73,6 +73,17 @@ def density_matrix_probabilities(kraus, config):
     return np.array([np.vdot(b, rho_out @ b).real for b in dcqd.measurement_basis(config)])
 
 
+@pytest.fixture
+def channel_untouched(monkeypatch):
+    """Fail on any conversion or expansion of a channel: for tests of checks made before one."""
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("channel expanded before the size check")
+
+    for name in ("as_kraus", "as_chi", "chi_from_kraus"):
+        monkeypatch.setattr(channels, name, untouched)
+
+
 def stacked_design(configs):
     """Dense complex design of a configuration set, rows stacked in order."""
     return np.vstack([dcqd.design_matrix(c) for c in configs])

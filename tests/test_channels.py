@@ -384,3 +384,57 @@ BAD_RAW_KRAUS = {
 def test_raw_kraus_validated_at_entry_points(entry, case):
     with pytest.raises(InvalidChannelError):
         entry(BAD_RAW_KRAUS[case])
+
+
+SPEC_OF_KIND = {
+    "unitary": channels.ChannelSpec("unitary", {"axis": "x", "angle": 0.9}),
+    "bit_flip": channels.ChannelSpec("bit_flip", {"p": 0.2}),
+    "phase_flip": channels.ChannelSpec("phase_flip", {"p": 0.3}),
+    "depolarizing": channels.ChannelSpec("depolarizing", {"p": 0.4}),
+    "amplitude_damping": channels.ChannelSpec("amplitude_damping", {"gamma": 0.3}),
+    "phase_damping": channels.ChannelSpec("phase_damping", {"lambda": 0.25}),
+    "composed": channels.ChannelSpec(
+        "composed",
+        stages=(
+            channels.ChannelSpec("amplitude_damping", {"t": 1.0, "T1": 2.0}),
+            channels.ChannelSpec("depolarizing", {"p": 0.1}),
+        ),
+    ),
+    "explicit_kraus": channels.ChannelSpec(
+        "explicit_kraus",
+        operators=tuple(channels.random_channel(1, trace_preserving=False, seed=5)),
+    ),
+    "identity": channels.ChannelSpec("identity"),
+}
+
+
+class TestAsChi:
+    def test_every_kind_covered(self):
+        assert sorted(SPEC_OF_KIND) == sorted(channels.CHANNEL_KINDS)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", channels.CHANNEL_KINDS)
+    def test_spec_matches_expanded_kraus(self, kind, n):
+        # a one-qubit spec on n qubits: Kronecker power of its 4 x 4 chi
+        spec = SPEC_OF_KIND[kind]
+        want = channels.chi_from_kraus(channels.as_kraus(spec, n))
+        assert np.max(np.abs(channels.as_chi(spec, n) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_raw_kraus_matches_expanded_kraus(self, n, rng):
+        one_qubit = channels.random_channel(1, trace_preserving=False, rng=rng)
+        n_qubit = channels.random_channel(n, rng=rng)
+        for kraus in (one_qubit, n_qubit):
+            want = channels.chi_from_kraus(channels.as_kraus(kraus, n))
+            assert np.max(np.abs(channels.as_chi(kraus, n) - want)) <= 1e-15
+
+    def test_rejects_other_sizes(self):
+        with pytest.raises(DimensionMismatchError):
+            channels.as_chi(channels.random_channel(2, seed=1), 3)
+
+
+def test_trace_gap_matches_naive_sum(rng):
+    kraus = channels.random_channel(3, trace_preserving=False, rng=rng)
+    assert len(kraus) == 64
+    naive = np.eye(8) - sum(k.conj().T @ k for k in kraus)
+    assert np.max(np.abs(channels.trace_gap(kraus) - naive)) <= 1e-15

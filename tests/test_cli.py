@@ -103,11 +103,7 @@ class TestExitCodes:
         assert code == cli.EXIT_ILL_POSED
         assert "finite" in err
 
-    def test_register_size_limit(self, capsys, monkeypatch):
-        def untouched(*args, **kwargs):
-            raise AssertionError("channel expanded before the size check")
-
-        monkeypatch.setattr(channels, "as_kraus", untouched)
+    def test_register_size_limit(self, capsys, channel_untouched):
         code, _, err = run(["characterize", "--channel", "identity", "--n", "6"], capsys)
         assert code == cli.EXIT_ILL_POSED
         assert "16**6" in err
@@ -266,6 +262,20 @@ def test_explicit_kraus_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code = cli.main(["characterize", "--channel", f"@{path}"])
     assert code == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nearly_trace_preserving_kraus_file(n, tmp_path, capsys):
+    # sum K^dag K = (1 - 6e-11) I: trace preserving within 1e-10 on one qubit,
+    # not on three, so the TP flag must be judged on the channel on n qubits
+    scale = math.sqrt(1 - 6e-11)
+    kraus = [scale * k for k in channels.amplitude_damping(0.3)]
+    spec = channels.ChannelSpec(kind="explicit_kraus", operators=tuple(kraus))
+    path = tmp_path / "near_tp.json"
+    path.write_text(json.dumps(serialize.spec_to_dict(spec)))
+    code, out, _ = run(["characterize", "--channel", f"@{path}", "--n", str(n)], capsys)
+    assert code == 0
+    assert json.loads(out)["validation"]["all_ok"] is True
 
 
 def test_unphysical_kraus_file_rejected(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import density_matrix_probabilities, stacked_design
-from dcqdlab import channels, dcqd, ops
+from dcqdlab import channels, dcqd, inversion, ops
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     IllPosedConfigurationError,
@@ -376,15 +376,11 @@ class TestCharacterize:
         with pytest.raises(IllPosedConfigurationError, match="rank"):
             dcqd.reconstruct_from_probabilities(probs, alpha=0.8, beta=0.6)
 
-    def test_register_size_guard(self, monkeypatch):
+    def test_register_size_guard(self, channel_untouched):
         # the bound is on chi's 16**n entries and is checked before the
         # channel is expanded or anything of size 16**n is allocated
         assert channels.MAX_QUBITS == 5
 
-        def untouched(*args, **kwargs):
-            raise AssertionError("channel expanded before the size check")
-
-        monkeypatch.setattr(channels, "as_kraus", untouched)
         with pytest.raises(InvalidConfigurationError, match="n=0"):
             dcqd.characterize(channels.identity_channel(), 0)
         with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
@@ -443,6 +439,31 @@ class TestFactoredEngine:
     def test_pair_design_matches_single_pair_designs(self):
         dense = np.vstack([dcqd.design_matrix(c) for c in dcqd.all_configurations(1)])
         assert np.max(np.abs(dcqd.pair_design() - dense)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j), (0.8, 0.6)]
+    )
+    def test_readout_table_matches_dense_reference(self, alpha, beta):
+        rows = []
+        for s in dcqd.SETTINGS:
+            config = dcqd.Configuration(settings=(s,), alpha=alpha, beta=beta)
+            w = np.array(dcqd.measurement_basis(config)).reshape(4, 2, 2)
+            psi = dcqd.build_input_state(config, check=False).reshape(2, 2)
+            rows.append(np.einsum("kab,cb->kac", w.conj(), psi).reshape(4, 4))
+        assert np.array_equal(dcqd._readout_table(alpha, beta), np.vstack(rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_characterize_builds_a1_once(self, n, monkeypatch):
+        calls = []
+        original = inversion.readout_design
+
+        def counting(table):
+            calls.append(1)
+            return original(table)
+
+        monkeypatch.setattr(inversion, "readout_design", counting)
+        dcqd.characterize(channels.random_channel(1, seed=2), n)
+        assert len(calls) == 1
 
     def test_stacked_design_is_permuted_kronecker_square(self):
         a1 = dcqd.pair_design()

@@ -108,12 +108,8 @@ class TestCharacterizeSampled:
         }
         assert errs[10**5] < errs[10**3] / 3
 
-    def test_register_size_guard(self, monkeypatch):
+    def test_register_size_guard(self, channel_untouched):
         # same bound as the exact path, checked before the channel is expanded
-        def untouched(*args, **kwargs):
-            raise AssertionError("channel expanded before the size check")
-
-        monkeypatch.setattr(channels, "as_kraus", untouched)
         with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
             sampling.characterize_sampled(channels.identity_channel(), n=6, shots=10, seed=0)
 

@@ -16,12 +16,8 @@ def test_plan_counts_and_span():
     assert result2.n_experiments == 256
 
 
-def test_register_size_guard(monkeypatch):
+def test_register_size_guard(channel_untouched):
     # the shared bound of every entry point, checked before the channel is expanded
-    def untouched(*args, **kwargs):
-        raise AssertionError("channel expanded before the size check")
-
-    monkeypatch.setattr(channels, "as_kraus", untouched)
     with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
         sqpt.sqpt_characterize(channels.identity_channel(), 6)
 
