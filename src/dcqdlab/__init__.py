@@ -30,10 +30,7 @@ from .dcqd import (
     OutcomeDistribution,
     ReconstructionResult,
     all_configurations,
-    build_input_state,
     characterize,
-    design_matrix,
-    measurement_projectors,
     outcome_probabilities,
     reconstruct_coherence,
     reconstruct_population,
@@ -65,13 +62,11 @@ __all__ = [
     "apply_channel",
     "apply_optics_model",
     "bit_flip",
-    "build_input_state",
     "characterize",
     "characterize_sampled",
     "chi_from_kraus",
     "compose",
     "depolarizing",
-    "design_matrix",
     "estimate_T1",
     "estimate_T2",
     "forward_model",
@@ -79,7 +74,6 @@ __all__ = [
     "joint_estimate",
     "kraus_from_chi",
     "kraus_from_spec",
-    "measurement_projectors",
     "outcome_probabilities",
     "phase_damping",
     "phase_flip",

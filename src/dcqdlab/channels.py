@@ -44,7 +44,6 @@ __all__ = [
     "bit_flip",
     "check_kraus",
     "chi_from_kraus",
-    "choi_from_kraus",
     "compose",
     "depolarizing",
     "identity_channel",
@@ -274,15 +273,6 @@ def _tp_residual(chi: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Choi form and random channels
 # ---------------------------------------------------------------------------
-
-
-def choi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) E(|i><j|) of a Kraus set."""
-    mats = [np.asarray(k, dtype=complex) for k in kraus]
-    d = mats[0].shape[0]
-    # vec with the input index major: v[i*d + o] = K[o, i]
-    vecs = [k.T.reshape(-1) for k in mats]
-    return sum(np.outer(v, v.conj()) for v in vecs)
 
 
 def kraus_from_choi(choi: np.ndarray, atol: float = 1e-9, keep_tol: float = 1e-12) -> list[np.ndarray]:

@@ -42,9 +42,9 @@ the shared per-pair map in `inversion`:
   cond(A1)**n.
 
 The single-pair closed forms below (n = 1) are the paper's route and serve
-as an independent cross-check of the solver.  The dense per-configuration
-`design_matrix` is kept as a reference for tests and for rank analysis of
-the partial Bell analyzer (`sampling.merged_design_matrix`).
+as an independent cross-check of the solver.  The readout table is the
+module's only model of the experiment: no 2n-qubit state or measurement
+basis is ever built.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .exceptions import (
     DimensionMismatchError,
     IllPosedConfigurationError,
     InvalidConfigurationError,
+    InvalidDistributionError,
 )
 
 POP = "pop"
@@ -76,13 +77,6 @@ PREP_ROTATIONS = {
     COH_X: ops.HADAMARD,
     COH_Y: ops.PHASE_S @ ops.HADAMARD,
 }
-
-# Pauli letters (A, B) of the commuting measurement pair per setting.
-STABILIZER_LETTERS = {POP: (3, 3), COH_Z: (3, 3), COH_X: (1, 3), COH_Y: (2, 3)}
-NORMALIZER_LETTERS = {POP: (1, 1), COH_Z: (1, 1), COH_X: (3, 1), COH_Y: (3, 1)}
-
-# Eigenvalues (stabilizer, normalizer) carried by outcome digit 0..3.
-OUTCOME_EIGENVALUES = ((+1, +1), (-1, +1), (-1, -1), (+1, -1))
 
 # Paper-independent well-conditioned default: both Re and Im of
 # alpha * conj(beta) are nonzero and |alpha| != |beta|.
@@ -201,65 +195,6 @@ def all_configurations(
     return [
         Configuration(settings=s, alpha=alpha, beta=beta)
         for s in itertools.product(SETTINGS, repeat=n)
-    ]
-
-
-def _pair_input_state(setting: str, alpha: complex, beta: complex) -> np.ndarray:
-    if setting == POP:
-        alpha = beta = 1.0 / math.sqrt(2)
-    raw = np.array([alpha, 0, 0, beta], dtype=complex)
-    v = PREP_ROTATIONS[setting]
-    return np.kron(v, ops.IDENTITY_2) @ raw
-
-
-def _interleaved_to_blocks(n: int) -> list[int]:
-    # register order [A1 B1 A2 B2 ...] -> [A1..An B1..Bn]
-    return list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-
-
-def build_input_state(config: Configuration, check: bool = True) -> np.ndarray:
-    """Full 2n-qubit input state of a configuration (primary block first)."""
-    if check:
-        validate_configuration(config)
-    pair_states = [_pair_input_state(s, config.alpha, config.beta) for s in config.settings]
-    psi = ops.tensor(*pair_states) if config.n > 1 else pair_states[0]
-    if config.n > 1:
-        psi = ops.permute_qubits(psi, _interleaved_to_blocks(config.n))
-    return psi
-
-
-def measurement_basis(config: Configuration) -> list[np.ndarray]:
-    """The 4**n joint measurement states, outcome digits in Bell order.
-
-    Per pair these are the Bell states conjugated by the pair's preparation
-    rotation; they are simultaneous eigenstates of the pair's stabilizer
-    and normalizer with the eigenvalue labels in OUTCOME_EIGENVALUES.
-    """
-    n = config.n
-    pair_bases = []
-    for s in config.settings:
-        w = np.kron(PREP_ROTATIONS[s], ops.IDENTITY_2)
-        pair_bases.append([w @ b for b in ops.bell_basis()])
-    perm = _interleaved_to_blocks(n)
-    out = []
-    for digits in itertools.product(range(4), repeat=n):
-        vec = pair_bases[0][digits[0]]
-        for i in range(1, n):
-            vec = np.kron(vec, pair_bases[i][digits[i]])
-        out.append(ops.permute_qubits(vec, perm) if n > 1 else vec)
-    return out
-
-
-def measurement_projectors(config: Configuration) -> list[np.ndarray]:
-    """Rank-1 projector matrices onto `measurement_basis`."""
-    return [ops.projector(b) for b in measurement_basis(config)]
-
-
-def outcome_labels(config: Configuration) -> list[str]:
-    """Human-readable outcome labels, one Bell label per pair."""
-    return [
-        ";".join(ops.BELL_LABELS[d] for d in digits)
-        for digits in itertools.product(range(4), repeat=config.n)
     ]
 
 
@@ -460,38 +395,17 @@ def map_frame(setting: str, coh_stab: complex, coh_norm: complex) -> dict[tuple[
 
 
 # ---------------------------------------------------------------------------
-# Design matrices and the solve
+# The design and the solve
 # ---------------------------------------------------------------------------
-
-
-def amplitude_matrix(config: Configuration) -> np.ndarray:
-    """C[k, m] = <outcome_k| (E_m on primaries) |input state>.
-
-    Because the input is pure and every outcome projector is rank 1, the
-    design matrix factorizes through C:
-    Tr[P_k E_m rho_c E_n^dag] = C[k, m] conj(C[k, n]).
-    """
-    n = config.n
-    d = 2**n
-    psi = build_input_state(config, check=False).reshape(d, d)
-    basis = ops.pauli_basis(n)
-    w = np.einsum("mab,bc->mac", basis, psi).reshape(4**n, d * d)
-    b = np.array(measurement_basis(config))
-    return b.conj() @ w.T
-
-
-def design_matrix(config: Configuration) -> np.ndarray:
-    """Complex design matrix A[k, m*D + n] = Tr[P_k E_m rho_c E_n^dag]."""
-    c = amplitude_matrix(config)
-    return np.einsum("km,kn->kmn", c, c.conj()).reshape(c.shape[0], -1)
 
 
 def pair_design(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) -> np.ndarray:
     """Single-pair complex design A1[(s, k), (m, m')] = C_s[k, m] conj(C_s[k, m']).
 
-    C_s is the single-pair `amplitude_matrix` of setting s, obtained here
-    from the readout table (`inversion.readout_design`).  Rows run over
-    (setting, outcome), columns over (m, m') of chi.
+    C_s[k, m] = <outcome k| (E_m (x) I) |input of setting s> is the
+    amplitude of outcome k after Pauli error m, read off the readout table
+    (`inversion.readout_design`).  Rows run over (setting, outcome), columns
+    over (m, m') of chi.
     """
     return inversion.readout_design(_readout_table(alpha, beta))
 
@@ -518,6 +432,11 @@ class ReconstructionResult:
     design_cond: Optional[float] = None
 
 
+def _check_finite(data: np.ndarray) -> None:
+    if not np.isfinite(data).all():
+        raise InvalidDistributionError("outcome data contain NaN or infinite entries")
+
+
 def closed_form_chi(
     probabilities, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
 ) -> np.ndarray:
@@ -529,6 +448,7 @@ def closed_form_chi(
     q = np.asarray(probabilities, dtype=float)
     if q.shape != (4, 4):
         raise InvalidConfigurationError("closed form needs the 4 single-pair distributions")
+    _check_finite(q)
     dists = [
         OutcomeDistribution(Configuration(settings=(s,), alpha=alpha, beta=beta), row)
         for s, row in zip(SETTINGS, q)
@@ -567,14 +487,17 @@ def reconstruct_from_probabilities(
     its joint outcome), exact probabilities or empirical frequencies alike;
     n comes from its shape, and no renormalization or positivity repair is
     applied.  The solve (`inversion.solve`) applies A1^-1 along each pair
-    axis of the data.  A rank-deficient A1 (degenerate amplitudes) raises
-    instead of returning a wrong chi.
+    axis of the data.  A register beyond `check_register_size`, non-finite
+    data or a rank-deficient A1 (degenerate amplitudes) raises instead of
+    returning a wrong chi.
     """
     q = np.asarray(probabilities, dtype=float)
     rows = q.shape[0] if q.ndim else 0
     n = (rows.bit_length() - 1) // 2
     if n < 1 or q.shape != (4**n, 4**n):
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
+    check_register_size(n)
+    _check_finite(q)
     return _solve(pair_design(alpha, beta), inversion.pair_axes(q, n, 4))
 
 

@@ -4,8 +4,9 @@ Everything else in the package is built on the conventions fixed here:
 
 * Computational basis: within a primary/ancilla pair the primary qubit A is
   the most significant factor, so the two-qubit basis order |00>, |01>,
-  |10>, |11> reads |q_A q_B>.  For n pairs the register is laid out
-  primary-block first, [A_1 .. A_n, B_1 .. B_n], with A_1 most significant.
+  |10>, |11> reads |q_A q_B>.  The library only ever builds one pair; the
+  dense n-pair register of the test oracle is laid out primary-block first,
+  [A_1 .. A_n, B_1 .. B_n], with A_1 most significant.
 * Pauli operators are indexed 0:I, 1:X, 2:Y, 3:Z with Y = [[0,-i],[i,0]].
   Multi-qubit Pauli strings are tuples of these digits, enumerated in
   lexicographic order (first qubit most significant), which also fixes the
@@ -89,11 +90,6 @@ def bell_basis() -> list[np.ndarray]:
     return [phi_plus, psi_plus, psi_minus, phi_minus]
 
 
-def bell_projectors() -> list[np.ndarray]:
-    """Rank-1 projectors onto the Bell states, in `bell_basis` order."""
-    return [projector(b) for b in bell_basis()]
-
-
 def projector(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| for a state vector psi."""
     psi = np.asarray(psi, dtype=complex).ravel()
@@ -146,28 +142,6 @@ def partial_trace(rho: np.ndarray, keep: Iterable[int], dims: Sequence[int]) -> 
         nsub -= 1
     d_keep = math.prod(dims[i] for i in keep) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-def permute_qubits(a: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Reorder the qubits of a state vector or square operator.
-
-    `perm[i]` is the old position of the qubit that ends up at position i
-    (position 0 = most significant factor).
-    """
-    perm = list(perm)
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
-    a = np.asarray(a, dtype=complex)
-    dim = 2**k
-    if a.ndim == 1:
-        if a.shape != (dim,):
-            raise DimensionMismatchError(f"vector length {a.shape[0]} != 2**{k}")
-        return a.reshape([2] * k).transpose(perm).reshape(dim)
-    if a.shape != (dim, dim):
-        raise DimensionMismatchError(f"matrix shape {a.shape} != ({dim}, {dim})")
-    axes = perm + [p + k for p in perm]
-    return a.reshape([2] * (2 * k)).transpose(axes).reshape(dim, dim)
 
 
 def hermiticity_deviation(a: np.ndarray) -> float:

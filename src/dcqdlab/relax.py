@@ -64,6 +64,11 @@ def _pair_config(alpha: complex, beta: complex) -> dcqd.Configuration:
     return dcqd.Configuration(settings=(dcqd.COH_Z,), alpha=alpha, beta=beta)
 
 
+def _pair_state(config: dcqd.Configuration) -> np.ndarray:
+    """The two-qubit state a|00> + b|11> of a coh_z configuration."""
+    return np.array([config.alpha, 0, 0, config.beta], dtype=complex)
+
+
 def forward_model(
     alpha: complex, beta: complex, t1: float, T1: float, t2: float, T2: float
 ) -> np.ndarray:
@@ -74,7 +79,7 @@ def forward_model(
     <00|rho_f|00> + <01|rho_f|01> = 1 - exp(-t1/T1) (1 - |a|^2) and the
     entangled coherence is <00|rho_f|11> = exp(-t'/(2 T2')) a b*.
     """
-    rho = ops.projector(dcqd.build_input_state(_pair_config(alpha, beta), check=False))
+    rho = ops.projector(_pair_state(_pair_config(alpha, beta)))
     sequence = channels.compose(
         channels.amplitude_damping(t=t1, T1=T1),
         channels.phase_damping(t=t2, T2=T2),
@@ -88,8 +93,9 @@ def estimate_T1(p_minus: float, t1: float, rho_in: np.ndarray) -> float:
     `rho_in` is the two-qubit input state (used for <Z^A>).  p_minus = 0
     means no decay and returns math.inf.
     """
-    if t1 <= 0:
-        raise InvalidStateError(f"t1 must be positive to resolve T1, got {t1!r}")
+    # written so that NaN fails too
+    if not 0 < t1 < math.inf:
+        raise InvalidStateError(f"t1 must be positive and finite to resolve T1, got {t1!r}")
     z_in = ops.expectation(np.asarray(rho_in, dtype=complex), np.kron(ops.PAULI_Z, ops.IDENTITY_2)).real
     if abs(1.0 - z_in) < 1e-12:
         raise IllPosedInputError("<Z^A> = 1 on the input (beta = 0); T1 leaves no signature")
@@ -116,8 +122,12 @@ def estimate_T2(
     """Invert the normalizer decay for (t'/T2', T2), given T1.
 
     The ratio of output to input X^A X^B expectations must lie in (0, 1];
-    ratio 1 (no dephasing beyond the amplitude damping) gives T2 = inf.
+    ratio 1 (no dephasing beyond the amplitude damping) gives T2 = inf, as
+    does t2 = 0.
     """
+    # written so that NaN fails too
+    if not 0 <= t2 < math.inf:
+        raise InvalidStateError(f"t2 must be finite and non-negative, got {t2!r}")
     if abs(x_expect_in) < 1e-12:
         raise IllPosedInputError(
             "<X^A X^B> vanishes on the input (Re(alpha beta*) = 0); T2 leaves no signature"
@@ -131,7 +141,7 @@ def estimate_T2(
     t_prime = -2.0 * math.log(ratio)
     ad_part = 0.0 if math.isinf(T1) else t1 / T1
     denom = t_prime - ad_part
-    if t2 <= 0 or denom <= 1e-15:
+    if t2 == 0 or denom <= 1e-15:
         return t_prime, math.inf
     return t_prime, t2 / denom
 
@@ -154,7 +164,7 @@ def joint_estimate(
     distribution (or, with `shots`, a single counts table).
     """
     config = _pair_config(alpha, beta)
-    psi = dcqd.build_input_state(config, check=False)
+    psi = _pair_state(config)
     q = dcqd.outcome_probabilities(channel, config).probabilities
     if shots is not None:
         q = sampling.empirical_frequencies(sampling.sample_counts(q, shots, seed))

@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 
+# Largest shot count numpy's multinomial sampler takes (an int64).
+MAX_SHOTS = 2**63 - 1
+
+
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -65,16 +69,20 @@ def sample_counts(probabilities, shots: int, seed=None) -> CountsTable:
 
     `seed` is anything `numpy.random.default_rng` accepts (int,
     SeedSequence, Generator); identical seeds give identical counts.
+    `shots` must be an integer in 1..`MAX_SHOTS` and the probabilities
+    finite, or `InvalidDistributionError` is raised.
     """
-    if shots <= 0:
-        raise InvalidDistributionError(f"shots must be positive, got {shots}")
+    integral = isinstance(shots, (int, np.integer)) and not isinstance(shots, bool)
+    if not (integral and 1 <= shots <= MAX_SHOTS):
+        raise InvalidDistributionError(f"shots must be an integer in 1..2**63 - 1, got {shots!r}")
     q = np.asarray(probabilities, dtype=float)
     if q.ndim != 1 or not q.size:
         raise DimensionMismatchError(f"expected a non-empty probability vector, got shape {q.shape}")
-    if q.min() < -1e-12:
-        raise InvalidDistributionError(f"negative outcome probability {q.min():.3e}")
-    total = q.sum()
-    if total > 1.0 + 1e-10:
+    lo, total = q.min(), q.sum()
+    # written so that NaN fails both checks, -inf the first and inf the second
+    if not lo >= -1e-12:
+        raise InvalidDistributionError(f"outcome probability {lo:.3e} is negative or NaN")
+    if not total <= 1.0 + 1e-10:
         raise InvalidDistributionError(f"outcome probabilities sum to {total!r} > 1")
     q = np.clip(q, 0.0, None)
     pvals = np.append(q, max(0.0, 1.0 - q.sum()))
@@ -210,13 +218,16 @@ def merged_design_matrix(
 ) -> np.ndarray:
     """Stacked complex design matrix of one configuration under analyzer models.
 
-    One model per analyzer setting; each contributes its merged rows G @ A.
+    One model per analyzer setting; each contributes its merged rows G @ A,
+    A the 4 rows of A1 (`dcqd.pair_design`) that belong to the
+    configuration's setting, the rows `characterize_with_optics` merges.
     Rank analysis of this matrix quantifies what a partial Bell analyzer can
     and cannot reconstruct.
     """
     if config.n != 1:
         raise DimensionMismatchError("optics model is defined per pair (n = 1)")
-    base = dcqd.design_matrix(config)
+    a1 = dcqd.pair_design(config.alpha, config.beta).reshape(4, 4, 16)
+    base = a1[dcqd.SETTINGS.index(config.settings[0])]
     return np.vstack([model.merge_matrix @ base for model in models])
 
 

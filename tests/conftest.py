@@ -1,9 +1,13 @@
 """Shared test oracles, kept independent of the library code paths they check."""
 
+import functools
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from dcqdlab import channels, dcqd, ops, sampling
+from dcqdlab import channels, dcqd, sampling
 
 # naive Pauli definitions, written out rather than imported
 I2 = np.eye(2, dtype=complex)
@@ -11,6 +15,27 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SINGLE_PAULIS = [I2, SX, SY, SZ]
+
+# The dense n-pair experiment, written out from the protocol rather than from
+# the library's readout table.  Settings are keyed by name: pop, coh_z, coh_x,
+# coh_y.  V is the preparation rotation on the primary qubit, and the Bell
+# states are ordered (phi+, psi+, psi-, phi-), primary qubit first.
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+PHASE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
+PREP_ROTATIONS = {"pop": I2, "coh_z": I2, "coh_x": HADAMARD, "coh_y": PHASE_S @ HADAMARD}
+_S = 1.0 / math.sqrt(2)
+BELL_STATES = [
+    np.array([_S, 0, 0, _S], dtype=complex),
+    np.array([0, _S, _S, 0], dtype=complex),
+    np.array([0, -_S, _S, 0], dtype=complex),
+    np.array([_S, 0, 0, -_S], dtype=complex),
+]
+
+# Pauli letters (A, B) of the commuting measurement pair per setting, and the
+# eigenvalues (stabilizer, normalizer) carried by outcome digit 0..3.
+STABILIZER_LETTERS = {"pop": (3, 3), "coh_z": (3, 3), "coh_x": (1, 3), "coh_y": (2, 3)}
+NORMALIZER_LETTERS = {"pop": (1, 1), "coh_z": (1, 1), "coh_x": (3, 1), "coh_y": (3, 1)}
+OUTCOME_EIGENVALUES = ((+1, +1), (-1, +1), (-1, -1), (+1, -1))
 
 
 def naive_pauli(letters):
@@ -21,8 +46,6 @@ def naive_pauli(letters):
 
 
 def naive_pauli_list(n):
-    import itertools
-
     return [naive_pauli(s) for s in itertools.product(range(4), repeat=n)]
 
 
@@ -61,6 +84,70 @@ def random_density(n, rng):
     return rho / np.trace(rho)
 
 
+def _kron_pairs(pair_vectors):
+    """Kronecker product of per-pair vectors, reordered from [A1 B1 A2 B2 ..] to [A1..An B1..Bn]."""
+    n = len(pair_vectors)
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    joint = functools.reduce(np.kron, pair_vectors)
+    return joint.reshape([2] * (2 * n)).transpose(order).reshape(-1)
+
+
+def input_state(config):
+    """2n-qubit input state of a configuration, primary block first.
+
+    Pair i holds (V_s (x) I)(a|00> + b|11>) for its setting s, with
+    (a, b) = (alpha, beta), or (1, 1)/sqrt(2) for pop.
+    """
+    pairs = []
+    for s in config.settings:
+        a, b = (_S, _S) if s == "pop" else (config.alpha, config.beta)
+        pairs.append(np.kron(PREP_ROTATIONS[s], I2) @ np.array([a, 0, 0, b], dtype=complex))
+    return _kron_pairs(pairs)
+
+
+def measurement_basis(config):
+    """The 4**n joint measurement states, outcome digits (pair 1 first) in Bell order.
+
+    Per pair these are the Bell states rotated by the pair's preparation
+    rotation, (V_s (x) I)|Bell_k>.
+    """
+    pair_bases = [[np.kron(PREP_ROTATIONS[s], I2) @ b for b in BELL_STATES] for s in config.settings]
+    return [
+        _kron_pairs([pair_bases[i][k] for i, k in enumerate(digits)])
+        for digits in itertools.product(range(4), repeat=config.n)
+    ]
+
+
+def amplitude_matrix(config):
+    """C[k, m] = <outcome_k| (E_m on primaries) |input state>.
+
+    The input is pure and every outcome projector has rank 1, so the design
+    factorizes through C: Tr[P_k E_m rho_c E_n^dag] = C[k, m] conj(C[k, n]).
+    """
+    d = 2**config.n
+    psi = input_state(config).reshape(d, d)
+    w = np.array([e @ psi for e in naive_pauli_list(config.n)]).reshape(d * d, d * d)
+    return np.array(measurement_basis(config)).conj() @ w.T
+
+
+def design_matrix(config):
+    """Dense complex design A[k, m*D + n] = Tr[P_k E_m rho_c E_n^dag] of one configuration."""
+    c = amplitude_matrix(config)
+    return np.einsum("km,kn->kmn", c, c.conj()).reshape(c.shape[0], -1)
+
+
+def choi_from_kraus(kraus):
+    """Choi matrix sum_ij |i><j| (x) E(|i><j|), input factor first, by direct summation."""
+    d = np.asarray(kraus[0]).shape[0]
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            choi += np.kron(unit, kraus_action(kraus, unit))
+    return choi
+
+
 def density_matrix_probabilities(kraus, config):
     """Outcome probabilities by full density-matrix simulation of the register.
 
@@ -68,9 +155,9 @@ def density_matrix_probabilities(kraus, config):
     block and reads out every joint measurement state; independent of the
     per-pair factored engine.
     """
-    rho = ops.projector(dcqd.build_input_state(config, check=False))
-    rho_out = channels.apply_channel(kraus, rho, ancilla_dim=2**config.n)
-    return np.array([np.vdot(b, rho_out @ b).real for b in dcqd.measurement_basis(config)])
+    psi = input_state(config)
+    rho_out = channels.apply_channel(kraus, np.outer(psi, psi.conj()), ancilla_dim=2**config.n)
+    return np.array([np.vdot(b, rho_out @ b).real for b in measurement_basis(config)])
 
 
 @pytest.fixture
@@ -86,7 +173,7 @@ def channel_untouched(monkeypatch):
 
 def stacked_design(configs):
     """Dense complex design of a configuration set, rows stacked in order."""
-    return np.vstack([dcqd.design_matrix(c) for c in configs])
+    return np.vstack([design_matrix(c) for c in configs])
 
 
 def real_design(config):
@@ -95,7 +182,7 @@ def real_design(config):
     Parameters: the diagonal of chi, then (Re, Im) of its strict upper
     triangle in row-major order (see `unflatten_hermitian`).
     """
-    c = dcqd.amplitude_matrix(config)
+    c = amplitude_matrix(config)
     dim = c.shape[1]
     rows, cols = np.triu_indices(dim, k=1)
     cross = c[:, rows] * c[:, cols].conj()

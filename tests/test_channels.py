@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import actions_agree, chi_action, kraus_action, naive_pauli_list, random_density
+from conftest import (
+    actions_agree,
+    chi_action,
+    choi_from_kraus,
+    kraus_action,
+    naive_pauli_list,
+    random_density,
+)
 from dcqdlab import channels, dcqd, ops, sampling, sqpt
 from dcqdlab.exceptions import (
     DimensionMismatchError,
@@ -260,7 +267,7 @@ class TestRandomChannel:
 class TestChoi:
     def test_round_trip_action(self, rng):
         kraus = channels.random_channel(2, trace_preserving=True, rng=rng)
-        back = channels.kraus_from_choi(channels.choi_from_kraus(kraus))
+        back = channels.kraus_from_choi(choi_from_kraus(kraus))
         assert actions_agree(
             lambda r: kraus_action(kraus, r),
             lambda r: kraus_action(back, r),
@@ -270,7 +277,7 @@ class TestChoi:
         )
 
     def test_identity_choi(self):
-        choi = channels.choi_from_kraus(channels.identity_channel())
+        choi = choi_from_kraus(channels.identity_channel())
         omega = np.array([1, 0, 0, 1], dtype=complex)
         assert np.allclose(choi, np.outer(omega, omega), atol=1e-14)
 

@@ -114,6 +114,21 @@ class TestExitCodes:
         assert code == cli.EXIT_PARSE
         assert "must be" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "--channel", "identity"],
+            ["characterize", "--channel", "identity", "--optics"],
+            ["sample-sweep", "--channel", "identity"],
+            ["partial", "--T1", "2", "--T2", "1", "--t1", "1", "--t2", "1"],
+        ],
+        ids=["characterize", "optics", "sample-sweep", "partial"],
+    )
+    def test_shot_count_beyond_int64(self, argv, capsys):
+        code, _, err = run(argv + ["--shots", str(10**20), "--seed", "1"], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert "shots must be an integer" in err
+
     @pytest.mark.parametrize("amplitudes", [["--alpha", "nan"], ["--alpha", "0.9", "--beta", "0.1"]])
     def test_partial_bad_amplitudes(self, amplitudes, capsys):
         argv = ["partial", "--T1", "2", "--T2", "1", "--t1", "1", "--t2", "1"] + amplitudes

@@ -4,15 +4,21 @@ import time
 import numpy as np
 import pytest
 
+import conftest
 from conftest import density_matrix_probabilities, stacked_design
 from dcqdlab import channels, dcqd, inversion, ops
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     IllPosedConfigurationError,
     InvalidConfigurationError,
+    InvalidDistributionError,
 )
 
 S2 = 1.0 / math.sqrt(2)
+
+
+def measurement_projectors(config):
+    return [ops.projector(b) for b in conftest.measurement_basis(config)]
 
 
 def config_for(setting, alpha=None, beta=None):
@@ -72,13 +78,13 @@ class TestConfiguration:
 
 class TestInputStates:
     def test_pop_is_maximally_entangled(self):
-        psi = dcqd.build_input_state(config_for(dcqd.POP))
+        psi = conftest.input_state(config_for(dcqd.POP))
         assert np.allclose(psi, ops.bell_basis()[0], atol=1e-14)
 
     def test_coh_x_rotated_state(self):
         # a|+>|0> + b|->|1> for real amplitudes (validation bypassed)
         a, b = 0.8, 0.6
-        psi = dcqd.build_input_state(config_for(dcqd.COH_X, a, b), check=False)
+        psi = conftest.input_state(config_for(dcqd.COH_X, a, b))
         plus = np.array([1, 1], complex) * S2
         minus = np.array([1, -1], complex) * S2
         want = a * np.kron(plus, [1, 0]) + b * np.kron(minus, [0, 1])
@@ -86,20 +92,21 @@ class TestInputStates:
 
     def test_coh_y_rotated_state(self):
         c = config_for(dcqd.COH_Y)
-        psi = dcqd.build_input_state(c)
+        psi = conftest.input_state(c)
         plus_i = np.array([1, 1j], complex) * S2
         minus_i = np.array([1, -1j], complex) * S2
         want = c.alpha * np.kron(plus_i, [1, 0]) + c.beta * np.kron(minus_i, [0, 1])
         assert np.allclose(psi, want, atol=1e-14)
 
     def test_equal_amplitudes_rejected_at_build(self):
+        # the forward model, which stands in for every input state, rejects them
         with pytest.raises(InvalidConfigurationError):
-            dcqd.build_input_state(config_for(dcqd.COH_Z, S2, S2))
+            dcqd.all_outcome_probabilities(channels.identity_channel(), 1, S2, S2)
 
     def test_two_pair_layout(self):
         # pair 1 pop, pair 2 coh_z; register order [A1 A2 B1 B2]
         c = dcqd.Configuration(settings=(dcqd.POP, dcqd.COH_Z))
-        psi = dcqd.build_input_state(c)
+        psi = conftest.input_state(c)
         a, b = c.alpha, c.beta
         want = np.zeros(16, dtype=complex)
         # S2 (|00>_AB1 + |11>_AB1) (x) (a|00>_AB2 + b|11>_AB2), reordered
@@ -112,30 +119,30 @@ class TestInputStates:
 
 class TestMeasurementProjectors:
     def test_coh_z_projectors_are_bell(self):
-        projs = dcqd.measurement_projectors(config_for(dcqd.COH_Z))
-        for got, want in zip(projs, ops.bell_projectors()):
-            assert np.allclose(got, want, atol=1e-14)
+        projs = measurement_projectors(config_for(dcqd.COH_Z))
+        for got, bell in zip(projs, ops.bell_basis()):
+            assert np.allclose(got, ops.projector(bell), atol=1e-14)
 
     @pytest.mark.parametrize("setting", dcqd.SETTINGS)
     def test_joint_eigenbasis_of_stabilizer_and_normalizer(self, setting):
         # simultaneous diagonalization oracle: each measurement state is an
         # eigenstate of both operators with the labelled eigenvalues
         config = config_for(setting)
-        sa, sb = dcqd.STABILIZER_LETTERS[setting]
-        na, nb = dcqd.NORMALIZER_LETTERS[setting]
+        sa, sb = conftest.STABILIZER_LETTERS[setting]
+        na, nb = conftest.NORMALIZER_LETTERS[setting]
         stab = np.kron(ops.PAULIS[sa], ops.PAULIS[sb])
         norm = np.kron(ops.PAULIS[na], ops.PAULIS[nb])
         assert np.allclose(stab @ norm, norm @ stab, atol=1e-14)
-        for k, vec in enumerate(dcqd.measurement_basis(config)):
-            es, en = dcqd.OUTCOME_EIGENVALUES[k]
+        for k, vec in enumerate(conftest.measurement_basis(config)):
+            es, en = conftest.OUTCOME_EIGENVALUES[k]
             assert np.allclose(stab @ vec, es * vec, atol=1e-12)
             assert np.allclose(norm @ vec, en * vec, atol=1e-12)
 
     @pytest.mark.parametrize("setting", dcqd.SETTINGS)
     def test_orthonormal_and_complete(self, setting):
-        projs = dcqd.measurement_projectors(config_for(setting))
+        projs = measurement_projectors(config_for(setting))
         assert np.allclose(sum(projs), np.eye(4), atol=1e-13)
-        basis = dcqd.measurement_basis(config_for(setting))
+        basis = conftest.measurement_basis(config_for(setting))
         gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
         assert np.allclose(gram, np.eye(4), atol=1e-13)
 
@@ -143,13 +150,13 @@ class TestMeasurementProjectors:
         # every configuration's input is a +1 eigenstate of its stabilizer
         for setting in dcqd.SETTINGS:
             config = config_for(setting)
-            psi = dcqd.build_input_state(config)
-            sa, sb = dcqd.STABILIZER_LETTERS[setting]
+            psi = conftest.input_state(config)
+            sa, sb = conftest.STABILIZER_LETTERS[setting]
             stab = np.kron(ops.PAULIS[sa], ops.PAULIS[sb])
             assert np.allclose(stab @ psi, psi, atol=1e-12)
 
     def test_two_pair_completeness(self):
-        projs = dcqd.measurement_projectors(dcqd.Configuration(settings=(dcqd.COH_X, dcqd.POP)))
+        projs = measurement_projectors(dcqd.Configuration(settings=(dcqd.COH_X, dcqd.POP)))
         assert len(projs) == 16
         assert np.allclose(sum(projs), np.eye(16), atol=1e-13)
 
@@ -187,13 +194,13 @@ class TestOutcomeProbabilities:
             x = channels.chi_from_kraus(kraus).ravel()
             for config in dcqd.all_configurations(1):
                 direct = dcqd.outcome_probabilities(kraus, config).probabilities
-                via_design = dcqd.design_matrix(config) @ x
+                via_design = conftest.design_matrix(config) @ x
                 assert np.allclose(direct, via_design, atol=1e-12)
 
     def test_completeness_sums_to_channel_trace(self, rng):
         kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
         for config in dcqd.all_configurations(1):
-            psi = dcqd.build_input_state(config)
+            psi = conftest.input_state(config)
             rho_out = channels.apply_channel(kraus, ops.projector(psi), ancilla_dim=2)
             total = dcqd.outcome_probabilities(kraus, config).probabilities.sum()
             assert total == pytest.approx(np.trace(rho_out).real, abs=1e-12)
@@ -301,7 +308,7 @@ class TestMapFrame:
 
 class TestDesignMatrix:
     def test_pop_rows_pick_diagonals(self):
-        a = dcqd.design_matrix(config_for(dcqd.POP))
+        a = conftest.design_matrix(config_for(dcqd.POP))
         want = np.zeros((4, 16), dtype=complex)
         for k in range(4):
             want[k, k * 4 + k] = 1.0
@@ -405,13 +412,6 @@ class TestCharacterize:
         assert result.residual < 1e-10
 
 
-def test_outcome_labels():
-    assert dcqd.outcome_labels(config_for(dcqd.POP)) == ["phi+", "psi+", "psi-", "phi-"]
-    labels2 = dcqd.outcome_labels(dcqd.Configuration(settings=(dcqd.POP, dcqd.COH_Z)))
-    assert len(labels2) == 16
-    assert labels2[1] == "phi+;psi+"
-
-
 class TestFactoredEngine:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("tp", [True, False])
@@ -437,7 +437,7 @@ class TestFactoredEngine:
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_pair_design_matches_single_pair_designs(self):
-        dense = np.vstack([dcqd.design_matrix(c) for c in dcqd.all_configurations(1)])
+        dense = stacked_design(dcqd.all_configurations(1))
         assert np.max(np.abs(dcqd.pair_design() - dense)) < 1e-15
 
     @pytest.mark.parametrize(
@@ -447,8 +447,8 @@ class TestFactoredEngine:
         rows = []
         for s in dcqd.SETTINGS:
             config = dcqd.Configuration(settings=(s,), alpha=alpha, beta=beta)
-            w = np.array(dcqd.measurement_basis(config)).reshape(4, 2, 2)
-            psi = dcqd.build_input_state(config, check=False).reshape(2, 2)
+            w = np.array(conftest.measurement_basis(config)).reshape(4, 2, 2)
+            psi = conftest.input_state(config).reshape(2, 2)
             rows.append(np.einsum("kab,cb->kac", w.conj(), psi).reshape(4, 4))
         assert np.array_equal(dcqd._readout_table(alpha, beta), np.vstack(rows))
 
@@ -467,7 +467,7 @@ class TestFactoredEngine:
 
     def test_stacked_design_is_permuted_kronecker_square(self):
         a1 = dcqd.pair_design()
-        dense = np.vstack([dcqd.design_matrix(c) for c in dcqd.all_configurations(2)])
+        dense = stacked_design(dcqd.all_configurations(2))
         # kron rows (s1 k1 s2 k2), cols (m1 m1' m2 m2'); dense rows
         # (s1 s2 k1 k2), cols (m1 m2 m1' m2')
         kron = np.kron(a1, a1).reshape((4,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
@@ -542,7 +542,7 @@ class TestFactoredEngine:
             result = dcqd.characterize(channels.identity_channel(), n)
             assert result.design_rank == 16**n
             assert result.design_cond == pytest.approx(cond1**n, rel=1e-12)
-        dense = np.vstack([dcqd.design_matrix(c) for c in dcqd.all_configurations(2)])
+        dense = stacked_design(dcqd.all_configurations(2))
         assert np.linalg.cond(dense) == pytest.approx(cond1**2, rel=1e-10)
 
     def test_degenerate_pair_design_rank(self):
@@ -557,6 +557,28 @@ class TestFactoredEngine:
     def test_solver_reads_n_from_shape(self, shape):
         with pytest.raises(DimensionMismatchError):
             dcqd.reconstruct_from_probabilities(np.zeros(shape))
+
+    def test_solver_checks_register_size(self, monkeypatch):
+        # n = 6 data are rejected before the solve would allocate a 16**6 chi;
+        # the broadcast array allocates nothing itself
+        def never(*args, **kwargs):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr(inversion, "solve", never)
+        with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
+            dcqd.reconstruct_from_probabilities(np.broadcast_to(0.0, (4**6, 4**6)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_solver_rejects_non_finite_data(self, bad):
+        for n in (1, 2):
+            probs = dcqd.all_outcome_probabilities(channels.depolarizing(0.1), n)
+            probs[-1, 0] = bad
+            with pytest.raises(InvalidDistributionError, match="NaN or infinite"):
+                dcqd.reconstruct_from_probabilities(probs)
+        probs = dcqd.all_outcome_probabilities(channels.depolarizing(0.1), 1)
+        probs[2, 1] = bad
+        with pytest.raises(InvalidDistributionError, match="NaN or infinite"):
+            dcqd.closed_form_chi(probs)
 
     def test_solver_checks_amplitudes(self):
         probs = dcqd.all_outcome_probabilities(channels.identity_channel(), 1)

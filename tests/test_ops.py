@@ -88,7 +88,7 @@ class TestBellBasis:
             assert overlaps[m] == pytest.approx(1.0, abs=1e-14)
 
     def test_projectors_complete_and_orthogonal(self):
-        projs = ops.bell_projectors()
+        projs = [ops.projector(b) for b in ops.bell_basis()]
         assert np.allclose(sum(projs), np.eye(4))
         for i, a in enumerate(projs):
             for j, b in enumerate(projs):
@@ -160,25 +160,6 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             ops.expectation(np.eye(2) / 2, np.eye(4))
-
-
-class TestPermuteQubits:
-    def test_swap_matches_kron_order(self, rng):
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-        assert np.allclose(ops.permute_qubits(np.kron(a, b), [1, 0]), np.kron(b, a))
-
-    def test_matrix_conjugation_consistency(self, rng):
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        perm = [2, 0, 1]
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        direct = ops.permute_qubits(m, perm) @ ops.permute_qubits(v, perm)
-        assert np.allclose(direct, ops.permute_qubits(m @ v, perm))
-
-    def test_rejects_bad_perm(self):
-        with pytest.raises(ValueError):
-            ops.permute_qubits(np.zeros(4), [0, 0])
 
 
 def test_mutually_unbiased_prep_bases():

@@ -167,6 +167,15 @@ class TestJointEstimate:
         with pytest.raises(InvalidConfigurationError):
             relax.joint_estimate(channels.identity_channel(), alpha, beta, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_non_finite_duration_rejected(self, which, bad):
+        durations = {"t1": 1.0, "t2": 1.0, which: bad}
+        with pytest.raises(InvalidStateError, match=which):
+            relax.joint_estimate(
+                damping_sequence(1.0, 2.0, 1.0, 1.0), ALPHA, BETA, durations["t1"], durations["t2"]
+            )
+
     def test_no_decay_channel(self):
         est = relax.joint_estimate(channels.identity_channel(), ALPHA, BETA, 1.0, 1.0)
         assert est.T1 == math.inf

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import optics_lstsq_oracle
+from conftest import design_matrix, optics_lstsq_oracle
 from dcqdlab import channels, dcqd, sampling
 from dcqdlab.exceptions import (
     DimensionMismatchError,
@@ -60,6 +60,23 @@ class TestSampleCounts:
             table = sampling.sample_counts(q, shots=shots, seed=seed)
             assert np.max(np.abs(table.counts / shots - q)) < bound
 
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [math.inf, 0.0], [0.5, -math.inf]])
+    def test_non_finite_probability_rejected(self, probs):
+        with pytest.raises(InvalidDistributionError, match="NaN| > 1"):
+            sampling.sample_counts(probs, shots=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "shots", [0, -5, 2.5, 10.0, math.inf, math.nan, True, 2**63, 10**20, "10"]
+    )
+    def test_shots_must_be_an_int64_count(self, shots):
+        with pytest.raises(InvalidDistributionError, match="shots"):
+            sampling.sample_counts([0.5, 0.5], shots=shots, seed=0)
+
+    def test_largest_shot_count_accepted(self):
+        table = sampling.sample_counts([1.0, 0.0], shots=sampling.MAX_SHOTS, seed=0)
+        assert table.counts[0] == sampling.MAX_SHOTS == 2**63 - 1
+        assert sampling.sample_counts([1.0], shots=np.int64(7), seed=0).counts[0] == 7
+
     @pytest.mark.parametrize("shape", [(2, 2), (0,), ()])
     def test_needs_probability_vector(self, shape):
         with pytest.raises(DimensionMismatchError):
@@ -67,6 +84,14 @@ class TestSampleCounts:
 
 
 class TestCharacterizeSampled:
+    @pytest.mark.parametrize("shots", [2.5, 10**20])
+    def test_bad_shot_count_rejected(self, shots):
+        # 2.5 used to be truncated to 2 shots, giving a chi of trace 0.8
+        with pytest.raises(InvalidDistributionError, match="shots"):
+            sampling.characterize_sampled(channels.depolarizing(0.1), 1, shots=shots, seed=0)
+        with pytest.raises(InvalidDistributionError, match="shots"):
+            sampling.characterize_with_optics(channels.depolarizing(0.1), shots=shots, seed=0)
+
     def test_seeded_runs_identical(self):
         kraus = channels.amplitude_damping(gamma=0.35)
         r1, m1 = sampling.characterize_sampled(kraus, shots=2000, seed=42)
@@ -165,6 +190,16 @@ class TestOpticsModel:
         both = sampling.merged_design_matrix(pop, [model, model.complement()])
         assert np.linalg.matrix_rank(single) == 3
         assert np.linalg.matrix_rank(both) == 4
+
+    @pytest.mark.parametrize("alpha,beta", [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j)])
+    def test_merged_design_matches_dense_rows(self, alpha, beta):
+        model = sampling.OpticsModel()
+        for config in dcqd.all_configurations(1, alpha, beta):
+            dense = design_matrix(config)
+            for models in ([model], [model.complement()], [model, model.complement()]):
+                want = np.vstack([m.merge_matrix @ dense for m in models])
+                got = sampling.merged_design_matrix(config, models)
+                assert np.max(np.abs(got - want)) < 1e-15
 
     def test_full_configuration_set_rank_restored(self):
         model = sampling.OpticsModel()
