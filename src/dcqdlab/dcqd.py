@@ -31,8 +31,9 @@ joint outcome (digits pair 1 first).  Exact probabilities
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
 readout table (4 settings x 4 outcomes); its 16 x 16 single-pair design A1
-(`inversion.readout_design`) carries every exact and sampled path through
-the shared per-pair map in `inversion`:
+(`inversion.readout_design`, built once per process for each amplitude
+pair by `pair_design`) carries every exact and sampled path through the
+shared per-pair map in `inversion`:
 
 * forward model: the probability array is A1 applied along every pair axis
   of the channel's chi;
@@ -50,6 +51,7 @@ basis is ever built.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -406,8 +408,25 @@ def pair_design(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) ->
     amplitude of outcome k after Pauli error m, read off the readout table
     (`inversion.readout_design`).  Rows run over (setting, outcome), columns
     over (m, m') of chi.
+
+    A1 is built once per process for each exact (alpha, beta) and the
+    returned array is read-only.  The cache (at most 32 amplitude pairs) is
+    keyed on the bits of both amplitudes, so amplitudes that differ only in
+    a signed zero get their own A1.  Non-finite or unnormalized amplitudes
+    raise `InvalidConfigurationError` on every call.
     """
-    return inversion.readout_design(_readout_table(alpha, beta))
+    alpha, beta = complex(alpha), complex(beta)
+    return _pair_design(*(x.hex() for z in (alpha, beta) for x in (z.real, z.imag)))
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_design(alpha_re: str, alpha_im: str, beta_re: str, beta_im: str) -> np.ndarray:
+    """`pair_design` of the amplitudes whose parts are given by `float.hex`."""
+    alpha = complex(float.fromhex(alpha_re), float.fromhex(alpha_im))
+    beta = complex(float.fromhex(beta_re), float.fromhex(beta_im))
+    a1 = inversion.readout_design(_readout_table(alpha, beta))
+    a1.flags.writeable = False
+    return a1
 
 
 @dataclass
@@ -511,8 +530,9 @@ def characterize(
 
     With exact probabilities the result equals the ground-truth process
     matrix of the channel to solver precision, for trace-preserving and
-    trace-decreasing channels alike.  A1 is built once: the channel's chi
-    is forwarded through it and the data are solved on it.
+    trace-decreasing channels alike.  One A1 (`pair_design`, built once per
+    process for these amplitudes) forwards the channel's chi and solves the
+    data.
     """
     a1, _, data = _experiment(channel, n, alpha, beta)
     result = _solve(a1, data)

@@ -17,6 +17,9 @@ every pair axis of chi (a permuted n-fold Kronecker power of D1):
 * the solver `solve` applies its pseudo-inverse: one SVD of D1 gives its
   rank (the full design has rank(D1)**n), cond(D1)**n and pinv(D1), and
   pinv(D1) along every pair axis of the data is the least-squares chi.
+  The SVD runs once per distinct D1 per process (a small bounded cache
+  keyed on D1's exact bytes), since every call with the same amplitudes
+  or scheme factors the same matrix.
 
 The direct protocol (`dcqd`), the partial Bell analyzer (`sampling`, a merge
 matrix on the rows of D1) and the SQPT baseline (`sqpt`) differ only in T.
@@ -24,7 +27,8 @@ matrix on the rows of D1) and the SQPT baseline (`sqpt`) differ only in T.
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,23 +79,43 @@ def readout_design(table: np.ndarray) -> np.ndarray:
     return np.einsum("rm,rn->rmn", c, c.conj()).reshape(len(c), 16)
 
 
+@functools.lru_cache(maxsize=32)
+def _factorize(
+    buf: bytes, shape: tuple[int, ...], dtype: str
+) -> tuple[Optional[np.ndarray], Optional[float], int]:
+    """(pinv, cond, rank) of the design whose exact bytes, shape and dtype are given.
+
+    pinv and cond are None when the design is rank deficient; the caller
+    raises, so that error is raised on every call, not cached away.
+    """
+    design = np.frombuffer(buf, dtype=dtype).reshape(shape)
+    u, s, vh = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(shape) * np.finfo(float).eps))
+    if rank < 16:
+        return None, None, rank
+    pinv = (vh.conj().T / s) @ u.conj().T
+    pinv.flags.writeable = False
+    return pinv, float(s[0] / s[-1]), rank
+
+
 def solve(design: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares chi of n pairs and the condition number of their design.
 
     `design` is the R x 16 per-pair design and `data` has one axis of length
     R per pair.  Returns the exactly Hermitian (chi + chi^H)/2 and
     cond(design)**n.  A rank-deficient design raises instead of returning a
-    wrong chi.
+    wrong chi.  The SVD runs once per distinct design per process: pinv(design),
+    its cond and its rank are cached (at most 32 designs) on the design's
+    exact bytes, shape and dtype, and the cached pinv is read-only.
     """
     n = data.ndim
-    u, s, vh = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))
-    if rank < 16:
+    design = np.asarray(design)
+    pinv, cond, rank = _factorize(design.tobytes(), design.shape, design.dtype.str)
+    if pinv is None:
         raise IllPosedConfigurationError(
             f"per-pair design has rank {rank} < 16, so the design of {n} pair(s) has rank "
             f"{rank}**{n} < 16**{n}; the data do not determine chi"
         )
-    pinv = (vh.conj().T / s) @ u.conj().T
     # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
     chi = unpair_axes(per_pair(data, [pinv] * n), n, 4)
-    return (chi + chi.conj().T) / 2, float(s[0] / s[-1]) ** n
+    return (chi + chi.conj().T) / 2, cond**n

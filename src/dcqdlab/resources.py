@@ -6,11 +6,30 @@ each (16**n experimental configurations); ancilla-assisted tomography
 with non-separable measurements needs a single input and 4**n + 1
 settings; the direct scheme needs 4**n entangled inputs and a single
 fixed Bell-type measurement each.
+
+Counts are tabulated for n = 1..`MAX_N`: the largest, 16**n, then fits a
+signed 64-bit integer, so JSON and CSV readers that parse integers into
+int64 read every count exactly.  Any other n raises
+`InvalidConfigurationError` before a row is built.
 """
 
 from __future__ import annotations
 
+from .exceptions import InvalidConfigurationError
+
 SCHEMES = ("sqpt", "aapt_nonseparable", "dcqd")
+
+# 16**15 = 2**60 < 2**63
+MAX_N = 15
+
+
+def _checked_qubit_count(n: int) -> int:
+    """Return n if it is in 1..`MAX_N`, else raise `InvalidConfigurationError`."""
+    if not 1 <= n <= MAX_N:
+        raise InvalidConfigurationError(
+            f"qubit count must be in 1..{MAX_N} (16**n must fit a signed 64-bit integer), got {n}"
+        )
+    return n
 
 
 def resource_counts(n: int) -> dict[str, dict[str, int]]:
@@ -20,8 +39,7 @@ def resource_counts(n: int) -> dict[str, dict[str, int]]:
     n_inputs, n_measurements (settings per input) and n_experiments
     (their product).
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    _checked_qubit_count(n)
     return {
         "sqpt": {
             "hilbert_dim": 2**n,
@@ -45,7 +63,12 @@ def resource_counts(n: int) -> dict[str, dict[str, int]]:
 
 
 def resource_table(n_values) -> list[dict[str, int | str]]:
-    """Flat table rows (one per n and scheme) for reporting."""
+    """Flat table rows (one per n and scheme) for reporting.
+
+    Every n is checked before the first row is built; the check stops at the
+    first n outside 1..`MAX_N`, so a long range fails at once.
+    """
+    n_values = [_checked_qubit_count(n) for n in n_values]
     rows: list[dict[str, int | str]] = []
     for n in n_values:
         counts = resource_counts(n)

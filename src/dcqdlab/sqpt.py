@@ -6,13 +6,15 @@ finite shots are deliberately not modelled here), and linearly inverts for
 chi.  Inputs and readout are the same on every qubit, so the experiment is
 n copies of a one-qubit experiment: a 24 x 4 readout table (4 inputs x 3
 bases x 2 eigenvectors) gives the 24 x 16 per-qubit design that `inversion`
-applies to chi and inverts.  Bookkeeping counts 4**n Pauli settings per
-input, i.e. 16**n experimental configurations in total, against 4**n for
-the direct protocol in `dcqd` (see `resources`).
+applies to chi and inverts; it is built once per process.  Bookkeeping
+counts 4**n Pauli settings per input, i.e. 16**n experimental
+configurations in total, against 4**n for the direct protocol in `dcqd`
+(see `resources`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +38,14 @@ def _readout_table() -> np.ndarray:
     return np.array([np.outer(e.conj(), psi).ravel() for psi in INPUT_KETS for e in READOUT_KETS])
 
 
+@functools.lru_cache(maxsize=1)
+def _design() -> np.ndarray:
+    """The read-only 24 x 16 per-qubit design, built once per process."""
+    design = inversion.readout_design(_readout_table())
+    design.flags.writeable = False
+    return design
+
+
 @dataclass
 class SqptResult:
     """Process matrix estimated by the SQPT baseline plus resource counts."""
@@ -56,7 +66,7 @@ def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     """
     dcqd.check_register_size(n)
     counts = resources.resource_counts(n)["sqpt"]
-    design = inversion.readout_design(_readout_table())
+    design = _design()
     q = inversion.forward([design] * n, channels.as_chi(channel, n))
     chi, _cond = inversion.solve(design, q)
     return SqptResult(

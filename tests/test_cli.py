@@ -1,10 +1,12 @@
 import json
 import math
+import time
 
+import numpy as np
 import pytest
 
-from dcqdlab import channels, cli, serialize
-from dcqdlab.exceptions import InvalidChannelError
+from dcqdlab import channels, cli, resources, sampling, serialize
+from dcqdlab.exceptions import InvalidChannelError, InvalidConfigurationError
 
 
 def run(args, capsys):
@@ -217,6 +219,41 @@ class TestPartial:
 
 
 class TestResources:
+    def test_largest_register_counts_exact(self, capsys):
+        code, out, _ = run(["resources", "--n", "15", "--format", "json"], capsys)
+        assert code == 0
+        by_scheme = {r["scheme"]: r for r in json.loads(out)["rows"]}
+        assert by_scheme["sqpt"]["n_experiments"] == 16**15
+        assert by_scheme["sqpt"]["hilbert_dim"] == 2**15
+        assert by_scheme["aapt_nonseparable"]["n_measurements"] == 4**15 + 1
+        assert by_scheme["dcqd"]["n_experiments"] == 4**15
+        code, out, _ = run(["resources", "--n", "15", "--format", "csv"], capsys)
+        assert code == 0
+        assert str(16**15) in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "16"], ["--n", "0"], ["--n", "100000"], ["--n-min", "1", "--n-max", "100000000"]],
+        ids=["n16", "n0", "n100000", "n_max_huge"],
+    )
+    def test_register_bound(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["resources"] + argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_ILL_POSED
+        assert out == ""
+        assert "1..15" in err
+
+    def test_library_bound(self):
+        assert resources.MAX_N == 15
+        for bad in (0, 16):
+            with pytest.raises(InvalidConfigurationError, match="1..15"):
+                resources.resource_counts(bad)
+        start = time.perf_counter()
+        with pytest.raises(InvalidConfigurationError, match="got 16"):
+            resources.resource_table(range(1, 10**8))
+        assert time.perf_counter() - start < 1.0
+
     def test_single_n_text(self, capsys):
         code, out, _ = run(["resources", "--n", "3"], capsys)
         assert code == 0
@@ -242,6 +279,41 @@ class TestResources:
 
 
 class TestSweep:
+    ARGV = [
+        "sample-sweep", "--channel", "bit_flip:0.3",
+        "--shots", "200", "2000", "--repeats", "3", "--seed", "5",
+    ]
+
+    def test_report_matches_up_front_spawn(self, capsys, monkeypatch):
+        # the report seeded by one SeedSequence(seed).spawn(len(shots) * repeats)
+        _, out, _ = run(self.ARGV, capsys)
+        children = iter(np.random.SeedSequence(5).spawn(2 * 3))
+        original = sampling._sample_and_solve
+
+        def up_front(experiment, shots, _child):
+            return original(experiment, shots, next(children))
+
+        monkeypatch.setattr(sampling, "_sample_and_solve", up_front)
+        _, reference, _ = run(self.ARGV, capsys)
+        assert next(children, None) is None
+        assert out == reference
+
+    def test_seeds_spawned_per_run(self, capsys, monkeypatch):
+        requests = []
+
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n_children):
+                requests.append(n_children)
+                return super().spawn(n_children)
+
+        _, out, _ = run(self.ARGV, capsys)
+        monkeypatch.setattr(np.random, "SeedSequence", Recording)
+        code, recorded, _ = run(self.ARGV, capsys)
+        assert code == 0
+        assert recorded == out
+        assert requests
+        assert 2 * 3 not in requests
+
     def test_sweep_rows(self, capsys):
         code, out, _ = run(
             [
@@ -300,3 +372,58 @@ def test_unphysical_kraus_file_rejected(tmp_path, capsys):
     code, _, err = run(["characterize", "--channel", f"@{path}"], capsys)
     assert code == 2
     assert "trace" in err
+
+
+class TestParserReuse:
+    # each command run alone, then all of them in one sequence: the bytes
+    # written and the exit codes must not depend on what ran before
+    SEQUENCE = [
+        ["characterize", "--channel", "depolarizing:0.2", "--shots", "500", "--seed", "3"],
+        ["characterize", "--channel", "depolarizing:0.2"],
+        ["characterize", "--channel", "amplitude_damping:0.3", "--n", "2", "--format", "csv"],
+        ["compare", "--channel", "identity", "--shots", "100"],
+        ["partial", "--T1", "2", "--T2", "1", "--t1", "1", "--t2", "1", "--shots", "1000", "--seed", "2"],
+        ["sample-sweep", "--channel", "bit_flip:0.3", "--shots", "200", "--repeats", "2"],
+        ["characterize"],
+        ["sqpt", "--channel", "bit_flip:0.2"],
+        ["resources", "--n", "2", "--format", "json"],
+        ["characterize", "--channel", "bit_flip:0.25", "--optics"],
+    ]
+
+    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
+        cached = [run(argv, capsys) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(argv, capsys) for argv in self.SEQUENCE]
+        assert [c[0] for c in cached] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0]
+        assert cached == fresh
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        calls = []
+        original = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for i in range(100):
+                assert cli.main(["resources", "--n", str(1 + i % 3)]) == 0
+            assert len(calls) == 1
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_handler_looked_up_when_main_runs(self, capsys, monkeypatch):
+        # the first call builds the parser the second one reuses
+        assert cli.main(["resources", "--n", "1"]) == 0
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_resources", lambda args: seen.append(args.n) or 0)
+        assert cli.main(["resources", "--n", "2"]) == 0
+        assert seen == [2]
+        assert capsys.readouterr().out == ""

@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 
@@ -380,8 +381,13 @@ class TestCharacterize:
             dcqd.outcome_probabilities(channels.identity_channel(), c).probabilities
             for c in configs
         ]
-        with pytest.raises(IllPosedConfigurationError, match="rank"):
-            dcqd.reconstruct_from_probabilities(probs, alpha=0.8, beta=0.6)
+        # the rank defect is found on every call, with the same message
+        messages = []
+        for _ in range(2):
+            with pytest.raises(IllPosedConfigurationError, match="rank") as info:
+                dcqd.reconstruct_from_probabilities(probs, alpha=0.8, beta=0.6)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_register_size_guard(self, channel_untouched):
         # the bound is on chi's 16**n entries and is checked before the
@@ -454,6 +460,7 @@ class TestFactoredEngine:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_characterize_builds_a1_once(self, n, monkeypatch):
+        # A1 is built once per process for each exact (alpha, beta)
         calls = []
         original = inversion.readout_design
 
@@ -462,7 +469,52 @@ class TestFactoredEngine:
             return original(table)
 
         monkeypatch.setattr(inversion, "readout_design", counting)
-        dcqd.characterize(channels.random_channel(1, seed=2), n)
+        dcqd._pair_design.cache_clear()
+        kraus = channels.random_channel(1, seed=2)
+        dcqd.characterize(kraus, n)
+        assert len(calls) == 1
+        dcqd.characterize(kraus, n)
+        assert len(calls) == 1
+        dcqd.characterize(kraus, n, alpha=0.6, beta=0.8 * cmath.exp(1j * math.pi / 3))
+        assert len(calls) == 2
+
+    def test_pair_design_cache_keys_on_exact_bits(self):
+        # 0.0 == -0.0, but the two amplitudes are different inputs
+        plus = dcqd.pair_design(0.6, complex(0.8, 0.0))
+        minus = dcqd.pair_design(0.6, complex(0.8, -0.0))
+        assert plus is not minus
+        assert np.array_equal(plus, minus)
+        assert dcqd.pair_design(0.6, complex(0.8, 0.0)) is plus
+
+    @pytest.mark.parametrize("alpha,beta", [(float("nan"), 0.5), (0.9, 0.1)])
+    def test_pair_design_rejects_bad_amplitudes_every_call(self, alpha, beta):
+        for _ in range(2):
+            with pytest.raises(InvalidConfigurationError):
+                dcqd.pair_design(alpha, beta)
+
+    def test_cached_arrays_are_read_only(self):
+        a1 = dcqd.pair_design()
+        with pytest.raises(ValueError):
+            a1[0, 0] = 1.0
+        pinv, _cond, _rank = inversion._factorize(a1.tobytes(), a1.shape, a1.dtype.str)
+        with pytest.raises(ValueError):
+            pinv[0, 0] = 1.0
+        chi = dcqd.characterize(channels.depolarizing(0.1)).chi
+        assert np.array_equal(chi, dcqd.characterize(channels.depolarizing(0.1)).chi)
+
+    def test_one_svd_per_design(self, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        inversion._factorize.cache_clear()
+        kraus = channels.random_channel(1, seed=2)
+        for _ in range(100):
+            dcqd.characterize(kraus, 1)
         assert len(calls) == 1
 
     def test_stacked_design_is_permuted_kronecker_square(self):

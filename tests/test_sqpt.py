@@ -30,6 +30,25 @@ def test_single_qubit_design():
     assert np.linalg.cond(design) == pytest.approx(5.59, abs=0.01)
 
 
+def test_design_built_once_and_read_only(monkeypatch):
+    calls = []
+    original = inversion.readout_design
+
+    def counting(table):
+        calls.append(1)
+        return original(table)
+
+    monkeypatch.setattr(inversion, "readout_design", counting)
+    sqpt._design.cache_clear()
+    for n in (1, 2, 1):
+        sqpt.sqpt_characterize(channels.depolarizing(0.2), n)
+    assert len(calls) == 1
+    design = sqpt._design()
+    assert np.array_equal(design, original(sqpt._readout_table()))
+    with pytest.raises(ValueError):
+        design[0, 0] = 1.0
+
+
 def test_identity_channel():
     result = sqpt.sqpt_characterize(channels.identity_channel(), 1)
     want = np.zeros((4, 4))
