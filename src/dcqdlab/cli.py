@@ -10,16 +10,11 @@ tabular views.  Output goes to stdout unless --output is given; relative
 output paths are resolved against $DCQDLAB_OUTPUT_DIR when set.  Exit
 codes: 0 success, 2 argument/parse error, 3 ill-posed configuration,
 4 numerical validation failure.
-
-`main` builds its argument parser once per process, on its first call, and
-dispatches on the subcommand name to the module's `cmd_*` handler as it is
-when `main` runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -49,20 +44,7 @@ EXIT_ILL_POSED = 3
 EXIT_VALIDATION = 4
 
 
-# subcommand -> name of its handler in this module; `main` looks the handler
-# up when it runs, so a replaced `cmd_*` attribute is the one called
-_COMMANDS = {
-    "characterize": "cmd_characterize",
-    "sqpt": "cmd_sqpt",
-    "compare": "cmd_compare",
-    "partial": "cmd_partial",
-    "resources": "cmd_resources",
-    "sample-sweep": "cmd_sweep",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """A new argument parser for the six subcommands (`main` reuses one per process)."""
     parser = argparse.ArgumentParser(
         prog="dcqdlab",
         description="Simulate and characterize quantum dynamics on small qubit registers.",
@@ -96,15 +78,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
     p.add_argument("--optics", action="store_true", help="use the partial Bell-analyzer model (n=1)")
     add_io(p)
+    p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("sqpt", help="standard process tomography baseline")
     add_channel(p)
     add_io(p)
+    p.set_defaults(func=cmd_sqpt)
 
     p = sub.add_parser("compare", help="direct protocol vs baseline on one channel (exact statistics)")
     add_channel(p)
     add_amplitudes(p)
     add_io(p)
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("partial", help="joint T1/T2 estimation from one Bell measurement")
     p.add_argument("--T1", type=float, required=True, help="true amplitude-damping time constant")
@@ -116,12 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     add_io(p)
+    p.set_defaults(func=cmd_partial)
 
     p = sub.add_parser("resources", help="experiment-count table per scheme")
     p.add_argument("--n", type=int, default=None, help=f"single qubit count (1..{resources.MAX_N})")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=4)
     add_io(p, formats=("text", "json", "csv"), default="text")
+    p.set_defaults(func=cmd_resources)
 
     p = sub.add_parser("sample-sweep", help="reconstruction error vs shots per configuration")
     add_channel(p)
@@ -130,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=20, help="independent runs per shot count")
     p.add_argument("--seed", type=int, default=0)
     add_io(p)
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -340,10 +328,9 @@ def cmd_resources(args) -> int:
     if args.n is not None:
         n_values = [args.n]
     else:
-        if args.n_min < 1 or args.n_max < args.n_min or args.n_max > resources.MAX_N:
+        if args.n_min < 1 or args.n_max < args.n_min:
             raise InvalidConfigurationError(
-                f"bad range --n-min {args.n_min} --n-max {args.n_max}; "
-                f"counts are tabulated for n = 1..{resources.MAX_N}"
+                f"bad range --n-min {args.n_min} --n-max {args.n_max}"
             )
         n_values = range(args.n_min, args.n_max + 1)
     rows = resources.resource_table(n_values)
@@ -395,19 +382,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on its first call (parsing leaves it unchanged)."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        return globals()[_COMMANDS[args.command]](args)
+        return args.func(args)
     except NotCompletelyPositiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

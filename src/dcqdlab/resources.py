@@ -10,7 +10,7 @@ fixed Bell-type measurement each.
 Counts are tabulated for n = 1..`MAX_N`: the largest, 16**n, then fits a
 signed 64-bit integer, so JSON and CSV readers that parse integers into
 int64 read every count exactly.  Any other n raises
-`InvalidConfigurationError` before a row is built.
+`InvalidConfigurationError`.
 """
 
 from __future__ import annotations
@@ -23,23 +23,17 @@ SCHEMES = ("sqpt", "aapt_nonseparable", "dcqd")
 MAX_N = 15
 
 
-def _checked_qubit_count(n: int) -> int:
-    """Return n if it is in 1..`MAX_N`, else raise `InvalidConfigurationError`."""
-    if not 1 <= n <= MAX_N:
-        raise InvalidConfigurationError(
-            f"qubit count must be in 1..{MAX_N} (16**n must fit a signed 64-bit integer), got {n}"
-        )
-    return n
-
-
 def resource_counts(n: int) -> dict[str, dict[str, int]]:
     """Per-scheme resource counts for an n-qubit map as exact integers.
 
     Keys per scheme: hilbert_dim (dimension the experiment acts in),
     n_inputs, n_measurements (settings per input) and n_experiments
-    (their product).
+    (their product).  n must be in 1..`MAX_N`.
     """
-    _checked_qubit_count(n)
+    if not 1 <= n <= MAX_N:
+        raise InvalidConfigurationError(
+            f"qubit count must be in 1..{MAX_N} (16**n must fit a signed 64-bit integer), got {n}"
+        )
     return {
         "sqpt": {
             "hilbert_dim": 2**n,
@@ -65,10 +59,8 @@ def resource_counts(n: int) -> dict[str, dict[str, int]]:
 def resource_table(n_values) -> list[dict[str, int | str]]:
     """Flat table rows (one per n and scheme) for reporting.
 
-    Every n is checked before the first row is built; the check stops at the
-    first n outside 1..`MAX_N`, so a long range fails at once.
+    The first n outside 1..`MAX_N` raises, so a long range fails at once.
     """
-    n_values = [_checked_qubit_count(n) for n in n_values]
     rows: list[dict[str, int | str]] = []
     for n in n_values:
         counts = resource_counts(n)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from dcqdlab import channels, cli, resources, sampling, serialize
+from dcqdlab import channels, cli, dcqd, inversion, resources, sampling, serialize, sqpt
 from dcqdlab.exceptions import InvalidChannelError, InvalidConfigurationError
 
 
@@ -374,9 +374,10 @@ def test_unphysical_kraus_file_rejected(tmp_path, capsys):
     assert "trace" in err
 
 
-class TestParserReuse:
-    # each command run alone, then all of them in one sequence: the bytes
-    # written and the exit codes must not depend on what ran before
+class TestCommandSequence:
+    # each command run alone on cold design caches, then all of them in one
+    # sequence: the bytes written and the exit codes must not depend on what
+    # ran before
     SEQUENCE = [
         ["characterize", "--channel", "depolarizing:0.2", "--shots", "500", "--seed", "3"],
         ["characterize", "--channel", "depolarizing:0.2"],
@@ -390,38 +391,18 @@ class TestParserReuse:
         ["characterize", "--channel", "bit_flip:0.25", "--optics"],
     ]
 
-    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
-        cached = [run(argv, capsys) for argv in self.SEQUENCE]
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        fresh = [run(argv, capsys) for argv in self.SEQUENCE]
-        assert [c[0] for c in cached] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0]
-        assert cached == fresh
-
-    def test_parser_built_once(self, capsys, monkeypatch):
-        calls = []
-        original = cli.build_parser
-
-        def counting():
-            calls.append(1)
-            return original()
-
-        monkeypatch.setattr(cli, "build_parser", counting)
-        cli._parser.cache_clear()
-        try:
-            for i in range(100):
-                assert cli.main(["resources", "--n", str(1 + i % 3)]) == 0
-            assert len(calls) == 1
-        finally:
-            cli._parser.cache_clear()
-        capsys.readouterr()
-
-    def test_build_parser_returns_a_new_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
+    def test_sequence_matches_cold_runs(self, capsys):
+        warm = [run(argv, capsys) for argv in self.SEQUENCE]
+        cold = []
+        for argv in self.SEQUENCE:
+            for cache in (dcqd._pair_design, sqpt._design, inversion._factorize):
+                cache.cache_clear()
+            cold.append(run(argv, capsys))
+        assert [c[0] for c in warm] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0]
+        assert warm == cold
 
     def test_handler_looked_up_when_main_runs(self, capsys, monkeypatch):
-        # the first call builds the parser the second one reuses
-        assert cli.main(["resources", "--n", "1"]) == 0
-        capsys.readouterr()
+        # perfbench traces the cli layer by replacing the module's cmd_* handlers
         seen = []
         monkeypatch.setattr(cli, "cmd_resources", lambda args: seen.append(args.n) or 0)
         assert cli.main(["resources", "--n", "2"]) == 0
