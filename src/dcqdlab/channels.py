@@ -11,9 +11,12 @@ with rows/columns ordered like `ops.pauli_strings(n)`.  chi is Hermitian,
 positive semidefinite, and has trace <= 1 (= 1 for trace-preserving maps);
 its diagonal and off-diagonal entries are referred to as the dynamical
 population and coherence of the map.  `as_chi` is the channel boundary of
-every reconstruction: it validates a channel once and returns its chi on n
-qubits, the Kronecker power of the 4 x 4 chi for a one-qubit channel, so
-no i.i.d. channel is expanded to 4**n Kraus operators.
+every reconstruction: it checks the register size before anything is
+allocated, validates a channel once and returns its chi on n qubits, the
+Kronecker power of the 4 x 4 chi for a one-qubit channel, so no i.i.d.
+channel is expanded to 4**n Kraus operators.  A raw Kraus set is stacked
+into one (K, d, d) complex array and validated once (`check_kraus`); the
+conversion to chi takes that same array, so the set is not stacked again.
 
 The Choi matrix used here lives on (input factor) x (output factor):
 C = sum_ij |i><j| (x) E(|i><j|), so trace-preservation reads
@@ -32,6 +35,7 @@ from . import inversion, ops
 from .exceptions import (
     DimensionMismatchError,
     InvalidChannelError,
+    InvalidConfigurationError,
     NotCompletelyPositiveError,
 )
 
@@ -43,6 +47,7 @@ __all__ = [
     "as_chi",
     "bit_flip",
     "check_kraus",
+    "check_register_size",
     "chi_from_kraus",
     "compose",
     "depolarizing",
@@ -63,6 +68,18 @@ __all__ = [
 # 16**n is allocated.
 MAX_QUBITS = 5
 
+
+def check_register_size(n: int) -> None:
+    """Reject register sizes outside 1..`MAX_QUBITS` (chi of 16**n entries)."""
+    if n < 1:
+        raise InvalidConfigurationError(f"need at least one pair, got n={n}")
+    if n > MAX_QUBITS:
+        raise InvalidConfigurationError(
+            f"n = {n} needs a process matrix of 16**{n} complex entries; the limit is "
+            f"16**{MAX_QUBITS} entries (16 MiB)"
+        )
+
+
 # One-qubit Pauli matrices (E_m = ops.PAULIS[m]) that the n-qubit maps below
 # apply along every pair axis: TRACE[m, (a, a')] = E_m[a', a] / 2 takes K to
 # Tr(E_m K) / 2, EXPAND[(a, a'), m] = E_m[a, a'] takes v to sum_m v[m] E_m,
@@ -75,7 +92,10 @@ _PAULI_PRODUCTS = np.einsum("nab,mbc->acmn", ops.PAULIS, ops.PAULIS).reshape(4, 
 def trace_gap(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """I - sum K^dag K: zero for a trace-preserving set, PSD for a trace-decreasing one."""
     mats = np.asarray(kraus, dtype=complex)
-    return np.eye(mats.shape[-1]) - np.einsum("kba,kbc->ac", mats.conj(), mats)
+    d = mats.shape[-1]
+    # the operators stacked as one (K d) x d matrix F, so sum K^dag K = F^H F
+    f = mats.reshape(-1, d)
+    return np.eye(d) - f.conj().T @ f
 
 
 def check_kraus(
@@ -87,18 +107,38 @@ def check_kraus(
 
     The set must be non-empty, square, of uniform power-of-two dimension,
     and trace non-increasing: sum K^dag K <= I.  With trace_preserving=True
-    equality is required; with False, strict decrease somewhere.
+    equality is required; with False, strict decrease somewhere.  A set that
+    is not an array of numbers raises `InvalidChannelError` too.
     """
-    mats = [np.asarray(k, dtype=complex) for k in kraus]
+    return list(_stacked_kraus(kraus, trace_preserving, atol))
+
+
+def _malformed(kraus) -> InvalidChannelError:
+    """The error for a Kraus set that does not stack into one (K, d, d) array of numbers."""
+    try:
+        mats = [np.asarray(k, dtype=complex) for k in kraus]
+    except (TypeError, ValueError, OverflowError):
+        return InvalidChannelError("Kraus operators must be arrays of numbers of one shape")
     if not mats:
-        raise InvalidChannelError("empty Kraus set")
+        return InvalidChannelError("empty Kraus set")
     d = mats[0].shape[0] if mats[0].ndim == 2 else 0
-    for k in mats:
-        if k.ndim != 2 or k.shape != (d, d):
-            raise InvalidChannelError(f"Kraus operators must share a square shape, got {k.shape}")
+    shape = next((k.shape for k in mats if k.ndim != 2 or k.shape != (d, d)), None)
+    return InvalidChannelError(f"Kraus operators must share a square shape, got {shape}")
+
+
+def _stacked_kraus(
+    kraus: Sequence[np.ndarray], trace_preserving: Optional[bool] = None, atol: float = 1e-10
+) -> np.ndarray:
+    """`check_kraus` on the set stacked once, returned as one (K, d, d) complex array."""
+    try:
+        stacked = np.ascontiguousarray(kraus, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise _malformed(kraus) from None
+    if stacked.ndim != 3 or stacked.shape[1] != stacked.shape[2] or not len(stacked):
+        raise _malformed(kraus)
+    d = stacked.shape[1]
     if d < 2 or d & (d - 1):
         raise InvalidChannelError(f"Kraus dimension {d} is not a power of 2")
-    stacked = np.array(mats)
     # sum K^dag K <= I bounds every entry by 1; checking first also keeps
     # NaN and overflow out of the eigenvalue check below
     if not np.all(np.abs(stacked.view(float)) <= 1 + atol):
@@ -118,7 +158,7 @@ def check_kraus(
         )
     if trace_preserving is False and float(np.max(np.abs(gap))) <= atol:
         raise InvalidChannelError("Kraus set flagged non-trace-preserving but sums to identity")
-    return mats
+    return stacked
 
 
 def n_qubits(kraus: Sequence[np.ndarray]) -> int:
@@ -134,8 +174,12 @@ def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """
     mats = np.asarray(kraus, dtype=complex)
     n = n_qubits(mats)
-    c = inversion.per_pair(inversion.pair_axes(mats, n, 2), [_PAULI_TRACE] * n, lead=1)
-    c = c.reshape(len(mats), 4**n)
+    k = len(mats)
+    # one copy puts the pair axes (row digit i, column digit i) first and the
+    # Kraus index last, where `per_pair` wants it; it comes back first
+    perm = [1 + j for i in range(n) for j in (i, n + i)] + [0]
+    t = mats.reshape((k,) + (2,) * (2 * n)).transpose(perm).reshape((4,) * n + (k,))
+    c = inversion.per_pair(t, [_PAULI_TRACE] * n).reshape(k, 4**n)
     return c.T @ c.conj()
 
 
@@ -160,9 +204,10 @@ def kraus_from_chi(chi: np.ndarray, atol: float = 1e-9, keep_tol: float = 1e-12)
     if not keep.any():
         # the all-zero map still needs one (zero) operator to stay a valid set
         return [np.zeros((2**n, 2**n), dtype=complex)]
-    # row i holds sqrt(lam_i) v_i, one axis per qubit
-    v = (vecs[:, keep] * np.sqrt(vals[keep])).T.reshape((-1,) + (4,) * n)
-    return list(inversion.unpair_axes(inversion.per_pair(v, [_PAULI_EXPAND] * n, lead=1), n, 2))
+    # column i holds sqrt(lam_i) v_i: one axis per qubit, then the operator
+    # index, which `per_pair` returns first
+    v = (vecs[:, keep] * np.sqrt(vals[keep])).reshape((4,) * n + (-1,))
+    return list(inversion.unpair_axes(inversion.per_pair(v, [_PAULI_EXPAND] * n), n, 2))
 
 
 def apply_channel(
@@ -529,17 +574,18 @@ def _canonical(kraus: list[np.ndarray]) -> list[np.ndarray]:
     return kraus
 
 
-def _validated(channel, n: Optional[int]) -> tuple[list[np.ndarray], int]:
+def _validated(channel, n: Optional[int]) -> tuple[Sequence[np.ndarray], int]:
     """The Kraus set of a channel argument and how many i.i.d. copies of it act on n qubits.
 
-    A spec is built by `kraus_from_spec`, a raw Kraus sequence is validated
-    by `check_kraus`.  A set on n qubits (or any set when n is None) is one
-    copy; a one-qubit set is n copies; any other size raises.
+    A spec is built by `kraus_from_spec` (a list); a raw Kraus sequence is
+    validated and stacked once by `check_kraus`'s checks (a (K, d, d) array).
+    A set on n qubits (or any set when n is None) is one copy; a one-qubit
+    set is n copies; any other size raises.
     """
     if isinstance(channel, ChannelSpec):
         kraus = kraus_from_spec(channel)
     else:
-        kraus = check_kraus(channel)
+        kraus = _stacked_kraus(channel)
     have = n_qubits(kraus)
     if n is None or have == n:
         return kraus, 1
@@ -557,13 +603,16 @@ def as_chi(channel, n: int) -> np.ndarray:
     on n qubits, whose chi is the n-fold Kronecker power of its 4 x 4 chi
     (Pauli strings are ordered like `ops.pauli_strings`, qubit 1 most
     significant, so no permutation is needed).  Any other size raises
-    `DimensionMismatchError`.
+    `DimensionMismatchError`.  n outside 1..`MAX_QUBITS` raises
+    `InvalidConfigurationError` before the channel is looked at.
     """
+    check_register_size(n)
     kraus, copies = _validated(channel, n)
     chi1 = chi_from_kraus(kraus)
     chi = chi1
     for _ in range(copies - 1):
-        chi = np.kron(chi, chi1)
+        # np.kron(chi, chi1): the same products, without np.kron's call overhead
+        chi = (chi[:, None, :, None] * chi1[None, :, None, :]).reshape(len(chi) * len(chi1), -1)
     return chi
 
 
@@ -579,7 +628,7 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
     """
     kraus, copies = _validated(channel, n)
     if copies == 1:
-        return kraus
+        return list(kraus)
     kraus = _canonical(kraus)
     out = kraus
     for _ in range(copies - 1):

@@ -141,7 +141,7 @@ def _load_kraus(args) -> tuple[list[np.ndarray], np.ndarray, dict, bool]:
     flag is judged on the channel on n qubits, from chi: the n-fold power of
     a one-qubit set deviates from trace preservation up to n times as much.
     """
-    dcqd.check_register_size(args.n)
+    channels.check_register_size(args.n)
     spec = serialize.parse_channel_arg(args.channel)
     kraus = channels.as_kraus(spec)
     chi = channels.as_chi(kraus, args.n)

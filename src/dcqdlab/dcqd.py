@@ -123,7 +123,9 @@ def _check_amplitudes(alpha: complex, beta: complex) -> None:
         raise InvalidConfigurationError(
             f"amplitudes must be finite, got alpha={alpha!r}, beta={beta!r}"
         )
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    a, b = abs(alpha), abs(beta)
+    # a * a overflows to inf where a ** 2 would raise OverflowError
+    norm = a * a + b * b
     if abs(norm - 1.0) > 1e-10:
         raise InvalidConfigurationError(f"|alpha|^2 + |beta|^2 = {norm!r} != 1")
 
@@ -216,17 +218,6 @@ class OutcomeDistribution:
 # Forward model through the per-pair engine
 # ---------------------------------------------------------------------------
 
-def check_register_size(n: int) -> None:
-    """Reject register sizes outside 1..`channels.MAX_QUBITS` (chi of 16**n entries)."""
-    if n < 1:
-        raise InvalidConfigurationError(f"need at least one pair, got n={n}")
-    if n > channels.MAX_QUBITS:
-        raise InvalidConfigurationError(
-            f"n = {n} needs a process matrix of 16**{n} complex entries; the limit is "
-            f"16**{channels.MAX_QUBITS} entries (16 MiB)"
-        )
-
-
 def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
     """Per-pair readout M[(s, k), (a, a')] = sum_b conj(W_s[(a, b), k]) psi_s[(a', b)].
 
@@ -253,7 +244,7 @@ def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
 
 def outcome_probabilities(channel, config: Configuration) -> OutcomeDistribution:
     """Probabilities q_k = Tr[P_k E(rho_c)] with the channel on the primary block."""
-    check_register_size(config.n)
+    channels.check_register_size(config.n)
     chi = channels.as_chi(channel, config.n)
     # rows of A1 grouped by setting: a1[s] is setting s's 4 x 16 design
     a1 = pair_design(config.alpha, config.beta).reshape(4, 4, 16)
@@ -270,7 +261,7 @@ def _experiment(
     configuration carries the same constraints, and every n has one), then
     the channel.  Axis i of the data is (setting_i, outcome_i).
     """
-    check_register_size(n)
+    channels.check_register_size(n)
     validate_configuration(Configuration(settings=(COH_Z,), alpha=alpha, beta=beta))
     a1 = pair_design(alpha, beta)
     chi = channels.as_chi(channel, n)
@@ -506,7 +497,7 @@ def reconstruct_from_probabilities(
     its joint outcome), exact probabilities or empirical frequencies alike;
     n comes from its shape, and no renormalization or positivity repair is
     applied.  The solve (`inversion.solve`) applies A1^-1 along each pair
-    axis of the data.  A register beyond `check_register_size`, non-finite
+    axis of the data.  A register beyond `channels.check_register_size`, non-finite
     data or a rank-deficient A1 (degenerate amplitudes) raises instead of
     returning a wrong chi.
     """
@@ -515,7 +506,7 @@ def reconstruct_from_probabilities(
     n = (rows.bit_length() - 1) // 2
     if n < 1 or q.shape != (4**n, 4**n):
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
-    check_register_size(n)
+    channels.check_register_size(n)
     _check_finite(q)
     return _solve(pair_design(alpha, beta), inversion.pair_axes(q, n, 4))
 

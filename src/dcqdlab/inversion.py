@@ -8,7 +8,9 @@ every pair axis of chi (a permuted n-fold Kronecker power of D1):
 
 * `per_pair` applies one small matrix along each pair axis; the forward
   model, the solver and the Kraus <-> chi conversions in `channels` all go
-  through it;
+  through it.  Each pair axis is one 2-D GEMM on a transposed view of the
+  current array, so no operand is copied into a new layout first; leading
+  axes (a Kraus index) are moved behind the pair axes once;
 * `readout_design` builds D1 from an R x 4 readout table T (row r is one
   (input, outcome) pair, and an operator K on the qubit gives it the
   amplitude sum_{a, a'} K[a, a'] T[r, (a, a')]):
@@ -57,10 +59,16 @@ def unpair_axes(t: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def per_pair(t: np.ndarray, mats: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
     """Apply mats[i] along pair axis i (the axes after the first `lead`)."""
+    t = np.asarray(t)
+    if lead:
+        # the leading axes go behind the pair axes once (one copy at the
+        # first step) and come back to the front after the last step
+        t = np.moveaxis(t, range(lead), range(t.ndim - lead, t.ndim))
     for m in mats:
-        # contracts the current first pair axis and appends the result last,
-        # so after n steps the pair axes are back in order
-        t = np.tensordot(t, m, axes=([lead], [1]))
+        # one 2-D GEMM on a transposed view: contracts the current first axis
+        # and appends the result last, so after n steps every axis is back
+        # in order
+        t = (t.reshape(t.shape[0], -1).T @ m.T).reshape(t.shape[1:] + m.shape[:1])
     return t
 
 
@@ -118,4 +126,8 @@ def solve(design: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, float]:
         )
     # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
     chi = unpair_axes(per_pair(data, [pinv] * n), n, 4)
-    return (chi + chi.conj().T) / 2, cond**n
+    # (chi + chi^H) / 2 with one temporary, bit for bit
+    herm = np.conjugate(chi.T, order="C")
+    herm += chi
+    herm /= 2
+    return herm, cond**n

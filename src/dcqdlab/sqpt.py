@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, dcqd, inversion, resources
+from . import channels, inversion, resources
 
 _KET_0 = np.array([1, 0], dtype=complex)
 _KET_1 = np.array([0, 1], dtype=complex)
@@ -64,7 +64,7 @@ def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     the ground-truth process matrix to solver precision; what this baseline
     quantifies is the experiment count, not accuracy.
     """
-    dcqd.check_register_size(n)
+    channels.check_register_size(n)
     counts = resources.resource_counts(n)["sqpt"]
     design = _design()
     q = inversion.forward([design] * n, channels.as_chi(channel, n))

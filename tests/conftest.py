@@ -160,6 +160,15 @@ def density_matrix_probabilities(kraus, config):
     return np.array([np.vdot(b, rho_out @ b).real for b in measurement_basis(config)])
 
 
+def per_pair_reference(t, mats, lead=0):
+    """`inversion.per_pair` as a loop of `np.tensordot` steps (mats[i] along pair axis i)."""
+    for m in mats:
+        # contracts the current first pair axis and appends the result last,
+        # so after n steps the pair axes are back in order
+        t = np.tensordot(t, m, axes=([lead], [1]))
+    return t
+
+
 @pytest.fixture
 def channel_untouched(monkeypatch):
     """Fail on any conversion or expansion of a channel: for tests of checks made before one."""

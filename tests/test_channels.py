@@ -15,6 +15,7 @@ from dcqdlab import channels, dcqd, ops, sampling, sqpt
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     InvalidChannelError,
+    InvalidConfigurationError,
     NotCompletelyPositiveError,
 )
 
@@ -375,6 +376,26 @@ BAD_RAW_KRAUS = {
     "not_square": [np.ones((2, 4))],
     "empty": [],
     "not_power_of_two": [np.eye(3)],
+    "strings": [[["a", "b"], ["c", "d"]]],
+    "object_entry": [[[{}, 0], [0, 1]]],
+    "none_entry": [[[None, 0], [0, 1]]],
+    "ragged_operator": [[[1, 0], [0]]],
+    "ragged_set": [np.eye(2), np.eye(4)],
+    "one_dimensional": [np.array([1, 0])],
+    "three_dimensional": [np.zeros((2, 2, 2))],
+}
+
+# the message of each malformed set, one stacked (K, d, d) array of numbers
+# being the only accepted form
+MALFORMED_KRAUS_MESSAGES = {
+    "strings": "arrays of numbers",
+    "object_entry": "arrays of numbers",
+    "ragged_operator": "arrays of numbers",
+    "ragged_set": r"share a square shape, got \(4, 4\)",
+    "one_dimensional": r"share a square shape, got \(2,\)",
+    "three_dimensional": r"share a square shape, got \(2, 2, 2\)",
+    "not_square": r"share a square shape, got \(2, 4\)",
+    "empty": "empty Kraus set",
 }
 
 
@@ -391,6 +412,16 @@ BAD_RAW_KRAUS = {
 def test_raw_kraus_validated_at_entry_points(entry, case):
     with pytest.raises(InvalidChannelError):
         entry(BAD_RAW_KRAUS[case])
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_KRAUS_MESSAGES))
+def test_malformed_kraus_message(case):
+    kraus = BAD_RAW_KRAUS[case]
+    message = MALFORMED_KRAUS_MESSAGES[case]
+    with pytest.raises(InvalidChannelError, match=message):
+        channels.check_kraus(kraus)
+    with pytest.raises(InvalidChannelError, match=message):
+        channels.as_chi(kraus, 1)
 
 
 SPEC_OF_KIND = {
@@ -439,9 +470,26 @@ class TestAsChi:
         with pytest.raises(DimensionMismatchError):
             channels.as_chi(channels.random_channel(2, seed=1), 3)
 
+    @pytest.mark.parametrize(
+        "n,message", [(0, "n=0"), (6, r"16\*\*6"), (8, r"16\*\*8")], ids=["n0", "n6", "n8"]
+    )
+    @pytest.mark.parametrize("channel", ["kraus", "spec"])
+    def test_register_bound_before_allocation(self, n, message, channel, monkeypatch):
+        # n = 8 would be a 64 GiB Kronecker power; neither the 4 x 4 chi nor
+        # any Kronecker product may be built before the bound is checked
+        def untouched(*args, **kwargs):
+            raise AssertionError("chi built before the register size check")
+
+        monkeypatch.setattr(channels, "chi_from_kraus", untouched)
+        monkeypatch.setattr(np, "kron", untouched)
+        arg = channels.bit_flip(0.1) if channel == "kraus" else SPEC_OF_KIND["bit_flip"]
+        with pytest.raises(InvalidConfigurationError, match=message):
+            channels.as_chi(arg, n)
+
 
 def test_trace_gap_matches_naive_sum(rng):
-    kraus = channels.random_channel(3, trace_preserving=False, rng=rng)
-    assert len(kraus) == 64
-    naive = np.eye(8) - sum(k.conj().T @ k for k in kraus)
-    assert np.max(np.abs(channels.trace_gap(kraus) - naive)) <= 1e-15
+    for tp in (False, True):
+        kraus = channels.random_channel(3, trace_preserving=tp, rng=rng)
+        assert len(kraus) == 64
+        naive = np.eye(8) - sum(k.conj().T @ k for k in kraus)
+        assert np.max(np.abs(channels.trace_gap(kraus) - naive)) <= 1e-15

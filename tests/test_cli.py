@@ -95,15 +95,27 @@ class TestExitCodes:
         assert code == 3
         assert "alpha" in err
 
-    @pytest.mark.parametrize("extra", [[], ["--shots", "1000", "--seed", "1"], ["--optics"]])
-    def test_non_finite_amplitude(self, extra, capsys):
+    @pytest.mark.parametrize(
+        "amplitudes,extra,message",
+        [
+            pytest.param(("nan", "0.5"), [], "finite", id="extra0"),
+            pytest.param(("nan", "0.5"), ["--shots", "1000", "--seed", "1"], "finite", id="extra1"),
+            pytest.param(("nan", "0.5"), ["--optics"], "finite", id="extra2"),
+            # finite, but |alpha|**2 overflows a float
+            pytest.param(("1e200", "1e200"), [], "!= 1", id="huge"),
+            pytest.param(("1e200", "1e200"), ["--shots", "1000", "--seed", "1"], "!= 1", id="huge-shots"),
+            pytest.param(("1e200", "1e200"), ["--optics"], "!= 1", id="huge-optics"),
+        ],
+    )
+    def test_non_finite_amplitude(self, amplitudes, extra, message, capsys):
+        alpha, beta = amplitudes
         code, _, err = run(
-            ["characterize", "--channel", "depolarizing:0.1", "--alpha", "nan", "--beta", "0.5"]
+            ["characterize", "--channel", "depolarizing:0.1", "--alpha", alpha, "--beta", beta]
             + extra,
             capsys,
         )
         assert code == cli.EXIT_ILL_POSED
-        assert "finite" in err
+        assert message in err
 
     def test_register_size_limit(self, capsys, channel_untouched):
         code, _, err = run(["characterize", "--channel", "identity", "--n", "6"], capsys)
@@ -131,7 +143,14 @@ class TestExitCodes:
         assert code == cli.EXIT_VALIDATION
         assert "shots must be an integer" in err
 
-    @pytest.mark.parametrize("amplitudes", [["--alpha", "nan"], ["--alpha", "0.9", "--beta", "0.1"]])
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            ["--alpha", "nan"],
+            ["--alpha", "0.9", "--beta", "0.1"],
+            ["--alpha", "1e200", "--beta", "1e200"],
+        ],
+    )
     def test_partial_bad_amplitudes(self, amplitudes, capsys):
         argv = ["partial", "--T1", "2", "--T2", "1", "--t1", "1", "--t2", "1"] + amplitudes
         code, _, err = run(argv, capsys)

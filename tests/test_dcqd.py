@@ -65,7 +65,13 @@ class TestConfiguration:
 
     @pytest.mark.parametrize(
         "alpha,beta",
-        [(float("nan"), 0.5), (0.5, complex(0.0, float("nan"))), (float("inf"), 0.5)],
+        [
+            (float("nan"), 0.5),
+            (0.5, complex(0.0, float("nan"))),
+            (float("inf"), 0.5),
+            # finite, but |alpha|**2 overflows a float
+            (1e200, 1e200),
+        ],
     )
     def test_rejects_non_finite_amplitudes(self, alpha, beta):
         with pytest.raises(InvalidConfigurationError):
@@ -403,7 +409,7 @@ class TestCharacterize:
             dcqd.outcome_probabilities(channels.identity_channel(), config6)
         # a huge n is compared as a qubit count; 16**n is never computed
         with pytest.raises(InvalidConfigurationError):
-            dcqd.check_register_size(10**12)
+            channels.check_register_size(10**12)
 
     def test_unitary_two_qubit_channel(self):
         # a non-product channel: CNOT with primary block as control/target
@@ -419,6 +425,26 @@ class TestCharacterize:
 
 
 class TestFactoredEngine:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("rows", [4, 16, 24])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_per_pair_matches_tensordot(self, n, lead, rows, dtype, rng):
+        # bit for bit, for a design (rows x 16, on axes of chi) and a
+        # pseudo-inverse (16 x rows, on axes of data), both complex as in
+        # every caller, on real and complex data
+        def draw(shape, kind):
+            x = rng.normal(size=shape)
+            return x + 1j * rng.normal(size=shape) if kind is complex else x
+
+        for shape in ((rows, 16), (16, rows)):
+            mats = [draw(shape, complex) for _ in range(n)]
+            t = draw((3,) * lead + (shape[1],) * n, dtype)
+            want = conftest.per_pair_reference(t, mats, lead)
+            got = inversion.per_pair(t, mats, lead)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("tp", [True, False])
     def test_probabilities_match_density_matrix(self, n, tp, rng):
