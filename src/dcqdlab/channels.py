@@ -38,6 +38,7 @@ from .exceptions import (
     InvalidConfigurationError,
     NotCompletelyPositiveError,
 )
+from .ops import is_integer
 
 __all__ = [
     "ChannelSpec",
@@ -70,7 +71,13 @@ MAX_QUBITS = 5
 
 
 def check_register_size(n: int) -> None:
-    """Reject register sizes outside 1..`MAX_QUBITS` (chi of 16**n entries)."""
+    """Reject register sizes that are not integers in 1..`MAX_QUBITS` (chi of 16**n entries).
+
+    An integer is an `int` or a numpy integer; a bool, a float (even 2.0)
+    or a string is not.
+    """
+    if not is_integer(n):
+        raise InvalidConfigurationError(f"qubit count must be an integer, got {n!r}")
     if n < 1:
         raise InvalidConfigurationError(f"need at least one pair, got n={n}")
     if n > MAX_QUBITS:
@@ -354,8 +361,10 @@ def random_channel(
     Draws a Ginibre matrix G and forms the (PSD) Choi candidate G G^dag.
     The trace-preserving variant whitens the input marginal so that
     Tr_out C = I exactly; the non-TP variant rescales so the map is trace
-    non-increasing with a random overall survival weight.
+    non-increasing with a random overall survival weight.  n is bounded
+    like every register (`check_register_size`).
     """
+    check_register_size(n)
     if rng is None:
         rng = np.random.default_rng(seed)
     d = 2**n
@@ -383,6 +392,7 @@ def random_channel(
 
 
 def identity_channel(n: int = 1) -> list[np.ndarray]:
+    check_register_size(n)
     return [np.eye(2**n, dtype=complex)]
 
 
@@ -621,11 +631,14 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
 
     For callers that need the Kraus operators themselves; chi comes from
     `as_chi`, which never expands a channel.  A raw Kraus sequence is
-    validated by `check_kraus`.  When `n` is given, a single-qubit set is
+    validated by `check_kraus`.  When `n` is given (an integer in
+    1..`MAX_QUBITS`, or `InvalidConfigurationError`), a single-qubit set is
     extended to n qubits as an i.i.d. tensor product of up to 4**n
     operators (it is first reduced by `_canonical`); an explicit n-qubit
     set is passed through.
     """
+    if n is not None:
+        check_register_size(n)
     kraus, copies = _validated(channel, n)
     if copies == 1:
         return list(kraus)

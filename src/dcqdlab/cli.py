@@ -5,11 +5,16 @@ through the partial Bell-analyzer model), sqpt (baseline), compare (both
 methods on the same channel), partial (joint T1/T2 estimation), resources
 (experiment-count table) and sample-sweep (shot-noise scaling).
 
+Each call builds the parser of the invoked subcommand only (`COMMANDS`
+describes all six, and `build_parser` registers the one named by the first
+argument); help, a missing or an unknown command get the parser of all six,
+so their text lists every command.  Nothing is kept between calls.
+
 Reports are JSON by default (canonical, bit-exact round trip) or CSV for
 tabular views.  Output goes to stdout unless --output is given; relative
 output paths are resolved against $DCQDLAB_OUTPUT_DIR when set.  Exit
 codes: 0 success, 2 argument/parse error, 3 ill-posed configuration,
-4 numerical validation failure.
+4 numerical validation failure or a bad --shots or --seed.
 """
 
 from __future__ import annotations
@@ -44,54 +49,50 @@ EXIT_ILL_POSED = 3
 EXIT_VALIDATION = 4
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dcqdlab",
-        description="Simulate and characterize quantum dynamics on small qubit registers.",
+def _add_io(p: argparse.ArgumentParser, formats=("json", "csv"), default="json") -> None:
+    p.add_argument("--output", help=f"output file (relative paths use ${OUTPUT_DIR_ENV})")
+    p.add_argument("--format", choices=formats, default=default, help="report format")
+
+
+def _add_channel(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--channel",
+        required=True,
+        help="channel spec, e.g. bit_flip:0.25, amplitude_damping:t=1,T1=2, "
+        "unitary:z,1.5708, identity, or @spec.json",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--n", type=int, default=1, help="number of primary qubits")
 
-    def add_io(p: argparse.ArgumentParser, formats=("json", "csv"), default="json"):
-        p.add_argument("--output", help=f"output file (relative paths use ${OUTPUT_DIR_ENV})")
-        p.add_argument("--format", choices=formats, default=default, help="report format")
 
-    def add_channel(p: argparse.ArgumentParser):
-        p.add_argument(
-            "--channel",
-            required=True,
-            help="channel spec, e.g. bit_flip:0.25, amplitude_damping:t=1,T1=2, "
-            "unitary:z,1.5708, identity, or @spec.json",
-        )
-        p.add_argument("--n", type=int, default=1, help="number of primary qubits")
+def _add_amplitudes(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--alpha", type=complex, default=None,
+        help="entangled-input amplitude alpha (complex literal, e.g. 0.6 or 0.5+0.5j)",
+    )
+    p.add_argument("--beta", type=complex, default=None, help="entangled-input amplitude beta")
 
-    def add_amplitudes(p: argparse.ArgumentParser):
-        p.add_argument(
-            "--alpha", type=complex, default=None,
-            help="entangled-input amplitude alpha (complex literal, e.g. 0.6 or 0.5+0.5j)",
-        )
-        p.add_argument("--beta", type=complex, default=None, help="entangled-input amplitude beta")
 
-    p = sub.add_parser("characterize", help="direct characterization of a channel")
-    add_channel(p)
-    add_amplitudes(p)
+def _characterize_args(p: argparse.ArgumentParser) -> None:
+    _add_channel(p)
+    _add_amplitudes(p)
     p.add_argument("--shots", type=int, default=None, help="shots per configuration (exact statistics when omitted)")
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
     p.add_argument("--optics", action="store_true", help="use the partial Bell-analyzer model (n=1)")
-    add_io(p)
-    p.set_defaults(func=cmd_characterize)
+    _add_io(p)
 
-    p = sub.add_parser("sqpt", help="standard process tomography baseline")
-    add_channel(p)
-    add_io(p)
-    p.set_defaults(func=cmd_sqpt)
 
-    p = sub.add_parser("compare", help="direct protocol vs baseline on one channel (exact statistics)")
-    add_channel(p)
-    add_amplitudes(p)
-    add_io(p)
-    p.set_defaults(func=cmd_compare)
+def _sqpt_args(p: argparse.ArgumentParser) -> None:
+    _add_channel(p)
+    _add_io(p)
 
-    p = sub.add_parser("partial", help="joint T1/T2 estimation from one Bell measurement")
+
+def _compare_args(p: argparse.ArgumentParser) -> None:
+    _add_channel(p)
+    _add_amplitudes(p)
+    _add_io(p)
+
+
+def _partial_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T1", type=float, required=True, help="true amplitude-damping time constant")
     p.add_argument("--T2", type=float, required=True, help="true phase-damping time constant")
     p.add_argument("--t1", type=float, required=True, help="amplitude-damping duration")
@@ -100,25 +101,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=complex, default=complex(math.sqrt(1.0 / 3.0)))
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    add_io(p)
-    p.set_defaults(func=cmd_partial)
+    _add_io(p)
 
-    p = sub.add_parser("resources", help="experiment-count table per scheme")
+
+def _resources_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help=f"single qubit count (1..{resources.MAX_N})")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=4)
-    add_io(p, formats=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_resources)
+    _add_io(p, formats=("text", "json", "csv"), default="text")
 
-    p = sub.add_parser("sample-sweep", help="reconstruction error vs shots per configuration")
-    add_channel(p)
-    add_amplitudes(p)
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
+    _add_channel(p)
+    _add_amplitudes(p)
     p.add_argument("--shots", type=int, nargs="+", required=True, help="shot counts to sweep")
     p.add_argument("--repeats", type=int, default=20, help="independent runs per shot count")
     p.add_argument("--seed", type=int, default=0)
-    add_io(p)
-    p.set_defaults(func=cmd_sweep)
+    _add_io(p)
 
+
+# name -> (help, argument adder, handler).  The handler is named, not held:
+# `build_parser` looks it up in this module on every call, so a replaced
+# cmd_* function (a tracer's wrapper, a test's stub) is the one that runs.
+COMMANDS = {
+    "characterize": ("direct characterization of a channel", _characterize_args, "cmd_characterize"),
+    "sqpt": ("standard process tomography baseline", _sqpt_args, "cmd_sqpt"),
+    "compare": (
+        "direct protocol vs baseline on one channel (exact statistics)",
+        _compare_args,
+        "cmd_compare",
+    ),
+    "partial": ("joint T1/T2 estimation from one Bell measurement", _partial_args, "cmd_partial"),
+    "resources": ("experiment-count table per scheme", _resources_args, "cmd_resources"),
+    "sample-sweep": ("reconstruction error vs shots per configuration", _sweep_args, "cmd_sweep"),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The dcqdlab parser, with the subparser of `command` only.
+
+    A `command` outside `COMMANDS` (None included) registers every
+    subcommand, so help and errors about the command itself read as they
+    always have.  With one subcommand registered, usage lines still list
+    every choice.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dcqdlab",
+        description="Simulate and characterize quantum dynamics on small qubit registers.",
+    )
+    if command in COMMANDS:
+        names = [command]
+        # the full choice list, as argparse would print it with all six registered
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
@@ -351,7 +393,7 @@ def cmd_sweep(args) -> int:
     experiment = dcqd._experiment(kraus, args.n, alpha, beta)
     # one child per run, spawned when the run starts: the same children in
     # the same order as spawning all len(shots) * repeats of them up front
-    parent = np.random.SeedSequence(args.seed)
+    parent = sampling._seed_sequence(args.seed)
     rows = []
     for shots in args.shots:
         errors = []
@@ -383,7 +425,8 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

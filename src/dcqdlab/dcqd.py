@@ -193,9 +193,11 @@ def validate_configuration(config: Configuration, tol: float = 1e-12) -> None:
 def all_configurations(
     n: int, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
 ) -> list[Configuration]:
-    """The 4**n configurations in index order (setting digits, pair 1 first)."""
-    if n < 1:
-        raise InvalidConfigurationError(f"need at least one pair, got n={n}")
+    """The 4**n configurations in index order (setting digits, pair 1 first).
+
+    n is bounded like every register (`channels.check_register_size`).
+    """
+    channels.check_register_size(n)
     return [
         Configuration(settings=s, alpha=alpha, beta=beta)
         for s in itertools.product(SETTINGS, repeat=n)

@@ -44,6 +44,11 @@ PHASE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 BELL_LABELS = ("phi+", "psi+", "psi-", "phi-")
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool and anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices (or vectors)."""
     if not factors:

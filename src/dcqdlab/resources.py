@@ -9,13 +9,14 @@ fixed Bell-type measurement each.
 
 Counts are tabulated for n = 1..`MAX_N`: the largest, 16**n, then fits a
 signed 64-bit integer, so JSON and CSV readers that parse integers into
-int64 read every count exactly.  Any other n raises
-`InvalidConfigurationError`.
+int64 read every count exactly.  Any other n, and any n that is not an
+integer (a bool, a float, a string), raises `InvalidConfigurationError`.
 """
 
 from __future__ import annotations
 
 from .exceptions import InvalidConfigurationError
+from .ops import is_integer
 
 SCHEMES = ("sqpt", "aapt_nonseparable", "dcqd")
 
@@ -28,11 +29,12 @@ def resource_counts(n: int) -> dict[str, dict[str, int]]:
 
     Keys per scheme: hilbert_dim (dimension the experiment acts in),
     n_inputs, n_measurements (settings per input) and n_experiments
-    (their product).  n must be in 1..`MAX_N`.
+    (their product).  n must be an integer in 1..`MAX_N`.
     """
-    if not 1 <= n <= MAX_N:
+    if not (is_integer(n) and 1 <= n <= MAX_N):
         raise InvalidConfigurationError(
-            f"qubit count must be in 1..{MAX_N} (16**n must fit a signed 64-bit integer), got {n}"
+            f"qubit count must be an integer in 1..{MAX_N} (16**n must fit a signed 64-bit "
+            f"integer), got {n!r}"
         )
     return {
         "sqpt": {

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import dcqd, inversion
 from .exceptions import DimensionMismatchError, InvalidDistributionError
+from .ops import is_integer
 
 __all__ = [
     "CountsTable",
@@ -44,7 +45,24 @@ __all__ = [
 MAX_SHOTS = 2**63 - 1
 
 
+def _checked_seed(seed, generator_ok: bool = False):
+    """`seed` if it is None, a non-negative integer (not a bool), a SeedSequence
+    or, when `generator_ok`, a Generator; anything else raises
+    `InvalidDistributionError`."""
+    if (
+        seed is None
+        or isinstance(seed, np.random.SeedSequence)
+        or (generator_ok and isinstance(seed, np.random.Generator))
+        or (is_integer(seed) and seed >= 0)
+    ):
+        return seed
+    raise InvalidDistributionError(
+        f"seed must be None, a non-negative integer or a SeedSequence, got {seed!r}"
+    )
+
+
 def _seed_sequence(seed) -> np.random.SeedSequence:
+    seed = _checked_seed(seed)
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
@@ -67,13 +85,12 @@ class CountsTable:
 def sample_counts(probabilities, shots: int, seed=None) -> CountsTable:
     """Draw a multinomial sample from a vector of outcome probabilities.
 
-    `seed` is anything `numpy.random.default_rng` accepts (int,
-    SeedSequence, Generator); identical seeds give identical counts.
-    `shots` must be an integer in 1..`MAX_SHOTS` and the probabilities
-    finite, or `InvalidDistributionError` is raised.
+    `seed` is None, a non-negative integer, a SeedSequence or a Generator;
+    identical seeds give identical counts.  `shots` must be an integer in
+    1..`MAX_SHOTS`, the probabilities finite and the seed one of those, or
+    `InvalidDistributionError` is raised.
     """
-    integral = isinstance(shots, (int, np.integer)) and not isinstance(shots, bool)
-    if not (integral and 1 <= shots <= MAX_SHOTS):
+    if not (is_integer(shots) and 1 <= shots <= MAX_SHOTS):
         raise InvalidDistributionError(f"shots must be an integer in 1..2**63 - 1, got {shots!r}")
     q = np.asarray(probabilities, dtype=float)
     if q.ndim != 1 or not q.size:
@@ -87,7 +104,7 @@ def sample_counts(probabilities, shots: int, seed=None) -> CountsTable:
     q = np.clip(q, 0.0, None)
     pvals = np.append(q, max(0.0, 1.0 - q.sum()))
     pvals /= pvals.sum()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed, generator_ok=True))
     drawn = rng.multinomial(shots, pvals)
     return CountsTable(shots=shots, counts=drawn[:-1], lost=int(drawn[-1]))
 

@@ -11,7 +11,7 @@ from conftest import (
     naive_pauli_list,
     random_density,
 )
-from dcqdlab import channels, dcqd, ops, sampling, sqpt
+from dcqdlab import channels, dcqd, ops, resources, sampling, sqpt
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     InvalidChannelError,
@@ -485,6 +485,41 @@ class TestAsChi:
         arg = channels.bit_flip(0.1) if channel == "kraus" else SPEC_OF_KIND["bit_flip"]
         with pytest.raises(InvalidConfigurationError, match=message):
             channels.as_chi(arg, n)
+
+
+# every public entry point that takes a register size n
+REGISTER_ENTRY_POINTS = {
+    "as_chi": lambda n: channels.as_chi(channels.bit_flip(0.1), n),
+    "as_kraus": lambda n: channels.as_kraus(channels.bit_flip(0.1), n),
+    "identity_channel": channels.identity_channel,
+    "random_channel": lambda n: channels.random_channel(n, seed=1),
+    "all_configurations": dcqd.all_configurations,
+    "characterize": lambda n: dcqd.characterize(channels.bit_flip(0.1), n),
+    "all_outcome_probabilities": lambda n: dcqd.all_outcome_probabilities(channels.bit_flip(0.1), n),
+    "characterize_sampled": lambda n: sampling.characterize_sampled(
+        channels.bit_flip(0.1), n, shots=10, seed=0
+    ),
+    "sqpt_characterize": lambda n: sqpt.sqpt_characterize(channels.bit_flip(0.1), n),
+    "resource_counts": resources.resource_counts,
+    "resource_table": lambda n: resources.resource_table([n]),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), "2", True, np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(REGISTER_ENTRY_POINTS))
+def test_register_size_must_be_integer(entry, n):
+    # 2.5 used to raise the builtin TypeError, True to pass as 1 and
+    # resource_counts(2.5) to return float counts
+    with pytest.raises(InvalidConfigurationError, match="integer"):
+        REGISTER_ENTRY_POINTS[entry](n)
+
+
+@pytest.mark.parametrize("entry", sorted(REGISTER_ENTRY_POINTS))
+def test_numpy_integer_register_size(entry):
+    want, got = (REGISTER_ENTRY_POINTS[entry](n) for n in (2, np.int64(2)))
+    if entry == "characterize_sampled":
+        want, got = want[0], got[0]
+    np.testing.assert_equal(getattr(got, "chi", got), getattr(want, "chi", want))
 
 
 def test_trace_gap_matches_naive_sum(rng):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -187,6 +188,23 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "--channel", "identity", "--shots", "10"],
+            ["characterize", "--channel", "identity", "--optics"],
+            ["sample-sweep", "--channel", "identity", "--shots", "10"],
+            ["partial", "--T1", "2", "--T2", "1", "--t1", "1", "--t2", "1", "--shots", "10"],
+        ],
+        ids=["characterize", "optics", "sample-sweep", "partial"],
+    )
+    def test_negative_seed(self, argv, capsys):
+        # numpy's "expected non-negative integer" used to exit 2
+        code, out, err = run(argv + ["--seed", "-1"], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: seed must be None, a non-negative integer or a SeedSequence, got -1\n"
 
 
 class TestSqptAndCompare:
@@ -427,3 +445,46 @@ class TestCommandSequence:
         assert cli.main(["resources", "--n", "2"]) == 0
         assert seen == [2]
         assert capsys.readouterr().out == ""
+
+
+class TestParser:
+    # argv cases whose output is argparse's own: help, usage and errors
+    CASES = [
+        [],
+        ["--help"],
+        ["-h", "characterize"],
+        ["bogus"],
+        ["characterize"],
+        ["characterize", "--bogus"],
+        ["characterize", "--channel", "identity", "--n", "abc"],
+        *([name, "--help"] for name in cli.COMMANDS),
+        # reported by the top-level parser, whose usage lists every choice
+        ["resources", "--n", "2", "extra"],
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "none")
+    def test_output_matches_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run(argv, capsys)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full(None))
+        assert got == run(argv, capsys)
+        assert got[0] == (0 if "--help" in argv or "-h" in argv else cli.EXIT_PARSE)
+
+    @pytest.mark.parametrize(
+        "argv,parsers",
+        [(["resources", "--n", "2"], 2), (["bogus"], 7)],
+        ids=["known", "unknown"],
+    )
+    def test_parsers_built(self, argv, parsers, capsys, monkeypatch):
+        # the top-level parser plus the invoked command's, or all six
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        run(argv, capsys)
+        assert len(built) == parsers

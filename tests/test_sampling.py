@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import design_matrix, optics_lstsq_oracle
-from dcqdlab import channels, dcqd, sampling
+from dcqdlab import channels, dcqd, relax, sampling
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     InvalidConfigurationError,
@@ -81,6 +81,52 @@ class TestSampleCounts:
     def test_needs_probability_vector(self, shape):
         with pytest.raises(DimensionMismatchError):
             sampling.sample_counts(np.full(shape, 0.25), shots=10, seed=0)
+
+
+BAD_SEEDS = [-1, 1.5, "abc", True, np.float64(2.0), [1, 2]]
+SEED_ENTRY_POINTS = {
+    "sample_counts": lambda seed: sampling.sample_counts([0.5, 0.5], shots=10, seed=seed),
+    "characterize_sampled": lambda seed: sampling.characterize_sampled(
+        channels.bit_flip(0.1), shots=10, seed=seed
+    ),
+    "characterize_with_optics": lambda seed: sampling.characterize_with_optics(
+        channels.bit_flip(0.1), shots=10, seed=seed
+    ),
+    "characterize_with_optics_exact": lambda seed: sampling.characterize_with_optics(
+        channels.bit_flip(0.1), seed=seed
+    ),
+    "joint_estimate": lambda seed: relax.joint_estimate(
+        channels.compose(
+            channels.amplitude_damping(t=1.0, T1=2.0), channels.phase_damping(t=1.0, T2=1.0)
+        ),
+        0.8, 0.6, 1.0, 1.0, shots=10**5, seed=seed,
+    ),
+}
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    @pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+    def test_bad_seed_rejected(self, entry, seed):
+        # numpy used to raise its own ValueError or TypeError
+        with pytest.raises(InvalidDistributionError, match="seed must be"):
+            SEED_ENTRY_POINTS[entry](seed)
+
+    @pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+    def test_integer_seeds_accepted(self, entry):
+        for seed in (None, 0, np.int64(3), 2**70):
+            SEED_ENTRY_POINTS[entry](seed)
+
+    def test_generator_only_for_sample_counts(self):
+        table = sampling.sample_counts([0.5, 0.5], shots=10, seed=np.random.default_rng(4))
+        assert table.counts.sum() == 10
+        with pytest.raises(InvalidDistributionError, match="seed must be"):
+            sampling.characterize_sampled(channels.bit_flip(0.1), shots=10, seed=np.random.default_rng(4))
+
+    def test_seed_sequence_accepted(self):
+        a, _ = sampling.characterize_sampled(channels.bit_flip(0.1), shots=10, seed=np.random.SeedSequence(8))
+        b, _ = sampling.characterize_sampled(channels.bit_flip(0.1), shots=10, seed=8)
+        assert np.array_equal(a.chi, b.chi)
 
 
 class TestCharacterizeSampled:
