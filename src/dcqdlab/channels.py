@@ -17,6 +17,9 @@ Kronecker power of the 4 x 4 chi for a one-qubit channel, so no i.i.d.
 channel is expanded to 4**n Kraus operators.  A raw Kraus set is stacked
 into one (K, d, d) complex array and validated once (`check_kraus`); the
 conversion to chi takes that same array, so the set is not stacked again.
+`Chi.of(channel, n)` keeps that result, with n and its trace preservation,
+as one value that every entry point takes and `as_chi` hands back as it is.
+Each check has one tolerance, a module constant (`*_ATOL`, `KEEP_TOL`, `EIG_FLOOR`).
 
 The Choi matrix used here lives on (input factor) x (output factor):
 C = sum_ij |i><j| (x) E(|i><j|), so trace-preservation reads
@@ -42,6 +45,7 @@ from .ops import is_integer
 
 __all__ = [
     "ChannelSpec",
+    "Chi",
     "ChiValidation",
     "amplitude_damping",
     "apply_channel",
@@ -68,6 +72,16 @@ __all__ = [
 # 16**n complex entries, 16 MiB at n = 5.  Checked before anything of size
 # 16**n is allocated.
 MAX_QUBITS = 5
+
+# Tolerances: of sum K^dag K <= I; of chi and Choi eigenvalues (below -CP_ATOL
+# the map is not CP, up to KEEP_TOL they give no Kraus operator); of `validate_chi`
+KRAUS_ATOL = 1e-10
+CP_ATOL = 1e-9
+KEEP_TOL = 1e-12
+HERMITIAN_ATOL = 1e-10
+EIG_FLOOR = -1e-9
+TRACE_ATOL = 1e-10
+TP_ATOL = 1e-10
 
 
 def check_register_size(n: int) -> None:
@@ -106,18 +120,17 @@ def trace_gap(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def check_kraus(
-    kraus: Sequence[np.ndarray],
-    trace_preserving: Optional[bool] = None,
-    atol: float = 1e-10,
+    kraus: Sequence[np.ndarray], trace_preserving: Optional[bool] = None
 ) -> list[np.ndarray]:
     """Validate a Kraus set and return it as a list of complex arrays.
 
     The set must be non-empty, square, of uniform power-of-two dimension,
-    and trace non-increasing: sum K^dag K <= I.  With trace_preserving=True
-    equality is required; with False, strict decrease somewhere.  A set that
-    is not an array of numbers raises `InvalidChannelError` too.
+    and trace non-increasing: sum K^dag K <= I within `KRAUS_ATOL`.  With
+    trace_preserving=True equality is required; with False, strict decrease
+    somewhere.  A set that is not an array of numbers raises
+    `InvalidChannelError` too.
     """
-    return list(_stacked_kraus(kraus, trace_preserving, atol))
+    return list(_stacked_kraus(kraus, trace_preserving))
 
 
 def _malformed(kraus) -> InvalidChannelError:
@@ -134,7 +147,7 @@ def _malformed(kraus) -> InvalidChannelError:
 
 
 def _stacked_kraus(
-    kraus: Sequence[np.ndarray], trace_preserving: Optional[bool] = None, atol: float = 1e-10
+    kraus: Sequence[np.ndarray], trace_preserving: Optional[bool] = None
 ) -> np.ndarray:
     """`check_kraus` on the set stacked once, returned as one (K, d, d) complex array."""
     try:
@@ -148,22 +161,23 @@ def _stacked_kraus(
         raise InvalidChannelError(f"Kraus dimension {d} is not a power of 2")
     # sum K^dag K <= I bounds every entry by 1; checking first also keeps
     # NaN and overflow out of the eigenvalue check below
-    if not np.all(np.abs(stacked.view(float)) <= 1 + atol):
+    if not np.all(np.abs(stacked.view(float)) <= 1 + KRAUS_ATOL):
         raise InvalidChannelError(
             "Kraus set has a non-finite entry or a real or imaginary part beyond 1, "
             "which no trace non-increasing set has"
         )
     gap = trace_gap(stacked)
     lo = ops.min_eigenvalue(gap)
-    if lo < -atol:
+    if lo < -KRAUS_ATOL:
         raise InvalidChannelError(
             f"Kraus set increases trace: min eig of (I - sum K^dag K) = {lo:.3e}"
         )
-    if trace_preserving is True and float(np.max(np.abs(gap))) > atol:
+    residual = float(np.max(np.abs(gap)))
+    if trace_preserving is True and residual > KRAUS_ATOL:
         raise InvalidChannelError(
-            f"Kraus set not trace preserving within {atol}: residual {np.max(np.abs(gap)):.3e}"
+            f"Kraus set not trace preserving within {KRAUS_ATOL}: residual {residual:.3e}"
         )
-    if trace_preserving is False and float(np.max(np.abs(gap))) <= atol:
+    if trace_preserving is False and residual <= KRAUS_ATOL:
         raise InvalidChannelError("Kraus set flagged non-trace-preserving but sums to identity")
     return stacked
 
@@ -190,10 +204,10 @@ def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return c.T @ c.conj()
 
 
-def kraus_from_chi(chi: np.ndarray, atol: float = 1e-9, keep_tol: float = 1e-12) -> list[np.ndarray]:
+def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:
     """Kraus set of a process matrix, via eigendecomposition of chi.
 
-    Eigenvalues below `keep_tol` are dropped; eigenvalues below -`atol`
+    Eigenvalues up to `KEEP_TOL` are dropped; eigenvalues below -`CP_ATOL`
     mean the map is not completely positive and raise.
     """
     chi = np.asarray(chi, dtype=complex)
@@ -203,11 +217,11 @@ def kraus_from_chi(chi: np.ndarray, atol: float = 1e-9, keep_tol: float = 1e-12)
         raise DimensionMismatchError(f"chi shape {chi.shape} is not 4**n x 4**n")
     herm = (chi + chi.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
-    if vals.min() < -atol:
+    if vals.min() < -CP_ATOL:
         raise NotCompletelyPositiveError(
-            f"chi has eigenvalue {vals.min():.3e} below -{atol}; no Kraus form exists"
+            f"chi has eigenvalue {vals.min():.3e} below -{CP_ATOL}; no Kraus form exists"
         )
-    keep = vals > keep_tol
+    keep = vals > KEEP_TOL
     if not keep.any():
         # the all-zero map still needs one (zero) operator to stay a valid set
         return [np.zeros((2**n, 2**n), dtype=complex)]
@@ -280,36 +294,29 @@ class ChiValidation:
         return all(checks)
 
 
-def validate_chi(
-    chi: np.ndarray,
-    trace_preserving: bool = False,
-    hermitian_atol: float = 1e-10,
-    eig_floor: float = -1e-9,
-    trace_atol: float = 1e-10,
-    tp_atol: float = 1e-10,
-) -> ChiValidation:
+def validate_chi(chi: np.ndarray, trace_preserving: bool = False) -> ChiValidation:
     """Report how far chi is from a valid (optionally TP) process matrix.
 
     TP residual is the max deviation of sum_mn chi[m, n] E_n E_m from the
-    identity; it is only computed when trace_preserving is requested.
+    identity; it is only computed when trace_preserving is requested.  The
+    checks use `HERMITIAN_ATOL`, `EIG_FLOOR`, `TRACE_ATOL` and `TP_ATOL`.
     """
     chi = np.asarray(chi, dtype=complex)
     dev = ops.hermiticity_deviation(chi)
     lo = ops.min_eigenvalue(chi)
     tr = float(np.trace(chi).real)
-    tp_residual = None
-    tp_ok = None
+    tp_residual = tp_ok = None
     if trace_preserving:
         tp_residual = _tp_residual(chi)
-        tp_ok = tp_residual <= tp_atol
+        tp_ok = tp_residual <= TP_ATOL
     return ChiValidation(
         hermiticity_deviation=dev,
         min_eigenvalue=lo,
         trace=tr,
         tp_residual=tp_residual,
-        hermitian_ok=dev <= hermitian_atol,
-        psd_ok=lo >= eig_floor,
-        trace_ok=tr <= 1.0 + trace_atol,
+        hermitian_ok=dev <= HERMITIAN_ATOL,
+        psd_ok=lo >= EIG_FLOOR,
+        trace_ok=tr <= 1.0 + TRACE_ATOL,
         tp_ok=tp_ok,
     )
 
@@ -327,21 +334,21 @@ def _tp_residual(chi: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kraus_from_choi(choi: np.ndarray, atol: float = 1e-9, keep_tol: float = 1e-12) -> list[np.ndarray]:
-    """Kraus set of a Choi matrix (input-major convention of this module)."""
+def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
+    """Kraus set of a Choi matrix (input-major convention of this module), as `kraus_from_chi`."""
     choi = np.asarray(choi, dtype=complex)
     dd = choi.shape[0]
     d = int(round(math.sqrt(dd)))
     if choi.shape != (dd, dd) or d * d != dd:
         raise DimensionMismatchError(f"Choi shape {choi.shape} is not d**2 x d**2")
     vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
-    if vals.min() < -atol:
+    if vals.min() < -CP_ATOL:
         raise NotCompletelyPositiveError(
-            f"Choi matrix has eigenvalue {vals.min():.3e} below -{atol}"
+            f"Choi matrix has eigenvalue {vals.min():.3e} below -{CP_ATOL}"
         )
     out = []
     for lam, vec in zip(vals, vecs.T):
-        if lam <= keep_tol:
+        if lam <= KEEP_TOL:
             continue
         out.append(math.sqrt(lam) * vec.reshape(d, d).T)
     if not out:
@@ -604,22 +611,47 @@ def _validated(channel, n: Optional[int]) -> tuple[Sequence[np.ndarray], int]:
     raise DimensionMismatchError(f"channel acts on {have} qubits, expected {n}")
 
 
+@dataclass(frozen=True, eq=False)
+class Chi:
+    """A channel converted once: its read-only chi on `n` qubits and its TP flag.
+
+    Build it with `Chi.of`.  `trace_preserving` is judged within `TP_ATOL` on
+    n qubits, where a one-qubit set's deviation grows up to n-fold.
+    """
+
+    matrix: np.ndarray
+    n: int
+    trace_preserving: bool
+
+    @classmethod
+    def of(cls, channel, n: int) -> "Chi":
+        """The `Chi` of a channel argument on n qubits (`as_chi`'s checks and errors)."""
+        matrix = as_chi(channel, n)
+        matrix.flags.writeable = False
+        return cls(matrix, n, _tp_residual(matrix) <= TP_ATOL)
+
+
 def as_chi(channel, n: int) -> np.ndarray:
-    """Process matrix on n qubits of a channel argument (spec or Kraus sequence).
+    """Process matrix on n qubits of a channel argument (spec, Kraus sequence or `Chi`).
 
     The channel boundary of every path that needs the channel's chi: the
     channel is validated once, at the size it was given.  A set on n qubits
     is converted by `chi_from_kraus`; a one-qubit set is the i.i.d. channel
     on n qubits, whose chi is the n-fold Kronecker power of its 4 x 4 chi
     (Pauli strings are ordered like `ops.pauli_strings`, qubit 1 most
-    significant, so no permutation is needed).  Any other size raises
+    significant, so no permutation is needed).  A `Chi` on n qubits gives
+    its own read-only matrix back.  Any other size raises
     `DimensionMismatchError`.  n outside 1..`MAX_QUBITS` raises
-    `InvalidConfigurationError` before the channel is looked at.
+    `InvalidConfigurationError` before the channel is looked at.  A bare 2-D
+    array is rejected: it could be chi or a one-operator Kraus set.
     """
     check_register_size(n)
+    if isinstance(channel, Chi):
+        if channel.n != n:
+            raise DimensionMismatchError(f"channel acts on {channel.n} qubits, expected {n}")
+        return channel.matrix
     kraus, copies = _validated(channel, n)
-    chi1 = chi_from_kraus(kraus)
-    chi = chi1
+    chi = chi1 = chi_from_kraus(kraus)
     for _ in range(copies - 1):
         # np.kron(chi, chi1): the same products, without np.kron's call overhead
         chi = (chi[:, None, :, None] * chi1[None, :, None, :]).reshape(len(chi) * len(chi1), -1)

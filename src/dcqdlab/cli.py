@@ -10,6 +10,10 @@ describes all six, and `build_parser` registers the one named by the first
 argument); help, a missing or an unknown command get the parser of all six,
 so their text lists every command.  Nothing is kept between calls.
 
+Every handler loads, runs, then emits: `_load_channel` converts the channel
+once per command, to the `channels.Chi` that every library call takes and
+every error against the truth reads, and `_emit` writes every report.
+
 Reports are JSON by default (canonical, bit-exact round trip) or CSV for
 tabular views.  Output goes to stdout unless --output is given; relative
 output paths are resolved against $DCQDLAB_OUTPUT_DIR when set.  Exit
@@ -66,10 +70,12 @@ def _add_channel(p: argparse.ArgumentParser) -> None:
 
 def _add_amplitudes(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--alpha", type=complex, default=None,
+        "--alpha", type=complex, default=dcqd.DEFAULT_ALPHA,
         help="entangled-input amplitude alpha (complex literal, e.g. 0.6 or 0.5+0.5j)",
     )
-    p.add_argument("--beta", type=complex, default=None, help="entangled-input amplitude beta")
+    p.add_argument(
+        "--beta", type=complex, default=dcqd.DEFAULT_BETA, help="entangled-input amplitude beta"
+    )
 
 
 def _characterize_args(p: argparse.ArgumentParser) -> None:
@@ -164,69 +170,54 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, args) -> None:
+def _emit(args, report: dict, rows: Optional[list] = None) -> None:
+    """Write `report` (JSON), `rows` (CSV; a chi report's chi rows by default) or their table."""
+    if args.format == "json":
+        text = serialize.dump_json(report)
+    elif args.format == "csv":
+        text = serialize.dump_csv(serialize.chi_rows(report) if rows is None else rows)
+    else:
+        text = resources.format_table(rows) + "\n"
     if args.output:
-        path = args.output
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base and not os.path.isabs(path):
-            path = os.path.join(base, path)
+        # an absolute --output replaces the directory
+        path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), args.output)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_kraus(args) -> tuple[list[np.ndarray], np.ndarray, dict, bool]:
-    """The channel's Kraus set as loaded, its chi on n qubits, its spec and its TP flag.
-
-    A one-qubit set stays one-qubit (`channels.as_chi` extends it).  The
-    flag is judged on the channel on n qubits, from chi: the n-fold power of
-    a one-qubit set deviates from trace preservation up to n times as much.
-    """
+def _load_channel(args) -> tuple[channels.Chi, dict]:
+    """The --channel map as a `channels.Chi` on --n qubits (checked first) and its spec."""
     channels.check_register_size(args.n)
     spec = serialize.parse_channel_arg(args.channel)
-    kraus = channels.as_kraus(spec)
-    chi = channels.as_chi(kraus, args.n)
-    trace_preserving = channels._tp_residual(chi) <= 1e-10
-    return kraus, chi, serialize.spec_to_dict(spec), trace_preserving
-
-
-def _amplitudes(args) -> tuple[complex, complex]:
-    alpha = args.alpha if args.alpha is not None else dcqd.DEFAULT_ALPHA
-    beta = args.beta if args.beta is not None else dcqd.DEFAULT_BETA
-    return alpha, beta
-
-
-def _emit_chi(report: dict, args) -> None:
-    if args.format == "csv":
-        _emit(serialize.dump_csv(serialize.chi_rows(report)), args)
-    else:
-        _emit(serialize.dump_json(report), args)
+    return channels.Chi.of(spec, args.n), serialize.spec_to_dict(spec)
 
 
 def cmd_characterize(args) -> int:
-    kraus, chi_true, spec_dict, tp = _load_kraus(args)
-    alpha, beta = _amplitudes(args)
+    chi, spec_dict = _load_channel(args)
     extra: dict = {"shots": args.shots, "seed": args.seed}
     if args.optics:
         if args.n != 1:
             raise InvalidConfigurationError("the partial Bell-analyzer model is defined for n=1")
         result = sampling.characterize_with_optics(
-            kraus, alpha=alpha, beta=beta, shots=args.shots, seed=args.seed
+            chi, alpha=args.alpha, beta=args.beta, shots=args.shots, seed=args.seed
         )
         method = "dcqd_optics"
     elif args.shots is not None:
         result, metrics = sampling.characterize_sampled(
-            kraus, n=args.n, shots=args.shots, seed=args.seed, alpha=alpha, beta=beta
+            chi, n=args.n, shots=args.shots, seed=args.seed, alpha=args.alpha, beta=args.beta
         )
         method = "dcqd_sampled"
         extra["frobenius_error_vs_truth"] = metrics.frobenius_error
         extra["max_entry_error_vs_truth"] = metrics.max_entry_error
     else:
-        result = dcqd.characterize(kraus, n=args.n, alpha=alpha, beta=beta)
+        result = dcqd.characterize(chi, n=args.n, alpha=args.alpha, beta=args.beta)
+        # no seed is used here, but a bad one fails as in the sampled modes
+        sampling._checked_seed(args.seed)
         method = "dcqd"
-        extra["frobenius_error_vs_truth"] = float(np.linalg.norm(result.chi - chi_true))
-    validation = channels.validate_chi(result.chi, trace_preserving=tp)
+        extra["frobenius_error_vs_truth"] = float(np.linalg.norm(result.chi - chi.matrix))
+    validation = channels.validate_chi(result.chi, trace_preserving=chi.trace_preserving)
     if args.shots is None and not validation.all_ok:
         raise InvalidStateError(
             "exact-statistics reconstruction failed validation: "
@@ -244,14 +235,14 @@ def cmd_characterize(args) -> int:
         design_cond=result.design_cond,
         **extra,
     )
-    _emit_chi(report, args)
+    _emit(args, report)
     return EXIT_OK
 
 
 def cmd_sqpt(args) -> int:
-    kraus, chi_true, spec_dict, tp = _load_kraus(args)
-    result = sqpt.sqpt_characterize(kraus, n=args.n)
-    validation = channels.validate_chi(result.chi, trace_preserving=tp)
+    chi, spec_dict = _load_channel(args)
+    result = sqpt.sqpt_characterize(chi, n=args.n)
+    validation = channels.validate_chi(result.chi, trace_preserving=chi.trace_preserving)
     if not validation.all_ok:
         raise InvalidStateError(
             f"baseline reconstruction failed validation: {serialize.validation_to_dict(validation)}"
@@ -265,52 +256,47 @@ def cmd_sqpt(args) -> int:
         channel_spec=spec_dict,
         n_inputs=result.n_inputs,
         n_settings_per_input=result.n_settings_per_input,
-        frobenius_error_vs_truth=float(np.linalg.norm(result.chi - chi_true)),
+        frobenius_error_vs_truth=float(np.linalg.norm(result.chi - chi.matrix)),
     )
-    _emit_chi(report, args)
+    _emit(args, report)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    kraus, chi_true, spec_dict, tp = _load_kraus(args)
-    alpha, beta = _amplitudes(args)
-    r_dcqd = dcqd.characterize(kraus, n=args.n, alpha=alpha, beta=beta)
-    r_sqpt = sqpt.sqpt_characterize(kraus, n=args.n)
+    chi, spec_dict = _load_channel(args)
+    r_dcqd = dcqd.characterize(chi, n=args.n, alpha=args.alpha, beta=args.beta)
+    r_sqpt = sqpt.sqpt_characterize(chi, n=args.n)
     diff = r_dcqd.chi - r_sqpt.chi
-    counts = resources.resource_counts(args.n)
     report = {
         "kind": "compare_report",
         "n_qubits": args.n,
         "channel": spec_dict,
-        "trace_preserving": tp,
+        "trace_preserving": chi.trace_preserving,
         "max_entry_difference": float(np.max(np.abs(diff))),
         "frobenius_difference": float(np.linalg.norm(diff)),
         "dcqd": {
             "n_experiments": r_dcqd.n_configurations,
-            "frobenius_error_vs_truth": float(np.linalg.norm(r_dcqd.chi - chi_true)),
+            "frobenius_error_vs_truth": float(np.linalg.norm(r_dcqd.chi - chi.matrix)),
             "chi_real": r_dcqd.chi.real.tolist(),
             "chi_imag": r_dcqd.chi.imag.tolist(),
         },
         "sqpt": {
             "n_experiments": r_sqpt.n_experiments,
-            "frobenius_error_vs_truth": float(np.linalg.norm(r_sqpt.chi - chi_true)),
+            "frobenius_error_vs_truth": float(np.linalg.norm(r_sqpt.chi - chi.matrix)),
             "chi_real": r_sqpt.chi.real.tolist(),
             "chi_imag": r_sqpt.chi.imag.tolist(),
         },
-        "resources": counts,
+        "resources": resources.resource_counts(args.n),
     }
-    if args.format == "csv":
-        rows = [
-            {
-                "method": name,
-                "n_experiments": report[name]["n_experiments"],
-                "frobenius_error_vs_truth": report[name]["frobenius_error_vs_truth"],
-            }
-            for name in ("dcqd", "sqpt")
-        ]
-        _emit(serialize.dump_csv(rows), args)
-    else:
-        _emit(serialize.dump_json(report), args)
+    rows = [
+        {
+            "method": name,
+            "n_experiments": report[name]["n_experiments"],
+            "frobenius_error_vs_truth": report[name]["frobenius_error_vs_truth"],
+        }
+        for name in ("dcqd", "sqpt")
+    ]
+    _emit(args, report, rows)
     return EXIT_OK
 
 
@@ -350,19 +336,16 @@ def cmd_partial(args) -> int:
         },
         "n_configurations": 1,
     }
-    if args.format == "csv":
-        rows = [
-            {"quantity": "T1", "estimate": est.T1, "truth": args.T1},
-            {"quantity": "T2", "estimate": est.T2, "truth": args.T2},
-            {
-                "quantity": "t_prime_over_T2_prime",
-                "estimate": est.t_prime_over_T2_prime,
-                "truth": args.t1 / args.T1 + args.t2 / args.T2,
-            },
-        ]
-        _emit(serialize.dump_csv(rows), args)
-    else:
-        _emit(serialize.dump_json(report), args)
+    rows = [
+        {"quantity": "T1", "estimate": est.T1, "truth": args.T1},
+        {"quantity": "T2", "estimate": est.T2, "truth": args.T2},
+        {
+            "quantity": "t_prime_over_T2_prime",
+            "estimate": est.t_prime_over_T2_prime,
+            "truth": args.t1 / args.T1 + args.t2 / args.T2,
+        },
+    ]
+    _emit(args, report, rows)
     return EXIT_OK
 
 
@@ -376,21 +359,15 @@ def cmd_resources(args) -> int:
             )
         n_values = range(args.n_min, args.n_max + 1)
     rows = resources.resource_table(n_values)
-    if args.format == "json":
-        _emit(serialize.dump_json({"kind": "resource_report", "rows": rows}), args)
-    elif args.format == "csv":
-        _emit(serialize.dump_csv(rows), args)
-    else:
-        _emit(resources.format_table(rows) + "\n", args)
+    _emit(args, {"kind": "resource_report", "rows": rows}, rows)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    kraus, _chi, spec_dict, _tp = _load_kraus(args)
-    alpha, beta = _amplitudes(args)
+    chi, spec_dict = _load_channel(args)
     if args.repeats < 1 or any(s < 1 for s in args.shots):
         raise InvalidDistributionError("shots and repeats must be positive")
-    experiment = dcqd._experiment(kraus, args.n, alpha, beta)
+    experiment = dcqd._experiment(chi, args.n, args.alpha, args.beta)
     # one child per run, spawned when the run starts: the same children in
     # the same order as spawning all len(shots) * repeats of them up front
     parent = sampling._seed_sequence(args.seed)
@@ -417,10 +394,7 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
         "rows": rows,
     }
-    if args.format == "csv":
-        _emit(serialize.dump_csv(rows), args)
-    else:
-        _emit(serialize.dump_json(report), args)
+    _emit(args, report, rows)
     return EXIT_OK
 
 

@@ -85,6 +85,9 @@ PREP_ROTATIONS = {
 DEFAULT_ALPHA = complex(math.cos(math.pi / 8))
 DEFAULT_BETA = complex(math.sin(math.pi / 8)) * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
+# |alpha|, |beta| and the factors of the coherence equations must exceed this
+FACTOR_TOL = 1e-12
+
 
 def _conjugation_permutation(v: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Permutation and signs with V^dag E_m V = sign[m] * E_perm[m].
@@ -164,17 +167,17 @@ class Configuration:
         return ",".join(self.settings)
 
 
-def validate_configuration(config: Configuration, tol: float = 1e-12) -> None:
+def validate_configuration(config: Configuration) -> None:
     """Enforce the amplitude constraints of coherence settings.
 
     Coherence reconstruction divides by <Z^A>, <U> and <Z^A U> of the input
     pair, which are proportional to |alpha|^2 - |beta|^2, Re(alpha beta*)
-    and Im(alpha beta*); all three must be bounded away from zero.
+    and Im(alpha beta*); all three must exceed `FACTOR_TOL` in magnitude.
     """
     if all(s == POP for s in config.settings):
         return
     a, b = config.alpha, config.beta
-    if abs(a) < tol or abs(b) < tol:
+    if abs(a) < FACTOR_TOL or abs(b) < FACTOR_TOL:
         raise InvalidConfigurationError(
             "coherence settings need both amplitudes nonzero, got "
             f"alpha={a!r}, beta={b!r}"
@@ -186,7 +189,7 @@ def validate_configuration(config: Configuration, tol: float = 1e-12) -> None:
         (cross.imag, "Im(alpha beta*) = 0 makes <Z^A U> vanish"),
     ]
     for value, message in checks:
-        if abs(value) < tol:
+        if abs(value) < FACTOR_TOL:
             raise InvalidConfigurationError(message)
 
 
@@ -321,7 +324,7 @@ def input_pair_expectations(config: Configuration) -> dict[str, float]:
 
 
 def reconstruct_coherence(
-    dist: OutcomeDistribution, diagonals: np.ndarray, tol: float = 1e-12
+    dist: OutcomeDistribution, diagonals: np.ndarray
 ) -> tuple[complex, complex]:
     """Rotated-frame coherences (chi'_03, chi'_12) of one coh configuration.
 
@@ -344,7 +347,7 @@ def reconstruct_coherence(
         ("normalizer", "<U> = <X^A X^B>"),
         ("cross_imag", "<Z^A U>"),
     ):
-        if abs(factors[key]) < tol:
+        if abs(factors[key]) < FACTOR_TOL:
             raise IllPosedConfigurationError(
                 f"configuration {config.label} has vanishing factor {name}; "
                 "choose amplitudes with |alpha| != |beta| and complex alpha beta*"

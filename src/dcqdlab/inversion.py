@@ -9,8 +9,8 @@ every pair axis of chi (a permuted n-fold Kronecker power of D1):
 * `per_pair` applies one small matrix along each pair axis; the forward
   model, the solver and the Kraus <-> chi conversions in `channels` all go
   through it.  Each pair axis is one 2-D GEMM on a transposed view of the
-  current array, so no operand is copied into a new layout first; leading
-  axes (a Kraus index) are moved behind the pair axes once;
+  current array, so no operand is copied into a new layout first; a
+  trailing axis (a Kraus index) rides along and comes back first;
 * `readout_design` builds D1 from an R x 4 readout table T (row r is one
   (input, outcome) pair, and an operator K on the qubit gives it the
   amplitude sum_{a, a'} K[a, a'] T[r, (a, a')]):
@@ -57,13 +57,9 @@ def unpair_axes(t: np.ndarray, n: int, d: int) -> np.ndarray:
     return t.reshape(lead + (d,) * (2 * n)).transpose(perm).reshape(lead + (d**n, d**n))
 
 
-def per_pair(t: np.ndarray, mats: Sequence[np.ndarray], lead: int = 0) -> np.ndarray:
-    """Apply mats[i] along pair axis i (the axes after the first `lead`)."""
+def per_pair(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply mats[i] along axis i of t; axes after the pair axes come out first."""
     t = np.asarray(t)
-    if lead:
-        # the leading axes go behind the pair axes once (one copy at the
-        # first step) and come back to the front after the last step
-        t = np.moveaxis(t, range(lead), range(t.ndim - lead, t.ndim))
     for m in mats:
         # one 2-D GEMM on a transposed view: contracts the current first axis
         # and appends the result last, so after n steps every axis is back

@@ -161,13 +161,16 @@ def joint_estimate(
     sequence under test) on the primary half of a|00> + b|11> and measures
     the canonical Bell projectors once.  Both the stabilizer -1 probability
     and the normalizer expectation are read off that single outcome
-    distribution (or, with `shots`, a single counts table).
+    distribution (or, with `shots`, a single counts table).  `seed` is
+    checked like `sampling.sample_counts`'s, with or without `shots`.
     """
     config = _pair_config(alpha, beta)
     psi = _pair_state(config)
     q = dcqd.outcome_probabilities(channel, config).probabilities
     if shots is not None:
         q = sampling.empirical_frequencies(sampling.sample_counts(q, shots, seed))
+    else:
+        sampling._checked_seed(seed, generator_ok=True)
     p_minus = float(q[1] + q[2])
     x_out = float(q[0] + q[1] - q[2] - q[3])
     x_in = 2.0 * (alpha * beta.conjugate()).real

@@ -19,7 +19,7 @@ setting's rows of A1, and the shared solver in `inversion` inverts it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,14 +171,6 @@ def _sample_and_solve(
 # ---------------------------------------------------------------------------
 
 
-def _default_resolved() -> tuple[int, ...]:
-    return (1, 2)
-
-
-def _default_merged() -> tuple[int, ...]:
-    return (0, 3)
-
-
 @dataclass(frozen=True)
 class OpticsModel:
     """Which Bell-type outcomes an analyzer resolves vs reports merged.
@@ -189,8 +181,8 @@ class OpticsModel:
     Defined for single-pair (n = 1) configurations.
     """
 
-    resolved: tuple[int, ...] = field(default_factory=_default_resolved)
-    merged: tuple[int, ...] = field(default_factory=_default_merged)
+    resolved: tuple[int, ...] = (1, 2)
+    merged: tuple[int, ...] = (0, 3)
 
     def __post_init__(self):
         combined = sorted(self.resolved + self.merged)
@@ -254,16 +246,15 @@ def characterize_with_optics(
     beta: complex = dcqd.DEFAULT_BETA,
     shots: Optional[int] = None,
     seed=None,
-    model: Optional[OpticsModel] = None,
 ) -> dcqd.ReconstructionResult:
     """Single-qubit reconstruction through a partial Bell analyzer.
 
-    Every configuration is measured twice, once with the base analyzer
-    setting and once with its complement, so the experiment count doubles
-    to 2 * 4 while full rank is recovered.  With `shots` set, each analyzer
-    setting is sampled independently.
+    Every configuration is measured twice, once with the default
+    `OpticsModel` and once with its complement, so the experiment count
+    doubles to 2 * 4 while full rank is recovered.  With `shots` set, each
+    analyzer setting is sampled independently.
     """
-    model = model if model is not None else OpticsModel()
+    model = OpticsModel()
     merges = [model.merge_matrix, model.complement().merge_matrix]
     a1, _, data = dcqd._experiment(channel, 1, alpha, beta)
     q = data.reshape(4, 4)

@@ -160,12 +160,12 @@ def density_matrix_probabilities(kraus, config):
     return np.array([np.vdot(b, rho_out @ b).real for b in measurement_basis(config)])
 
 
-def per_pair_reference(t, mats, lead=0):
+def per_pair_reference(t, mats):
     """`inversion.per_pair` as a loop of `np.tensordot` steps (mats[i] along pair axis i)."""
     for m in mats:
-        # contracts the current first pair axis and appends the result last,
-        # so after n steps the pair axes are back in order
-        t = np.tensordot(t, m, axes=([lead], [1]))
+        # contracts the current first axis and appends the result last, so
+        # after n steps the pair axes are back in order, behind any others
+        t = np.tensordot(t, m, axes=([0], [1]))
     return t
 
 

@@ -487,6 +487,45 @@ class TestAsChi:
             channels.as_chi(arg, n)
 
 
+class TestChi:
+    def test_as_chi_returns_the_same_read_only_array(self):
+        value = channels.Chi.of(channels.random_channel(2, seed=3), 2)
+        assert channels.as_chi(value, 2) is value.matrix
+        with pytest.raises(ValueError):
+            value.matrix[0, 0] = 0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_other_sizes(self, n):
+        value = channels.Chi.of(channels.bit_flip(0.1), 2)
+        with pytest.raises(DimensionMismatchError):
+            channels.as_chi(value, n)
+
+    def test_register_bound_first(self):
+        value = channels.Chi.of(channels.bit_flip(0.1), 2)
+        with pytest.raises(InvalidConfigurationError, match=r"16\*\*9"):
+            channels.as_chi(value, 9)
+
+    def test_bare_matrix_rejected(self):
+        # a 4 x 4 array could be chi or a one-operator Kraus set on two qubits
+        with pytest.raises(InvalidChannelError):
+            channels.as_chi(channels.Chi.of(channels.bit_flip(0.1), 1).matrix, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_characterize_bit_for_bit(self, n, rng):
+        for channel in (SPEC_OF_KIND["amplitude_damping"], channels.random_channel(n, rng=rng)):
+            want = dcqd.characterize(channel, n)
+            got = dcqd.characterize(channels.Chi.of(channel, n), n)
+            assert np.array_equal(got.chi, want.chi)
+            assert (got.design_cond, got.residual) == (want.design_cond, want.residual)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("tp", [True, False])
+    def test_trace_preserving_as_validate_chi_judges(self, n, tp, rng):
+        value = channels.Chi.of(channels.random_channel(1, trace_preserving=tp, rng=rng), n)
+        assert value.trace_preserving is tp
+        assert channels.validate_chi(value.matrix, trace_preserving=True).tp_ok is tp
+
+
 # every public entry point that takes a register size n
 REGISTER_ENTRY_POINTS = {
     "as_chi": lambda n: channels.as_chi(channels.bit_flip(0.1), n),

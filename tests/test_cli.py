@@ -10,6 +10,9 @@ from dcqdlab import channels, cli, dcqd, inversion, resources, sampling, seriali
 from dcqdlab.exceptions import InvalidChannelError, InvalidConfigurationError
 
 
+PARTIAL = ["partial", "--T1", "2", "--T2", "1", "--t1", "1", "--t2", "1"]
+
+
 def run(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
@@ -196,8 +199,11 @@ class TestExitCodes:
             ["characterize", "--channel", "identity", "--optics"],
             ["sample-sweep", "--channel", "identity", "--shots", "10"],
             ["partial", "--T1", "2", "--T2", "1", "--t1", "1", "--t2", "1", "--shots", "10"],
+            # no seed is used here; a bad one used to be echoed into the report
+            ["characterize", "--channel", "identity"],
+            PARTIAL,
         ],
-        ids=["characterize", "optics", "sample-sweep", "partial"],
+        ids=["characterize", "optics", "sample-sweep", "partial", "exact", "partial-exact"],
     )
     def test_negative_seed(self, argv, capsys):
         # numpy's "expected non-negative integer" used to exit 2
@@ -205,6 +211,24 @@ class TestExitCodes:
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err == "error: seed must be None, a non-negative integer or a SeedSequence, got -1\n"
+
+    @pytest.mark.parametrize("shots", [[], ["--shots", "10"]], ids=["exact", "shots"])
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["characterize", "--channel", "identity", "--alpha", "nan"], 3, "must be finite"),
+            (["characterize", "--channel", "bit_flip:2"], 2, "probability"),
+            (PARTIAL + ["--alpha", "nan"], 3, "must be finite"),
+            (["partial", "--T1", "2", "--T2", "1", "--t1", "0", "--t2", "1"], 4, "seed must be"),
+        ],
+        ids=["amplitudes", "channel", "partial-amplitudes", "partial-t1"],
+    )
+    def test_seed_precedence(self, argv, code, message, shots, capsys):
+        # with several bad arguments, the exact mode reports the one that
+        # the sampled mode reports
+        got, _, err = run(argv + shots + ["--seed", "-1"], capsys)
+        assert got == code
+        assert message in err
 
 
 class TestSqptAndCompare:
@@ -409,6 +433,85 @@ def test_unphysical_kraus_file_rejected(tmp_path, capsys):
     code, _, err = run(["characterize", "--channel", f"@{path}"], capsys)
     assert code == 2
     assert "trace" in err
+
+
+class TestOneConversion:
+    # a file-loaded map is validated once and converted to chi once per
+    # command, however many library calls the command makes
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "--n", "2"],
+            ["characterize", "--n", "2", "--shots", "100", "--seed", "1"],
+            ["characterize", "--optics"],
+            ["sqpt", "--n", "2"],
+            ["compare", "--n", "2"],
+            ["sample-sweep", "--n", "2", "--shots", "100", "--repeats", "2"],
+        ],
+        ids=["exact", "shots", "optics", "sqpt", "compare", "sample-sweep"],
+    )
+    def test_one_conversion_per_command(self, argv, tmp_path, capsys, monkeypatch):
+        n = 2 if "--n" in argv else 1
+        kraus = channels.random_channel(n, seed=4)
+        spec = channels.ChannelSpec(kind="explicit_kraus", operators=tuple(kraus))
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(serialize.spec_to_dict(spec)))
+        calls = {"chi_from_kraus": 0, "_stacked_kraus": 0}
+        for name in calls:
+            original = getattr(channels, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(channels, name, counting)
+        code, _, err = run(argv + ["--channel", f"@{path}"], capsys)
+        assert (code, err) == (0, "")
+        assert calls == {"chi_from_kraus": 1, "_stacked_kraus": 1}
+
+
+class TestEmit:
+    # per command: its arguments, the JSON report's kind and the CSV header
+    CASES = {
+        "characterize": (["--channel", "bit_flip:0.25"], "chi_report", "row,col,real,imag"),
+        "sqpt": (["--channel", "bit_flip:0.25"], "chi_report", "row,col,real,imag"),
+        "compare": (
+            ["--channel", "phase_damping:0.3", "--n", "2"],
+            "compare_report",
+            "method,n_experiments,frobenius_error_vs_truth",
+        ),
+        "partial": (PARTIAL[1:], "partial_report", "quantity,estimate,truth"),
+        "resources": (
+            ["--n", "2"],
+            "resource_report",
+            "n,scheme,hilbert_dim,n_inputs,n_measurements,n_experiments",
+        ),
+        "sample-sweep": (
+            ["--channel", "bit_flip:0.3", "--shots", "100", "--repeats", "2"],
+            "sweep_report",
+            "shots,repeats,median_frobenius_error,min_frobenius_error,max_frobenius_error",
+        ),
+    }
+
+    @staticmethod
+    def formats(command):
+        (sub,) = (a for a in cli.build_parser(command)._actions if a.dest == "command")
+        (fmt,) = (a for a in sub.choices[command]._actions if a.dest == "format")
+        return fmt.choices
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_format(self, command, capsys):
+        args, kind, header = self.CASES[command]
+        for fmt in self.formats(command):
+            code, out, err = run([command, *args, "--format", fmt], capsys)
+            assert (code, err) == (0, "")
+            if fmt == "json":
+                assert json.loads(out)["kind"] == kind
+            elif fmt == "csv":
+                assert out.splitlines()[0] == header
+            else:
+                assert fmt == "text"
+                assert out == resources.format_table(resources.resource_table([2])) + "\n"
 
 
 class TestCommandSequence:

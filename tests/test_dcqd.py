@@ -426,22 +426,23 @@ class TestCharacterize:
 
 class TestFactoredEngine:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("trailing", [0, 1])
     @pytest.mark.parametrize("rows", [4, 16, 24])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_per_pair_matches_tensordot(self, n, lead, rows, dtype, rng):
+    def test_per_pair_matches_tensordot(self, n, trailing, rows, dtype, rng):
         # bit for bit, for a design (rows x 16, on axes of chi) and a
         # pseudo-inverse (16 x rows, on axes of data), both complex as in
-        # every caller, on real and complex data
+        # every caller, on real and complex data; a trailing axis is the
+        # Kraus index of `chi_from_kraus` and `kraus_from_chi`
         def draw(shape, kind):
             x = rng.normal(size=shape)
             return x + 1j * rng.normal(size=shape) if kind is complex else x
 
         for shape in ((rows, 16), (16, rows)):
             mats = [draw(shape, complex) for _ in range(n)]
-            t = draw((3,) * lead + (shape[1],) * n, dtype)
-            want = conftest.per_pair_reference(t, mats, lead)
-            got = inversion.per_pair(t, mats, lead)
+            t = draw((shape[1],) * n + (3,) * trailing, dtype)
+            want = conftest.per_pair_reference(t, mats)
+            got = inversion.per_pair(t, mats)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
