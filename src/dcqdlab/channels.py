@@ -133,8 +133,17 @@ def check_kraus(
     return list(_stacked_kraus(kraus, trace_preserving))
 
 
+def _chi_not_kraus() -> InvalidChannelError:
+    """The error for a `Chi` given where a Kraus set is needed."""
+    return InvalidChannelError(
+        "a Chi is a process matrix, not a Kraus set; its Kraus set is kraus_from_chi(value.matrix)"
+    )
+
+
 def _malformed(kraus) -> InvalidChannelError:
     """The error for a Kraus set that does not stack into one (K, d, d) array of numbers."""
+    if isinstance(kraus, Chi):
+        return _chi_not_kraus()
     try:
         mats = [np.asarray(k, dtype=complex) for k in kraus]
     except (TypeError, ValueError, OverflowError):
@@ -240,6 +249,8 @@ def apply_channel(
     of dimension (Kraus dim) * ancilla_dim; this is the "channel on the
     primary qubits only" extension used by every protocol here.
     """
+    if isinstance(kraus, Chi):
+        raise _chi_not_kraus()
     rho = np.asarray(rho, dtype=complex)
     mats = [np.asarray(k, dtype=complex) for k in kraus]
     d = mats[0].shape[0]
@@ -380,7 +391,8 @@ def random_channel(
         raise InvalidChannelError(f"Kraus rank must be in 1..{d * d}, got {r}")
     g = rng.normal(size=(d * d, r)) + 1j * rng.normal(size=(d * d, r))
     w = g @ g.conj().T
-    marginal = ops.partial_trace(w, keep=[0], dims=(d, d))
+    # Tr_out of the input-major Choi candidate
+    marginal = np.trace(w.reshape(d, d, d, d), axis1=1, axis2=3)
     if trace_preserving:
         vals, vecs = np.linalg.eigh(marginal)
         inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
@@ -535,6 +547,10 @@ class ChannelSpec:
 def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
     """Build the Kraus set a ChannelSpec describes (single qubit unless the
     spec carries explicit multi-qubit operators)."""
+    if isinstance(spec, Chi):
+        raise _chi_not_kraus()
+    if not isinstance(spec, ChannelSpec):
+        raise InvalidChannelError(f"expected a ChannelSpec, got {type(spec).__name__}")
     kind = spec.kind
     params = {k: v if k == "axis" else _number(kind, k, v) for k, v in spec.params.items()}
     if kind == "identity":

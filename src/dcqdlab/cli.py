@@ -195,11 +195,14 @@ def _load_channel(args) -> tuple[channels.Chi, dict]:
 
 
 def cmd_characterize(args) -> int:
+    if args.optics and args.n != 1:
+        # before the channel is loaded, whose chi would go unused; an n out of
+        # range still gets the register message
+        channels.check_register_size(args.n)
+        raise InvalidConfigurationError("the partial Bell-analyzer model is defined for n=1")
     chi, spec_dict = _load_channel(args)
     extra: dict = {"shots": args.shots, "seed": args.seed}
     if args.optics:
-        if args.n != 1:
-            raise InvalidConfigurationError("the partial Bell-analyzer model is defined for n=1")
         result = sampling.characterize_with_optics(
             chi, alpha=args.alpha, beta=args.beta, shots=args.shots, seed=args.seed
         )

@@ -92,24 +92,16 @@ FACTOR_TOL = 1e-12
 def _conjugation_permutation(v: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Permutation and signs with V^dag E_m V = sign[m] * E_perm[m].
 
-    Holds for every Clifford rotation used here; fails loudly otherwise.
+    Reads them off the expansion c[m, k] = Tr(E_k V^dag E_m V) / 2 in
+    `ops.PAULIS`.  Holds for every Clifford rotation used here; fails loudly
+    otherwise.
     """
-    perm = []
-    signs = []
-    for m in range(4):
-        t = v.conj().T @ ops.PAULIS[m] @ v
-        for k in range(4):
-            for s in (1, -1):
-                if np.allclose(t, s * ops.PAULIS[k], atol=1e-12):
-                    perm.append(k)
-                    signs.append(s)
-                    break
-            else:
-                continue
-            break
-        else:
-            raise ValueError("rotation does not permute the Pauli basis")
-    return tuple(perm), tuple(signs)
+    c = np.einsum("kba,ja,mjc,cb->mk", ops.PAULIS, v.conj(), ops.PAULIS, v) / 2
+    perm = np.argmax(np.abs(c), axis=1)
+    sign = np.round(c[range(4), perm].real)
+    if not np.allclose(c, np.eye(4)[perm] * sign[:, None], atol=1e-12):
+        raise ValueError("rotation does not permute the Pauli basis")
+    return tuple(int(k) for k in perm), tuple(int(s) for s in sign)
 
 
 FRAME_PERM = {}
@@ -249,7 +241,6 @@ def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
 
 def outcome_probabilities(channel, config: Configuration) -> OutcomeDistribution:
     """Probabilities q_k = Tr[P_k E(rho_c)] with the channel on the primary block."""
-    channels.check_register_size(config.n)
     chi = channels.as_chi(channel, config.n)
     # rows of A1 grouped by setting: a1[s] is setting s's 4 x 16 design
     a1 = pair_design(config.alpha, config.beta).reshape(4, 4, 16)

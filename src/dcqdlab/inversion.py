@@ -14,7 +14,8 @@ every pair axis of chi (a permuted n-fold Kronecker power of D1):
 * `readout_design` builds D1 from an R x 4 readout table T (row r is one
   (input, outcome) pair, and an operator K on the qubit gives it the
   amplitude sum_{a, a'} K[a, a'] T[r, (a, a')]):
-  D1[r, (m, m')] = c[r, m] conj(c[r, m']) with c[r, m] = sum T[r, (a, a')] E_m[a, a'];
+  D1[r, (m, m')] = c[r, m] conj(c[r, m']) with c[r, m] = sum T[r, (a, a')] E_m[a, a']
+  and E_m = ops.PAULIS[m], the one-qubit Pauli table;
 * the forward model `forward` applies D1 to chi: q = D1^{(x) n} chi;
 * the solver `solve` applies its pseudo-inverse: one SVD of D1 gives its
   rank (the full design has rank(D1)**n), cond(D1)**n and pinv(D1), and
@@ -79,7 +80,7 @@ def forward(designs: Sequence[np.ndarray], chi: np.ndarray) -> np.ndarray:
 
 def readout_design(table: np.ndarray) -> np.ndarray:
     """Per-pair design D1[r, (m, m')] = c[r, m] conj(c[r, m']) of an R x 4 readout table."""
-    c = np.asarray(table) @ ops.pauli_basis(1).reshape(4, 4).T
+    c = np.asarray(table) @ np.reshape(ops.PAULIS, (4, 4)).T
     return np.einsum("rm,rn->rmn", c, c.conj()).reshape(len(c), 16)
 
 

@@ -7,10 +7,13 @@ Everything else in the package is built on the conventions fixed here:
   |10>, |11> reads |q_A q_B>.  The library only ever builds one pair; the
   dense n-pair register of the test oracle is laid out primary-block first,
   [A_1 .. A_n, B_1 .. B_n], with A_1 most significant.
-* Pauli operators are indexed 0:I, 1:X, 2:Y, 3:Z with Y = [[0,-i],[i,0]].
+* Pauli operators are indexed 0:I, 1:X, 2:Y, 3:Z with Y = [[0,-i],[i,0]];
+  the one-qubit table `PAULIS` is the library's only Pauli basis.
   Multi-qubit Pauli strings are tuples of these digits, enumerated in
   lexicographic order (first qubit most significant), which also fixes the
-  row/column order of every process matrix.
+  row/column order of every process matrix.  The string E_s is the
+  Kronecker product of PAULIS[s_i], but no n-qubit string matrix is ever
+  built: every n-qubit map applies the one-qubit table along each qubit.
 * The Bell basis is ordered (phi+, psi+, psi-, phi-).  With this order the
   state obtained by acting with Pauli index m on the primary half of phi+
   is (up to phase) basis element m, so a Bell-type measurement detects the
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -56,16 +59,6 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     return reduce(np.kron, [np.asarray(f, dtype=complex) for f in factors])
 
 
-def pauli_matrix(letters: Sequence[int]) -> np.ndarray:
-    """Matrix of the Pauli string with the given digits (0:I 1:X 2:Y 3:Z)."""
-    letters = tuple(int(p) for p in letters)
-    if not letters:
-        raise ValueError("empty Pauli string")
-    if any(p not in (0, 1, 2, 3) for p in letters):
-        raise ValueError(f"Pauli digits must be in 0..3, got {letters}")
-    return tensor(*(PAULIS[p] for p in letters))
-
-
 def pauli_strings(n: int) -> Iterator[tuple[int, ...]]:
     """All 4**n Pauli strings on n qubits in lexicographic (index) order."""
     return itertools.product(range(4), repeat=n)
@@ -74,11 +67,6 @@ def pauli_strings(n: int) -> Iterator[tuple[int, ...]]:
 def pauli_labels(n: int) -> list[str]:
     """Text labels ('I', 'X', ..., 'IX', ...) matching `pauli_strings` order."""
     return ["".join(PAULI_LABELS[p] for p in s) for s in pauli_strings(n)]
-
-
-def pauli_basis(n: int) -> np.ndarray:
-    """Stack of all 4**n Pauli-string matrices, shape (4**n, 2**n, 2**n)."""
-    return np.array([pauli_matrix(s) for s in pauli_strings(n)])
 
 
 def bell_basis() -> list[np.ndarray]:
@@ -114,39 +102,6 @@ def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
             f"operator shape {op.shape} does not match state shape {rho.shape}"
         )
     return complex(np.trace(op @ rho))
-
-
-def partial_trace(rho: np.ndarray, keep: Iterable[int], dims: Sequence[int]) -> np.ndarray:
-    """Trace out all subsystems not listed in `keep`.
-
-    Parameters
-    ----------
-    rho : square matrix on the tensor product of the factors in `dims`.
-    keep : indices (into `dims`) of the subsystems to retain, in order.
-    dims : dimension of every tensor factor, left factor first.
-
-    Returns
-    -------
-    Reduced density matrix on the kept factors, in their original order.
-    """
-    dims = tuple(int(d) for d in dims)
-    rho = np.asarray(rho, dtype=complex)
-    total = math.prod(dims)
-    if rho.shape != (total, total):
-        raise DimensionMismatchError(
-            f"matrix shape {rho.shape} inconsistent with factor dims {dims}"
-        )
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for {len(dims)} factors")
-    traced = [i for i in range(len(dims)) if i not in keep]
-    t = rho.reshape(dims + dims)
-    nsub = len(dims)
-    for ax in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + nsub)
-        nsub -= 1
-    d_keep = math.prod(dims[i] for i in keep) if keep else 1
-    return t.reshape(d_keep, d_keep)
 
 
 def hermiticity_deviation(a: np.ndarray) -> float:

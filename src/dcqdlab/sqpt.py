@@ -64,10 +64,11 @@ def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     the ground-truth process matrix to solver precision; what this baseline
     quantifies is the experiment count, not accuracy.
     """
-    channels.check_register_size(n)
+    # as_chi checks the register first, so a bad n gets its message
+    chi = channels.as_chi(channel, n)
     counts = resources.resource_counts(n)["sqpt"]
     design = _design()
-    q = inversion.forward([design] * n, channels.as_chi(channel, n))
+    q = inversion.forward([design] * n, chi)
     chi, _cond = inversion.solve(design, q)
     return SqptResult(
         chi=chi,

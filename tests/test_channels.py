@@ -234,7 +234,7 @@ class TestValidateChi:
         # the 16 parameters of a single-qubit chi: the map from chi to
         # sum_mn chi[m,n] E_n E_m has rank 4 (complex rank here, equal to
         # the real rank on Hermitian chi)
-        basis = ops.pauli_basis(1)
+        basis = np.array(ops.PAULIS)
         columns = [
             np.einsum("mn,nab,mbc->ac", unit.reshape(4, 4), basis, basis).ravel()
             for unit in np.eye(16)
@@ -243,9 +243,11 @@ class TestValidateChi:
 
 
 class TestRandomChannel:
-    def test_tp_channels_are_tp(self, rng):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tp_channels_are_tp(self, n, rng):
+        # the whitened input marginal at d = 2, 4 and 8
         for _ in range(5):
-            kraus = channels.random_channel(1, trace_preserving=True, rng=rng)
+            kraus = channels.random_channel(n, trace_preserving=True, rng=rng)
             channels.check_kraus(kraus, trace_preserving=True)
 
     def test_non_tp_channels_decrease_trace(self, rng):
@@ -524,6 +526,21 @@ class TestChi:
         value = channels.Chi.of(channels.random_channel(1, trace_preserving=tp, rng=rng), n)
         assert value.trace_preserving is tp
         assert channels.validate_chi(value.matrix, trace_preserving=True).tp_ok is tp
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: channels.apply_channel(v, np.eye(2) / 2),
+            channels.kraus_from_spec,
+            channels.as_kraus,
+            channels.check_kraus,
+        ],
+        ids=["apply_channel", "kraus_from_spec", "as_kraus", "check_kraus"],
+    )
+    def test_not_a_kraus_set(self, call):
+        # the builtin TypeError, AttributeError, and a message about array shapes before
+        with pytest.raises(InvalidChannelError, match=r"kraus_from_chi\(value\.matrix\)"):
+            call(channels.Chi.of(channels.bit_flip(0.1), 1))
 
 
 # every public entry point that takes a register size n

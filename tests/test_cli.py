@@ -69,6 +69,14 @@ class TestCharacterize:
         assert code == 3
         assert "n=1" in err
 
+    def test_optics_n_checked_before_the_channel(self, capsys, channel_untouched):
+        # chi on all five qubits used to be built and judged first
+        code, _, err = run(
+            ["characterize", "--channel", "depolarizing:0.1", "--n", "5", "--optics"], capsys
+        )
+        assert code == cli.EXIT_ILL_POSED
+        assert "n=1" in err
+
     def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
         code, _, _ = run(

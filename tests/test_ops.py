@@ -32,24 +32,16 @@ class TestTensor:
 
 class TestPauliMatrix:
     def test_identity(self):
-        assert np.array_equal(ops.pauli_matrix((0,)), np.eye(2))
+        assert np.array_equal(ops.PAULIS[0], np.eye(2))
 
     def test_y_convention(self):
-        assert np.array_equal(ops.pauli_matrix((2,)), np.array([[0, -1j], [1j, 0]]))
-
-    def test_two_qubit_composition(self):
-        assert np.array_equal(ops.pauli_matrix((3, 1)), np.kron(ops.PAULI_Z, ops.PAULI_X))
-
-    def test_rejects_bad_letters(self):
-        with pytest.raises(ValueError):
-            ops.pauli_matrix((4,))
-        with pytest.raises(ValueError):
-            ops.pauli_matrix(())
+        assert np.array_equal(ops.PAULIS[2], np.array([[0, -1j], [1j, 0]]))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_orthogonality(self, n):
-        # Tr(E_p^dag E_q) = 2^n delta_pq, exhaustively
-        mats = [ops.pauli_matrix(s) for s in ops.pauli_strings(n)]
+        # Tr(E_p^dag E_q) = 2^n delta_pq, exhaustively, over the strings
+        # E_s = PAULIS[s_1] (x) ... in `pauli_strings` order that index chi
+        mats = [ops.tensor(*(ops.PAULIS[p] for p in s)) for s in ops.pauli_strings(n)]
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
                 want = 2**n if i == j else 0.0
@@ -58,7 +50,7 @@ class TestPauliMatrix:
     @pytest.mark.parametrize("n", [1, 2])
     def test_hermitian_unitary(self, n):
         for s in ops.pauli_strings(n):
-            m = ops.pauli_matrix(s)
+            m = ops.tensor(*(ops.PAULIS[p] for p in s))
             assert np.allclose(m, m.conj().T)
             assert np.allclose(m @ m, np.eye(2**n))
 
@@ -94,41 +86,6 @@ class TestBellBasis:
             for j, b in enumerate(projs):
                 want = a if i == j else np.zeros((4, 4))
                 assert np.allclose(a @ b, want, atol=1e-14)
-
-
-class TestPartialTrace:
-    def test_maximally_entangled_marginal(self):
-        rho = ops.projector(ops.bell_basis()[0])
-        assert np.allclose(ops.partial_trace(rho, [0], (2, 2)), np.eye(2) / 2)
-
-    def test_product_state(self):
-        rho = ops.projector(ket(0, 0))
-        assert np.allclose(ops.partial_trace(rho, [0], (2, 2)), np.diag([1, 0]))
-
-    def test_schmidt_coefficients(self):
-        psi = math.sqrt(2 / 3) * ket(0, 0) + math.sqrt(1 / 3) * ket(1, 1)
-        reduced = ops.partial_trace(ops.projector(psi), [0], (2, 2))
-        assert np.allclose(reduced, np.diag([2 / 3, 1 / 3]))
-
-    def test_recovers_factor_of_product(self, rng):
-        for _ in range(5):
-            rho_a = random_density(1, rng)
-            rho_b = random_density(2, rng)
-            joint = np.kron(rho_a, rho_b)
-            assert np.allclose(ops.partial_trace(joint, [0], (2, 4)), rho_a, atol=1e-12)
-            assert np.allclose(ops.partial_trace(joint, [1], (2, 4)), rho_b, atol=1e-12)
-
-    def test_trace_preserved_and_psd(self, rng):
-        rho = random_density(2, rng)
-        reduced = ops.partial_trace(rho, [1], (2, 2))
-        assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-12)
-        assert ops.min_eigenvalue(reduced) > -1e-12
-
-    def test_inconsistent_dims(self):
-        with pytest.raises(DimensionMismatchError):
-            ops.partial_trace(np.eye(4), [0], (2, 3))
-        with pytest.raises(DimensionMismatchError):
-            ops.partial_trace(np.eye(4), [2], (2, 2))
 
 
 class TestExpectation:
