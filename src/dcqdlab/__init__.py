@@ -26,14 +26,11 @@ from .channels import (
     validate_chi,
 )
 from .dcqd import (
-    Configuration,
-    OutcomeDistribution,
     ReconstructionResult,
     all_configurations,
     characterize,
     outcome_probabilities,
     reconstruct_coherence,
-    reconstruct_population,
 )
 from .relax import RelaxEstimate, estimate_T1, estimate_T2, forward_model, joint_estimate
 from .resources import resource_counts, resource_table
@@ -50,10 +47,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSpec",
-    "Configuration",
     "CountsTable",
     "OpticsModel",
-    "OutcomeDistribution",
     "ReconstructionResult",
     "RelaxEstimate",
     "SqptResult",
@@ -79,7 +74,6 @@ __all__ = [
     "phase_flip",
     "random_channel",
     "reconstruct_coherence",
-    "reconstruct_population",
     "resource_counts",
     "resource_table",
     "rotation",

@@ -213,17 +213,33 @@ def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return c.T @ c.conj()
 
 
+def _checked_matrix(matrix, name: str, qubits: bool) -> tuple[np.ndarray, int]:
+    """A chi (`qubits`) or Choi matrix as a complex array, and d with side d**2.
+
+    The side must be d**2 with d >= 2, a power of 2 for chi (4**n x 4**n),
+    or `DimensionMismatchError` is raised; a non-finite entry raises
+    `InvalidChannelError`.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    side = m.shape[0] if m.ndim == 2 else 0
+    d = math.isqrt(side)
+    if d < 2 or m.shape != (d * d, d * d) or (qubits and d & (d - 1)):
+        form = "4**n x 4**n" if qubits else "d**2 x d**2"
+        raise DimensionMismatchError(f"{name} shape {m.shape} is not {form}")
+    if not np.isfinite(m).all():
+        raise InvalidChannelError(f"{name} has a non-finite entry")
+    return m, d
+
+
 def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:
     """Kraus set of a process matrix, via eigendecomposition of chi.
 
     Eigenvalues up to `KEEP_TOL` are dropped; eigenvalues below -`CP_ATOL`
-    mean the map is not completely positive and raise.
+    mean the map is not completely positive and raise.  chi must be
+    4**n x 4**n and finite (`_checked_matrix`).
     """
-    chi = np.asarray(chi, dtype=complex)
-    dd = chi.shape[0]
-    n = int(round(math.log2(dd) / 2))
-    if chi.shape != (dd, dd) or 4**n != dd:
-        raise DimensionMismatchError(f"chi shape {chi.shape} is not 4**n x 4**n")
+    chi, d = _checked_matrix(chi, "chi", qubits=True)
+    n = d.bit_length() - 1
     herm = (chi + chi.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
     if vals.min() < -CP_ATOL:
@@ -311,8 +327,9 @@ def validate_chi(chi: np.ndarray, trace_preserving: bool = False) -> ChiValidati
     TP residual is the max deviation of sum_mn chi[m, n] E_n E_m from the
     identity; it is only computed when trace_preserving is requested.  The
     checks use `HERMITIAN_ATOL`, `EIG_FLOOR`, `TRACE_ATOL` and `TP_ATOL`.
+    chi must be 4**n x 4**n and finite (`_checked_matrix`).
     """
-    chi = np.asarray(chi, dtype=complex)
+    chi, _ = _checked_matrix(chi, "chi", qubits=True)
     dev = ops.hermiticity_deviation(chi)
     lo = ops.min_eigenvalue(chi)
     tr = float(np.trace(chi).real)
@@ -347,11 +364,7 @@ def _tp_residual(chi: np.ndarray) -> float:
 
 def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     """Kraus set of a Choi matrix (input-major convention of this module), as `kraus_from_chi`."""
-    choi = np.asarray(choi, dtype=complex)
-    dd = choi.shape[0]
-    d = int(round(math.sqrt(dd)))
-    if choi.shape != (dd, dd) or d * d != dd:
-        raise DimensionMismatchError(f"Choi shape {choi.shape} is not d**2 x d**2")
+    choi, d = _checked_matrix(choi, "Choi", qubits=False)
     vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
     if vals.min() < -CP_ATOL:
         raise NotCompletelyPositiveError(

@@ -1,7 +1,7 @@
 """Direct characterization of quantum dynamics on n primary qubits.
 
-Each primary qubit is paired with one ancilla qubit.  A configuration
-assigns one of four settings to every pair:
+Each primary qubit is paired with one ancilla qubit.  A configuration is
+a tuple of setting names, one of four per pair:
 
 ======== ============================ =================== ===============
 setting  input state (pair)           stabilizer          normalizer
@@ -22,11 +22,17 @@ The pop setting returns the full diagonal of chi in one measurement; each
 coh setting returns two off-diagonal entries of chi (four real numbers) in
 one measurement.  All 4**n configurations together determine every entry.
 
-An experiment's data are one float array of shape (4**n, 4**n): row c is
-configuration c of `all_configurations(n, alpha, beta)` and column k its
-joint outcome (digits pair 1 first).  Exact probabilities
+The input amplitudes (alpha, beta) are shared by every coh pair and are
+plain arguments of every entry point; `validate_amplitudes` is their one
+check for a full experiment, and `_check_amplitudes` the one check that
+they are finite, normalized numbers.  A configuration's data are its
+outcome probabilities (`outcome_probabilities(channel, settings, alpha,
+beta)`, a vector of 4**n).  An experiment's data are one float array of
+shape (4**n, 4**n): row c is configuration c of `all_configurations(n)`
+and column k its joint outcome (digits pair 1 first).  Exact probabilities
 (`all_outcome_probabilities`) and sampled frequencies share this layout;
-`reconstruct_from_probabilities` reads n from its shape.
+`reconstruct_from_probabilities` reads n from its shape.  Complex or
+non-finite data raise `InvalidDistributionError`.
 
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
@@ -54,6 +60,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,8 +119,17 @@ for _setting in (COH_Z, COH_X, COH_Y):
     )
 
 
-def _check_amplitudes(alpha: complex, beta: complex) -> None:
-    """The input amplitudes must be finite and normalized."""
+def _check_amplitudes(alpha, beta) -> tuple[complex, complex]:
+    """The input amplitudes as complex numbers; they must be finite, normalized numbers.
+
+    A string, None or any other non-number raises `InvalidConfigurationError`
+    like a non-finite or unnormalized pair.
+    """
+    if not (isinstance(alpha, numbers.Number) and isinstance(beta, numbers.Number)):
+        raise InvalidConfigurationError(
+            f"amplitudes must be numbers, got alpha={alpha!r}, beta={beta!r}"
+        )
+    alpha, beta = complex(alpha), complex(beta)
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise InvalidConfigurationError(
             f"amplitudes must be finite, got alpha={alpha!r}, beta={beta!r}"
@@ -123,52 +139,19 @@ def _check_amplitudes(alpha: complex, beta: complex) -> None:
     norm = a * a + b * b
     if abs(norm - 1.0) > 1e-10:
         raise InvalidConfigurationError(f"|alpha|^2 + |beta|^2 = {norm!r} != 1")
+    return alpha, beta
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One experimental configuration: a setting per pair plus amplitudes.
+def validate_amplitudes(alpha, beta) -> None:
+    """Check amplitudes for the coherence settings, which every full experiment has.
 
-    The (alpha, beta) pair is shared by every coh-type pair of the
-    configuration; pop pairs always use the maximally entangled state.
-    Construction performs only structural checks; the amplitude constraints
-    of coherence settings are enforced by `validate_configuration`.
+    They must pass `_check_amplitudes`; then, since coherence reconstruction
+    divides by <Z^A>, <U> and <Z^A U> of the input pair, which are
+    proportional to |alpha|^2 - |beta|^2, Re(alpha beta*) and
+    Im(alpha beta*), all three must exceed `FACTOR_TOL` in magnitude.
+    Raises `InvalidConfigurationError`.
     """
-
-    settings: tuple[str, ...]
-    alpha: complex = DEFAULT_ALPHA
-    beta: complex = DEFAULT_BETA
-
-    def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(self.settings))
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        if not self.settings:
-            raise InvalidConfigurationError("configuration needs at least one pair")
-        bad = [s for s in self.settings if s not in SETTINGS]
-        if bad:
-            raise InvalidConfigurationError(f"unknown settings {bad}; valid: {SETTINGS}")
-        _check_amplitudes(self.alpha, self.beta)
-
-    @property
-    def n(self) -> int:
-        return len(self.settings)
-
-    @property
-    def label(self) -> str:
-        return ",".join(self.settings)
-
-
-def validate_configuration(config: Configuration) -> None:
-    """Enforce the amplitude constraints of coherence settings.
-
-    Coherence reconstruction divides by <Z^A>, <U> and <Z^A U> of the input
-    pair, which are proportional to |alpha|^2 - |beta|^2, Re(alpha beta*)
-    and Im(alpha beta*); all three must exceed `FACTOR_TOL` in magnitude.
-    """
-    if all(s == POP for s in config.settings):
-        return
-    a, b = config.alpha, config.beta
+    a, b = _check_amplitudes(alpha, beta)
     if abs(a) < FACTOR_TOL or abs(b) < FACTOR_TOL:
         raise InvalidConfigurationError(
             "coherence settings need both amplitudes nonzero, got "
@@ -185,30 +168,13 @@ def validate_configuration(config: Configuration) -> None:
             raise InvalidConfigurationError(message)
 
 
-def all_configurations(
-    n: int, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
-) -> list[Configuration]:
-    """The 4**n configurations in index order (setting digits, pair 1 first).
+def all_configurations(n: int) -> list[tuple[str, ...]]:
+    """The 4**n configurations in index order, each a tuple of setting names (pair 1 first).
 
     n is bounded like every register (`channels.check_register_size`).
     """
     channels.check_register_size(n)
-    return [
-        Configuration(settings=s, alpha=alpha, beta=beta)
-        for s in itertools.product(SETTINGS, repeat=n)
-    ]
-
-
-@dataclass
-class OutcomeDistribution:
-    """Exact outcome probabilities of one configuration.
-
-    Sums to 1 for trace-preserving channels and to Tr[E(rho)] otherwise;
-    no renormalization is ever applied.
-    """
-
-    config: Configuration
-    probabilities: np.ndarray
+    return list(itertools.product(SETTINGS, repeat=n))
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +188,9 @@ def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
     (a, b) = (alpha, beta) and (1, 1)/sqrt(2) for pop, and measures the Bell
     states rotated the same way, W_s[:, k] = (V_s (x) I) |Bell_k>, with V_s
     from PREP_ROTATIONS.  Outcome k's amplitude after a primary-qubit
-    operator K is then sum K[a, a'] M[(s, k), (a, a')].  Raises
-    `InvalidConfigurationError` on non-finite or unnormalized amplitudes.
+    operator K is then sum K[a, a'] M[(s, k), (a, a')].  The amplitudes are
+    checked by `pair_design`.
     """
-    alpha, beta = complex(alpha), complex(beta)
-    _check_amplitudes(alpha, beta)
     # bell[k, a, b]: Bell state k with the primary qubit first
     bell = np.array(ops.bell_basis()).reshape(4, 2, 2)
     pop = 1.0 / math.sqrt(2)
@@ -239,13 +203,30 @@ def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
     return np.vstack(rows)
 
 
-def outcome_probabilities(channel, config: Configuration) -> OutcomeDistribution:
-    """Probabilities q_k = Tr[P_k E(rho_c)] with the channel on the primary block."""
-    chi = channels.as_chi(channel, config.n)
+def outcome_probabilities(
+    channel, settings, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
+) -> np.ndarray:
+    """Probabilities q_k = Tr[P_k E(rho_c)] of one configuration, a vector of 4**n.
+
+    `settings` names the setting of each of the n pairs, and the channel acts
+    on the primary block.  Checks the settings (unknown, none or not a
+    sequence raise `InvalidConfigurationError`), the register size, the
+    amplitudes (`_check_amplitudes`) and then the channel.
+    """
+    try:
+        settings = tuple(settings)
+    except TypeError:
+        raise InvalidConfigurationError(f"settings must be a sequence, got {settings!r}") from None
+    if not settings:
+        raise InvalidConfigurationError("configuration needs at least one pair")
+    bad = [s for s in settings if s not in SETTINGS]
+    if bad:
+        raise InvalidConfigurationError(f"unknown settings {bad}; valid: {SETTINGS}")
+    channels.check_register_size(len(settings))
     # rows of A1 grouped by setting: a1[s] is setting s's 4 x 16 design
-    a1 = pair_design(config.alpha, config.beta).reshape(4, 4, 16)
-    q = inversion.forward([a1[SETTINGS.index(s)] for s in config.settings], chi)
-    return OutcomeDistribution(config=config, probabilities=q.ravel())
+    a1 = pair_design(alpha, beta).reshape(4, 4, 16)
+    chi = channels.as_chi(channel, len(settings))
+    return inversion.forward([a1[SETTINGS.index(s)] for s in settings], chi).ravel()
 
 
 def _experiment(
@@ -253,12 +234,11 @@ def _experiment(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A1, the channel's chi on n qubits and its exact data, one axis per pair.
 
-    Checks the register size, then the amplitudes (once: every coherence
-    configuration carries the same constraints, and every n has one), then
-    the channel.  Axis i of the data is (setting_i, outcome_i).
+    Checks the register size, then the amplitudes (`validate_amplitudes`),
+    then the channel.  Axis i of the data is (setting_i, outcome_i).
     """
     channels.check_register_size(n)
-    validate_configuration(Configuration(settings=(COH_Z,), alpha=alpha, beta=beta))
+    validate_amplitudes(alpha, beta)
     a1 = pair_design(alpha, beta)
     chi = channels.as_chi(channel, n)
     return a1, chi, inversion.forward([a1] * n, chi)
@@ -269,10 +249,10 @@ def all_outcome_probabilities(
 ) -> np.ndarray:
     """Exact outcome probabilities of all 4**n configurations, shape (4**n, 4**n).
 
-    Row c is configuration c of `all_configurations(n, alpha, beta)` and
-    column k its joint outcome.  Checks the register size, then the
-    amplitudes, then the channel, and applies A1 along every pair axis of
-    the channel's chi (`channels.as_chi`).
+    Row c is configuration c of `all_configurations(n)` and column k its
+    joint outcome.  Checks the register size, then the amplitudes, then the
+    channel, and applies A1 along every pair axis of the channel's chi
+    (`channels.as_chi`).
     """
     _, _, q = _experiment(channel, n, alpha, beta)
     # rows become configurations
@@ -284,28 +264,15 @@ def all_outcome_probabilities(
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_population(dist: OutcomeDistribution) -> np.ndarray:
-    """Diagonal of chi from the all-pop configuration: chi_mm = q_m.
-
-    Outcome digit k of a pop pair detects the Pauli error with the same
-    index, so the joint outcome index coincides with the Pauli-string index
-    of the population it measures.
-    """
-    if any(s != POP for s in dist.config.settings):
-        raise InvalidConfigurationError(
-            f"population reconstruction needs an all-pop configuration, got {dist.config.label}"
-        )
-    return np.asarray(dist.probabilities, dtype=float).copy()
-
-
-def input_pair_expectations(config: Configuration) -> dict[str, float]:
+def input_pair_expectations(alpha: complex, beta: complex) -> dict[str, float]:
     """The three scalar factors of the coherence equations.
 
     Keys: 'stabilizer_bias' = <Z^A> = |alpha|^2 - |beta|^2,
     'normalizer' = <X^A X^B> = 2 Re(alpha beta*),
     'cross_imag' = Im(alpha beta*), i.e. <Z^A X^A X^B> = -2i * cross_imag.
+    The amplitudes are checked by `_check_amplitudes`.
     """
-    a, b = config.alpha, config.beta
+    a, b = _check_amplitudes(alpha, beta)
     cross = a * b.conjugate()
     return {
         "stabilizer_bias": abs(a) ** 2 - abs(b) ** 2,
@@ -315,24 +282,27 @@ def input_pair_expectations(config: Configuration) -> dict[str, float]:
 
 
 def reconstruct_coherence(
-    dist: OutcomeDistribution, diagonals: np.ndarray
+    setting: str,
+    probabilities,
+    diagonals: np.ndarray,
+    alpha: complex = DEFAULT_ALPHA,
+    beta: complex = DEFAULT_BETA,
 ) -> tuple[complex, complex]:
-    """Rotated-frame coherences (chi'_03, chi'_12) of one coh configuration.
+    """Rotated-frame coherences (chi'_03, chi'_12) of one coh setting on a single pair.
 
-    Works on a single pair.  The four outcome probabilities give four real
-    equations: the stabilizer sums q0+q3 and q1+q2 determine Re(chi'_03)
-    and Im(chi'_12) once the diagonals are known, and the normalizer
-    differences q0-q3 and q1-q2 determine Im(chi'_03) and Re(chi'_12).
-    `diagonals` are the canonical-frame populations (from the pop
-    configuration); they are permuted into the rotated frame internally.
-    Use `map_frame` to place the returned values into the canonical chi.
+    The four outcome probabilities give four real equations: the stabilizer
+    sums q0+q3 and q1+q2 determine Re(chi'_03) and Im(chi'_12) once the
+    diagonals are known, and the normalizer differences q0-q3 and q1-q2
+    determine Im(chi'_03) and Re(chi'_12).  `diagonals` are the
+    canonical-frame populations (the pop setting's probabilities); they are
+    permuted into the rotated frame internally.  Use `map_frame` to place
+    the returned values into the canonical chi.
     """
-    config = dist.config
-    if config.n != 1 or config.settings[0] not in (COH_Z, COH_X, COH_Y):
+    if setting not in (COH_Z, COH_X, COH_Y):
         raise InvalidConfigurationError(
-            f"coherence reconstruction needs one coh-type pair, got {config.label}"
+            f"coherence reconstruction needs one coh-type pair, got {setting}"
         )
-    factors = input_pair_expectations(config)
+    factors = input_pair_expectations(alpha, beta)
     for key, name in (
         ("stabilizer_bias", "<Z^A>"),
         ("normalizer", "<U> = <X^A X^B>"),
@@ -340,13 +310,16 @@ def reconstruct_coherence(
     ):
         if abs(factors[key]) < FACTOR_TOL:
             raise IllPosedConfigurationError(
-                f"configuration {config.label} has vanishing factor {name}; "
+                f"configuration {setting} has vanishing factor {name}; "
                 "choose amplitudes with |alpha| != |beta| and complex alpha beta*"
             )
-    setting = config.settings[0]
-    iperm = np.argsort(FRAME_PERM[setting])
-    dp = np.asarray(diagonals, dtype=float)[iperm]
-    q = np.asarray(dist.probabilities, dtype=float)
+    q, dp = _real_data(probabilities), _real_data(diagonals)
+    if q.shape != (4,) or dp.shape != (4,):
+        raise DimensionMismatchError(
+            "coherence reconstruction needs 4 probabilities and 4 diagonals, "
+            f"got {q.shape} and {dp.shape}"
+        )
+    dp = dp[np.argsort(FRAME_PERM[setting])]
     s_plus, s_minus = q[0] + q[3], q[1] + q[2]
     d_plus, d_minus = q[0] - q[3], q[1] - q[2]
     z_bias = factors["stabilizer_bias"]
@@ -399,10 +372,10 @@ def pair_design(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) ->
     A1 is built once per process for each exact (alpha, beta) and the
     returned array is read-only.  The cache (at most 32 amplitude pairs) is
     keyed on the bits of both amplitudes, so amplitudes that differ only in
-    a signed zero get their own A1.  Non-finite or unnormalized amplitudes
+    a signed zero get their own A1.  Amplitudes that fail `_check_amplitudes`
     raise `InvalidConfigurationError` on every call.
     """
-    alpha, beta = complex(alpha), complex(beta)
+    alpha, beta = _check_amplitudes(alpha, beta)
     return _pair_design(*(x.hex() for z in (alpha, beta) for x in (z.real, z.imag)))
 
 
@@ -438,6 +411,14 @@ class ReconstructionResult:
     design_cond: Optional[float] = None
 
 
+def _real_data(data) -> np.ndarray:
+    """Outcome data as a float array; complex data raise instead of losing their imaginary part."""
+    a = np.asarray(data)
+    if np.iscomplexobj(a):
+        raise InvalidDistributionError("outcome data must be real, got complex values")
+    return np.asarray(a, dtype=float)
+
+
 def _check_finite(data: np.ndarray) -> None:
     if not np.isfinite(data).all():
         raise InvalidDistributionError("outcome data contain NaN or infinite entries")
@@ -451,20 +432,15 @@ def closed_form_chi(
     Expects the 4 x 4 probability array of one pair, rows in setting order
     (pop, coh_z, coh_x, coh_y).
     """
-    q = np.asarray(probabilities, dtype=float)
+    q = _real_data(probabilities)
     if q.shape != (4, 4):
         raise InvalidConfigurationError("closed form needs the 4 single-pair distributions")
     _check_finite(q)
-    dists = [
-        OutcomeDistribution(Configuration(settings=(s,), alpha=alpha, beta=beta), row)
-        for s, row in zip(SETTINGS, q)
-    ]
-    diag = reconstruct_population(dists[0])
-    chi = np.zeros((4, 4), dtype=complex)
-    np.fill_diagonal(chi, diag)
-    for dist in dists[1:]:
-        coh_stab, coh_norm = reconstruct_coherence(dist, diag)
-        for (m, n), value in map_frame(dist.config.settings[0], coh_stab, coh_norm).items():
+    # outcome m of the pop setting detects Pauli error m: the pop row is diag(chi)
+    chi = np.diag(q[0]).astype(complex)
+    for setting, row in zip(SETTINGS[1:], q[1:]):
+        coh_stab, coh_norm = reconstruct_coherence(setting, row, q[0], alpha, beta)
+        for (m, n), value in map_frame(setting, coh_stab, coh_norm).items():
             chi[m, n] = value
             chi[n, m] = value.conjugate()
     return chi
@@ -489,15 +465,15 @@ def reconstruct_from_probabilities(
     """Solve for chi from the data of all 4**n configurations.
 
     `probabilities` is the (4**n, 4**n) array of `all_outcome_probabilities`
-    (row c configuration c of `all_configurations(n, alpha, beta)`, column k
-    its joint outcome), exact probabilities or empirical frequencies alike;
+    (row c configuration c of `all_configurations(n)`, column k its joint
+    outcome), exact probabilities or empirical frequencies alike;
     n comes from its shape, and no renormalization or positivity repair is
     applied.  The solve (`inversion.solve`) applies A1^-1 along each pair
-    axis of the data.  A register beyond `channels.check_register_size`, non-finite
-    data or a rank-deficient A1 (degenerate amplitudes) raises instead of
-    returning a wrong chi.
+    axis of the data.  A register beyond `channels.check_register_size`,
+    complex or non-finite data or a rank-deficient A1 (degenerate
+    amplitudes) raises instead of returning a wrong chi.
     """
-    q = np.asarray(probabilities, dtype=float)
+    q = _real_data(probabilities)
     rows = q.shape[0] if q.ndim else 0
     n = (rows.bit_length() - 1) // 2
     if n < 1 or q.shape != (4**n, 4**n):

@@ -12,7 +12,9 @@ measurement) then determines both time constants at once:
   and T2 follows once T1 is known.
 
 Real amplitudes are fine here (only <Z^A>_in != 1 and Re(a b*) != 0 are
-needed), unlike the full coherence protocol in `dcqd`.  Zero decay is a
+needed), unlike the full coherence protocol in `dcqd`, so the amplitudes
+get only `dcqd._check_amplitudes` (finite, normalized numbers).  Non-finite
+data raise `InconsistentDataError`.  Zero decay is a
 legitimate limit and is reported as an infinite time constant rather than
 an error.
 """
@@ -59,16 +61,6 @@ class RelaxEstimate:
     t2: float
 
 
-def _pair_config(alpha: complex, beta: complex) -> dcqd.Configuration:
-    """The coh_z configuration of a|00> + b|11>; it validates the amplitudes."""
-    return dcqd.Configuration(settings=(dcqd.COH_Z,), alpha=alpha, beta=beta)
-
-
-def _pair_state(config: dcqd.Configuration) -> np.ndarray:
-    """The two-qubit state a|00> + b|11> of a coh_z configuration."""
-    return np.array([config.alpha, 0, 0, config.beta], dtype=complex)
-
-
 def forward_model(
     alpha: complex, beta: complex, t1: float, T1: float, t2: float, T2: float
 ) -> np.ndarray:
@@ -79,7 +71,8 @@ def forward_model(
     <00|rho_f|00> + <01|rho_f|01> = 1 - exp(-t1/T1) (1 - |a|^2) and the
     entangled coherence is <00|rho_f|11> = exp(-t'/(2 T2')) a b*.
     """
-    rho = ops.projector(_pair_state(_pair_config(alpha, beta)))
+    alpha, beta = dcqd._check_amplitudes(alpha, beta)
+    rho = ops.projector(np.array([alpha, 0, 0, beta], dtype=complex))
     sequence = channels.compose(
         channels.amplitude_damping(t=t1, T1=T1),
         channels.phase_damping(t=t2, T2=T2),
@@ -99,6 +92,8 @@ def estimate_T1(p_minus: float, t1: float, rho_in: np.ndarray) -> float:
     z_in = ops.expectation(np.asarray(rho_in, dtype=complex), np.kron(ops.PAULI_Z, ops.IDENTITY_2)).real
     if abs(1.0 - z_in) < 1e-12:
         raise IllPosedInputError("<Z^A> = 1 on the input (beta = 0); T1 leaves no signature")
+    if not math.isfinite(p_minus):
+        raise InconsistentDataError(f"stabilizer -1 probability must be finite, got {p_minus!r}")
     if p_minus < -1e-12:
         raise InconsistentDataError(f"negative probability {p_minus!r}")
     gamma = 2.0 * max(p_minus, 0.0) / (1.0 - z_in)
@@ -128,6 +123,10 @@ def estimate_T2(
     # written so that NaN fails too
     if not 0 <= t2 < math.inf:
         raise InvalidStateError(f"t2 must be finite and non-negative, got {t2!r}")
+    if not (math.isfinite(x_expect_out) and math.isfinite(x_expect_in)):
+        raise InconsistentDataError(
+            f"expectations must be finite, got {x_expect_out!r} and {x_expect_in!r}"
+        )
     if abs(x_expect_in) < 1e-12:
         raise IllPosedInputError(
             "<X^A X^B> vanishes on the input (Re(alpha beta*) = 0); T2 leaves no signature"
@@ -164,9 +163,9 @@ def joint_estimate(
     distribution (or, with `shots`, a single counts table).  `seed` is
     checked like `sampling.sample_counts`'s, with or without `shots`.
     """
-    config = _pair_config(alpha, beta)
-    psi = _pair_state(config)
-    q = dcqd.outcome_probabilities(channel, config).probabilities
+    alpha, beta = dcqd._check_amplitudes(alpha, beta)
+    psi = np.array([alpha, 0, 0, beta], dtype=complex)
+    q = dcqd.outcome_probabilities(channel, (dcqd.COH_Z,), alpha, beta)
     if shots is not None:
         q = sampling.empirical_frequencies(sampling.sample_counts(q, shots, seed))
     else:
@@ -180,8 +179,8 @@ def joint_estimate(
         T1=T1,
         t_prime_over_T2_prime=t_prime,
         T2=T2,
-        alpha=complex(alpha),
-        beta=complex(beta),
+        alpha=alpha,
+        beta=beta,
         t1=float(t1),
         t2=float(t2),
     )

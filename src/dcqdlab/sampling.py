@@ -15,7 +15,10 @@ setting.  Merged outcomes make a single configuration's design rank
 deficient; measuring the complementary analyzer setting as well (swapping
 which pair is resolved) restores full rank at twice the configuration
 count.  The single-pair design is then [G; G_complement] applied to each
-setting's rows of A1, and the shared solver in `inversion` inverts it."""
+setting's rows of A1, `merged_design_matrix(setting, models, alpha, beta)`
+stacked over the four settings, and the shared solver in `inversion`
+inverts it.  `apply_optics_model(probabilities, model)` merges one pair's
+outcome probabilities the same way."""
 
 from __future__ import annotations
 
@@ -25,7 +28,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dcqd, inversion
-from .exceptions import DimensionMismatchError, InvalidDistributionError
+from .exceptions import (
+    DimensionMismatchError,
+    InvalidConfigurationError,
+    InvalidDistributionError,
+)
 from .ops import is_integer
 
 __all__ = [
@@ -87,12 +94,12 @@ def sample_counts(probabilities, shots: int, seed=None) -> CountsTable:
 
     `seed` is None, a non-negative integer, a SeedSequence or a Generator;
     identical seeds give identical counts.  `shots` must be an integer in
-    1..`MAX_SHOTS`, the probabilities finite and the seed one of those, or
-    `InvalidDistributionError` is raised.
+    1..`MAX_SHOTS`, the probabilities real and finite and the seed one of
+    those, or `InvalidDistributionError` is raised.
     """
     if not (is_integer(shots) and 1 <= shots <= MAX_SHOTS):
         raise InvalidDistributionError(f"shots must be an integer in 1..2**63 - 1, got {shots!r}")
-    q = np.asarray(probabilities, dtype=float)
+    q = dcqd._real_data(probabilities)
     if q.ndim != 1 or not q.size:
         raise DimensionMismatchError(f"expected a non-empty probability vector, got shape {q.shape}")
     lo, total = q.min(), q.sum()
@@ -211,32 +218,36 @@ class OpticsModel:
         return np.array([[float(k in g) for k in range(4)] for g in self.groups()])
 
 
-def apply_optics_model(dist: dcqd.OutcomeDistribution, model: OpticsModel) -> dict[str, float]:
-    """Merge outcome probabilities the analyzer cannot tell apart.
+def apply_optics_model(probabilities, model: OpticsModel) -> dict[str, float]:
+    """Merge a pair's 4 outcome probabilities that the analyzer cannot tell apart.
 
     Total probability mass is preserved exactly; only the resolution drops.
+    Complex probabilities raise `InvalidDistributionError`.
     """
-    q = np.asarray(dist.probabilities, dtype=float)
+    q = dcqd._real_data(probabilities)
     if q.shape != (4,):
         raise DimensionMismatchError("optics model is defined per pair (n = 1)")
     return dict(zip(model.labels(), map(float, model.merge_matrix @ q)))
 
 
 def merged_design_matrix(
-    config: dcqd.Configuration, models: Sequence[OpticsModel]
+    setting: str,
+    models: Sequence[OpticsModel],
+    alpha: complex = dcqd.DEFAULT_ALPHA,
+    beta: complex = dcqd.DEFAULT_BETA,
 ) -> np.ndarray:
-    """Stacked complex design matrix of one configuration under analyzer models.
+    """Stacked complex design matrix of one setting under analyzer models.
 
     One model per analyzer setting; each contributes its merged rows G @ A,
-    A the 4 rows of A1 (`dcqd.pair_design`) that belong to the
-    configuration's setting, the rows `characterize_with_optics` merges.
-    Rank analysis of this matrix quantifies what a partial Bell analyzer can
-    and cannot reconstruct.
+    A the 4 rows of A1 (`dcqd.pair_design`) that belong to the setting.
+    `characterize_with_optics` stacks these for its design.  Rank analysis
+    of this matrix quantifies what a partial Bell analyzer can and cannot
+    reconstruct.
     """
-    if config.n != 1:
-        raise DimensionMismatchError("optics model is defined per pair (n = 1)")
-    a1 = dcqd.pair_design(config.alpha, config.beta).reshape(4, 4, 16)
-    base = a1[dcqd.SETTINGS.index(config.settings[0])]
+    if setting not in dcqd.SETTINGS:
+        raise InvalidConfigurationError(f"unknown setting {setting!r}; valid: {dcqd.SETTINGS}")
+    a1 = dcqd.pair_design(alpha, beta).reshape(4, 4, 16)
+    base = a1[dcqd.SETTINGS.index(setting)]
     return np.vstack([model.merge_matrix @ base for model in models])
 
 
@@ -255,8 +266,9 @@ def characterize_with_optics(
     analyzer setting is sampled independently.
     """
     model = OpticsModel()
-    merges = [model.merge_matrix, model.complement().merge_matrix]
-    a1, _, data = dcqd._experiment(channel, 1, alpha, beta)
+    models = [model, model.complement()]
+    merges = [m.merge_matrix for m in models]
+    _, _, data = dcqd._experiment(channel, 1, alpha, beta)
     q = data.reshape(4, 4)
     children = _seed_sequence(seed).spawn(len(q) * len(merges))
     values = []
@@ -268,7 +280,7 @@ def characterize_with_optics(
                 merged = empirical_frequencies(table)
             values.append(merged)
     # rows (setting, analyzer setting, group), matching `values`
-    design = np.vstack([g @ block for block in a1.reshape(len(q), 4, 16) for g in merges])
+    design = np.vstack([merged_design_matrix(s, models, alpha, beta) for s in dcqd.SETTINGS])
     chi, cond = inversion.solve(design, np.concatenate(values))
     return dcqd.ReconstructionResult(
         chi=chi,

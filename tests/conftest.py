@@ -92,47 +92,52 @@ def _kron_pairs(pair_vectors):
     return joint.reshape([2] * (2 * n)).transpose(order).reshape(-1)
 
 
-def input_state(config):
-    """2n-qubit input state of a configuration, primary block first.
+# The library's default input amplitudes, for the oracles' defaults.
+ALPHA, BETA = dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA
+
+
+def input_state(settings, alpha=ALPHA, beta=BETA):
+    """2n-qubit input state of a configuration (one setting per pair), primary block first.
 
     Pair i holds (V_s (x) I)(a|00> + b|11>) for its setting s, with
     (a, b) = (alpha, beta), or (1, 1)/sqrt(2) for pop.
     """
     pairs = []
-    for s in config.settings:
-        a, b = (_S, _S) if s == "pop" else (config.alpha, config.beta)
+    for s in settings:
+        a, b = (_S, _S) if s == "pop" else (alpha, beta)
         pairs.append(np.kron(PREP_ROTATIONS[s], I2) @ np.array([a, 0, 0, b], dtype=complex))
     return _kron_pairs(pairs)
 
 
-def measurement_basis(config):
+def measurement_basis(settings):
     """The 4**n joint measurement states, outcome digits (pair 1 first) in Bell order.
 
     Per pair these are the Bell states rotated by the pair's preparation
     rotation, (V_s (x) I)|Bell_k>.
     """
-    pair_bases = [[np.kron(PREP_ROTATIONS[s], I2) @ b for b in BELL_STATES] for s in config.settings]
+    pair_bases = [[np.kron(PREP_ROTATIONS[s], I2) @ b for b in BELL_STATES] for s in settings]
     return [
         _kron_pairs([pair_bases[i][k] for i, k in enumerate(digits)])
-        for digits in itertools.product(range(4), repeat=config.n)
+        for digits in itertools.product(range(4), repeat=len(settings))
     ]
 
 
-def amplitude_matrix(config):
+def amplitude_matrix(settings, alpha=ALPHA, beta=BETA):
     """C[k, m] = <outcome_k| (E_m on primaries) |input state>.
 
     The input is pure and every outcome projector has rank 1, so the design
     factorizes through C: Tr[P_k E_m rho_c E_n^dag] = C[k, m] conj(C[k, n]).
     """
-    d = 2**config.n
-    psi = input_state(config).reshape(d, d)
-    w = np.array([e @ psi for e in naive_pauli_list(config.n)]).reshape(d * d, d * d)
-    return np.array(measurement_basis(config)).conj() @ w.T
+    n = len(settings)
+    d = 2**n
+    psi = input_state(settings, alpha, beta).reshape(d, d)
+    w = np.array([e @ psi for e in naive_pauli_list(n)]).reshape(d * d, d * d)
+    return np.array(measurement_basis(settings)).conj() @ w.T
 
 
-def design_matrix(config):
+def design_matrix(settings, alpha=ALPHA, beta=BETA):
     """Dense complex design A[k, m*D + n] = Tr[P_k E_m rho_c E_n^dag] of one configuration."""
-    c = amplitude_matrix(config)
+    c = amplitude_matrix(settings, alpha, beta)
     return np.einsum("km,kn->kmn", c, c.conj()).reshape(c.shape[0], -1)
 
 
@@ -148,16 +153,16 @@ def choi_from_kraus(kraus):
     return choi
 
 
-def density_matrix_probabilities(kraus, config):
+def density_matrix_probabilities(kraus, settings, alpha=ALPHA, beta=BETA):
     """Outcome probabilities by full density-matrix simulation of the register.
 
     Builds the 2n-qubit input projector, applies the channel to the primary
     block and reads out every joint measurement state; independent of the
     per-pair factored engine.
     """
-    psi = input_state(config)
-    rho_out = channels.apply_channel(kraus, np.outer(psi, psi.conj()), ancilla_dim=2**config.n)
-    return np.array([np.vdot(b, rho_out @ b).real for b in measurement_basis(config)])
+    psi = input_state(settings, alpha, beta)
+    rho_out = channels.apply_channel(kraus, np.outer(psi, psi.conj()), ancilla_dim=2 ** len(settings))
+    return np.array([np.vdot(b, rho_out @ b).real for b in measurement_basis(settings)])
 
 
 def per_pair_reference(t, mats):
@@ -184,18 +189,18 @@ def channel_untouched(monkeypatch):
         monkeypatch.setattr(channels, name, untouched)
 
 
-def stacked_design(configs):
+def stacked_design(configs, alpha=ALPHA, beta=BETA):
     """Dense complex design of a configuration set, rows stacked in order."""
-    return np.vstack([design_matrix(c) for c in configs])
+    return np.vstack([design_matrix(c, alpha, beta) for c in configs])
 
 
-def real_design(config):
+def real_design(settings, alpha=ALPHA, beta=BETA):
     """Real design of one configuration over the Hermitian parameters of chi.
 
     Parameters: the diagonal of chi, then (Re, Im) of its strict upper
     triangle in row-major order (see `unflatten_hermitian`).
     """
-    c = amplitude_matrix(config)
+    c = amplitude_matrix(settings, alpha, beta)
     dim = c.shape[1]
     rows, cols = np.triu_indices(dim, k=1)
     cross = c[:, rows] * c[:, cols].conj()

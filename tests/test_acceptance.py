@@ -30,11 +30,10 @@ def test_01_error_detection_identity():
     # each Pauli error on half of phi+ fires its own Bell outcome with certainty
     start = time.perf_counter()
     worst = 1.0
-    pop = dcqd.Configuration(settings=(dcqd.POP,))
     for m in range(4):
-        dist = dcqd.outcome_probabilities([ops.PAULIS[m]], pop)
-        worst = min(worst, dist.probabilities[m])
-        others = np.delete(dist.probabilities, m)
+        q = dcqd.outcome_probabilities([ops.PAULIS[m]], (dcqd.POP,))
+        worst = min(worst, q[m])
+        others = np.delete(q, m)
         worst = min(worst, 1.0 - np.max(np.abs(others)))
     elapsed = time.perf_counter() - start
     verdict(
@@ -46,11 +45,10 @@ def test_01_error_detection_identity():
 
 def test_02_population_in_single_measurement():
     rng = np.random.default_rng(2)
-    pop = dcqd.Configuration(settings=(dcqd.POP,))
     worst = 0.0
     for kraus in random_maps(100, 1, rng):
         truth = np.diag(channels.chi_from_kraus(kraus)).real
-        diag = dcqd.reconstruct_population(dcqd.outcome_probabilities(kraus, pop))
+        diag = dcqd.outcome_probabilities(kraus, (dcqd.POP,))
         worst = max(worst, float(np.max(np.abs(diag - truth))))
     verdict(2, worst < 1e-10, f"100 random maps, max |chi_mm error| = {worst:.2e} < 1e-10")
 
@@ -156,11 +154,10 @@ def test_07_shot_noise_scaling():
 
 
 def test_08_partial_bell_analyzer():
-    pop = dcqd.Configuration(settings=(dcqd.POP,))
     model = sampling.OpticsModel()
-    rank_single = np.linalg.matrix_rank(sampling.merged_design_matrix(pop, [model]))
+    rank_single = np.linalg.matrix_rank(sampling.merged_design_matrix(dcqd.POP, [model]))
     rank_double = np.linalg.matrix_rank(
-        sampling.merged_design_matrix(pop, [model, model.complement()])
+        sampling.merged_design_matrix(dcqd.POP, [model, model.complement()])
     )
     result = sampling.characterize_with_optics(channels.bit_flip(0.25))
     ok = (
@@ -210,12 +207,9 @@ def test_10_ill_posed_guard():
     except InvalidConfigurationError:
         rejected_real = True
     # even with validation bypassed, the solver refuses the singular system
-    configs = [
-        dcqd.Configuration(settings=c.settings, alpha=0.8, beta=0.6)
-        for c in dcqd.all_configurations(1)
-    ]
     probs = [
-        dcqd.outcome_probabilities(channels.identity_channel(), c).probabilities for c in configs
+        dcqd.outcome_probabilities(channels.identity_channel(), c, 0.8, 0.6)
+        for c in dcqd.all_configurations(1)
     ]
     try:
         dcqd.reconstruct_from_probabilities(probs, alpha=0.8, beta=0.6)

@@ -118,6 +118,45 @@ class TestKrausFromChi:
             channels.kraus_from_chi(chi)
 
 
+@pytest.mark.parametrize(
+    "convert",
+    [
+        channels.kraus_from_chi,
+        channels.kraus_from_choi,
+        channels.validate_chi,
+        lambda m: channels.validate_chi(m, trace_preserving=True),
+    ],
+    ids=["kraus_from_chi", "kraus_from_choi", "validate_chi", "validate_chi_tp"],
+)
+@pytest.mark.parametrize(
+    "matrix,error",
+    [
+        (5, DimensionMismatchError),
+        (np.eye(3), DimensionMismatchError),
+        (np.eye(4)[:, :3], DimensionMismatchError),
+        (np.eye(1), DimensionMismatchError),
+        (np.zeros((2, 4, 4)), DimensionMismatchError),
+        (np.full((4, 4), np.nan), InvalidChannelError),
+        (np.diag([1.0, 0.0, 0.0, np.inf]), InvalidChannelError),
+        (np.diag([1.0, 0.0, 0.0, complex(0.0, np.nan)]), InvalidChannelError),
+    ],
+    ids=["scalar", "3x3", "4x3", "1x1", "3d", "all_nan", "inf", "nan_imag"],
+)
+def test_chi_and_choi_inputs_checked(convert, matrix, error):
+    # one check of shape and finiteness, before any eigendecomposition
+    with pytest.raises(error):
+        convert(matrix)
+
+
+def test_choi_side_need_not_be_a_power_of_two():
+    # a qutrit Choi matrix (d = 3) is a valid input; a 9 x 9 chi is not
+    choi = np.zeros((9, 9), dtype=complex)
+    choi[0, 0] = 1.0
+    assert len(channels.kraus_from_choi(choi)) == 1
+    with pytest.raises(DimensionMismatchError, match=r"4\*\*n"):
+        channels.kraus_from_chi(choi)
+
+
 class TestApplyChannel:
     def test_identity_leaves_state(self):
         rho = ops.projector(ops.bell_basis()[0])

@@ -66,6 +66,9 @@ def test_chi_exactly_hermitian(channel, amps):
 def test_all_pop_mass_is_chi_trace(channel, amps):
     n, kraus = channel
     probs = dcqd.all_outcome_probabilities(kraus, n, *amps)
-    assert all(s == dcqd.POP for s in dcqd.all_configurations(n)[0].settings)
+    assert dcqd.all_configurations(n)[0] == (dcqd.POP,) * n
     chi = dcqd.reconstruct_from_probabilities(probs, *amps).chi
     assert math.isclose(probs[0].sum(), np.trace(chi).real, abs_tol=1e-12)
+    # population in one measurement: outcome m of the all-pop row is chi_mm
+    assert np.allclose(probs[0], np.diag(chi).real, rtol=0, atol=1e-12)
+    assert np.allclose(probs[0], np.diag(channels.chi_from_kraus(kraus)).real, rtol=0, atol=1e-12)

@@ -83,6 +83,11 @@ class TestEstimateT1:
         with pytest.raises(InvalidStateError):
             relax.estimate_T1(0.1, 0.0, self.rho_in())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability(self, bad):
+        with pytest.raises(InconsistentDataError, match="finite"):
+            relax.estimate_T1(bad, 1.0, self.rho_in())
+
 
 class TestEstimateT2:
     def test_no_dephasing_sentinel(self):
@@ -111,6 +116,13 @@ class TestEstimateT2:
     def test_zero_input_expectation(self):
         with pytest.raises(IllPosedInputError):
             relax.estimate_T2(0.0, 0.0, 1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["out", "in"])
+    def test_non_finite_expectation(self, which, bad):
+        x = {"out": 0.5, "in": 0.9, which: bad}
+        with pytest.raises(InconsistentDataError, match="finite"):
+            relax.estimate_T2(x["out"], x["in"], 1.0, 1.0, 2.0)
 
 
 class TestJointEstimate:

@@ -12,6 +12,27 @@ from dcqdlab.exceptions import (
 )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: dcqd.reconstruct_from_probabilities(q),
+        lambda q: dcqd.closed_form_chi(q),
+        lambda q: sampling.sample_counts(q[0], shots=10, seed=1),
+        lambda q: sampling.apply_optics_model(q[0], sampling.OpticsModel()),
+        lambda q: dcqd.reconstruct_coherence(dcqd.COH_Z, q[1], q[0]),
+    ],
+    ids=["reconstruct", "closed_form", "sample_counts", "optics", "coherence"],
+)
+def test_complex_data_rejected(call):
+    # the imaginary part is not dropped: a complex array raises before the cast
+    q = np.ones((4, 4)) * (1 + 1j) / 4
+    with pytest.raises(InvalidDistributionError, match="real"):
+        call(q)
+    # the same values with a zero imaginary part are still complex data
+    with pytest.raises(InvalidDistributionError, match="real"):
+        call(dcqd.all_outcome_probabilities(channels.bit_flip(0.1), 1) + 0j)
+
+
 class TestSampleCounts:
     def test_deterministic_distribution(self):
         table = sampling.sample_counts([1, 0, 0, 0], shots=1000, seed=3)
@@ -215,47 +236,63 @@ class TestOpticsModel:
         with pytest.raises(InvalidDistributionError):
             sampling.OpticsModel(resolved=(1, 2), merged=(2, 3))
 
+    @pytest.mark.parametrize("setting", ["coh_w", ("pop",), None])
+    def test_merged_design_rejects_unknown_setting(self, setting):
+        with pytest.raises(InvalidConfigurationError, match="unknown setting"):
+            sampling.merged_design_matrix(setting, [sampling.OpticsModel()])
+
+    def test_optics_design_is_the_merged_designs(self, monkeypatch):
+        # characterize_with_optics builds its design only through merged_design_matrix
+        calls = []
+        original = sampling.merged_design_matrix
+
+        def counting(setting, models, alpha, beta):
+            calls.append(setting)
+            return original(setting, models, alpha, beta)
+
+        monkeypatch.setattr(sampling, "merged_design_matrix", counting)
+        result = sampling.characterize_with_optics(channels.bit_flip(0.25))
+        assert calls == list(dcqd.SETTINGS)
+        chi_true = channels.chi_from_kraus(channels.bit_flip(0.25))
+        assert np.max(np.abs(result.chi - chi_true)) < 1e-12
+
     def test_merging_example(self):
-        dist = dcqd.OutcomeDistribution(
-            dcqd.Configuration(settings=(dcqd.POP,)), np.array([0.75, 0.25, 0, 0])
-        )
-        merged = sampling.apply_optics_model(dist, sampling.OpticsModel())
+        merged = sampling.apply_optics_model([0.75, 0.25, 0, 0], sampling.OpticsModel())
         assert merged == {"phi+/phi-": 0.75, "psi+": 0.25, "psi-": 0.0}
 
     def test_mass_preserved(self, rng):
         kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
         for config in dcqd.all_configurations(1):
-            dist = dcqd.outcome_probabilities(kraus, config)
-            merged = sampling.apply_optics_model(dist, sampling.OpticsModel())
-            assert sum(merged.values()) == pytest.approx(dist.probabilities.sum(), abs=1e-12)
+            q = dcqd.outcome_probabilities(kraus, config)
+            merged = sampling.apply_optics_model(q, sampling.OpticsModel())
+            assert sum(merged.values()) == pytest.approx(q.sum(), abs=1e-12)
 
     def test_pop_rank_deficient_then_restored(self):
-        pop = dcqd.all_configurations(1)[0]
         model = sampling.OpticsModel()
-        single = sampling.merged_design_matrix(pop, [model])
-        both = sampling.merged_design_matrix(pop, [model, model.complement()])
+        single = sampling.merged_design_matrix(dcqd.POP, [model])
+        both = sampling.merged_design_matrix(dcqd.POP, [model, model.complement()])
         assert np.linalg.matrix_rank(single) == 3
         assert np.linalg.matrix_rank(both) == 4
 
     @pytest.mark.parametrize("alpha,beta", [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j)])
     def test_merged_design_matches_dense_rows(self, alpha, beta):
         model = sampling.OpticsModel()
-        for config in dcqd.all_configurations(1, alpha, beta):
-            dense = design_matrix(config)
+        for setting in dcqd.SETTINGS:
+            dense = design_matrix((setting,), alpha, beta)
             for models in ([model], [model.complement()], [model, model.complement()]):
                 want = np.vstack([m.merge_matrix @ dense for m in models])
-                got = sampling.merged_design_matrix(config, models)
+                got = sampling.merged_design_matrix(setting, models, alpha, beta)
                 assert np.max(np.abs(got - want)) < 1e-15
 
     def test_full_configuration_set_rank_restored(self):
         model = sampling.OpticsModel()
         single = np.vstack(
-            [sampling.merged_design_matrix(c, [model]) for c in dcqd.all_configurations(1)]
+            [sampling.merged_design_matrix(s, [model]) for s in dcqd.SETTINGS]
         )
         both = np.vstack(
             [
-                sampling.merged_design_matrix(c, [model, model.complement()])
-                for c in dcqd.all_configurations(1)
+                sampling.merged_design_matrix(s, [model, model.complement()])
+                for s in dcqd.SETTINGS
             ]
         )
         assert np.linalg.matrix_rank(single) < 16
