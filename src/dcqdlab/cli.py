@@ -14,9 +14,10 @@ Every handler loads, runs, then emits: `_load_channel` converts the channel
 once per command, to the `channels.Chi` that every library call takes and
 every error against the truth reads, and `_emit` writes every report.
 
-Reports are JSON by default (canonical, bit-exact round trip) or CSV for
-tabular views.  Output goes to stdout unless --output is given; relative
-output paths are resolved against $DCQDLAB_OUTPUT_DIR when set.  Exit
+Reports are JSON by default (chi bit-exact, as `serialize.encode_chi`
+writes it; a channel file echoed by its digest) or CSV for tabular views.
+Output goes to stdout unless --output is given; relative output paths are
+resolved against $DCQDLAB_OUTPUT_DIR when set.  Exit
 codes: 0 success, 2 argument/parse error, 3 ill-posed configuration,
 4 numerical validation failure or a bad --shots or --seed.
 """
@@ -188,10 +189,10 @@ def _emit(args, report: dict, rows: Optional[list] = None) -> None:
 
 
 def _load_channel(args) -> tuple[channels.Chi, dict]:
-    """The --channel map as a `channels.Chi` on --n qubits (checked first) and its spec."""
+    """The --channel map as a `channels.Chi` on --n qubits (checked first) and its echo."""
     channels.check_register_size(args.n)
-    spec = serialize.parse_channel_arg(args.channel)
-    return channels.Chi.of(spec, args.n), serialize.spec_to_dict(spec)
+    spec, echo = serialize.load_channel_arg(args.channel)
+    return channels.Chi.of(spec, args.n), echo
 
 
 def cmd_characterize(args) -> int:
@@ -280,14 +281,12 @@ def cmd_compare(args) -> int:
         "dcqd": {
             "n_experiments": r_dcqd.n_configurations,
             "frobenius_error_vs_truth": float(np.linalg.norm(r_dcqd.chi - chi.matrix)),
-            "chi_real": r_dcqd.chi.real.tolist(),
-            "chi_imag": r_dcqd.chi.imag.tolist(),
+            "chi": serialize.encode_chi(r_dcqd.chi),
         },
         "sqpt": {
             "n_experiments": r_sqpt.n_experiments,
             "frobenius_error_vs_truth": float(np.linalg.norm(r_sqpt.chi - chi.matrix)),
-            "chi_real": r_sqpt.chi.real.tolist(),
-            "chi_imag": r_sqpt.chi.imag.tolist(),
+            "chi": serialize.encode_chi(r_sqpt.chi),
         },
         "resources": resources.resource_counts(args.n),
     }

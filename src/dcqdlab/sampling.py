@@ -242,10 +242,15 @@ def merged_design_matrix(
     A the 4 rows of A1 (`dcqd.pair_design`) that belong to the setting.
     `characterize_with_optics` stacks these for its design.  Rank analysis
     of this matrix quantifies what a partial Bell analyzer can and cannot
-    reconstruct.
+    reconstruct.  `models` must be a non-empty sequence of `OpticsModel`s,
+    or `InvalidConfigurationError` is raised.
     """
     if setting not in dcqd.SETTINGS:
         raise InvalidConfigurationError(f"unknown setting {setting!r}; valid: {dcqd.SETTINGS}")
+    if not models or not all(isinstance(m, OpticsModel) for m in models):
+        raise InvalidConfigurationError(
+            f"models must be a non-empty sequence of OpticsModel, got {models!r}"
+        )
     a1 = dcqd.pair_design(alpha, beta).reshape(4, 4, 16)
     base = a1[dcqd.SETTINGS.index(setting)]
     return np.vstack([model.merge_matrix @ base for model in models])

@@ -9,15 +9,22 @@ JSON documents ("@file.json") with the schema
      "stages": [spec, ...]}             # composed
 
 where a matrix is a row-major list of rows of [re, im] pairs -- exactly
-representable and diff friendly.  Process-matrix reports store the real
-and imaginary parts as separate matrices plus the Pauli-string index
-legend; JSON floats round-trip bit for bit through Python's repr-based
-encoder, so reading a report back reproduces the matrix exactly.
+representable and diff friendly.  A spec read from a file is echoed into
+reports by the SHA-256 digest of the file's bytes (and its operator count),
+not by its operators.
+
+A process-matrix report stores chi once, as `encode_chi` writes it: the
+base64 text of its little-endian complex128 bytes, with its shape.  Encoding
+and decoding are linear in the number of entries and bit-exact; the report
+also carries the Pauli-string index legend, and `chi_rows` gives the
+per-entry, human-readable CSV view.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
+import hashlib
 import io
 import json
 import math
@@ -47,8 +54,7 @@ def parse_channel_arg(text: str) -> channels.ChannelSpec:
     if not text:
         raise InvalidChannelError("empty channel specification")
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            return spec_from_dict(json.load(fh))
+        return _read_channel_file(text[1:])[0]
     kind, _, arg_text = text.partition(":")
     kind = kind.strip()
     if kind not in channels.CHANNEL_KINDS:
@@ -73,6 +79,37 @@ def parse_channel_arg(text: str) -> channels.ChannelSpec:
                 key, raw = positional[i], piece
             params[key] = raw.strip() if key in _STRING_PARAMS else _parse_number(raw, text)
     return channels.ChannelSpec(kind=kind, params=params)
+
+
+def load_channel_arg(text: str) -> tuple[channels.ChannelSpec, dict]:
+    """A --channel value's ChannelSpec and its echo for reports.
+
+    A flag-form spec is echoed whole (`spec_to_dict`); an @file spec by its
+    kind, the SHA-256 digest of the file's bytes and, when the file lists
+    operators, their count.
+    """
+    text = text.strip()
+    if text.startswith("@"):
+        return _read_channel_file(text[1:])
+    spec = parse_channel_arg(text)
+    return spec, spec_to_dict(spec)
+
+
+def _read_channel_file(path: str) -> tuple[channels.ChannelSpec, dict]:
+    """Read a channel file once, as bytes, into its spec and digest echo."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise InvalidChannelError(f"channel file {path!r} is not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidChannelError(f"channel file {path!r} is not JSON: {exc}") from None
+    spec = spec_from_dict(doc)
+    echo = {"kind": spec.kind, "sha256": hashlib.sha256(data).hexdigest()}
+    if spec.operators is not None:
+        echo["n_operators"] = len(spec.operators)
+    return spec, echo
 
 
 def _parse_number(raw: str, context: str) -> float:
@@ -173,8 +210,7 @@ def chi_report(
         "method": method,
         "n_qubits": n_qubits,
         "basis": ops.pauli_labels(n_qubits),
-        "chi_real": np.asarray(chi).real.tolist(),
-        "chi_imag": np.asarray(chi).imag.tolist(),
+        "chi": encode_chi(chi),
         "n_configurations": n_configurations,
         "validation": validation_to_dict(validation),
     }
@@ -185,11 +221,73 @@ def chi_report(
     return report
 
 
+CHI_ENCODING = "base64-complex128-le"
+
+
+def encode_chi(chi: np.ndarray) -> dict:
+    """chi as JSON: base64 of its row-major little-endian complex128 bytes."""
+    m = np.asarray(chi, dtype="<c16")
+    return {
+        "encoding": CHI_ENCODING,
+        "shape": list(m.shape),
+        "data": base64.b64encode(m.tobytes()).decode("ascii"),
+    }
+
+
 def chi_from_report(report: dict) -> np.ndarray:
-    """Rebuild the complex process matrix stored in a chi report."""
-    return np.array(report["chi_real"], dtype=float) + 1j * np.array(
-        report["chi_imag"], dtype=float
-    )
+    """The complex process matrix stored in a chi report, bit for bit.
+
+    Reads the `encode_chi` form under "chi" and, for reports written before
+    it, separate "chi_real" and "chi_imag" lists of rows.  A missing or
+    malformed field raises `InvalidChannelError`; the matrix then passes the
+    chi input check (`DimensionMismatchError` unless 4**n x 4**n,
+    `InvalidChannelError` for a non-finite entry).
+    """
+    if not isinstance(report, dict):
+        raise InvalidChannelError("a chi report must be a JSON object")
+    if "chi" in report:
+        chi = _decode_chi(report["chi"])
+    elif "chi_real" in report and "chi_imag" in report:
+        try:
+            re = np.array(report["chi_real"], dtype=float)
+            im = np.array(report["chi_imag"], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidChannelError(f"malformed chi lists: {exc}") from None
+        if re.shape != im.shape:
+            raise InvalidChannelError(
+                f"chi_real shape {re.shape} differs from chi_imag shape {im.shape}"
+            )
+        # set, not added: re + 1j * im would turn an imaginary -0.0 into +0.0
+        chi = re.astype(complex)
+        chi.imag = im
+    else:
+        raise InvalidChannelError("chi report has no 'chi' (or 'chi_real' and 'chi_imag') field")
+    return channels._checked_matrix(chi, "chi", qubits=True)[0]
+
+
+def _decode_chi(field) -> np.ndarray:
+    if not isinstance(field, dict) or not {"encoding", "shape", "data"} <= field.keys():
+        raise InvalidChannelError("'chi' must be an object with encoding, shape and data")
+    if field["encoding"] != CHI_ENCODING:
+        raise InvalidChannelError(
+            f"unknown chi encoding {field['encoding']!r}; expected {CHI_ENCODING!r}"
+        )
+    shape = field["shape"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(k) is int and k >= 0 for k in shape)
+    ):
+        raise InvalidChannelError(f"chi shape {shape!r} is not a pair of sizes")
+    try:
+        raw = base64.b64decode(field["data"], validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InvalidChannelError(f"chi data is not base64: {exc}") from None
+    if len(raw) != 16 * shape[0] * shape[1]:
+        raise InvalidChannelError(
+            f"chi data holds {len(raw)} bytes, not the {16 * shape[0] * shape[1]} of shape {shape}"
+        )
+    return np.frombuffer(raw, dtype="<c16").reshape(shape).astype(complex)
 
 
 def dump_json(report: dict) -> str:
@@ -203,8 +301,8 @@ def load_json(text: str) -> dict:
 def chi_rows(report: dict) -> list[dict]:
     """Flatten a chi report into per-entry CSV rows."""
     labels = report["basis"]
-    re = report["chi_real"]
-    im = report["chi_imag"]
+    chi = chi_from_report(report)
+    re, im = chi.real.tolist(), chi.imag.tolist()
     return [
         {"row": labels[m], "col": labels[n], "real": re[m][n], "imag": im[m][n]}
         for m in range(len(labels))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import time
@@ -258,6 +259,17 @@ class TestSqptAndCompare:
         assert report["max_entry_difference"] < 1e-8
         assert report["resources"]["dcqd"]["n_experiments"] == 4
 
+    def test_compare_chis_decode(self, capsys):
+        code, out, _ = run(["compare", "--channel", "amplitude_damping:0.4", "--n", "2"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        truth = channels.Chi.of(serialize.parse_channel_arg("amplitude_damping:0.4"), 2).matrix
+        chis = {m: serialize.chi_from_report(report[m]) for m in ("dcqd", "sqpt")}
+        for method, chi in chis.items():
+            assert chi.shape == (16, 16)
+            assert float(np.linalg.norm(chi - truth)) == report[method]["frobenius_error_vs_truth"]
+        assert float(np.max(np.abs(chis["dcqd"] - chis["sqpt"]))) == report["max_entry_difference"]
+
     def test_compare_rejects_shots_flag(self, capsys):
         assert cli.main(["compare", "--channel", "identity", "--shots", "100"]) == 2
 
@@ -432,6 +444,60 @@ def test_nearly_trace_preserving_kraus_file(n, tmp_path, capsys):
     code, out, _ = run(["characterize", "--channel", f"@{path}", "--n", str(n)], capsys)
     assert code == 0
     assert json.loads(out)["validation"]["all_ok"] is True
+
+
+class TestReports:
+    def test_n4_json_report_size(self, capsys):
+        # 3.9 MB while chi was written as lists of decimal floats
+        code, out, _ = run(["characterize", "--channel", "depolarizing:0.1", "--n", "4"], capsys)
+        assert code == 0
+        assert len(out.encode()) < 1_500_000
+        report = json.loads(out)
+        assert serialize.chi_from_report(report).shape == (256, 256)
+        assert report["validation"]["all_ok"] is True
+
+    def test_csv_bytes_unchanged(self, capsys):
+        # the sha256 of the CSV written while chi was stored as lists of floats
+        code, out, _ = run(
+            ["characterize", "--channel", "amplitude_damping:0.3", "--n", "2", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8c47ebb7bbadc7b9de3027ccbc45b366e8028f7790adb5778f3680d29664c692"
+        )
+
+    @pytest.mark.parametrize("command", ["characterize", "sqpt", "compare", "sample-sweep"])
+    def test_file_channel_echoed_by_digest(self, command, tmp_path, capsys):
+        spec = channels.ChannelSpec("explicit_kraus", operators=tuple(channels.random_channel(1, seed=2)))
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(serialize.spec_to_dict(spec)))
+        extra = ["--shots", "100", "--repeats", "1"] if command == "sample-sweep" else []
+        code, out, _ = run([command, "--channel", f"@{path}", *extra], capsys)
+        assert code == 0
+        assert json.loads(out)["channel"] == {
+            "kind": "explicit_kraus",
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "n_operators": len(spec.operators),
+        }
+
+    def test_flag_channel_echoed_whole(self, capsys):
+        code, out, _ = run(["characterize", "--channel", "amplitude_damping:t=1,T1=2"], capsys)
+        assert code == 0
+        assert json.loads(out)["channel"] == {
+            "kind": "amplitude_damping", "params": {"t": 1.0, "T1": 2.0}
+        }
+
+    @pytest.mark.parametrize(
+        "content", [b"{\"kind\": ", b"\xff\xfe{\x00}\x00"], ids=["not-json", "not-utf8"]
+    )
+    def test_unreadable_channel_file(self, content, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        code, out, err = run(["characterize", "--channel", f"@{path}"], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err.startswith("error: channel file ")
+        assert err.count("\n") == 1
 
 
 def test_unphysical_kraus_file_rejected(tmp_path, capsys):

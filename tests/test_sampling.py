@@ -241,6 +241,17 @@ class TestOpticsModel:
         with pytest.raises(InvalidConfigurationError, match="unknown setting"):
             sampling.merged_design_matrix(setting, [sampling.OpticsModel()])
 
+    @pytest.mark.parametrize(
+        "models",
+        [[], (), None, [None], [sampling.OpticsModel(), "base"], [np.eye(3)]],
+        ids=["empty", "empty-tuple", "none", "none-entry", "string-entry", "matrix-entry"],
+    )
+    def test_merged_design_rejects_bad_models(self, models):
+        # these raised the builtin AttributeError or numpy's "need at least
+        # one array to concatenate"
+        with pytest.raises(InvalidConfigurationError, match="OpticsModel"):
+            sampling.merged_design_matrix(dcqd.POP, models)
+
     def test_optics_design_is_the_merged_designs(self, monkeypatch):
         # characterize_with_optics builds its design only through merged_design_matrix
         calls = []

@@ -1,3 +1,5 @@
+import base64
+import hashlib
 import json
 import math
 
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcqdlab import channels, dcqd, serialize
-from dcqdlab.exceptions import DcqdLabError, InvalidChannelError
+from dcqdlab import channels, dcqd, ops, serialize
+from dcqdlab.exceptions import DcqdLabError, DimensionMismatchError, InvalidChannelError
 
 
 class TestParseChannelArg:
@@ -44,6 +46,53 @@ class TestParseChannelArg:
     def test_rejects_malformed(self, bad):
         with pytest.raises(InvalidChannelError):
             serialize.parse_channel_arg(bad)
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"{\"kind\": ", "is not JSON"),
+            (b"kind: identity", "is not JSON"),
+            (b'{"kind": "identity", "params": {"label": "\xff"}}', "is not UTF-8"),
+            (b"\xff\xfe{\x00}\x00", "is not UTF-8"),
+        ],
+        ids=["truncated", "yaml", "latin-1", "utf-16"],
+    )
+    def test_rejects_unreadable_file(self, content, message, tmp_path):
+        # these raised json.JSONDecodeError and UnicodeDecodeError
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        for read in (serialize.parse_channel_arg, serialize.load_channel_arg):
+            with pytest.raises(InvalidChannelError, match=message) as info:
+                read(f"@{path}")
+            assert str(path) in str(info.value)
+
+
+class TestChannelEcho:
+    def test_flag_form_echoed_whole(self):
+        spec, echo = serialize.load_channel_arg("amplitude_damping:t=1,T1=2")
+        assert echo == serialize.spec_to_dict(spec)
+        assert echo == {"kind": "amplitude_damping", "params": {"t": 1.0, "T1": 2.0}}
+
+    def test_file_echoed_by_digest_and_operator_count(self, tmp_path):
+        kraus = channels.amplitude_damping(gamma=0.3)
+        spec = channels.ChannelSpec("explicit_kraus", operators=tuple(kraus))
+        path = tmp_path / "ad.json"
+        path.write_text(json.dumps(serialize.spec_to_dict(spec)), encoding="utf-8")
+        loaded, echo = serialize.load_channel_arg(f" @{path} ")
+        assert echo == {
+            "kind": "explicit_kraus",
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "n_operators": 2,
+        }
+        for a, b in zip(loaded.operators, kraus):
+            assert np.array_equal(a, b)
+
+    def test_file_without_operators_has_no_count(self, tmp_path):
+        path = tmp_path / "pf.json"
+        path.write_bytes(b'{"kind": "phase_flip", "params": {"p": 0.125}}')
+        spec, echo = serialize.load_channel_arg(f"@{path}")
+        assert spec.params == {"p": 0.125}
+        assert echo == {"kind": "phase_flip", "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 class TestSpecJson:
@@ -195,6 +244,113 @@ class TestChiReport:
         text = serialize.dump_csv(rows)
         assert text.splitlines()[0] == "row,col,real,imag"
         assert len(text.splitlines()) == 17
+
+
+def _bits(m: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
+
+
+def _awkward_chi(n: int) -> np.ndarray:
+    """A 4**n x 4**n matrix with signed zeros and subnormal entries."""
+    rng = np.random.default_rng(n)
+    d = 4**n
+    chi = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    chi[0, 0] = complex(-0.0, 5e-324)
+    chi[0, 1] = complex(2.2250738585072014e-308 / 3, -0.0)
+    chi[1, 0] = complex(-0.0, -0.0)
+    chi[-1, -1] = complex(-1e-310, 1e-300)
+    return chi
+
+
+def _report_of(chi: np.ndarray, n: int) -> dict:
+    return serialize.chi_report(
+        chi, method="dcqd", n_qubits=n, n_configurations=4**n,
+        validation=channels.validate_chi(chi),
+    )
+
+
+class TestChiEncoding:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_round_trip_is_bit_exact(self, n):
+        chi = _awkward_chi(n)
+        report = _report_of(chi, n)
+        assert set(report["chi"]) == {"encoding", "shape", "data"}
+        assert report["chi"]["encoding"] == "base64-complex128-le"
+        assert report["chi"]["shape"] == [4**n, 4**n]
+        back = serialize.chi_from_report(serialize.load_json(serialize.dump_json(report)))
+        assert back.dtype == complex and back.flags.writeable
+        assert np.array_equal(_bits(back), _bits(chi))
+
+    def test_data_is_little_endian_row_major(self):
+        chi = np.arange(16, dtype=float).reshape(4, 4) * (1 - 2j)
+        raw = base64.b64decode(serialize.encode_chi(chi)["data"])
+        assert raw == chi.astype("<c16").tobytes(order="C")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_list_form_decodes_to_same_bits(self, n):
+        # the form of reports written before the base64 encoding
+        chi = _awkward_chi(n)
+        report = _report_of(chi, n)
+        del report["chi"]
+        report["chi_real"], report["chi_imag"] = chi.real.tolist(), chi.imag.tolist()
+        back = serialize.chi_from_report(serialize.load_json(serialize.dump_json(report)))
+        assert np.array_equal(_bits(back), _bits(chi))
+
+    def test_csv_rows_match_list_form(self):
+        chi = _awkward_chi(2)
+        rows = serialize.chi_rows(_report_of(chi, 2))
+        labels = ops.pauli_labels(2)
+        assert [(r["row"], r["col"]) for r in rows] == [(a, b) for a in labels for b in labels]
+        assert [r["real"] for r in rows] == [v for row in chi.real.tolist() for v in row]
+        assert [r["imag"] for r in rows] == [v for row in chi.imag.tolist() for v in row]
+        assert "-0.0" in serialize.dump_csv(rows)
+
+
+def _encoded(chi, **override) -> dict:
+    return {"chi": {**serialize.encode_chi(chi), **override}}
+
+
+_EYE4 = np.eye(4, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "report,error",
+    [
+        ([], InvalidChannelError),
+        ({}, InvalidChannelError),
+        ({"chi_real": _EYE4.real.tolist()}, InvalidChannelError),
+        ({"chi": "AAAA"}, InvalidChannelError),
+        ({"chi": {"shape": [4, 4], "data": ""}}, InvalidChannelError),
+        (_encoded(_EYE4, encoding="base64-complex64-le"), InvalidChannelError),
+        (_encoded(_EYE4, data="not base64!"), InvalidChannelError),
+        (_encoded(_EYE4, data=None), InvalidChannelError),
+        (_encoded(_EYE4, data="é"), InvalidChannelError),
+        (_encoded(_EYE4, shape=[4, 3]), InvalidChannelError),
+        (_encoded(_EYE4, shape=[16]), InvalidChannelError),
+        (_encoded(_EYE4, shape=[4.0, 4.0]), InvalidChannelError),
+        (_encoded(_EYE4, shape=[-4, -4]), InvalidChannelError),
+        (_encoded(_EYE4, data=serialize.encode_chi(_EYE4)["data"][:-4]), InvalidChannelError),
+        (_encoded(np.eye(2)), DimensionMismatchError),
+        (_encoded(np.zeros((4, 16))), DimensionMismatchError),
+        (_encoded(np.diag([1, 0, 0, math.nan])), InvalidChannelError),
+        ({"chi_real": [[1.0, 0.0], [0.0]], "chi_imag": [[0.0, 0.0], [0.0]]}, InvalidChannelError),
+        ({"chi_real": [["x"] * 4] * 4, "chi_imag": [[0.0] * 4] * 4}, InvalidChannelError),
+        ({"chi_real": [[1e400] * 4] * 4, "chi_imag": [[0.0] * 4] * 4}, InvalidChannelError),
+        ({"chi_real": [[10**400] * 4] * 4, "chi_imag": [[0.0] * 4] * 4}, InvalidChannelError),
+        ({"chi_real": _EYE4.real.tolist(), "chi_imag": [[0.0] * 4]}, InvalidChannelError),
+        ({"chi_real": np.eye(3).tolist(), "chi_imag": np.zeros((3, 3)).tolist()}, DimensionMismatchError),
+    ],
+    ids=[
+        "not-object", "no-chi", "no-imag", "chi-string", "no-encoding", "unknown-encoding",
+        "bad-base64", "data-null", "data-non-ascii", "byte-count", "shape-1d", "shape-floats",
+        "shape-negative", "truncated", "2x2", "not-square", "nan", "ragged-lists",
+        "text-entries", "inf-entries", "huge-int-entries", "list-shapes-differ", "3x3-lists",
+    ],
+)
+def test_malformed_report_rejected(report, error):
+    # these raised KeyError, numpy's ValueError or returned a broadcast sum
+    with pytest.raises(error):
+        serialize.chi_from_report(report)
 
 
 def test_infinity_encoding():
