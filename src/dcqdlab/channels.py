@@ -240,8 +240,7 @@ def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:
     """
     chi, d = _checked_matrix(chi, "chi", qubits=True)
     n = d.bit_length() - 1
-    herm = (chi + chi.conj().T) / 2
-    vals, vecs = np.linalg.eigh(herm)
+    vals, vecs = np.linalg.eigh(ops.hermitian_part(chi))
     if vals.min() < -CP_ATOL:
         raise NotCompletelyPositiveError(
             f"chi has eigenvalue {vals.min():.3e} below -{CP_ATOL}; no Kraus form exists"
@@ -365,7 +364,7 @@ def _tp_residual(chi: np.ndarray) -> float:
 def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     """Kraus set of a Choi matrix (input-major convention of this module), as `kraus_from_chi`."""
     choi, d = _checked_matrix(choi, "Choi", qubits=False)
-    vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(ops.hermitian_part(choi))
     if vals.min() < -CP_ATOL:
         raise NotCompletelyPositiveError(
             f"Choi matrix has eigenvalue {vals.min():.3e} below -{CP_ATOL}"

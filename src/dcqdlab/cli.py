@@ -5,10 +5,14 @@ through the partial Bell-analyzer model), sqpt (baseline), compare (both
 methods on the same channel), partial (joint T1/T2 estimation), resources
 (experiment-count table) and sample-sweep (shot-noise scaling).
 
-Each call builds the parser of the invoked subcommand only (`COMMANDS`
+`main` parses with the parser of the invoked subcommand only (`COMMANDS`
 describes all six, and `build_parser` registers the one named by the first
 argument); help, a missing or an unknown command get the parser of all six,
-so their text lists every command.  Nothing is kept between calls.
+so their text lists every command.  Each of these seven parsers is built on
+first use and kept for the life of the process; parsing fills a new
+namespace from the parser's defaults on every call, and argparse reads the
+terminal width when it formats help, not when it builds.  The handler is
+looked up by name in this module when `main` runs.
 
 Every handler loads, runs, then emits: `_load_channel` converts the channel
 once per command, to the `channels.Chi` that every library call takes and
@@ -25,6 +29,7 @@ codes: 0 success, 2 argument/parse error, 3 ill-posed configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -128,8 +133,8 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
 
 
 # name -> (help, argument adder, handler).  The handler is named, not held:
-# `build_parser` looks it up in this module on every call, so a replaced
-# cmd_* function (a tracer's wrapper, a test's stub) is the one that runs.
+# `main` looks it up in this module on every call, so a replaced cmd_*
+# function (a tracer's wrapper, a test's stub) is the one that runs.
 COMMANDS = {
     "characterize": ("direct characterization of a channel", _characterize_args, "cmd_characterize"),
     "sqpt": ("standard process tomography baseline", _sqpt_args, "cmd_sqpt"),
@@ -150,7 +155,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     A `command` outside `COMMANDS` (None included) registers every
     subcommand, so help and errors about the command itself read as they
     always have.  With one subcommand registered, usage lines still list
-    every choice.
+    every choice.  Every call returns a new parser.
     """
     parser = argparse.ArgumentParser(
         prog="dcqdlab",
@@ -164,11 +169,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         names, metavar = list(COMMANDS), None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments, handler = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=globals()[handler])
+        help_text, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """`build_parser(command)`, built once per process; `command` is a `COMMANDS` key or None."""
+    return build_parser(command)
 
 
 def _emit(args, report: dict, rows: Optional[list] = None) -> None:
@@ -402,13 +411,13 @@ def cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[COMMANDS[args.command][2]](args)
     except NotCompletelyPositiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

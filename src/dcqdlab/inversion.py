@@ -123,8 +123,4 @@ def solve(design: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, float]:
         )
     # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
     chi = unpair_axes(per_pair(data, [pinv] * n), n, 4)
-    # (chi + chi^H) / 2 with one temporary, bit for bit
-    herm = np.conjugate(chi.T, order="C")
-    herm += chi
-    herm /= 2
-    return herm, cond**n
+    return ops.hermitian_part(chi), cond**n

@@ -609,19 +609,29 @@ class TestCommandSequence:
         warm = [run(argv, capsys) for argv in self.SEQUENCE]
         cold = []
         for argv in self.SEQUENCE:
-            for cache in (dcqd._pair_design, sqpt._design, inversion._factorize):
+            for cache in (dcqd._pair_design, sqpt._design, inversion._factorize, cli._parser):
                 cache.cache_clear()
             cold.append(run(argv, capsys))
         assert [c[0] for c in warm] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0]
         assert warm == cold
 
     def test_handler_looked_up_when_main_runs(self, capsys, monkeypatch):
-        # perfbench traces the cli layer by replacing the module's cmd_* handlers
+        # perfbench traces the cli layer by replacing the module's cmd_* handlers,
+        # which may happen after main has built and kept the resources parser
+        assert run(["resources", "--n", "1"], capsys)[0] == 0
         seen = []
         monkeypatch.setattr(cli, "cmd_resources", lambda args: seen.append(args.n) or 0)
         assert cli.main(["resources", "--n", "2"]) == 0
         assert seen == [2]
         assert capsys.readouterr().out == ""
+
+
+@pytest.fixture
+def cold_parsers():
+    """No parser kept by `cli.main` before the test, and none left after it."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
 
 
 class TestParser:
@@ -640,11 +650,13 @@ class TestParser:
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "none")
-    def test_output_matches_full_parser(self, argv, capsys, monkeypatch):
+    def test_output_matches_full_parser(self, argv, capsys, monkeypatch, cold_parsers):
         monkeypatch.setenv("COLUMNS", "80")
         got = run(argv, capsys)
         full = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda command=None: full(None))
+        # otherwise main would reuse the parser it kept from the first run
+        cli._parser.cache_clear()
         assert got == run(argv, capsys)
         assert got[0] == (0 if "--help" in argv or "-h" in argv else cli.EXIT_PARSE)
 
@@ -653,8 +665,9 @@ class TestParser:
         [(["resources", "--n", "2"], 2), (["bogus"], 7)],
         ids=["known", "unknown"],
     )
-    def test_parsers_built(self, argv, parsers, capsys, monkeypatch):
-        # the top-level parser plus the invoked command's, or all six
+    def test_parsers_built(self, argv, parsers, capsys, monkeypatch, cold_parsers):
+        # the top-level parser plus the invoked command's, or all six, on the
+        # first call; none on a repeat
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -663,5 +676,47 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        run(argv, capsys)
+        first = run(argv, capsys)
         assert len(built) == parsers
+        assert run(argv, capsys) == first
+        assert len(built) == parsers
+
+    def test_warm_parser_reapplies_defaults(self, capsys, cold_parsers):
+        # options given to one call must not leak into the next through the
+        # kept parser, parse errors included
+        base = ["characterize", "--channel", "bit_flip:0.25"]
+        sequence = [
+            base + ["--shots", "500", "--seed", "3", "--format", "csv"],
+            base + ["--optics"],
+            base + ["--n", "abc"],
+            base,
+            ["characterize", "--bogus"],
+            base + ["--shots", "500", "--seed", "3", "--format", "csv"],
+            base,
+        ]
+        warm = [run(argv, capsys) for argv in sequence]
+        cold = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            cold.append(run(argv, capsys))
+        assert [c[0] for c in warm] == [0, 0, 2, 0, 2, 0, 0]
+        assert warm == cold
+
+    def test_returned_parser_is_not_kept(self, capsys, cold_parsers):
+        expected = run(["resources"], capsys)
+        cli._parser.cache_clear()
+        parser = cli.build_parser("resources")
+        (sub,) = (a for a in parser._actions if a.dest == "command")
+        sub.choices["resources"].set_defaults(n_max=2, format="json")
+        assert run(["resources"], capsys) == expected
+        assert cli.build_parser("resources") is not parser
+
+    @pytest.mark.parametrize("argv", [["--help"], ["characterize", "--help"]], ids=" ".join)
+    def test_help_width_read_when_printed(self, argv, capsys, monkeypatch, cold_parsers):
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = run(argv, capsys)
+        monkeypatch.setenv("COLUMNS", "80")
+        narrow = run(argv, capsys)
+        cli._parser.cache_clear()
+        assert narrow == run(argv, capsys)
+        assert narrow != wide

@@ -128,3 +128,22 @@ def test_mutually_unbiased_prep_bases():
         for a in basis_a:
             for b in basis_b:
                 assert abs(np.vdot(a, b)) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("d", [1, 4, 64])
+    def test_bits_of_complex_division(self, d, rng):
+        # no exact zeros, so halving through the float view is bit for bit
+        # what (a + a^H) / 2 computes
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        before = a.copy()
+        herm = ops.hermitian_part(a)
+        assert herm.tobytes() == ((a + a.conj().T) / 2).tobytes()
+        assert a.tobytes() == before.tobytes()
+
+    def test_negative_zero_kept(self):
+        # complex division by 2 computes (re + im * 0) / 2, turning -0.0 + 0j
+        # into +0.0; the float view halves each part on its own
+        herm = ops.hermitian_part(np.array([[complex(-0.0, 0.0)]]))
+        assert math.copysign(1.0, herm[0, 0].real) == -1.0
+        assert math.copysign(1.0, herm[0, 0].imag) == 1.0
