@@ -11,7 +11,6 @@ joint T1/T2 estimation from a single Bell-state measurement.
 from .channels import (
     ChannelSpec,
     amplitude_damping,
-    apply_channel,
     bit_flip,
     chi_from_kraus,
     compose,
@@ -32,7 +31,7 @@ from .dcqd import (
     outcome_probabilities,
     reconstruct_coherence,
 )
-from .relax import RelaxEstimate, estimate_T1, estimate_T2, forward_model, joint_estimate
+from .relax import RelaxEstimate, estimate_T1, estimate_T2, joint_estimate
 from .resources import resource_counts, resource_table
 from .sampling import (
     CountsTable,
@@ -54,7 +53,6 @@ __all__ = [
     "SqptResult",
     "all_configurations",
     "amplitude_damping",
-    "apply_channel",
     "apply_optics_model",
     "bit_flip",
     "characterize",
@@ -64,7 +62,6 @@ __all__ = [
     "depolarizing",
     "estimate_T1",
     "estimate_T2",
-    "forward_model",
     "identity_channel",
     "joint_estimate",
     "kraus_from_chi",

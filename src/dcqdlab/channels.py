@@ -48,7 +48,6 @@ __all__ = [
     "Chi",
     "ChiValidation",
     "amplitude_damping",
-    "apply_channel",
     "as_chi",
     "bit_flip",
     "check_kraus",
@@ -60,7 +59,6 @@ __all__ = [
     "kraus_from_chi",
     "kraus_from_choi",
     "kraus_from_spec",
-    "kraus_tensor",
     "phase_damping",
     "phase_flip",
     "random_channel",
@@ -255,34 +253,6 @@ def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:
     return list(inversion.unpair_axes(inversion.per_pair(v, [_PAULI_EXPAND] * n), n, 2))
 
 
-def apply_channel(
-    kraus: Sequence[np.ndarray], rho: np.ndarray, ancilla_dim: int = 1
-) -> np.ndarray:
-    """Apply a channel to the leading (most significant) factor of rho.
-
-    With ancilla_dim > 1 the channel acts as E (x) identity on a register
-    of dimension (Kraus dim) * ancilla_dim; this is the "channel on the
-    primary qubits only" extension used by every protocol here.
-    """
-    if isinstance(kraus, Chi):
-        raise _chi_not_kraus()
-    rho = np.asarray(rho, dtype=complex)
-    mats = [np.asarray(k, dtype=complex) for k in kraus]
-    d = mats[0].shape[0]
-    total = d * ancilla_dim
-    if rho.shape != (total, total):
-        raise DimensionMismatchError(
-            f"state dim {rho.shape} does not match channel dim {d} x ancilla {ancilla_dim}"
-        )
-    if ancilla_dim > 1:
-        eye = np.eye(ancilla_dim)
-        mats = [np.kron(k, eye) for k in mats]
-    out = np.zeros_like(rho)
-    for k in mats:
-        out += k @ rho @ k.conj().T
-    return out
-
-
 def compose(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Kraus set of (second after first); count multiplies, no minimization."""
     a = [np.asarray(k, dtype=complex) for k in first]
@@ -292,11 +262,6 @@ def compose(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> list[n
             f"cannot compose channels of dims {a[0].shape} and {b[0].shape}"
         )
     return [k2 @ k1 for k2 in b for k1 in a]
-
-
-def kraus_tensor(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Kraus set of the parallel (tensor) product channel a (x) b."""
-    return [np.kron(ka, kb) for ka in a for kb in b]
 
 
 @dataclass
@@ -395,6 +360,8 @@ def random_channel(
     like every register (`check_register_size`).
     """
     check_register_size(n)
+    if rank is not None and not is_integer(rank):
+        raise InvalidChannelError(f"Kraus rank must be an integer, got {rank!r}")
     if rng is None:
         rng = np.random.default_rng(seed)
     d = 2**n
@@ -695,7 +662,10 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
     1..`MAX_QUBITS`, or `InvalidConfigurationError`), a single-qubit set is
     extended to n qubits as an i.i.d. tensor product of up to 4**n
     operators (it is first reduced by `_canonical`); an explicit n-qubit
-    set is passed through.
+    set is passed through.  The expansion stays, although no library path
+    uses it: it is a route to the n-qubit chi (`chi_from_kraus` of the
+    expanded set) that does not go through `as_chi`'s Kronecker power, so
+    ground truths built on it check that power instead of repeating it.
     """
     if n is not None:
         check_register_size(n)
@@ -705,7 +675,7 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
     kraus = _canonical(kraus)
     out = kraus
     for _ in range(copies - 1):
-        out = kraus_tensor(out, kraus)
+        out = [np.kron(a, b) for a in out for b in kraus]
     return out
 
 

@@ -320,7 +320,7 @@ def cmd_partial(args) -> int:
         sequence, args.alpha, args.beta, args.t1, args.t2, shots=args.shots, seed=args.seed
     )
     def _rel(est_v: float, true_v: float) -> Optional[float]:
-        if not math.isfinite(est_v):
+        if not (math.isfinite(est_v) and math.isfinite(true_v)):
             return None
         return abs(est_v - true_v) / abs(true_v)
 
@@ -331,8 +331,8 @@ def cmd_partial(args) -> int:
             "beta": [args.beta.real, args.beta.imag],
             "t1": args.t1,
             "t2": args.t2,
-            "true_T1": args.T1,
-            "true_T2": args.T2,
+            "true_T1": serialize._finite_or_none(args.T1),
+            "true_T2": serialize._finite_or_none(args.T2),
             "shots": args.shots,
             "seed": args.seed,
         },

@@ -26,12 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
-
-from .exceptions import DimensionMismatchError
 
 PAULI_LABELS = "IXYZ"
 
@@ -50,13 +47,6 @@ BELL_LABELS = ("phi+", "psi+", "psi-", "phi-")
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool and anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices (or vectors)."""
-    if not factors:
-        raise ValueError("tensor() needs at least one factor")
-    return reduce(np.kron, [np.asarray(f, dtype=complex) for f in factors])
 
 
 def pauli_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -81,27 +71,6 @@ def bell_basis() -> list[np.ndarray]:
     psi_minus = np.array([0, -s, s, 0], dtype=complex)
     phi_minus = np.array([s, 0, 0, -s], dtype=complex)
     return [phi_plus, psi_plus, psi_minus, phi_minus]
-
-
-def projector(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a state vector psi."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    return np.outer(psi, psi.conj())
-
-
-def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
-    """Tr(op rho).
-
-    Real to machine precision whenever `op` is Hermitian and `rho` is a
-    valid density operator; callers take `.real` where that is guaranteed.
-    """
-    rho = np.asarray(rho)
-    op = np.asarray(op)
-    if rho.shape != op.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(
-            f"operator shape {op.shape} does not match state shape {rho.shape}"
-        )
-    return complex(np.trace(op @ rho))
 
 
 def hermiticity_deviation(a: np.ndarray) -> float:

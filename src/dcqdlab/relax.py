@@ -11,9 +11,13 @@ measurement) then determines both time constants at once:
   t'/T2' = t1/T1 + t2/T2, so t'/T2' = -2 ln(<X^A X^B>_out / <X^A X^B>_in)
   and T2 follows once T1 is known.
 
-Real amplitudes are fine here (only <Z^A>_in != 1 and Re(a b*) != 0 are
-needed), unlike the full coherence protocol in `dcqd`, so the amplitudes
-get only `dcqd._check_amplitudes` (finite, normalized numbers).  Non-finite
+This module only estimates.  The outcome distribution comes from the
+per-pair readout table (`dcqd.outcome_probabilities` of the coh_z setting),
+and the input factors <Z^A>_in and <X^A X^B>_in from
+`dcqd.input_pair_expectations`; no state is simulated here.  Real
+amplitudes are fine (only <Z^A>_in != 1 and Re(a b*) != 0 are needed),
+unlike the full coherence protocol in `dcqd`, so the amplitudes get only
+`dcqd._check_amplitudes` (finite, normalized numbers).  Non-finite
 data raise `InconsistentDataError`.  Zero decay is a
 legitimate limit and is reported as an infinite time constant rather than
 an error.
@@ -25,9 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import channels, dcqd, ops, sampling
+from . import dcqd, sampling
 from .exceptions import (
     IllPosedInputError,
     InconsistentDataError,
@@ -39,7 +41,6 @@ __all__ = [
     "RelaxEstimate",
     "estimate_T1",
     "estimate_T2",
-    "forward_model",
     "joint_estimate",
 ]
 
@@ -61,35 +62,18 @@ class RelaxEstimate:
     t2: float
 
 
-def forward_model(
-    alpha: complex, beta: complex, t1: float, T1: float, t2: float, T2: float
-) -> np.ndarray:
-    """Final two-qubit density operator of the damping sequence.
-
-    Amplitude damping (t1, T1) then phase damping (t2, T2) on the primary
-    qubit of a|00> + b|11>; populations obey
-    <00|rho_f|00> + <01|rho_f|01> = 1 - exp(-t1/T1) (1 - |a|^2) and the
-    entangled coherence is <00|rho_f|11> = exp(-t'/(2 T2')) a b*.
-    """
-    alpha, beta = dcqd._check_amplitudes(alpha, beta)
-    rho = ops.projector(np.array([alpha, 0, 0, beta], dtype=complex))
-    sequence = channels.compose(
-        channels.amplitude_damping(t=t1, T1=T1),
-        channels.phase_damping(t=t2, T2=T2),
-    )
-    return channels.apply_channel(sequence, rho, ancilla_dim=2)
-
-
-def estimate_T1(p_minus: float, t1: float, rho_in: np.ndarray) -> float:
+def estimate_T1(p_minus: float, t1: float, alpha: complex, beta: complex) -> float:
     """Invert the stabilizer -1 probability of the damped pair for T1.
 
-    `rho_in` is the two-qubit input state (used for <Z^A>).  p_minus = 0
-    means no decay and returns math.inf.
+    alpha, beta are the input amplitudes; only <Z^A>_in = |alpha|^2 - |beta|^2
+    enters (`dcqd.input_pair_expectations`, whose amplitude check raises
+    `InvalidConfigurationError`).  p_minus = 0 means no decay and returns
+    math.inf.
     """
     # written so that NaN fails too
     if not 0 < t1 < math.inf:
         raise InvalidStateError(f"t1 must be positive and finite to resolve T1, got {t1!r}")
-    z_in = ops.expectation(np.asarray(rho_in, dtype=complex), np.kron(ops.PAULI_Z, ops.IDENTITY_2)).real
+    z_in = dcqd.input_pair_expectations(alpha, beta)["stabilizer_bias"]
     if abs(1.0 - z_in) < 1e-12:
         raise IllPosedInputError("<Z^A> = 1 on the input (beta = 0); T1 leaves no signature")
     if not math.isfinite(p_minus):
@@ -164,7 +148,6 @@ def joint_estimate(
     checked like `sampling.sample_counts`'s, with or without `shots`.
     """
     alpha, beta = dcqd._check_amplitudes(alpha, beta)
-    psi = np.array([alpha, 0, 0, beta], dtype=complex)
     q = dcqd.outcome_probabilities(channel, (dcqd.COH_Z,), alpha, beta)
     if shots is not None:
         q = sampling.empirical_frequencies(sampling.sample_counts(q, shots, seed))
@@ -172,8 +155,8 @@ def joint_estimate(
         sampling._checked_seed(seed, generator_ok=True)
     p_minus = float(q[1] + q[2])
     x_out = float(q[0] + q[1] - q[2] - q[3])
-    x_in = 2.0 * (alpha * beta.conjugate()).real
-    T1 = estimate_T1(p_minus, t1, ops.projector(psi))
+    x_in = dcqd.input_pair_expectations(alpha, beta)["normalizer"]
+    T1 = estimate_T1(p_minus, t1, alpha, beta)
     t_prime, T2 = estimate_T2(x_out, x_in, t1, t2, T1)
     return RelaxEstimate(
         T1=T1,

@@ -100,12 +100,14 @@ def _read_channel_file(path: str) -> tuple[channels.ChannelSpec, dict]:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        spec = spec_from_dict(json.loads(data.decode("utf-8")))
     except UnicodeDecodeError:
         raise InvalidChannelError(f"channel file {path!r} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise InvalidChannelError(f"channel file {path!r} is not JSON: {exc}") from None
-    spec = spec_from_dict(doc)
+    except RecursionError:
+        # from json.loads or spec_from_dict, whichever runs out of stack first
+        raise InvalidChannelError(f"channel file {path!r} is nested too deeply to read") from None
     echo = {"kind": spec.kind, "sha256": hashlib.sha256(data).hexdigest()}
     if spec.operators is not None:
         echo["n_operators"] = len(spec.operators)
@@ -291,7 +293,8 @@ def _decode_chi(field) -> np.ndarray:
 
 
 def dump_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """Strict JSON text: a NaN or infinity raises ValueError instead of being written."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def load_json(text: str) -> dict:

@@ -58,6 +58,12 @@ def kraus_action(kraus, rho):
     return out
 
 
+def primary_action(kraus, rho, ancilla_dim):
+    """`kraus_action` of a channel on the leading factor of rho, as E (x) I on an ancilla of ancilla_dim."""
+    eye = np.eye(ancilla_dim)
+    return kraus_action([np.kron(np.asarray(k, dtype=complex), eye) for k in kraus], rho)
+
+
 def chi_action(chi, rho, n):
     """Channel action from a process matrix, by the double loop over the basis."""
     paulis = naive_pauli_list(n)
@@ -161,8 +167,17 @@ def density_matrix_probabilities(kraus, settings, alpha=ALPHA, beta=BETA):
     per-pair factored engine.
     """
     psi = input_state(settings, alpha, beta)
-    rho_out = channels.apply_channel(kraus, np.outer(psi, psi.conj()), ancilla_dim=2 ** len(settings))
+    rho_out = primary_action(kraus, np.outer(psi, psi.conj()), 2 ** len(settings))
     return np.array([np.vdot(b, rho_out @ b).real for b in measurement_basis(settings)])
+
+
+# Channel files nested too deeply to read: a composed chain 495 deep and an
+# unclosed run of 5000 brackets.  The chain is written as text, since
+# `json.dumps` of it would overflow the stack too.
+NESTED_CHANNEL_FILES = {
+    "chain495": '{"kind":"composed","stages":[' * 495 + '{"kind":"identity"}' + "]}" * 495,
+    "brackets5000": '{"kind":"composed","stages":' + "[" * 5000,
+}
 
 
 def per_pair_reference(t, mats):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import NESTED_CHANNEL_FILES
 from dcqdlab import channels, cli, dcqd, inversion, resources, sampling, serialize, sqpt
 from dcqdlab.exceptions import InvalidChannelError, InvalidConfigurationError
 
@@ -298,6 +299,26 @@ class TestPartial:
         assert report["relative_errors"]["T1"] < 0.05
         assert report["relative_errors"]["T2"] < 0.05
 
+    @pytest.mark.parametrize("seed", [None, "1", "4", "6"])
+    def test_infinite_truth_writes_strict_json(self, seed, capsys):
+        # "true_T2": Infinity and, sampled, "relative_errors": {"T2": NaN} before
+        argv = ["partial", "--T1", "2", "--T2", "inf", "--t1", "1", "--t2", "1"]
+        if seed is not None:
+            argv += ["--shots", "1000", "--seed", seed]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["inputs"]["true_T2"] == "inf"
+        assert report["relative_errors"]["T2"] is None
+
+    def test_report_writer_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            serialize.dump_json({"x": math.nan})
+
 
 class TestResources:
     def test_largest_register_counts_exact(self, capsys):
@@ -498,6 +519,16 @@ class TestReports:
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert err.startswith("error: channel file ")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", NESTED_CHANNEL_FILES)
+def test_deeply_nested_channel_file(name, tmp_path, capsys):
+    # both ended in a RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(NESTED_CHANNEL_FILES[name])
+    code, out, err = run(["characterize", "--channel", f"@{path}"], capsys)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == f"error: channel file {str(path)!r} is nested too deeply to read\n"
 
 
 def test_unphysical_kraus_file_rejected(tmp_path, capsys):

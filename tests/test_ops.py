@@ -1,33 +1,16 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_density
 from dcqdlab import ops
-from dcqdlab.exceptions import DimensionMismatchError
 
 
-def ket(*bits):
-    v = np.zeros(2 ** len(bits), dtype=complex)
-    v[int("".join(str(b) for b in bits), 2)] = 1.0
-    return v
-
-
-class TestTensor:
-    def test_identity(self):
-        assert np.array_equal(ops.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_z_z_diagonal(self):
-        assert np.allclose(ops.tensor(ops.PAULI_Z, ops.PAULI_Z), np.diag([1, -1, -1, 1]))
-
-    def test_x_x_flips_bits(self):
-        assert np.allclose(ops.tensor(ops.PAULI_X, ops.PAULI_X) @ ket(0, 0), ket(1, 1))
-
-    def test_dims_multiply(self):
-        out = ops.tensor(np.ones((2, 3)), np.ones((4, 5)))
-        assert out.shape == (8, 15)
+def string_matrix(s):
+    """The Pauli string E_s as the Kronecker product of PAULIS[s_i], first qubit leftmost."""
+    return functools.reduce(np.kron, (ops.PAULIS[p] for p in s))
 
 
 class TestPauliMatrix:
@@ -41,7 +24,7 @@ class TestPauliMatrix:
     def test_orthogonality(self, n):
         # Tr(E_p^dag E_q) = 2^n delta_pq, exhaustively, over the strings
         # E_s = PAULIS[s_1] (x) ... in `pauli_strings` order that index chi
-        mats = [ops.tensor(*(ops.PAULIS[p] for p in s)) for s in ops.pauli_strings(n)]
+        mats = [string_matrix(s) for s in ops.pauli_strings(n)]
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
                 want = 2**n if i == j else 0.0
@@ -50,7 +33,7 @@ class TestPauliMatrix:
     @pytest.mark.parametrize("n", [1, 2])
     def test_hermitian_unitary(self, n):
         for s in ops.pauli_strings(n):
-            m = ops.tensor(*(ops.PAULIS[p] for p in s))
+            m = string_matrix(s)
             assert np.allclose(m, m.conj().T)
             assert np.allclose(m @ m, np.eye(2**n))
 
@@ -80,43 +63,12 @@ class TestBellBasis:
             assert overlaps[m] == pytest.approx(1.0, abs=1e-14)
 
     def test_projectors_complete_and_orthogonal(self):
-        projs = [ops.projector(b) for b in ops.bell_basis()]
+        projs = [np.outer(b, b.conj()) for b in ops.bell_basis()]
         assert np.allclose(sum(projs), np.eye(4))
         for i, a in enumerate(projs):
             for j, b in enumerate(projs):
                 want = a if i == j else np.zeros((4, 4))
                 assert np.allclose(a @ b, want, atol=1e-14)
-
-
-class TestExpectation:
-    def test_population_bias(self):
-        psi = math.sqrt(2 / 3) * ket(0, 0) + math.sqrt(1 / 3) * ket(1, 1)
-        z_a = np.kron(ops.PAULI_Z, np.eye(2))
-        assert ops.expectation(ops.projector(psi), z_a).real == pytest.approx(1 / 3, abs=1e-14)
-
-    def test_stabilizer_eigenstate(self):
-        rho = ops.projector(ops.bell_basis()[0])
-        xx = np.kron(ops.PAULI_X, ops.PAULI_X)
-        assert ops.expectation(rho, xx).real == pytest.approx(1.0, abs=1e-14)
-
-    def test_traceless_observable(self):
-        zz = np.kron(ops.PAULI_Z, ops.PAULI_Z)
-        assert abs(ops.expectation(np.eye(4) / 4, zz)) < 1e-14
-
-    def test_linear_and_conjugate_symmetric(self, rng):
-        rho = random_density(1, rng)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = ops.expectation(rho, 2.0 * a + 3.0 * b)
-        rhs = 2.0 * ops.expectation(rho, a) + 3.0 * ops.expectation(rho, b)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-        assert ops.expectation(rho, a.conj().T) == pytest.approx(
-            np.conj(ops.expectation(rho, a)), abs=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            ops.expectation(np.eye(2) / 2, np.eye(4))
 
 
 def test_mutually_unbiased_prep_bases():

@@ -1,13 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from conftest import kraus_action
-from dcqdlab import channels, ops, relax
+from conftest import primary_action
+from dcqdlab import channels, dcqd, ops, relax
 from dcqdlab.exceptions import (
     IllPosedInputError,
     InconsistentDataError,
+    InvalidChannelError,
     InvalidConfigurationError,
     InvalidStateError,
     SaturationError,
@@ -23,70 +25,93 @@ def damping_sequence(t1, T1, t2, T2):
     )
 
 
+def final_state(alpha, beta, t1, T1, t2, T2):
+    """The damped pair's density operator, by the test oracle (channel on the primary qubit)."""
+    psi = np.array([alpha, 0, 0, beta], dtype=complex)
+    return primary_action(damping_sequence(t1, T1, t2, T2), np.outer(psi, psi.conj()), 2)
+
+
 class TestForwardModel:
     def test_zero_durations_leave_state(self):
         psi = np.array([ALPHA, 0, 0, BETA], dtype=complex)
-        rho_f = relax.forward_model(ALPHA, BETA, 0.0, 2.0, 0.0, 1.0)
-        assert np.allclose(rho_f, ops.projector(psi), atol=1e-14)
+        rho_f = final_state(ALPHA, BETA, 0.0, 2.0, 0.0, 1.0)
+        assert np.allclose(rho_f, np.outer(psi, psi.conj()), atol=1e-14)
 
     def test_flip_probability_value(self):
         # Tr(P_minus rho_f) = gamma |beta|^2 = (1 - e^{-1/2})/3
-        rho_f = relax.forward_model(ALPHA, BETA, 1.0, 2.0, 1.0, 1.0)
+        rho_f = final_state(ALPHA, BETA, 1.0, 2.0, 1.0, 1.0)
         p_minus = (rho_f[1, 1] + rho_f[2, 2]).real
         assert p_minus == pytest.approx((1 - math.exp(-0.5)) / 3, abs=1e-12)
         assert p_minus == pytest.approx(0.13116, abs=5e-6)
 
     def test_coherence_decay_factor(self):
         # <00|rho_f|11> = exp(-t'/(2 T2')) alpha beta*, t'/T2' = t1/T1 + t2/T2
-        rho_f = relax.forward_model(ALPHA, BETA, 1.0, 2.0, 1.0, 1.0)
+        rho_f = final_state(ALPHA, BETA, 1.0, 2.0, 1.0, 1.0)
         assert rho_f[0, 3] == pytest.approx(math.exp(-0.75) * ALPHA * BETA, abs=1e-12)
 
     def test_matches_channel_composition_exactly(self):
-        # whole-matrix agreement with composing the two damping channels
+        # the composed sequence equals the two channels applied in turn, and
+        # its Bell readout is the coh_z row of the library's readout table
         alpha = 0.6 + 0.48j
         beta = math.sqrt(1 - abs(alpha) ** 2)
         psi = np.array([alpha, 0, 0, beta], dtype=complex)
-        seq = damping_sequence(0.7, 1.9, 0.4, 0.8)
-        via_channels = kraus_action([np.kron(k, np.eye(2)) for k in seq], ops.projector(psi))
-        direct = relax.forward_model(alpha, beta, 0.7, 1.9, 0.4, 0.8)
-        assert np.allclose(direct, via_channels, atol=1e-14)
+        rho_in = np.outer(psi, psi.conj())
+        in_turn = primary_action(
+            channels.phase_damping(t=0.4, T2=0.8),
+            primary_action(channels.amplitude_damping(t=0.7, T1=1.9), rho_in, 2),
+            2,
+        )
+        rho_f = final_state(alpha, beta, 0.7, 1.9, 0.4, 0.8)
+        assert np.allclose(rho_f, in_turn, atol=1e-14)
+        bell = [np.vdot(b, rho_f @ b).real for b in ops.bell_basis()]
+        q = dcqd.outcome_probabilities(damping_sequence(0.7, 1.9, 0.4, 0.8), (dcqd.COH_Z,), alpha, beta)
+        assert np.allclose(q, bell, atol=1e-14)
 
     def test_rejects_bad_time_constants(self):
-        with pytest.raises(Exception):
-            relax.forward_model(ALPHA, BETA, 1.0, -2.0, 1.0, 1.0)
+        with pytest.raises(InvalidChannelError):
+            damping_sequence(1.0, -2.0, 1.0, 1.0)
 
 
 class TestEstimateT1:
-    def rho_in(self, alpha=ALPHA, beta=BETA):
-        return ops.projector(np.array([alpha, 0, 0, beta], dtype=complex))
-
     def test_frozen_round_trip(self):
         p_minus = (1 - math.exp(-0.5)) / 3
-        assert relax.estimate_T1(p_minus, 1.0, self.rho_in()) == pytest.approx(2.0, abs=1e-10)
+        assert relax.estimate_T1(p_minus, 1.0, ALPHA, BETA) == pytest.approx(2.0, abs=1e-10)
 
     def test_no_decay_sentinel(self):
-        assert relax.estimate_T1(0.0, 1.0, self.rho_in()) == math.inf
+        assert relax.estimate_T1(0.0, 1.0, ALPHA, BETA) == math.inf
 
     def test_saturation(self):
         with pytest.raises(SaturationError):
-            relax.estimate_T1(BETA**2, 1.0, self.rho_in())
+            relax.estimate_T1(BETA**2, 1.0, ALPHA, BETA)
 
     def test_inconsistent_data(self):
         with pytest.raises(InconsistentDataError):
-            relax.estimate_T1(BETA**2 + 0.05, 1.0, self.rho_in())
+            relax.estimate_T1(BETA**2 + 0.05, 1.0, ALPHA, BETA)
 
     def test_ill_posed_input(self):
         with pytest.raises(IllPosedInputError):
-            relax.estimate_T1(0.1, 1.0, self.rho_in(alpha=1.0, beta=0.0))
+            relax.estimate_T1(0.1, 1.0, 1.0, 0.0)
 
     def test_needs_positive_duration(self):
         with pytest.raises(InvalidStateError):
-            relax.estimate_T1(0.1, 0.0, self.rho_in())
+            relax.estimate_T1(0.1, 0.0, ALPHA, BETA)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_probability(self, bad):
         with pytest.raises(InconsistentDataError, match="finite"):
-            relax.estimate_T1(bad, 1.0, self.rho_in())
+            relax.estimate_T1(bad, 1.0, ALPHA, BETA)
+
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, BETA), (0.9, 0.1), ("0.8", BETA)])
+    def test_bad_amplitudes(self, alpha, beta):
+        with pytest.raises(InvalidConfigurationError):
+            relax.estimate_T1(0.1, 1.0, alpha, beta)
+
+    def test_stabilizer_bias_of_amplitudes(self):
+        # <Z^A> = |alpha|^2 - |beta|^2 whatever the phases: a complex pair
+        # with the moduli of (ALPHA, BETA) inverts to the same T1
+        p_minus = (1 - math.exp(-0.5)) / 3
+        alpha, beta = ALPHA * cmath.exp(0.3j), BETA * cmath.exp(-1.1j)
+        assert relax.estimate_T1(p_minus, 1.0, alpha, beta) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestEstimateT2:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NESTED_CHANNEL_FILES
 from dcqdlab import channels, dcqd, ops, serialize
 from dcqdlab.exceptions import DcqdLabError, DimensionMismatchError, InvalidChannelError
 
@@ -65,6 +66,30 @@ class TestParseChannelArg:
             with pytest.raises(InvalidChannelError, match=message) as info:
                 read(f"@{path}")
             assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("name", NESTED_CHANNEL_FILES)
+    def test_rejects_deeply_nested_file(self, name, tmp_path):
+        # a composed chain that json.loads cannot nest, and an unclosed run of
+        # brackets; both raised RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text(NESTED_CHANNEL_FILES[name])
+        for read in (serialize.parse_channel_arg, serialize.load_channel_arg):
+            with pytest.raises(InvalidChannelError, match="nested too deeply") as info:
+                read(f"@{path}")
+            assert str(path) in str(info.value)
+
+    def test_nested_spec_beyond_the_stack(self, tmp_path, monkeypatch):
+        # where json.loads nests deeper than spec_from_dict can recurse
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "identity"}')
+
+        def too_deep(doc):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(serialize, "spec_from_dict", too_deep)
+        with pytest.raises(InvalidChannelError, match="nested too deeply") as info:
+            serialize.load_channel_arg(f"@{path}")
+        assert str(path) in str(info.value)
 
 
 class TestChannelEcho:
