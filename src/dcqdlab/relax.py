@@ -147,7 +147,8 @@ def joint_estimate(
     distribution (or, with `shots`, a single counts table).  `seed` is
     checked like `sampling.sample_counts`'s, with or without `shots`.
     """
-    alpha, beta = dcqd._check_amplitudes(alpha, beta)
+    x_in = dcqd.input_pair_expectations(alpha, beta)["normalizer"]
+    alpha, beta = complex(alpha), complex(beta)  # numbers, as that call checked
     q = dcqd.outcome_probabilities(channel, (dcqd.COH_Z,), alpha, beta)
     if shots is not None:
         q = sampling.empirical_frequencies(sampling.sample_counts(q, shots, seed))
@@ -155,7 +156,6 @@ def joint_estimate(
         sampling._checked_seed(seed, generator_ok=True)
     p_minus = float(q[1] + q[2])
     x_out = float(q[0] + q[1] - q[2] - q[3])
-    x_in = dcqd.input_pair_expectations(alpha, beta)["normalizer"]
     T1 = estimate_T1(p_minus, t1, alpha, beta)
     t_prime, T2 = estimate_T2(x_out, x_in, t1, t2, T1)
     return RelaxEstimate(

@@ -84,15 +84,22 @@ def parse_channel_arg(text: str) -> channels.ChannelSpec:
 def load_channel_arg(text: str) -> tuple[channels.ChannelSpec, dict]:
     """A --channel value's ChannelSpec and its echo for reports.
 
-    A flag-form spec is echoed whole (`spec_to_dict`); an @file spec by its
-    kind, the SHA-256 digest of the file's bytes and, when the file lists
-    operators, their count.
+    A flag-form spec is echoed whole (`spec_to_dict`), with a non-finite
+    number (T1=inf) written as its repr, as `_finite_or_none` writes one, so
+    the echo stays strict JSON; an @file spec by its kind, the SHA-256 digest
+    of the file's bytes and, when the file lists operators, their count.
     """
     text = text.strip()
     if text.startswith("@"):
         return _read_channel_file(text[1:])
     spec = parse_channel_arg(text)
-    return spec, spec_to_dict(spec)
+    echo = spec_to_dict(spec)
+    if "params" in echo:
+        # a flag param is a float (an unknown key's too) or the axis string
+        echo["params"] = {
+            k: v if isinstance(v, str) else _finite_or_none(v) for k, v in echo["params"].items()
+        }
+    return spec, echo
 
 
 def _read_channel_file(path: str) -> tuple[channels.ChannelSpec, dict]:

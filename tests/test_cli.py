@@ -21,6 +21,15 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that fails on a NaN, Infinity or -Infinity token."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCharacterize:
     def test_bit_flip_report(self, tmp_path, capsys):
         out = tmp_path / "chi.json"
@@ -307,11 +316,7 @@ class TestPartial:
             argv += ["--shots", "1000", "--seed", seed]
         code, out, _ = run(argv, capsys)
         assert code == 0
-
-        def reject(token):
-            raise ValueError(f"non-JSON token {token}")
-
-        report = json.loads(out, parse_constant=reject)
+        report = strict_json(out)
         assert report["inputs"]["true_T2"] == "inf"
         assert report["relative_errors"]["T2"] is None
 
@@ -508,6 +513,21 @@ class TestReports:
         assert json.loads(out)["channel"] == {
             "kind": "amplitude_damping", "params": {"t": 1.0, "T1": 2.0}
         }
+
+    @pytest.mark.parametrize("command", ["characterize", "sqpt", "compare", "sample-sweep"])
+    @pytest.mark.parametrize(
+        "flag,echo",
+        [
+            ("amplitude_damping:t=1,T1=inf", {"t": 1.0, "T1": "inf"}),
+            ("phase_damping:t=1,T2=inf", {"t": 1.0, "T2": "inf"}),
+        ],
+    )
+    def test_flag_channel_with_infinite_time_constant(self, command, flag, echo, capsys):
+        # tc = inf (no decay) is a valid channel, so its report must be written
+        extra = ["--shots", "100", "--repeats", "1"] if command == "sample-sweep" else []
+        code, out, err = run([command, "--channel", flag, *extra], capsys)
+        assert (code, err) == (0, "")
+        assert strict_json(out)["channel"] == {"kind": flag.partition(":")[0], "params": echo}
 
     @pytest.mark.parametrize(
         "content", [b"{\"kind\": ", b"\xff\xfe{\x00}\x00"], ids=["not-json", "not-utf8"]

@@ -55,26 +55,17 @@ class TestParseChannelArg:
             (b"kind: identity", "is not JSON"),
             (b'{"kind": "identity", "params": {"label": "\xff"}}', "is not UTF-8"),
             (b"\xff\xfe{\x00}\x00", "is not UTF-8"),
+            *((text.encode(), "nested too deeply") for text in NESTED_CHANNEL_FILES.values()),
         ],
-        ids=["truncated", "yaml", "latin-1", "utf-16"],
+        ids=["truncated", "yaml", "latin-1", "utf-16", *NESTED_CHANNEL_FILES],
     )
     def test_rejects_unreadable_file(self, content, message, tmp_path):
-        # these raised json.JSONDecodeError and UnicodeDecodeError
+        # these raised json.JSONDecodeError, UnicodeDecodeError and (the deeply
+        # nested files) RecursionError
         path = tmp_path / "spec.json"
         path.write_bytes(content)
         for read in (serialize.parse_channel_arg, serialize.load_channel_arg):
             with pytest.raises(InvalidChannelError, match=message) as info:
-                read(f"@{path}")
-            assert str(path) in str(info.value)
-
-    @pytest.mark.parametrize("name", NESTED_CHANNEL_FILES)
-    def test_rejects_deeply_nested_file(self, name, tmp_path):
-        # a composed chain that json.loads cannot nest, and an unclosed run of
-        # brackets; both raised RecursionError
-        path = tmp_path / "deep.json"
-        path.write_text(NESTED_CHANNEL_FILES[name])
-        for read in (serialize.parse_channel_arg, serialize.load_channel_arg):
-            with pytest.raises(InvalidChannelError, match="nested too deeply") as info:
                 read(f"@{path}")
             assert str(path) in str(info.value)
 
@@ -97,6 +88,18 @@ class TestChannelEcho:
         spec, echo = serialize.load_channel_arg("amplitude_damping:t=1,T1=2")
         assert echo == serialize.spec_to_dict(spec)
         assert echo == {"kind": "amplitude_damping", "params": {"t": 1.0, "T1": 2.0}}
+        assert serialize.load_channel_arg("unitary:z,1.5708")[1] == {
+            "kind": "unitary", "params": {"axis": "z", "angle": 1.5708}
+        }
+
+    def test_flag_form_non_finite_params_echoed_as_text(self):
+        # an unknown key is parsed as a number too
+        spec, echo = serialize.load_channel_arg("amplitude_damping:t=1,T1=inf,note=nan")
+        assert spec.params["T1"] == math.inf
+        assert echo == {
+            "kind": "amplitude_damping", "params": {"t": 1.0, "T1": "inf", "note": "nan"}
+        }
+        serialize.dump_json(echo)
 
     def test_file_echoed_by_digest_and_operator_count(self, tmp_path):
         kraus = channels.amplitude_damping(gamma=0.3)
