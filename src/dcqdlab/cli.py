@@ -378,7 +378,8 @@ def cmd_sweep(args) -> int:
     chi, spec_dict = _load_channel(args)
     if args.repeats < 1 or any(s < 1 for s in args.shots):
         raise InvalidDistributionError("shots and repeats must be positive")
-    experiment = dcqd._experiment(chi, args.n, args.alpha, args.beta)
+    # the exact data once per command
+    scheme, chi_true, data = dcqd._experiment(chi, args.n, args.alpha, args.beta)
     # one child per run, spawned when the run starts: the same children in
     # the same order as spawning all len(shots) * repeats of them up front
     parent = sampling._seed_sequence(args.seed)
@@ -387,8 +388,8 @@ def cmd_sweep(args) -> int:
         errors = []
         for _ in range(args.repeats):
             (child,) = parent.spawn(1)
-            _, metrics = sampling._sample_and_solve(experiment, shots, child)
-            errors.append(metrics.frobenius_error)
+            freqs = sampling.sample(scheme, data, shots, child)
+            errors.append(float(np.linalg.norm(dcqd._solve(scheme, freqs).chi - chi_true)))
         rows.append(
             {
                 "shots": shots,

@@ -37,16 +37,18 @@ non-finite data raise `InvalidDistributionError`.
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
 readout table (4 settings x 4 outcomes); its 16 x 16 single-pair design A1
-(`inversion.readout_design`, built once per process for each amplitude
-pair by `pair_design`) carries every exact and sampled path through the
-shared per-pair map in `inversion`:
+(`inversion.readout_design`) is the design of the amplitudes' per-pair
+scheme (`pair_scheme`, an `inversion.Scheme` of 4 settings x 4 outcomes
+built once per process for each amplitude pair, with its SVD), which
+carries every exact and sampled path:
 
 * forward model: the probability array is A1 applied along every pair axis
   of the channel's chi;
 * solver: the stacked design of all configurations is a permuted n-fold
   Kronecker power of A1, so chi is A1^-1 applied along every pair axis of
   the data, and the design's rank and condition number are rank(A1)**n and
-  cond(A1)**n.
+  cond(A1)**n.  `_solve` turns any scheme's solve into a
+  `ReconstructionResult`, the partial Bell analyzer's in `sampling` too.
 
 The single-pair closed forms below (n = 1) are the paper's route and serve
 as an independent cross-check of the solver.  The readout table is the
@@ -189,7 +191,7 @@ def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
     states rotated the same way, W_s[:, k] = (V_s (x) I) |Bell_k>, with V_s
     from PREP_ROTATIONS.  Outcome k's amplitude after a primary-qubit
     operator K is then sum K[a, a'] M[(s, k), (a, a')].  The amplitudes are
-    checked by `pair_design`.
+    checked by `pair_scheme`.
     """
     # bell[k, a, b]: Bell state k with the primary qubit first
     bell = np.array(ops.bell_basis()).reshape(4, 2, 2)
@@ -231,17 +233,17 @@ def outcome_probabilities(
 
 def _experiment(
     channel, n: int, alpha: complex, beta: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A1, the channel's chi on n qubits and its exact data, one axis per pair.
+) -> tuple[inversion.Scheme, np.ndarray, np.ndarray]:
+    """The pair scheme, the channel's chi on n qubits and its exact data, one axis per pair.
 
     Checks the register size, then the amplitudes (`validate_amplitudes`),
     then the channel.  Axis i of the data is (setting_i, outcome_i).
     """
     channels.check_register_size(n)
     validate_amplitudes(alpha, beta)
-    a1 = pair_design(alpha, beta)
+    scheme = pair_scheme(alpha, beta)
     chi = channels.as_chi(channel, n)
-    return a1, chi, inversion.forward([a1] * n, chi)
+    return scheme, chi, scheme.forward(chi, n)
 
 
 def all_outcome_probabilities(
@@ -367,26 +369,30 @@ def pair_design(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) ->
     C_s[k, m] = <outcome k| (E_m (x) I) |input of setting s> is the
     amplitude of outcome k after Pauli error m, read off the readout table
     (`inversion.readout_design`).  Rows run over (setting, outcome), columns
-    over (m, m') of chi.
+    over (m, m') of chi.  It is the read-only design of `pair_scheme`.
+    """
+    return pair_scheme(alpha, beta).design
 
-    A1 is built once per process for each exact (alpha, beta) and the
-    returned array is read-only.  The cache (at most 32 amplitude pairs) is
-    keyed on the bits of both amplitudes, so amplitudes that differ only in
-    a signed zero get their own A1.  Amplitudes that fail `_check_amplitudes`
-    raise `InvalidConfigurationError` on every call.
+
+def pair_scheme(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) -> inversion.Scheme:
+    """The per-pair scheme of these amplitudes: 4 settings x 4 outcomes on A1.
+
+    Built once per process for each exact (alpha, beta), so A1 and its SVD
+    are too.  The cache (at most 32 amplitude pairs) is keyed on the bits of
+    both amplitudes, so amplitudes that differ only in a signed zero get
+    their own scheme.  Amplitudes that fail `_check_amplitudes` raise
+    `InvalidConfigurationError` on every call.
     """
     alpha, beta = _check_amplitudes(alpha, beta)
-    return _pair_design(*(x.hex() for z in (alpha, beta) for x in (z.real, z.imag)))
+    return _pair_scheme(*(x.hex() for z in (alpha, beta) for x in (z.real, z.imag)))
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_design(alpha_re: str, alpha_im: str, beta_re: str, beta_im: str) -> np.ndarray:
-    """`pair_design` of the amplitudes whose parts are given by `float.hex`."""
+def _pair_scheme(alpha_re: str, alpha_im: str, beta_re: str, beta_im: str) -> inversion.Scheme:
+    """`pair_scheme` of the amplitudes whose parts are given by `float.hex`."""
     alpha = complex(float.fromhex(alpha_re), float.fromhex(alpha_im))
     beta = complex(float.fromhex(beta_re), float.fromhex(beta_im))
-    a1 = inversion.readout_design(_readout_table(alpha, beta))
-    a1.flags.writeable = False
-    return a1
+    return inversion.Scheme(inversion.readout_design(_readout_table(alpha, beta)), 4)
 
 
 @dataclass
@@ -412,11 +418,22 @@ class ReconstructionResult:
 
 
 def _real_data(data) -> np.ndarray:
-    """Outcome data as a float array; complex data raise instead of losing their imaginary part."""
-    a = np.asarray(data)
-    if np.iscomplexobj(a):
-        raise InvalidDistributionError("outcome data must be real, got complex values")
-    return np.asarray(a, dtype=float)
+    """Outcome data as a float array, the one check of outcome data.
+
+    Complex data raise `InvalidDistributionError` instead of losing their
+    imaginary part, and so do strings (not parsed as numbers) and anything
+    else numpy cannot read as real numbers.
+    """
+    try:
+        a = np.asarray(data)
+        # a complex array would lose its imaginary part, a string array be parsed
+        if a.dtype.kind not in "cSUV":
+            return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidDistributionError(
+        f"outcome data must be real numbers, not complex, strings or other objects: {data!r:.80}"
+    )
 
 
 def _check_finite(data: np.ndarray) -> None:
@@ -446,17 +463,11 @@ def closed_form_chi(
     return chi
 
 
-def _solve(a1: np.ndarray, data: np.ndarray) -> ReconstructionResult:
-    """Solve on A1 for chi from data with one axis per pair (`inversion.solve`)."""
+def _solve(scheme: inversion.Scheme, data: np.ndarray) -> ReconstructionResult:
+    """The result of solving a scheme's data, one axis per pair (`inversion.Scheme.solve`)."""
     n = data.ndim
-    chi, cond = inversion.solve(a1, data)
-    return ReconstructionResult(
-        chi=chi,
-        n_qubits=n,
-        n_configurations=4**n,
-        design_rank=16**n,
-        design_cond=cond,
-    )
+    chi, cond = scheme.solve(data)
+    return ReconstructionResult(chi, n, scheme.settings**n, design_rank=16**n, design_cond=cond)
 
 
 def reconstruct_from_probabilities(
@@ -468,7 +479,7 @@ def reconstruct_from_probabilities(
     (row c configuration c of `all_configurations(n)`, column k its joint
     outcome), exact probabilities or empirical frequencies alike;
     n comes from its shape, and no renormalization or positivity repair is
-    applied.  The solve (`inversion.solve`) applies A1^-1 along each pair
+    applied.  The solve (`pair_scheme`) applies A1^-1 along each pair
     axis of the data.  A register beyond `channels.check_register_size`,
     complex or non-finite data or a rank-deficient A1 (degenerate
     amplitudes) raises instead of returning a wrong chi.
@@ -480,7 +491,7 @@ def reconstruct_from_probabilities(
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
     channels.check_register_size(n)
     _check_finite(q)
-    return _solve(pair_design(alpha, beta), inversion.pair_axes(q, n, 4))
+    return _solve(pair_scheme(alpha, beta), inversion.pair_axes(q, n, 4))
 
 
 def characterize(
@@ -493,12 +504,12 @@ def characterize(
 
     With exact probabilities the result equals the ground-truth process
     matrix of the channel to solver precision, for trace-preserving and
-    trace-decreasing channels alike.  One A1 (`pair_design`, built once per
-    process for these amplitudes) forwards the channel's chi and solves the
-    data.
+    trace-decreasing channels alike.  One scheme (`pair_scheme`, built once
+    per process for these amplitudes) forwards the channel's chi and solves
+    the data.
     """
-    a1, _, data = _experiment(channel, n, alpha, beta)
-    result = _solve(a1, data)
+    scheme, _, data = _experiment(channel, n, alpha, beta)
+    result = _solve(scheme, data)
     if n == 1:
         chi_cf = closed_form_chi(data.reshape(4, 4), alpha, beta)
         result.chi_closed_form = chi_cf

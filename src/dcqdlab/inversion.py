@@ -16,21 +16,26 @@ every pair axis of chi (a permuted n-fold Kronecker power of D1):
   amplitude sum_{a, a'} K[a, a'] T[r, (a, a')]):
   D1[r, (m, m')] = c[r, m] conj(c[r, m']) with c[r, m] = sum T[r, (a, a')] E_m[a, a']
   and E_m = ops.PAULIS[m], the one-qubit Pauli table;
-* the forward model `forward` applies D1 to chi: q = D1^{(x) n} chi;
-* the solver `solve` applies its pseudo-inverse: one SVD of D1 gives its
-  rank (the full design has rank(D1)**n), cond(D1)**n and pinv(D1), and
-  pinv(D1) along every pair axis of the data is the least-squares chi.
-  The SVD runs once per distinct D1 per process (a small bounded cache
-  keyed on D1's exact bytes), since every call with the same amplitudes
-  or scheme factors the same matrix.
+* the forward model `forward` applies a per-pair design along each pair
+  axis of chi: q = D1^{(x) n} chi;
+* `Scheme(design, outcomes)` is one pair's experiment: S settings x K
+  outcomes and its read-only per-pair design D1, rows ordered (setting,
+  outcome).  Its `forward` applies D1 to chi, and its `solve` applies the
+  pseudo-inverse: one SVD of D1, kept on the scheme, gives its rank (the
+  full design has rank(D1)**n), cond(D1)**n and pinv(D1), and pinv(D1)
+  along every pair axis of the data is the least-squares chi.  Each
+  experiment keeps its schemes (per amplitudes, or once per process), so
+  the SVD runs once per scheme.
 
 The direct protocol (`dcqd`), the partial Bell analyzer (`sampling`, a merge
-matrix on the rows of D1) and the SQPT baseline (`sqpt`) differ only in T.
+matrix on the rows of D1) and the SQPT baseline (`sqpt`) are schemes that
+differ only in T and the merge.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,24 +43,29 @@ import numpy as np
 from . import ops
 from .exceptions import IllPosedConfigurationError
 
-__all__ = ["forward", "pair_axes", "per_pair", "readout_design", "solve", "unpair_axes"]
+__all__ = ["Scheme", "forward", "pair_axes", "per_pair", "readout_design", "unpair_axes"]
 
 
-def pair_axes(x: np.ndarray, n: int, d: int) -> np.ndarray:
-    """(..., d**n, d**n) -> (..., d*d, ..., d*d) with axis i = (row digit i, col digit i)."""
+def pair_axes(x: np.ndarray, n: int, d) -> np.ndarray:
+    """(..., r**n, c**n) -> (..., r*c, ..., r*c) with axis i = (row digit i, col digit i).
+
+    `d` is the digit shape (r, c), or one int for r = c = d.
+    """
+    r, c = (d, d) if np.ndim(d) == 0 else d
     lead = x.shape[:-2]
     k = len(lead)
     perm = list(range(k)) + [k + j for i in range(n) for j in (i, n + i)]
-    return x.reshape(lead + (d,) * (2 * n)).transpose(perm).reshape(lead + (d * d,) * n)
+    return x.reshape(lead + (r,) * n + (c,) * n).transpose(perm).reshape(lead + (r * c,) * n)
 
 
-def unpair_axes(t: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Inverse of `pair_axes`: (..., d*d, ..., d*d) -> (..., d**n, d**n)."""
+def unpair_axes(t: np.ndarray, n: int, d) -> np.ndarray:
+    """Inverse of `pair_axes`: (..., r*c, ..., r*c) -> (..., r**n, c**n)."""
+    r, c = (d, d) if np.ndim(d) == 0 else d
     lead = t.shape[: t.ndim - n]
     k = len(lead)
     perm = list(range(k)) + [k + j for j in range(0, 2 * n, 2)]
     perm += [k + j for j in range(1, 2 * n, 2)]
-    return t.reshape(lead + (d,) * (2 * n)).transpose(perm).reshape(lead + (d**n, d**n))
+    return t.reshape(lead + (r, c) * n).transpose(perm).reshape(lead + (r**n, c**n))
 
 
 def per_pair(t: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -84,43 +94,58 @@ def readout_design(table: np.ndarray) -> np.ndarray:
     return np.einsum("rm,rn->rmn", c, c.conj()).reshape(len(c), 16)
 
 
-@functools.lru_cache(maxsize=32)
-def _factorize(
-    buf: bytes, shape: tuple[int, ...], dtype: str
-) -> tuple[Optional[np.ndarray], Optional[float], int]:
-    """(pinv, cond, rank) of the design whose exact bytes, shape and dtype are given.
+@dataclass(frozen=True, eq=False)
+class Scheme:
+    """One pair's experiment: `settings` x `outcomes` rows of a read-only per-pair design.
 
-    pinv and cond are None when the design is rank deficient; the caller
-    raises, so that error is raised on every call, not cached away.
+    `design` is the R x 16 per-pair design (a read-only copy of the one
+    given), rows ordered (setting, outcome) and columns (m, m') of chi.  The
+    experiment on n pairs runs `settings**n` configurations; its data have
+    one axis of length R per pair, and `unpair_axes(data, n, (settings,
+    outcomes))` puts configurations in rows and joint outcomes in columns.
     """
-    design = np.frombuffer(buf, dtype=dtype).reshape(shape)
-    u, s, vh = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(shape) * np.finfo(float).eps))
-    if rank < 16:
-        return None, None, rank
-    pinv = (vh.conj().T / s) @ u.conj().T
-    pinv.flags.writeable = False
-    return pinv, float(s[0] / s[-1]), rank
 
+    design: np.ndarray
+    outcomes: int
 
-def solve(design: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares chi of n pairs and the condition number of their design.
+    def __post_init__(self):
+        object.__setattr__(self, "design", np.array(self.design))
+        self.design.flags.writeable = False
 
-    `design` is the R x 16 per-pair design and `data` has one axis of length
-    R per pair.  Returns the exactly Hermitian (chi + chi^H)/2 and
-    cond(design)**n.  A rank-deficient design raises instead of returning a
-    wrong chi.  The SVD runs once per distinct design per process: pinv(design),
-    its cond and its rank are cached (at most 32 designs) on the design's
-    exact bytes, shape and dtype, and the cached pinv is read-only.
-    """
-    n = data.ndim
-    design = np.asarray(design)
-    pinv, cond, rank = _factorize(design.tobytes(), design.shape, design.dtype.str)
-    if pinv is None:
-        raise IllPosedConfigurationError(
-            f"per-pair design has rank {rank} < 16, so the design of {n} pair(s) has rank "
-            f"{rank}**{n} < 16**{n}; the data do not determine chi"
-        )
-    # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
-    chi = unpair_axes(per_pair(data, [pinv] * n), n, 4)
-    return ops.hermitian_part(chi), cond**n
+    @property
+    def settings(self) -> int:
+        return len(self.design) // self.outcomes
+
+    def forward(self, chi: np.ndarray, n: int) -> np.ndarray:
+        """Outcome probabilities of n pairs, one axis per pair (`forward`)."""
+        return forward([self.design] * n, chi)
+
+    @functools.cached_property
+    def _svd(self) -> tuple[Optional[np.ndarray], Optional[float], int]:
+        """(pinv, cond, rank) of the design, pinv read-only; pinv and cond are
+        None when the design is rank deficient, so `solve` raises on every call."""
+        u, s, vh = np.linalg.svd(self.design, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(self.design.shape) * np.finfo(float).eps))
+        if rank < 16:
+            return None, None, rank
+        pinv = (vh.conj().T / s) @ u.conj().T
+        pinv.flags.writeable = False
+        return pinv, float(s[0] / s[-1]), rank
+
+    def solve(self, data: np.ndarray) -> tuple[np.ndarray, float]:
+        """Least-squares chi of n pairs and the condition number of their design.
+
+        `data` has one axis of length R per pair.  Returns the exactly
+        Hermitian (chi + chi^H)/2 and cond(design)**n.  A rank-deficient
+        design raises instead of returning a wrong chi.
+        """
+        n = data.ndim
+        pinv, cond, rank = self._svd
+        if pinv is None:
+            raise IllPosedConfigurationError(
+                f"per-pair design has rank {rank} < 16, so the design of {n} pair(s) has rank "
+                f"{rank}**{n} < 16**{n}; the data do not determine chi"
+            )
+        # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
+        chi = unpair_axes(per_pair(data, [pinv] * n), n, 4)
+        return ops.hermitian_part(chi), cond**n

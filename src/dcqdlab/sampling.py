@@ -1,12 +1,13 @@
 """Finite-shot statistics and the partial Bell-analyzer measurement model.
 
 Sampling is multinomial per configuration, driven by one documented seed:
-`numpy.random.SeedSequence(seed)` is spawned once per configuration and
-child c draws row c of the probability array, so runs are bit-identical
-for a given seed and independent across configurations.  Reconstruction
-from sampled frequencies is the same raw linear inversion as the exact
-path; no renormalization and no positivity repair is applied, so negative
-chi eigenvalues at finite shots are reported, not hidden.
+`sample(scheme, data, shots, seed)` spawns `numpy.random.SeedSequence(seed)`
+once per configuration and child c draws row c of the configuration layout
+(`inversion.unpair_axes`), so runs are bit-identical for a given seed and
+independent across configurations.  Reconstruction from sampled
+frequencies is the same raw linear inversion as the exact path
+(`dcqd._solve`); no renormalization and no positivity repair is applied,
+so negative chi eigenvalues at finite shots are reported, not hidden.
 
 The optics model captures a linear-optics Bell analyzer that can only
 resolve two of the four Bell states and reports the other two as a single
@@ -14,14 +15,17 @@ merged symbol.  It is a merge matrix G on the four outcome rows of each
 setting.  Merged outcomes make a single configuration's design rank
 deficient; measuring the complementary analyzer setting as well (swapping
 which pair is resolved) restores full rank at twice the configuration
-count.  The single-pair design is then [G; G_complement] applied to each
-setting's rows of A1, `merged_design_matrix(setting, models, alpha, beta)`
-stacked over the four settings, and the shared solver in `inversion`
-inverts it.  `apply_optics_model(probabilities, model)` merges one pair's
-outcome probabilities the same way."""
+count.  The analyzer is then a scheme of its own, 8 (setting, analyzer)
+settings x 3 outcomes: its design is `_MERGE @ A1`, `_MERGE` the
+block-diagonal [G; G_complement] of each setting, built once per DCQD pair
+scheme, and its data are the DCQD data merged the same way.
+`merged_design_matrix(setting, models, alpha, beta)` gives one setting's
+rows for any analyzer models, and `apply_optics_model(probabilities,
+model)` merges one pair's outcome probabilities."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,7 +37,7 @@ from .exceptions import (
     InvalidConfigurationError,
     InvalidDistributionError,
 )
-from .ops import is_integer
+from .ops import BELL_LABELS, is_integer
 
 __all__ = [
     "CountsTable",
@@ -44,6 +48,7 @@ __all__ = [
     "characterize_with_optics",
     "empirical_frequencies",
     "merged_design_matrix",
+    "sample",
     "sample_counts",
 ]
 
@@ -149,28 +154,26 @@ def characterize_sampled(
     frequencies) together with its Frobenius distance from the exact
     process matrix of the channel.
     """
-    return _sample_and_solve(dcqd._experiment(channel, n, alpha, beta), shots, seed)
-
-
-def _sample_and_solve(
-    experiment: tuple[np.ndarray, np.ndarray, np.ndarray], shots: int, seed
-) -> tuple[dcqd.ReconstructionResult, SampledMetrics]:
-    """`characterize_sampled` of an exact experiment (A1, chi, data) of `dcqd._experiment`."""
-    a1, chi_true, data = experiment
-    n = data.ndim
-    q = inversion.unpair_axes(data, n, 4)
-    children = _seed_sequence(seed).spawn(len(q))
-    freqs = np.array(
-        [empirical_frequencies(sample_counts(row, shots, child)) for row, child in zip(q, children)]
-    )
-    result = dcqd._solve(a1, inversion.pair_axes(freqs, n, 4))
+    scheme, chi_true, data = dcqd._experiment(channel, n, alpha, beta)
+    result = dcqd._solve(scheme, sample(scheme, data, shots, seed))
     delta = result.chi - chi_true
-    metrics = SampledMetrics(
-        shots=shots,
-        frobenius_error=float(np.linalg.norm(delta)),
-        max_entry_error=float(np.max(np.abs(delta))),
-    )
-    return result, metrics
+    return result, SampledMetrics(shots, float(np.linalg.norm(delta)), float(np.max(np.abs(delta))))
+
+
+def sample(scheme: inversion.Scheme, data: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Empirical frequencies of `shots` draws per configuration, in the layout of `data`.
+
+    `data` are a scheme's outcome probabilities, one axis per pair
+    (`inversion.Scheme.forward`).  Row c of their configuration layout
+    (`inversion.unpair_axes` with the scheme's (settings, outcomes) digits)
+    is drawn with child c of `SeedSequence(seed)`, spawned once for all
+    rows; `seed` is checked before any shot count.
+    """
+    n, digits = data.ndim, (scheme.settings, scheme.outcomes)
+    rows = inversion.unpair_axes(data, n, digits)
+    children = _seed_sequence(seed).spawn(len(rows))
+    freqs = [empirical_frequencies(sample_counts(q, shots, c)) for q, c in zip(rows, children)]
+    return inversion.pair_axes(np.array(freqs), n, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +195,10 @@ class OpticsModel:
     merged: tuple[int, ...] = (0, 3)
 
     def __post_init__(self):
-        combined = sorted(self.resolved + self.merged)
+        try:
+            combined = sorted(self.resolved + self.merged)
+        except TypeError:  # not two tuples, or entries that do not compare
+            combined = None
         if combined != [0, 1, 2, 3]:
             raise InvalidDistributionError(
                 f"resolved {self.resolved} and merged {self.merged} must partition 0..3"
@@ -208,8 +214,6 @@ class OpticsModel:
         return sorted(out, key=lambda g: g[0])
 
     def labels(self) -> list[str]:
-        from .ops import BELL_LABELS
-
         return ["/".join(BELL_LABELS[i] for i in g) for g in self.groups()]
 
     @property
@@ -222,8 +226,11 @@ def apply_optics_model(probabilities, model: OpticsModel) -> dict[str, float]:
     """Merge a pair's 4 outcome probabilities that the analyzer cannot tell apart.
 
     Total probability mass is preserved exactly; only the resolution drops.
-    Complex probabilities raise `InvalidDistributionError`.
+    Complex probabilities raise `InvalidDistributionError`, and a model that
+    is not an `OpticsModel` raises `InvalidConfigurationError`.
     """
+    if not isinstance(model, OpticsModel):
+        raise InvalidConfigurationError(f"model must be an OpticsModel, got {model!r}")
     q = dcqd._real_data(probabilities)
     if q.shape != (4,):
         raise DimensionMismatchError("optics model is defined per pair (n = 1)")
@@ -240,20 +247,38 @@ def merged_design_matrix(
 
     One model per analyzer setting; each contributes its merged rows G @ A,
     A the 4 rows of A1 (`dcqd.pair_design`) that belong to the setting.
-    `characterize_with_optics` stacks these for its design.  Rank analysis
-    of this matrix quantifies what a partial Bell analyzer can and cannot
-    reconstruct.  `models` must be a non-empty sequence of `OpticsModel`s,
-    or `InvalidConfigurationError` is raised.
+    With the default model and its complement these are the setting's rows
+    of the design of `characterize_with_optics`.  Rank analysis of this
+    matrix quantifies what a partial Bell analyzer can and cannot
+    reconstruct.  `models` must be a non-empty iterable of `OpticsModel`s
+    (read once), or `InvalidConfigurationError` is raised.
     """
     if setting not in dcqd.SETTINGS:
         raise InvalidConfigurationError(f"unknown setting {setting!r}; valid: {dcqd.SETTINGS}")
-    if not models or not all(isinstance(m, OpticsModel) for m in models):
+    try:
+        checked = tuple(models)
+    except TypeError:
+        checked = ()
+    if not checked or not all(isinstance(m, OpticsModel) for m in checked):
         raise InvalidConfigurationError(
             f"models must be a non-empty sequence of OpticsModel, got {models!r}"
         )
     a1 = dcqd.pair_design(alpha, beta).reshape(4, 4, 16)
     base = a1[dcqd.SETTINGS.index(setting)]
-    return np.vstack([model.merge_matrix @ base for model in models])
+    return np.vstack([model.merge_matrix @ base for model in checked])
+
+
+# [G; G_complement] of the default analyzer for each setting: rows (setting,
+# analyzer, group), columns (setting, outcome)
+_MERGE = np.kron(
+    np.eye(4), np.vstack([m.merge_matrix for m in (OpticsModel(), OpticsModel().complement())])
+)
+
+
+@functools.lru_cache(maxsize=32)
+def _optics_scheme(pair: inversion.Scheme) -> inversion.Scheme:
+    """The analyzer's scheme on a DCQD pair scheme: 8 (setting, analyzer) settings x 3 groups."""
+    return inversion.Scheme(_MERGE @ pair.design, 3)
 
 
 def characterize_with_optics(
@@ -268,29 +293,14 @@ def characterize_with_optics(
     Every configuration is measured twice, once with the default
     `OpticsModel` and once with its complement, so the experiment count
     doubles to 2 * 4 while full rank is recovered.  With `shots` set, each
-    analyzer setting is sampled independently.
+    analyzer setting is sampled independently (`sample`).  The merge acts
+    on the DCQD data, so each merged probability is the sum of its terms.
     """
-    model = OpticsModel()
-    models = [model, model.complement()]
-    merges = [m.merge_matrix for m in models]
-    _, _, data = dcqd._experiment(channel, 1, alpha, beta)
-    q = data.reshape(4, 4)
-    children = _seed_sequence(seed).spawn(len(q) * len(merges))
-    values = []
-    for i, row in enumerate(q):
-        for j, g in enumerate(merges):
-            merged = g @ row
-            if shots is not None:
-                table = sample_counts(merged, shots, children[i * len(merges) + j])
-                merged = empirical_frequencies(table)
-            values.append(merged)
-    # rows (setting, analyzer setting, group), matching `values`
-    design = np.vstack([merged_design_matrix(s, models, alpha, beta) for s in dcqd.SETTINGS])
-    chi, cond = inversion.solve(design, np.concatenate(values))
-    return dcqd.ReconstructionResult(
-        chi=chi,
-        n_qubits=1,
-        n_configurations=len(values),
-        design_rank=16,
-        design_cond=cond,
-    )
+    pair, _, q = dcqd._experiment(channel, 1, alpha, beta)
+    scheme = _optics_scheme(pair)
+    data = _MERGE @ q
+    if shots is None:
+        _checked_seed(seed)
+    else:
+        data = sample(scheme, data, shots, seed)
+    return dcqd._solve(scheme, data)

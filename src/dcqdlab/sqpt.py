@@ -5,8 +5,10 @@ qubit of each output in the eigenbases of X, Y and Z (exact probabilities;
 finite shots are deliberately not modelled here), and linearly inverts for
 chi.  Inputs and readout are the same on every qubit, so the experiment is
 n copies of a one-qubit experiment: a 24 x 4 readout table (4 inputs x 3
-bases x 2 eigenvectors) gives the 24 x 16 per-qubit design that `inversion`
-applies to chi and inverts; it is built once per process.  Bookkeeping
+bases x 2 eigenvectors) gives the 24 x 16 per-qubit design of an
+`inversion.Scheme` of 12 (input, basis) settings x 2 outcomes, which
+forwards chi and inverts the data; the scheme and its SVD are built once
+per process.  Bookkeeping
 counts 4**n Pauli settings per input, i.e. 16**n experimental
 configurations in total, against 4**n for the direct protocol in `dcqd`
 (see `resources`).
@@ -39,11 +41,9 @@ def _readout_table() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _design() -> np.ndarray:
-    """The read-only 24 x 16 per-qubit design, built once per process."""
-    design = inversion.readout_design(_readout_table())
-    design.flags.writeable = False
-    return design
+def _scheme() -> inversion.Scheme:
+    """The per-qubit scheme, built once per process: 12 settings x 2 outcomes."""
+    return inversion.Scheme(inversion.readout_design(_readout_table()), 2)
 
 
 @dataclass
@@ -67,9 +67,8 @@ def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     # as_chi checks the register first, so a bad n gets its message
     chi = channels.as_chi(channel, n)
     counts = resources.resource_counts(n)["sqpt"]
-    design = _design()
-    q = inversion.forward([design] * n, chi)
-    chi, _cond = inversion.solve(design, q)
+    scheme = _scheme()
+    chi, _cond = scheme.solve(scheme.forward(chi, n))
     return SqptResult(
         chi=chi,
         n_qubits=n,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import NESTED_CHANNEL_FILES
-from dcqdlab import channels, cli, dcqd, inversion, resources, sampling, serialize, sqpt
+from dcqdlab import channels, cli, dcqd, resources, sampling, serialize, sqpt
 from dcqdlab.exceptions import InvalidChannelError, InvalidConfigurationError
 
 
@@ -395,12 +395,12 @@ class TestSweep:
         # the report seeded by one SeedSequence(seed).spawn(len(shots) * repeats)
         _, out, _ = run(self.ARGV, capsys)
         children = iter(np.random.SeedSequence(5).spawn(2 * 3))
-        original = sampling._sample_and_solve
+        original = sampling.sample
 
-        def up_front(experiment, shots, _child):
-            return original(experiment, shots, next(children))
+        def up_front(scheme, data, shots, _child):
+            return original(scheme, data, shots, next(children))
 
-        monkeypatch.setattr(sampling, "_sample_and_solve", up_front)
+        monkeypatch.setattr(sampling, "sample", up_front)
         _, reference, _ = run(self.ARGV, capsys)
         assert next(children, None) is None
         assert out == reference
@@ -660,7 +660,7 @@ class TestCommandSequence:
         warm = [run(argv, capsys) for argv in self.SEQUENCE]
         cold = []
         for argv in self.SEQUENCE:
-            for cache in (dcqd._pair_design, sqpt._design, inversion._factorize, cli._parser):
+            for cache in (dcqd._pair_scheme, sqpt._scheme, sampling._optics_scheme, cli._parser):
                 cache.cache_clear()
             cold.append(run(argv, capsys))
         assert [c[0] for c in warm] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0]

@@ -533,7 +533,7 @@ class TestFactoredEngine:
             return original(table)
 
         monkeypatch.setattr(inversion, "readout_design", counting)
-        dcqd._pair_design.cache_clear()
+        dcqd._pair_scheme.cache_clear()
         kraus = channels.random_channel(1, seed=2)
         dcqd.characterize(kraus, n)
         assert len(calls) == 1
@@ -560,7 +560,7 @@ class TestFactoredEngine:
         a1 = dcqd.pair_design()
         with pytest.raises(ValueError):
             a1[0, 0] = 1.0
-        pinv, _cond, _rank = inversion._factorize(a1.tobytes(), a1.shape, a1.dtype.str)
+        pinv, _cond, _rank = dcqd.pair_scheme()._svd
         with pytest.raises(ValueError):
             pinv[0, 0] = 1.0
         chi = dcqd.characterize(channels.depolarizing(0.1)).chi
@@ -575,7 +575,7 @@ class TestFactoredEngine:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
-        inversion._factorize.cache_clear()
+        dcqd._pair_scheme.cache_clear()
         kraus = channels.random_channel(1, seed=2)
         for _ in range(100):
             dcqd.characterize(kraus, 1)
@@ -612,6 +612,16 @@ class TestFactoredEngine:
         assert ops.hermiticity_deviation(result.chi) == 0.0
         assert result.n_configurations == 64
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_largest_registers_against_expanded_kraus(self, n):
+        # the ground truth is the chi of the expanded Kraus set, which does not
+        # go through as_chi's Kronecker power
+        spec = channels.ChannelSpec(kind="amplitude_damping", params={"gamma": 0.3})
+        chi_true = channels.chi_from_kraus(channels.as_kraus(spec, n))
+        result = dcqd.characterize(spec, n)
+        assert np.max(np.abs(result.chi - chi_true)) < 1e-10
+        assert result.n_configurations == 4**n
 
     @pytest.mark.parametrize(
         "n,kraus",
@@ -680,7 +690,7 @@ class TestFactoredEngine:
         def never(*args, **kwargs):
             raise AssertionError("solver reached")
 
-        monkeypatch.setattr(inversion, "solve", never)
+        monkeypatch.setattr(inversion.Scheme, "solve", never)
         with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
             dcqd.reconstruct_from_probabilities(np.broadcast_to(0.0, (4**6, 4**6)))
 

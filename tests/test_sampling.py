@@ -31,6 +31,17 @@ def test_complex_data_rejected(call):
     # the same values with a zero imaginary part are still complex data
     with pytest.raises(InvalidDistributionError, match="real"):
         call(dcqd.all_outcome_probabilities(channels.bit_flip(0.1), 1) + 0j)
+    # non-numeric data raised numpy's own ValueError; numeric strings are not parsed
+    for strings in (np.full((4, 4), "abc"), np.full((4, 4), "0.25")):
+        with pytest.raises(InvalidDistributionError, match="real"):
+            call(strings)
+
+
+@pytest.mark.parametrize("data", ["abc", (q for q in [0.5, 0.5]), [[0.5], [0.2, 0.3]], [None, 1j]])
+def test_non_numeric_counts_data_rejected(data):
+    # these raised numpy's ValueError or the builtin TypeError
+    with pytest.raises(InvalidDistributionError, match="real"):
+        sampling.sample_counts(data, shots=10, seed=0)
 
 
 class TestSampleCounts:
@@ -166,7 +177,7 @@ class TestCharacterizeSampled:
         assert np.array_equal(r1.chi, r2.chi)
         assert m1.frobenius_error == m2.frobenius_error
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_seeding_contract(self, n, rng):
         # row c of the probability array is drawn with child c of SeedSequence(seed)
         kraus = channels.random_channel(n, trace_preserving=False, rng=rng)
@@ -233,8 +244,14 @@ class TestOpticsModel:
         assert model.complement().resolved == model.merged
 
     def test_bad_partition_rejected(self):
-        with pytest.raises(InvalidDistributionError):
-            sampling.OpticsModel(resolved=(1, 2), merged=(2, 3))
+        # the last two raised the builtin TypeError
+        for resolved, merged in [((1, 2), (2, 3)), (None, None), ((1, 2), (0, "3"))]:
+            with pytest.raises(InvalidDistributionError, match="partition"):
+                sampling.OpticsModel(resolved=resolved, merged=merged)
+        # a model that is not an OpticsModel raised the builtin AttributeError
+        for model in (None, "base", np.eye(3)):
+            with pytest.raises(InvalidConfigurationError, match="OpticsModel"):
+                sampling.apply_optics_model([0.25] * 4, model)
 
     @pytest.mark.parametrize("setting", ["coh_w", ("pop",), None])
     def test_merged_design_rejects_unknown_setting(self, setting):
@@ -243,27 +260,42 @@ class TestOpticsModel:
 
     @pytest.mark.parametrize(
         "models",
-        [[], (), None, [None], [sampling.OpticsModel(), "base"], [np.eye(3)]],
-        ids=["empty", "empty-tuple", "none", "none-entry", "string-entry", "matrix-entry"],
+        [
+            [], (), None, [None], [sampling.OpticsModel(), "base"], [np.eye(3)],
+            iter(()), (m for m in [sampling.OpticsModel(), None]), 3,
+        ],
+        ids=[
+            "empty", "empty-tuple", "none", "none-entry", "string-entry", "matrix-entry",
+            "empty-iterator", "generator-none-entry", "int",
+        ],
     )
     def test_merged_design_rejects_bad_models(self, models):
-        # these raised the builtin AttributeError or numpy's "need at least
-        # one array to concatenate"
+        # these raised the builtin AttributeError or TypeError, or numpy's
+        # "need at least one array to concatenate"
         with pytest.raises(InvalidConfigurationError, match="OpticsModel"):
             sampling.merged_design_matrix(dcqd.POP, models)
 
-    def test_optics_design_is_the_merged_designs(self, monkeypatch):
-        # characterize_with_optics builds its design only through merged_design_matrix
-        calls = []
-        original = sampling.merged_design_matrix
+    def test_merged_design_reads_a_generator_once(self):
+        # a generator of valid models used to be consumed by the check and then
+        # stacked as empty
+        models = [sampling.OpticsModel(), sampling.OpticsModel().complement()]
+        want = sampling.merged_design_matrix(dcqd.POP, models)
+        got = sampling.merged_design_matrix(dcqd.POP, (m for m in models))
+        assert np.array_equal(got, want)
 
-        def counting(setting, models, alpha, beta):
-            calls.append(setting)
-            return original(setting, models, alpha, beta)
-
-        monkeypatch.setattr(sampling, "merged_design_matrix", counting)
+    def test_optics_design_is_the_merged_designs(self):
+        # the design of characterize_with_optics is merged_design_matrix's rows,
+        # stacked over the settings, bit for bit
+        model = sampling.OpticsModel()
+        for alpha, beta in [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j)]:
+            scheme = sampling._optics_scheme(dcqd.pair_scheme(alpha, beta))
+            merged = [
+                sampling.merged_design_matrix(s, [model, model.complement()], alpha, beta)
+                for s in dcqd.SETTINGS
+            ]
+            assert np.array_equal(scheme.design, np.vstack(merged))
+            assert (scheme.settings, scheme.outcomes) == (8, 3)
         result = sampling.characterize_with_optics(channels.bit_flip(0.25))
-        assert calls == list(dcqd.SETTINGS)
         chi_true = channels.chi_from_kraus(channels.bit_flip(0.25))
         assert np.max(np.abs(result.chi - chi_true)) < 1e-12
 

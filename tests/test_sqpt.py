@@ -39,11 +39,11 @@ def test_design_built_once_and_read_only(monkeypatch):
         return original(table)
 
     monkeypatch.setattr(inversion, "readout_design", counting)
-    sqpt._design.cache_clear()
+    sqpt._scheme.cache_clear()
     for n in (1, 2, 1):
         sqpt.sqpt_characterize(channels.depolarizing(0.2), n)
     assert len(calls) == 1
-    design = sqpt._design()
+    design = sqpt._scheme().design
     assert np.array_equal(design, original(sqpt._readout_table()))
     with pytest.raises(ValueError):
         design[0, 0] = 1.0
@@ -106,6 +106,15 @@ def test_three_qubit_baseline(kind, rng):
     assert np.max(np.abs(result.chi - chi_true)) < 1e-10
     assert (result.n_inputs, result.n_settings_per_input, result.n_experiments) == (64, 64, 4096)
     assert elapsed < 1.0
+
+
+def test_four_qubit_baseline_against_expanded_kraus():
+    # the ground truth does not go through as_chi's Kronecker power
+    spec = channels.ChannelSpec(kind="amplitude_damping", params={"gamma": 0.3})
+    chi_true = channels.chi_from_kraus(channels.as_kraus(spec, 4))
+    result = sqpt.sqpt_characterize(spec, 4)
+    assert np.max(np.abs(result.chi - chi_true)) < 1e-10
+    assert result.n_experiments == 16**4
 
 
 @pytest.mark.parametrize("n", [1, 2])
