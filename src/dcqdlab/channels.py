@@ -41,7 +41,7 @@ from .exceptions import (
     InvalidConfigurationError,
     NotCompletelyPositiveError,
 )
-from .ops import is_integer
+from .ops import is_integer, is_real
 
 __all__ = [
     "ChannelSpec",
@@ -153,10 +153,11 @@ def _malformed(kraus) -> InvalidChannelError:
     return InvalidChannelError(f"Kraus operators must share a square shape, got {shape}")
 
 
-def _stacked_kraus(
-    kraus: Sequence[np.ndarray], trace_preserving: Optional[bool] = None
-) -> np.ndarray:
-    """`check_kraus` on the set stacked once, returned as one (K, d, d) complex array."""
+def _kraus_array(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """A Kraus set stacked once into a (K, d, d) complex array, K >= 1 and d a power of 2.
+
+    Only the structure is checked; anything else raises `InvalidChannelError`.
+    """
     try:
         stacked = np.ascontiguousarray(kraus, dtype=complex)
     except (TypeError, ValueError, OverflowError):
@@ -166,6 +167,14 @@ def _stacked_kraus(
     d = stacked.shape[1]
     if d < 2 or d & (d - 1):
         raise InvalidChannelError(f"Kraus dimension {d} is not a power of 2")
+    return stacked
+
+
+def _stacked_kraus(
+    kraus: Sequence[np.ndarray], trace_preserving: Optional[bool] = None
+) -> np.ndarray:
+    """`check_kraus` on the set stacked once, returned as one (K, d, d) complex array."""
+    stacked = _kraus_array(kraus)
     # sum K^dag K <= I bounds every entry by 1; checking first also keeps
     # NaN and overflow out of the eigenvalue check below
     if not np.all(np.abs(stacked.view(float)) <= 1 + KRAUS_ATOL):
@@ -199,8 +208,10 @@ def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
     Expands each operator as K_i = sum_m c[i, m] E_m with
     c[i, m] = Tr(E_m K_i) / 2**n, then chi[m, n] = sum_i c[i, m] c[i, n]*.
+    Only the set's structure is checked (`_kraus_array`): a set that
+    `check_kraus` already passed is not checked again.
     """
-    mats = np.asarray(kraus, dtype=complex)
+    mats = _kraus_array(kraus)
     n = n_qubits(mats)
     k = len(mats)
     # one copy puts the pair axes (row digit i, column digit i) first and the
@@ -216,9 +227,16 @@ def _checked_matrix(matrix, name: str, qubits: bool) -> tuple[np.ndarray, int]:
 
     The side must be d**2 with d >= 2, a power of 2 for chi (4**n x 4**n),
     or `DimensionMismatchError` is raised; a non-finite entry raises
-    `InvalidChannelError`.
+    `InvalidChannelError`, and so does anything that is not an array of
+    numbers (strings are not parsed).
     """
-    m = np.asarray(matrix, dtype=complex)
+    try:
+        m = np.asarray(matrix)
+    except (TypeError, ValueError):  # ragged
+        m = None
+    if m is None or m.dtype.kind not in "biufc":
+        raise InvalidChannelError(f"{name} must be an array of numbers, got {matrix!r:.80}")
+    m = m.astype(complex, copy=False)
     side = m.shape[0] if m.ndim == 2 else 0
     d = math.isqrt(side)
     if d < 2 or m.shape != (d * d, d * d) or (qubits and d & (d - 1)):
@@ -254,12 +272,14 @@ def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:
 
 
 def compose(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Kraus set of (second after first); count multiplies, no minimization."""
-    a = [np.asarray(k, dtype=complex) for k in first]
-    b = [np.asarray(k, dtype=complex) for k in second]
-    if a[0].shape != b[0].shape:
+    """Kraus set of (second after first); count multiplies, no minimization.
+
+    Each set gets the structural check of `chi_from_kraus`.
+    """
+    a, b = _kraus_array(first), _kraus_array(second)
+    if a.shape[1:] != b.shape[1:]:
         raise DimensionMismatchError(
-            f"cannot compose channels of dims {a[0].shape} and {b[0].shape}"
+            f"cannot compose channels of dims {a.shape[1:]} and {b.shape[1:]}"
         )
     return [k2 @ k1 for k2 in b for k1 in a]
 
@@ -357,11 +377,16 @@ def random_channel(
     The trace-preserving variant whitens the input marginal so that
     Tr_out C = I exactly; the non-TP variant rescales so the map is trace
     non-increasing with a random overall survival weight.  n is bounded
-    like every register (`check_register_size`).
+    like every register (`check_register_size`); `seed` is None or a
+    non-negative integer, and `rng` None or a numpy Generator.
     """
     check_register_size(n)
     if rank is not None and not is_integer(rank):
         raise InvalidChannelError(f"Kraus rank must be an integer, got {rank!r}")
+    if not (seed is None or (is_integer(seed) and seed >= 0)):
+        raise InvalidChannelError(f"seed must be None or a non-negative integer, got {seed!r}")
+    if not (rng is None or isinstance(rng, np.random.Generator)):
+        raise InvalidChannelError(f"rng must be None or a numpy Generator, got {rng!r:.80}")
     if rng is None:
         rng = np.random.default_rng(seed)
     d = 2**n
@@ -453,18 +478,18 @@ def phase_damping(
 
 def rotation(axis: str, angle: float) -> list[np.ndarray]:
     """Unitary channel exp(-i angle P/2) for P in {X, Y, Z}."""
-    try:
-        p = {"x": ops.PAULI_X, "y": ops.PAULI_Y, "z": ops.PAULI_Z}[axis.lower()]
-    except KeyError:
-        raise InvalidChannelError(f"rotation axis must be x, y or z, got {axis!r}") from None
-    if not math.isfinite(angle):
-        raise InvalidChannelError(f"rotation angle must be finite, got {angle!r}")
+    axes = {"x": ops.PAULI_X, "y": ops.PAULI_Y, "z": ops.PAULI_Z}
+    p = axes.get(axis.lower()) if isinstance(axis, str) else None
+    if p is None:
+        raise InvalidChannelError(f"rotation axis must be x, y or z, got {axis!r}")
+    if not (is_real(angle) and math.isfinite(angle)):
+        raise InvalidChannelError(f"rotation angle must be finite, got {angle!r:.80}")
     u = math.cos(angle / 2) * ops.IDENTITY_2 - 1j * math.sin(angle / 2) * p
     return [u]
 
 
 def _check_probability(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+    if not (is_real(value) and 0.0 <= value <= 1.0):
         raise InvalidChannelError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
@@ -483,10 +508,10 @@ def _rate_from_args(
     if t is None or tc is None:
         raise InvalidChannelError(f"need {name} or both t and {tc_name}")
     # written so that NaN fails both checks; tc = inf (no decay) is allowed
-    if not tc > 0:
-        raise InvalidChannelError(f"{tc_name} must be positive, got {tc!r}")
-    if not 0 <= t < math.inf:
-        raise InvalidChannelError(f"duration t must be finite and non-negative, got {t!r}")
+    if not (is_real(tc) and tc > 0):
+        raise InvalidChannelError(f"{tc_name} must be positive, got {tc!r:.80}")
+    if not (is_real(t) and 0 <= t < math.inf):
+        raise InvalidChannelError(f"duration t must be finite and non-negative, got {t!r:.80}")
     return 1.0 - math.exp(-t / tc)
 
 

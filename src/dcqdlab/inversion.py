@@ -2,9 +2,10 @@
 
 Every experiment here is n copies of one small experiment: each primary
 qubit (with its ancilla, if any) gets the same inputs and the same readout.
-Every outcome probability is linear in chi, so the small experiment is one
-R x 16 per-pair design D1 and the experiment on n pairs is D1 applied along
-every pair axis of chi (a permuted n-fold Kronecker power of D1):
+Every datum (an outcome probability, or a Pauli expectation in `sqpt`) is
+linear in chi, so the small experiment is one R x 16 per-pair design D1,
+and the experiment on n pairs is D1 applied along every pair axis of chi
+(a permuted n-fold Kronecker power of D1):
 
 * `per_pair` applies one small matrix along each pair axis; the forward
   model, the solver and the Kraus <-> chi conversions in `channels` all go
@@ -27,9 +28,11 @@ every pair axis of chi (a permuted n-fold Kronecker power of D1):
   experiment keeps its schemes (per amplitudes, or once per process), so
   the SVD runs once per scheme.
 
-The direct protocol (`dcqd`), the partial Bell analyzer (`sampling`, a merge
-matrix on the rows of D1) and the SQPT baseline (`sqpt`) are schemes that
-differ only in T and the merge.
+The direct protocol (`dcqd`) and the partial Bell analyzer (`sampling`, a
+merge matrix on the rows of D1) are schemes that differ only in T and the
+merge.  The SQPT baseline (`sqpt`) is a square scheme of 16 (input, Pauli)
+settings x 1 outcome whose data are Pauli expectations; it builds its
+design D1[(i, p), (m, m')] = Tr(E_p E_m rho_i E_m'^dag) itself.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ class Scheme:
     experiment on n pairs runs `settings**n` configurations; its data have
     one axis of length R per pair, and `unpair_axes(data, n, (settings,
     outcomes))` puts configurations in rows and joint outcomes in columns.
+    The data are outcome probabilities, or any other data linear in chi,
+    such as the Pauli expectations of `sqpt`'s one-outcome settings;
+    `sampling.sample` draws only from probabilities.
     """
 
     design: np.ndarray

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Iterator
 
 import numpy as np
@@ -47,6 +48,19 @@ BELL_LABELS = ("phi+", "psi+", "psi-", "phi-")
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool and anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number (`numbers.Real`) that a float holds, NaN and inf
+    included; False for a bool, a string, None, a complex number and an int
+    beyond every float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def pauli_strings(n: int) -> Iterator[tuple[int, ...]]:

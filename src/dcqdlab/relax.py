@@ -18,9 +18,11 @@ and the input factors <Z^A>_in and <X^A X^B>_in from
 amplitudes are fine (only <Z^A>_in != 1 and Re(a b*) != 0 are needed),
 unlike the full coherence protocol in `dcqd`, so the amplitudes get only
 `dcqd._check_amplitudes` (finite, normalized numbers).  Non-finite
-data raise `InconsistentDataError`.  Zero decay is a
-legitimate limit and is reported as an infinite time constant rather than
-an error.
+data and data that are not real numbers raise `InconsistentDataError`;
+durations and T1 that are not real numbers in range (NaN included) raise
+`InvalidStateError`.  Zero decay is a legitimate limit and is reported as
+an infinite time constant rather than an error, and T1 = inf means no
+amplitude damping.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .exceptions import (
     InvalidStateError,
     SaturationError,
 )
+from .ops import is_real
 
 __all__ = [
     "RelaxEstimate",
@@ -68,16 +71,19 @@ def estimate_T1(p_minus: float, t1: float, alpha: complex, beta: complex) -> flo
     alpha, beta are the input amplitudes; only <Z^A>_in = |alpha|^2 - |beta|^2
     enters (`dcqd.input_pair_expectations`, whose amplitude check raises
     `InvalidConfigurationError`).  p_minus = 0 means no decay and returns
-    math.inf.
+    math.inf.  t1 must be positive and finite (`InvalidStateError`), and
+    p_minus a finite real number (`InconsistentDataError`).
     """
     # written so that NaN fails too
-    if not 0 < t1 < math.inf:
+    if not (is_real(t1) and 0 < t1 < math.inf):
         raise InvalidStateError(f"t1 must be positive and finite to resolve T1, got {t1!r}")
     z_in = dcqd.input_pair_expectations(alpha, beta)["stabilizer_bias"]
     if abs(1.0 - z_in) < 1e-12:
         raise IllPosedInputError("<Z^A> = 1 on the input (beta = 0); T1 leaves no signature")
-    if not math.isfinite(p_minus):
-        raise InconsistentDataError(f"stabilizer -1 probability must be finite, got {p_minus!r}")
+    if not (is_real(p_minus) and math.isfinite(p_minus)):
+        raise InconsistentDataError(
+            f"stabilizer -1 probability must be finite, got {p_minus!r:.80}"
+        )
     if p_minus < -1e-12:
         raise InconsistentDataError(f"negative probability {p_minus!r}")
     gamma = 2.0 * max(p_minus, 0.0) / (1.0 - z_in)
@@ -102,14 +108,21 @@ def estimate_T2(
 
     The ratio of output to input X^A X^B expectations must lie in (0, 1];
     ratio 1 (no dephasing beyond the amplitude damping) gives T2 = inf, as
-    does t2 = 0.
+    does t2 = 0.  The durations t1 and t2 must be finite and non-negative
+    and T1 positive, inf (no amplitude damping) included, or
+    `InvalidStateError` is raised; the expectations must be finite real
+    numbers (`InconsistentDataError`).
     """
-    # written so that NaN fails too
-    if not 0 <= t2 < math.inf:
-        raise InvalidStateError(f"t2 must be finite and non-negative, got {t2!r}")
-    if not (math.isfinite(x_expect_out) and math.isfinite(x_expect_in)):
+    # written so that NaN fails too; T1 = inf means no amplitude damping
+    if not (is_real(t2) and 0 <= t2 < math.inf):
+        raise InvalidStateError(f"t2 must be finite and non-negative, got {t2!r:.80}")
+    if not (is_real(t1) and 0 <= t1 < math.inf):
+        raise InvalidStateError(f"t1 must be finite and non-negative, got {t1!r:.80}")
+    if not (is_real(T1) and T1 > 0):
+        raise InvalidStateError(f"T1 must be positive, got {T1!r:.80}")
+    if not all(is_real(x) and math.isfinite(x) for x in (x_expect_out, x_expect_in)):
         raise InconsistentDataError(
-            f"expectations must be finite, got {x_expect_out!r} and {x_expect_in!r}"
+            f"expectations must be finite, got {x_expect_out!r:.80} and {x_expect_in!r:.80}"
         )
     if abs(x_expect_in) < 1e-12:
         raise IllPosedInputError(

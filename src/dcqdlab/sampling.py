@@ -188,7 +188,10 @@ class OpticsModel:
     Outcome indices follow the Bell order (phi+, psi+, psi-, phi-).  The
     default models a standard two-photon interferometric analyzer: the psi
     pair is resolved, the phi pair produces one indistinguishable symbol.
-    Defined for single-pair (n = 1) configurations.
+    Defined for single-pair (n = 1) configurations.  The two groups are
+    stored as tuples of integers (`ops.is_integer`) that partition 0..3,
+    with a non-empty merged group; anything else raises
+    `InvalidDistributionError`.
     """
 
     resolved: tuple[int, ...] = (1, 2)
@@ -196,13 +199,17 @@ class OpticsModel:
 
     def __post_init__(self):
         try:
-            combined = sorted(self.resolved + self.merged)
-        except TypeError:  # not two tuples, or entries that do not compare
-            combined = None
-        if combined != [0, 1, 2, 3]:
+            resolved, merged = tuple(self.resolved), tuple(self.merged)
+        except TypeError:  # not two iterables
+            resolved = merged = ()
+        combined = resolved + merged
+        if not (merged and all(map(is_integer, combined)) and sorted(combined) == [0, 1, 2, 3]):
             raise InvalidDistributionError(
-                f"resolved {self.resolved} and merged {self.merged} must partition 0..3"
+                f"resolved {self.resolved!r} and merged {self.merged!r} must partition 0..3 "
+                "into integers, with a non-empty merged group"
             )
+        object.__setattr__(self, "resolved", resolved)
+        object.__setattr__(self, "merged", merged)
 
     def complement(self) -> "OpticsModel":
         """The analyzer setting with the two outcome groups swapped."""

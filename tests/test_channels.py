@@ -140,11 +140,21 @@ class TestKrausFromChi:
         (np.full((4, 4), np.nan), InvalidChannelError),
         (np.diag([1.0, 0.0, 0.0, np.inf]), InvalidChannelError),
         (np.diag([1.0, 0.0, 0.0, complex(0.0, np.nan)]), InvalidChannelError),
+        ("abc", InvalidChannelError),
+        ([["a"]], InvalidChannelError),
+        ([["1", "0"], ["0", "1"]], InvalidChannelError),
+        ([[1, 0], [0]], InvalidChannelError),
+        (None, InvalidChannelError),
     ],
-    ids=["scalar", "3x3", "4x3", "1x1", "3d", "all_nan", "inf", "nan_imag"],
+    ids=[
+        "scalar", "3x3", "4x3", "1x1", "3d", "all_nan", "inf", "nan_imag", "string",
+        "string_entry", "numeric_strings", "ragged", "none",
+    ],
 )
 def test_chi_and_choi_inputs_checked(convert, matrix, error):
-    # one check of shape and finiteness, before any eigendecomposition
+    # one check of shape and finiteness, before any eigendecomposition; the
+    # strings raised numpy's "complex() arg is a malformed string" or were
+    # parsed as numbers
     with pytest.raises(error):
         convert(matrix)
 
@@ -307,6 +317,16 @@ class TestRandomChannel:
         kraus = channels.random_channel(1, rank=2, trace_preserving=True, rng=rng)
         assert len(kraus) == 2
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"seed": -1}, {"seed": "x"}, {"seed": 1.5}, {"rng": "x"}, {"rng": 3}],
+        ids=["negative", "str", "float", "rng-str", "rng-int"],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, kwargs):
+        # these raised numpy's errors, or the builtin AttributeError
+        with pytest.raises(InvalidChannelError, match="seed|rng"):
+            channels.random_channel(1, **kwargs)
+
     @pytest.mark.parametrize("rank", [2.5, 2.0, "2", True], ids=["2.5", "2.0", "str", "bool"])
     def test_rank_must_be_an_integer(self, rank):
         # these raised the builtin TypeError from inside numpy or a comparison
@@ -354,6 +374,14 @@ class TestSpecs:
             channels.amplitude_damping(gamma=0.1, t=1.0, T1=1.0)
         with pytest.raises(InvalidChannelError):
             channels.kraus_from_spec(channels.ChannelSpec("nonsense"))
+        # a bool is no probability, as it is no register size (ops.is_integer)
+        for p in (True, "0.1", None, 1j):
+            with pytest.raises(InvalidChannelError, match="probability"):
+                channels.bit_flip(p)
+        # these raised the builtin AttributeError or TypeError
+        for axis, angle in [(None, 1.0), ("x", "a"), ("x", None), ("x", 1j), (3, 1.0)]:
+            with pytest.raises(InvalidChannelError, match="rotation"):
+                channels.rotation(axis, angle)
 
     @pytest.mark.parametrize(
         "build,kwargs",
@@ -363,6 +391,11 @@ class TestSpecs:
             (channels.amplitude_damping, {"t": math.inf, "T1": math.inf}),
             (channels.phase_damping, {"t": 1.0, "T2": math.nan}),
             (channels.phase_damping, {"t": math.nan, "T2": 2.0}),
+            # these raised the builtin TypeError
+            (channels.amplitude_damping, {"t": "a", "T1": 1.0}),
+            (channels.amplitude_damping, {"t": 1.0, "T1": "2"}),
+            (channels.phase_damping, {"t": 1.0, "T2": "a"}),
+            (channels.phase_damping, {"t": 1j, "T2": 1.0}),
         ],
     )
     def test_non_finite_time_arguments_rejected(self, build, kwargs):
@@ -426,6 +459,7 @@ BAD_RAW_KRAUS = {
     "empty": [],
     "not_power_of_two": [np.eye(3)],
     "strings": [[["a", "b"], ["c", "d"]]],
+    "string": "abc",
     "object_entry": [[[{}, 0], [0, 1]]],
     "none_entry": [[[None, 0], [0, 1]]],
     "ragged_operator": [[[1, 0], [0]]],
@@ -438,6 +472,7 @@ BAD_RAW_KRAUS = {
 # being the only accepted form
 MALFORMED_KRAUS_MESSAGES = {
     "strings": "arrays of numbers",
+    "string": "arrays of numbers",
     "object_entry": "arrays of numbers",
     "ragged_operator": "arrays of numbers",
     "ragged_set": r"share a square shape, got \(4, 4\)",
@@ -445,6 +480,7 @@ MALFORMED_KRAUS_MESSAGES = {
     "three_dimensional": r"share a square shape, got \(2, 2, 2\)",
     "not_square": r"share a square shape, got \(2, 4\)",
     "empty": "empty Kraus set",
+    "not_power_of_two": "not a power of 2",
 }
 
 
@@ -471,6 +507,10 @@ def test_malformed_kraus_message(case):
         channels.check_kraus(kraus)
     with pytest.raises(InvalidChannelError, match=message):
         channels.as_chi(kraus, 1)
+    # the structural check alone; these raised ValueError or IndexError
+    for convert in (channels.chi_from_kraus, lambda k: channels.compose(k, channels.bit_flip(0.1))):
+        with pytest.raises(InvalidChannelError, match=message):
+            convert(kraus)
 
 
 SPEC_OF_KIND = {

@@ -101,6 +101,17 @@ class TestEstimateT1:
         with pytest.raises(InconsistentDataError, match="finite"):
             relax.estimate_T1(bad, 1.0, ALPHA, BETA)
 
+    @pytest.mark.parametrize("bad", ["a", None, "0.1", 0.1j])
+    def test_non_number_probability(self, bad):
+        # a string or None raised the builtin TypeError
+        with pytest.raises(InconsistentDataError, match="finite"):
+            relax.estimate_T1(bad, 1.0, ALPHA, BETA)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, "a", None])
+    def test_bad_duration(self, bad):
+        with pytest.raises(InvalidStateError, match="t1"):
+            relax.estimate_T1(0.1, bad, ALPHA, BETA)
+
     @pytest.mark.parametrize("alpha,beta", [(math.nan, BETA), (0.9, 0.1), ("0.8", BETA)])
     def test_bad_amplitudes(self, alpha, beta):
         with pytest.raises(InvalidConfigurationError):
@@ -146,6 +157,33 @@ class TestEstimateT2:
     @pytest.mark.parametrize("which", ["out", "in"])
     def test_non_finite_expectation(self, which, bad):
         x = {"out": 0.5, "in": 0.9, which: bad}
+        with pytest.raises(InconsistentDataError, match="finite"):
+            relax.estimate_T2(x["out"], x["in"], 1.0, 1.0, 2.0)
+
+
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("T1", 0.0), ("T1", -1.0), ("T1", math.nan), ("T1", -math.inf), ("T1", "a"),
+            ("t1", -1.0), ("t1", math.nan), ("t1", math.inf), ("t1", None),
+            ("t2", -1.0), ("t2", "a"),
+        ],
+    )
+    def test_bad_time_rejected(self, name, bad):
+        # T1 = 0 raised ZeroDivisionError, a NaN gave T2 = nan, a negative
+        # t1 or T1 a finite T2, and a string the builtin TypeError
+        args = {"t1": 1.0, "t2": 1.0, "T1": 2.0, name: bad}
+        with pytest.raises(InvalidStateError, match=name):
+            relax.estimate_T2(0.5, 0.8, args["t1"], args["t2"], args["T1"])
+
+    def test_infinite_T1_is_no_damping(self):
+        x_in = 2 * ALPHA * BETA
+        _, T2 = relax.estimate_T2(x_in * math.exp(-0.5), x_in, 1.0, 1.0, math.inf)
+        assert T2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["out", "in"])
+    def test_non_number_expectation(self, which):
+        x = {"out": 0.5, "in": 0.9, which: "a"}
         with pytest.raises(InconsistentDataError, match="finite"):
             relax.estimate_T2(x["out"], x["in"], 1.0, 1.0, 2.0)
 
@@ -208,6 +246,15 @@ class TestJointEstimate:
     @pytest.mark.parametrize("which", ["t1", "t2"])
     def test_non_finite_duration_rejected(self, which, bad):
         durations = {"t1": 1.0, "t2": 1.0, which: bad}
+        with pytest.raises(InvalidStateError, match=which):
+            relax.joint_estimate(
+                damping_sequence(1.0, 2.0, 1.0, 1.0), ALPHA, BETA, durations["t1"], durations["t2"]
+            )
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_non_number_duration_rejected(self, which):
+        # raised the builtin TypeError
+        durations = {"t1": 1.0, "t2": 1.0, which: "a"}
         with pytest.raises(InvalidStateError, match=which):
             relax.joint_estimate(
                 damping_sequence(1.0, 2.0, 1.0, 1.0), ALPHA, BETA, durations["t1"], durations["t2"]

@@ -244,10 +244,21 @@ class TestOpticsModel:
         assert model.complement().resolved == model.merged
 
     def test_bad_partition_rejected(self):
-        # the last two raised the builtin TypeError
-        for resolved, merged in [((1, 2), (2, 3)), (None, None), ((1, 2), (0, "3"))]:
+        # (None, None) and a string entry raised the builtin TypeError; float
+        # and bool entries passed and raised it later, in labels(), and an
+        # empty merged group passed and raised IndexError there
+        cases = [
+            ((1, 2), (2, 3)), (None, None), ((1, 2), (0, "3")), ((1.0, 2.0), (0, 3)),
+            ((True, 2), (0, 3)), ((0, 1, 2, 3), ()), ((1, 2), 3), ("12", "03"),
+        ]
+        for resolved, merged in cases:
             with pytest.raises(InvalidDistributionError, match="partition"):
                 sampling.OpticsModel(resolved=resolved, merged=merged)
+        # list groups are stored as tuples, so the model hashes and equals the default
+        model = sampling.OpticsModel([1, 2], [0, 3])
+        assert (model.resolved, model.merged) == ((1, 2), (0, 3))
+        assert hash(model) == hash(sampling.OpticsModel()) and model == sampling.OpticsModel()
+        assert sampling.OpticsModel((), range(4)).labels() == ["phi+/psi+/psi-/phi-"]
         # a model that is not an OpticsModel raised the builtin AttributeError
         for model in (None, "base", np.eye(3)):
             with pytest.raises(InvalidConfigurationError, match="OpticsModel"):

@@ -14,6 +14,9 @@ def test_plan_counts_and_span():
     assert result.n_experiments == 16
     result2 = sqpt.sqpt_characterize(channels.identity_channel(2), 2)
     assert result2.n_experiments == 256
+    # the scheme runs the experiments that the resource table counts
+    for n in range(1, resources.MAX_N + 1):
+        assert sqpt._scheme().settings ** n == resources.resource_counts(n)["sqpt"]["n_experiments"]
 
 
 def test_register_size_guard(channel_untouched):
@@ -23,28 +26,28 @@ def test_register_size_guard(channel_untouched):
 
 
 def test_single_qubit_design():
-    # 4 inputs x 3 bases x 2 eigenvectors against the 16 entries of chi
-    design = inversion.readout_design(sqpt._readout_table())
-    assert design.shape == (24, 16)
+    # 4 inputs x 4 Pauli expectations against the 16 entries of chi
+    design = sqpt._scheme().design
+    assert design.shape == (16, 16)
     assert np.linalg.matrix_rank(design) == 16
-    assert np.linalg.cond(design) == pytest.approx(5.59, abs=0.01)
+    assert np.linalg.cond(design) == pytest.approx(3.23, abs=0.01)
 
 
 def test_design_built_once_and_read_only(monkeypatch):
     calls = []
-    original = inversion.readout_design
+    original = sqpt._design
 
-    def counting(table):
+    def counting():
         calls.append(1)
-        return original(table)
+        return original()
 
-    monkeypatch.setattr(inversion, "readout_design", counting)
+    monkeypatch.setattr(sqpt, "_design", counting)
     sqpt._scheme.cache_clear()
     for n in (1, 2, 1):
         sqpt.sqpt_characterize(channels.depolarizing(0.2), n)
     assert len(calls) == 1
     design = sqpt._scheme().design
-    assert np.array_equal(design, original(sqpt._readout_table()))
+    assert np.array_equal(design, original())
     with pytest.raises(ValueError):
         design[0, 0] = 1.0
 
@@ -109,12 +112,18 @@ def test_three_qubit_baseline(kind, rng):
 
 
 def test_four_qubit_baseline_against_expanded_kraus():
-    # the ground truth does not go through as_chi's Kronecker power
+    # the ground truth does not go through as_chi's Kronecker power; n = 5
+    # is the largest register
     spec = channels.ChannelSpec(kind="amplitude_damping", params={"gamma": 0.3})
-    chi_true = channels.chi_from_kraus(channels.as_kraus(spec, 4))
-    result = sqpt.sqpt_characterize(spec, 4)
-    assert np.max(np.abs(result.chi - chi_true)) < 1e-10
-    assert result.n_experiments == 16**4
+    for n in (4, 5):
+        chi_true = channels.chi_from_kraus(channels.as_kraus(spec, n))
+        result = sqpt.sqpt_characterize(spec, n)
+        assert np.max(np.abs(result.chi - chi_true)) < 1e-10
+        assert (result.n_inputs, result.n_settings_per_input, result.n_experiments) == (
+            4**n,
+            4**n,
+            16**n,
+        )
 
 
 @pytest.mark.parametrize("n", [1, 2])
