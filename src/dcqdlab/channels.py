@@ -256,19 +256,30 @@ def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:
     """
     chi, d = _checked_matrix(chi, "chi", qubits=True)
     n = d.bit_length() - 1
-    vals, vecs = np.linalg.eigh(ops.hermitian_part(chi))
+    return _kraus_from_psd(
+        chi, d, "chi has eigenvalue {:.3e} below -{}; no Kraus form exists",
+        # one axis per qubit, then the operator index, which `per_pair` returns first
+        lambda columns: inversion.unpair_axes(
+            inversion.per_pair(columns.reshape((4,) * n + (-1,)), [_PAULI_EXPAND] * n), n, 2
+        ),
+    )
+
+
+def _kraus_from_psd(m: np.ndarray, d: int, not_cp: str, operators) -> list[np.ndarray]:
+    """`operators` of the columns sqrt(lam_i) v_i of m's Hermitian part with lam_i > `KEEP_TOL`.
+
+    An eigenvalue below -`CP_ATOL` raises `NotCompletelyPositiveError`, whose
+    message is `not_cp` formatted with it and `CP_ATOL`; the zero map gets one
+    zero d x d operator.
+    """
+    vals, vecs = np.linalg.eigh(ops.hermitian_part(m))
     if vals.min() < -CP_ATOL:
-        raise NotCompletelyPositiveError(
-            f"chi has eigenvalue {vals.min():.3e} below -{CP_ATOL}; no Kraus form exists"
-        )
+        raise NotCompletelyPositiveError(not_cp.format(vals.min(), CP_ATOL))
     keep = vals > KEEP_TOL
     if not keep.any():
         # the all-zero map still needs one (zero) operator to stay a valid set
-        return [np.zeros((2**n, 2**n), dtype=complex)]
-    # column i holds sqrt(lam_i) v_i: one axis per qubit, then the operator
-    # index, which `per_pair` returns first
-    v = (vecs[:, keep] * np.sqrt(vals[keep])).reshape((4,) * n + (-1,))
-    return list(inversion.unpair_axes(inversion.per_pair(v, [_PAULI_EXPAND] * n), n, 2))
+        return [np.zeros((d, d), dtype=complex)]
+    return list(operators(vecs[:, keep] * np.sqrt(vals[keep])))
 
 
 def compose(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -349,19 +360,10 @@ def _tp_residual(chi: np.ndarray) -> float:
 def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     """Kraus set of a Choi matrix (input-major convention of this module), as `kraus_from_chi`."""
     choi, d = _checked_matrix(choi, "Choi", qubits=False)
-    vals, vecs = np.linalg.eigh(ops.hermitian_part(choi))
-    if vals.min() < -CP_ATOL:
-        raise NotCompletelyPositiveError(
-            f"Choi matrix has eigenvalue {vals.min():.3e} below -{CP_ATOL}"
-        )
-    out = []
-    for lam, vec in zip(vals, vecs.T):
-        if lam <= KEEP_TOL:
-            continue
-        out.append(math.sqrt(lam) * vec.reshape(d, d).T)
-    if not out:
-        out.append(np.zeros((d, d), dtype=complex))
-    return out
+    return _kraus_from_psd(
+        choi, d, "Choi matrix has eigenvalue {:.3e} below -{}",
+        lambda columns: [c.reshape(d, d).T for c in columns.T],
+    )
 
 
 def random_channel(
@@ -519,17 +521,19 @@ def _rate_from_args(
 # Declarative channel specifications (the CLI ingestion boundary)
 # ---------------------------------------------------------------------------
 
-CHANNEL_KINDS = (
-    "unitary",
-    "bit_flip",
-    "phase_flip",
-    "depolarizing",
-    "amplitude_damping",
-    "phase_damping",
-    "composed",
-    "explicit_kraus",
-    "identity",
-)
+# kind -> the names of the parameters its spec takes, each at most once
+CHANNEL_PARAMS = {
+    "unitary": ("axis", "angle"),
+    "bit_flip": ("p",),
+    "phase_flip": ("p",),
+    "depolarizing": ("p",),
+    "amplitude_damping": ("gamma", "t", "T1"),
+    "phase_damping": ("lambda", "t", "T2"),
+    "composed": (),
+    "explicit_kraus": (),
+    "identity": ("n",),
+}
+CHANNEL_KINDS = tuple(CHANNEL_PARAMS)
 
 
 @dataclass(eq=False)
@@ -557,6 +561,16 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
         raise InvalidChannelError(f"expected a ChannelSpec, got {type(spec).__name__}")
     kind = spec.kind
     params = {k: v if k == "axis" else _number(kind, k, v) for k, v in spec.params.items()}
+    if not (isinstance(kind, str) and kind in CHANNEL_PARAMS):
+        raise InvalidChannelError(
+            f"unknown channel kind {kind!r} (known: {', '.join(CHANNEL_KINDS)})"
+        )
+    unknown = [k for k in params if k not in CHANNEL_PARAMS[kind]]
+    if unknown:
+        raise InvalidChannelError(
+            f"{kind} spec takes no parameter {', '.join(map(repr, unknown))}; its parameters: "
+            f"{', '.join(map(repr, CHANNEL_PARAMS[kind])) or 'none'}"
+        )
     if kind == "identity":
         n = params.pop("n", 1.0)
         if not (n.is_integer() and 1 <= n <= MAX_QUBITS):
@@ -578,6 +592,8 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
         return phase_damping(lam=params.get("lambda"), t=params.get("t"), T2=params.get("T2"))
     if kind == "unitary":
         if spec.operators is not None:
+            if params:
+                raise InvalidChannelError("unitary spec takes a matrix or axis and angle, not both")
             if len(spec.operators) != 1:
                 raise InvalidChannelError("unitary spec takes exactly one matrix")
             return check_kraus(spec.operators, trace_preserving=True)
@@ -590,14 +606,13 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
         if not spec.operators:
             raise InvalidChannelError("explicit_kraus spec carries no operators")
         return check_kraus(spec.operators)
-    if kind == "composed":
-        if not spec.stages:
-            raise InvalidChannelError("composed spec carries no stages")
-        kraus = kraus_from_spec(spec.stages[0])
-        for stage in spec.stages[1:]:
-            kraus = _canonical(compose(kraus, kraus_from_spec(stage)))
-        return kraus
-    raise InvalidChannelError(f"unknown channel kind {kind!r} (known: {', '.join(CHANNEL_KINDS)})")
+    # composed
+    if not spec.stages:
+        raise InvalidChannelError("composed spec carries no stages")
+    kraus = kraus_from_spec(spec.stages[0])
+    for stage in spec.stages[1:]:
+        kraus = _canonical(compose(kraus, kraus_from_spec(stage)))
+    return kraus
 
 
 def _canonical(kraus: list[np.ndarray]) -> list[np.ndarray]:

@@ -16,14 +16,20 @@ looked up by name in this module when `main` runs.
 
 Every handler loads, runs, then emits: `_load_channel` converts the channel
 once per command, to the `channels.Chi` that every library call takes and
-every error against the truth reads, and `_emit` writes every report.
+every error against the truth reads, and `_emit` writes every report.  Each
+reconstructed chi (`characterize` in every mode, `sqpt`) is reported by
+`_chi_report`: it validates the estimate, refuses one from exact statistics
+that fails, and ends the report with the Frobenius and largest-entry errors
+against the channel's chi, which `compare` gives for both of its methods.
 
 Reports are JSON by default (chi bit-exact, as `serialize.encode_chi`
 writes it; a channel file echoed by its digest) or CSV for tabular views.
 Output goes to stdout unless --output is given; relative output paths are
-resolved against $DCQDLAB_OUTPUT_DIR when set.  Exit
-codes: 0 success, 2 argument/parse error, 3 ill-posed configuration,
-4 numerical validation failure or a bad --shots or --seed.
+resolved against $DCQDLAB_OUTPUT_DIR when set.  An error's exit code is its
+class's entry in `EXIT_CODES`, the nearest one along its MRO: 2 for an
+argument, channel-spec, shape or file error, 3 for an ill-posed
+configuration, 4 for a numerical validation failure or a bad --shots or
+--seed; 0 is success.
 """
 
 from __future__ import annotations
@@ -40,15 +46,14 @@ import numpy as np
 from . import channels, dcqd, relax, resources, sampling, serialize, sqpt
 from .exceptions import (
     DcqdLabError,
+    DimensionMismatchError,
     IllPosedConfigurationError,
     IllPosedInputError,
-    InconsistentDataError,
     InvalidChannelError,
     InvalidConfigurationError,
     InvalidDistributionError,
     InvalidStateError,
     NotCompletelyPositiveError,
-    SaturationError,
 )
 
 OUTPUT_DIR_ENV = "DCQDLAB_OUTPUT_DIR"
@@ -57,6 +62,21 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_ILL_POSED = 3
 EXIT_VALIDATION = 4
+
+# exit code of an error that reaches `main`: the entry of the first class of
+# its MRO listed here.  Every dcqdlab error is also a ValueError, so one that
+# should exit 2 is listed; the others exit 4 through DcqdLabError.
+EXIT_CODES = {
+    DimensionMismatchError: EXIT_PARSE,
+    InvalidChannelError: EXIT_PARSE,
+    NotCompletelyPositiveError: EXIT_VALIDATION,
+    InvalidConfigurationError: EXIT_ILL_POSED,
+    IllPosedConfigurationError: EXIT_ILL_POSED,
+    IllPosedInputError: EXIT_ILL_POSED,
+    DcqdLabError: EXIT_VALIDATION,
+    OSError: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+}
 
 
 def _add_io(p: argparse.ArgumentParser, formats=("json", "csv"), default="json") -> None:
@@ -204,6 +224,37 @@ def _load_channel(args) -> tuple[channels.Chi, dict]:
     return channels.Chi.of(spec, args.n), echo
 
 
+def _errors_vs_truth(estimate: np.ndarray, chi: channels.Chi) -> dict:
+    """The Frobenius and largest-entry distances of an estimate from the channel's chi."""
+    delta = estimate - chi.matrix
+    return {
+        "frobenius_error_vs_truth": float(np.linalg.norm(delta)),
+        "max_entry_error_vs_truth": float(np.max(np.abs(delta))),
+    }
+
+
+def _chi_report(
+    chi: channels.Chi, echo: dict, estimate: np.ndarray, method: str, n_configurations: int,
+    exact: bool, **fields,
+) -> dict:
+    """The report of every command that reconstructs chi.
+
+    The estimate is validated with the channel's TP flag; one from `exact`
+    statistics that fails raises `InvalidStateError`.  The method's own
+    `fields` come first, then both errors against the channel's chi.
+    """
+    validation = channels.validate_chi(estimate, trace_preserving=chi.trace_preserving)
+    if exact and not validation.all_ok:
+        raise InvalidStateError(
+            f"{method} reconstruction from exact statistics failed validation: "
+            f"{serialize.validation_to_dict(validation)}"
+        )
+    return serialize.chi_report(
+        estimate, method, chi.n, n_configurations, validation, echo,
+        **fields, **_errors_vs_truth(estimate, chi),
+    )
+
+
 def cmd_characterize(args) -> int:
     if args.optics and args.n != 1:
         # before the channel is loaded, whose chi would go unused; an n out of
@@ -211,42 +262,26 @@ def cmd_characterize(args) -> int:
         channels.check_register_size(args.n)
         raise InvalidConfigurationError("the partial Bell-analyzer model is defined for n=1")
     chi, spec_dict = _load_channel(args)
-    extra: dict = {"shots": args.shots, "seed": args.seed}
     if args.optics:
         result = sampling.characterize_with_optics(
             chi, alpha=args.alpha, beta=args.beta, shots=args.shots, seed=args.seed
         )
         method = "dcqd_optics"
     elif args.shots is not None:
-        result, metrics = sampling.characterize_sampled(
+        # `_chi_report` computes the errors as SampledMetrics does, from the same arrays
+        result, _ = sampling.characterize_sampled(
             chi, n=args.n, shots=args.shots, seed=args.seed, alpha=args.alpha, beta=args.beta
         )
         method = "dcqd_sampled"
-        extra["frobenius_error_vs_truth"] = metrics.frobenius_error
-        extra["max_entry_error_vs_truth"] = metrics.max_entry_error
     else:
         result = dcqd.characterize(chi, n=args.n, alpha=args.alpha, beta=args.beta)
         # no seed is used here, but a bad one fails as in the sampled modes
         sampling._checked_seed(args.seed)
         method = "dcqd"
-        extra["frobenius_error_vs_truth"] = float(np.linalg.norm(result.chi - chi.matrix))
-    validation = channels.validate_chi(result.chi, trace_preserving=chi.trace_preserving)
-    if args.shots is None and not validation.all_ok:
-        raise InvalidStateError(
-            "exact-statistics reconstruction failed validation: "
-            f"{serialize.validation_to_dict(validation)}"
-        )
-    report = serialize.chi_report(
-        result.chi,
-        method=method,
-        n_qubits=args.n,
-        n_configurations=result.n_configurations,
-        validation=validation,
-        channel_spec=spec_dict,
-        closed_form_residual=result.residual,
-        design_rank=result.design_rank,
-        design_cond=result.design_cond,
-        **extra,
+    report = _chi_report(
+        chi, spec_dict, result.chi, method, result.n_configurations, exact=args.shots is None,
+        closed_form_residual=result.residual, design_rank=result.design_rank,
+        design_cond=result.design_cond, shots=args.shots, seed=args.seed,
     )
     _emit(args, report)
     return EXIT_OK
@@ -255,21 +290,9 @@ def cmd_characterize(args) -> int:
 def cmd_sqpt(args) -> int:
     chi, spec_dict = _load_channel(args)
     result = sqpt.sqpt_characterize(chi, n=args.n)
-    validation = channels.validate_chi(result.chi, trace_preserving=chi.trace_preserving)
-    if not validation.all_ok:
-        raise InvalidStateError(
-            f"baseline reconstruction failed validation: {serialize.validation_to_dict(validation)}"
-        )
-    report = serialize.chi_report(
-        result.chi,
-        method="sqpt",
-        n_qubits=args.n,
-        n_configurations=result.n_experiments,
-        validation=validation,
-        channel_spec=spec_dict,
-        n_inputs=result.n_inputs,
-        n_settings_per_input=result.n_settings_per_input,
-        frobenius_error_vs_truth=float(np.linalg.norm(result.chi - chi.matrix)),
+    report = _chi_report(
+        chi, spec_dict, result.chi, "sqpt", result.n_experiments, exact=True,
+        n_inputs=result.n_inputs, n_settings_per_input=result.n_settings_per_input,
     )
     _emit(args, report)
     return EXIT_OK
@@ -280,6 +303,14 @@ def cmd_compare(args) -> int:
     r_dcqd = dcqd.characterize(chi, n=args.n, alpha=args.alpha, beta=args.beta)
     r_sqpt = sqpt.sqpt_characterize(chi, n=args.n)
     diff = r_dcqd.chi - r_sqpt.chi
+
+    def sub_report(estimate: np.ndarray, n_experiments: int) -> dict:
+        return {
+            "n_experiments": n_experiments,
+            **_errors_vs_truth(estimate, chi),
+            "chi": serialize.encode_chi(estimate),
+        }
+
     report = {
         "kind": "compare_report",
         "n_qubits": args.n,
@@ -287,26 +318,12 @@ def cmd_compare(args) -> int:
         "trace_preserving": chi.trace_preserving,
         "max_entry_difference": float(np.max(np.abs(diff))),
         "frobenius_difference": float(np.linalg.norm(diff)),
-        "dcqd": {
-            "n_experiments": r_dcqd.n_configurations,
-            "frobenius_error_vs_truth": float(np.linalg.norm(r_dcqd.chi - chi.matrix)),
-            "chi": serialize.encode_chi(r_dcqd.chi),
-        },
-        "sqpt": {
-            "n_experiments": r_sqpt.n_experiments,
-            "frobenius_error_vs_truth": float(np.linalg.norm(r_sqpt.chi - chi.matrix)),
-            "chi": serialize.encode_chi(r_sqpt.chi),
-        },
+        "dcqd": sub_report(r_dcqd.chi, r_dcqd.n_configurations),
+        "sqpt": sub_report(r_sqpt.chi, r_sqpt.n_experiments),
         "resources": resources.resource_counts(args.n),
     }
-    rows = [
-        {
-            "method": name,
-            "n_experiments": report[name]["n_experiments"],
-            "frobenius_error_vs_truth": report[name]["frobenius_error_vs_truth"],
-        }
-        for name in ("dcqd", "sqpt")
-    ]
+    keys = ("n_experiments", "frobenius_error_vs_truth")
+    rows = [{"method": name, **{k: report[name][k] for k in keys}} for name in ("dcqd", "sqpt")]
     _emit(args, report, rows)
     return EXIT_OK
 
@@ -419,29 +436,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return globals()[COMMANDS[args.command][2]](args)
-    except NotCompletelyPositiveError as exc:
+    except (DcqdLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except InvalidChannelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidConfigurationError, IllPosedConfigurationError, IllPosedInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ILL_POSED
-    except (
-        InvalidStateError,
-        InvalidDistributionError,
-        SaturationError,
-        InconsistentDataError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DcqdLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -77,6 +78,8 @@ def parse_channel_arg(text: str) -> channels.ChannelSpec:
                         f"too many positional parameters for {kind!r} in {text!r}"
                     )
                 key, raw = positional[i], piece
+            if key in params:
+                raise InvalidChannelError(f"parameter {key!r} given twice in channel {text!r}")
             params[key] = raw.strip() if key in _STRING_PARAMS else _parse_number(raw, text)
     return channels.ChannelSpec(kind=kind, params=params)
 
@@ -103,11 +106,23 @@ def load_channel_arg(text: str) -> tuple[channels.ChannelSpec, dict]:
 
 
 def _read_channel_file(path: str) -> tuple[channels.ChannelSpec, dict]:
-    """Read a channel file once, as bytes, into its spec and digest echo."""
+    """Read a channel file once, as bytes, into its spec and digest echo.
+
+    A key given twice in one JSON object raises `InvalidChannelError`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+
+    def unique_keys(pairs: list) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InvalidChannelError(f"channel file {path!r} gives key {key!r} twice")
+            obj[key] = value
+        return obj
+
     try:
-        spec = spec_from_dict(json.loads(data.decode("utf-8")))
+        spec = spec_from_dict(json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys))
     except UnicodeDecodeError:
         raise InvalidChannelError(f"channel file {path!r} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
@@ -191,17 +206,11 @@ def _finite_or_none(x: Optional[float]):
 
 
 def validation_to_dict(report: channels.ChiValidation) -> dict:
-    return {
-        "hermiticity_deviation": float(report.hermiticity_deviation),
-        "min_eigenvalue": float(report.min_eigenvalue),
-        "trace": float(report.trace),
-        "tp_residual": _finite_or_none(report.tp_residual),
-        "hermitian_ok": report.hermitian_ok,
-        "psd_ok": report.psd_ok,
-        "trace_ok": report.trace_ok,
-        "tp_ok": report.tp_ok,
-        "all_ok": report.all_ok,
-    }
+    """`report`'s fields in their order, a non-finite `tp_residual` as text, then `all_ok`."""
+    out = dataclasses.asdict(report)
+    out["tp_residual"] = _finite_or_none(report.tp_residual)
+    out["all_ok"] = report.all_ok
+    return out
 
 
 def chi_report(

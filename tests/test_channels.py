@@ -402,6 +402,34 @@ class TestSpecs:
         with pytest.raises(InvalidChannelError):
             build(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kind,params,extra,message",
+        [
+            # these built the channel and ignored the unknown key
+            ("depolarizing", {"p": 0.1, "q": 0.9}, {}, "no parameter 'q'; its parameters: 'p'"),
+            ("amplitude_damping", {"t": 1, "T1": 2, "T2": 1}, {}, "'gamma', 't', 'T1'"),
+            ("identity", {"p": 0.1}, {}, "its parameters: 'n'"),
+            ("composed", {"p": 0.1}, {"stages": (channels.ChannelSpec("identity"),)}, "none"),
+            ("explicit_kraus", {"n": 1}, {"operators": (np.eye(2),)}, "none"),
+            ("unitary", {"axis": "x", "angle": 1, "p": 0}, {}, "no parameter 'p'"),
+            # this used the matrix and dropped the axis and angle
+            ("unitary", {"axis": "x", "angle": 1}, {"operators": (np.eye(2),)}, "not both"),
+        ],
+        ids=["depolarizing", "amplitude_damping", "identity", "composed", "explicit_kraus",
+             "unitary", "unitary_both"],
+    )
+    def test_parameters_the_kind_does_not_take(self, kind, params, extra, message):
+        spec = channels.ChannelSpec(kind, params, **extra)
+        with pytest.raises(InvalidChannelError, match=message):
+            channels.kraus_from_spec(spec)
+        with pytest.raises(InvalidChannelError, match=message):
+            channels.as_chi(spec, 1)
+
+    def test_parameter_table_lists_every_kind(self):
+        assert channels.CHANNEL_KINDS == tuple(channels.CHANNEL_PARAMS)
+        for kind, spec in SPEC_OF_KIND.items():
+            assert set(spec.params) <= set(channels.CHANNEL_PARAMS[kind])
+
     def test_infinite_time_constant_means_no_decay(self):
         assert np.allclose(channels.amplitude_damping(t=1.0, T1=math.inf)[0], np.eye(2))
         assert np.allclose(channels.phase_damping(t=1.0, T2=math.inf)[0], np.eye(2))

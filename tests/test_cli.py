@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import NESTED_CHANNEL_FILES
-from dcqdlab import channels, cli, dcqd, resources, sampling, serialize, sqpt
+from dcqdlab import channels, cli, dcqd, exceptions, resources, sampling, serialize, sqpt
 from dcqdlab.exceptions import InvalidChannelError, InvalidConfigurationError
 
 
@@ -211,6 +211,59 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
+    # every error main reports and the code it exits with
+    ERROR_CODES = [
+        (exceptions.DcqdLabError, 4),
+        (exceptions.DimensionMismatchError, 2),
+        (exceptions.InvalidStateError, 4),
+        (exceptions.InvalidChannelError, 2),
+        (exceptions.NotCompletelyPositiveError, 4),
+        (exceptions.InvalidConfigurationError, 3),
+        (exceptions.IllPosedConfigurationError, 3),
+        (exceptions.InvalidDistributionError, 4),
+        (exceptions.SaturationError, 4),
+        (exceptions.InconsistentDataError, 4),
+        (exceptions.IllPosedInputError, 3),
+        (OSError, 2),
+        (FileNotFoundError, 2),
+        (ValueError, 2),
+    ]
+
+    @pytest.mark.parametrize("error,code", ERROR_CODES, ids=[e.__name__ for e, _ in ERROR_CODES])
+    def test_exit_code_of_each_error(self, error, code, capsys, monkeypatch):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_resources", fail)
+        assert run(["resources", "--n", "1"], capsys) == (code, "", "error: boom\n")
+
+    def test_every_dcqdlab_error_has_a_code(self):
+        defined = {
+            c for c in vars(exceptions).values() if isinstance(c, type) and issubclass(c, Exception)
+        }
+        assert defined <= {error for error, _ in self.ERROR_CODES}
+
+    def test_other_errors_propagate(self, capsys, monkeypatch):
+        def fail(args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "cmd_resources", fail)
+        with pytest.raises(KeyError):
+            cli.main(["resources", "--n", "1"])
+
+    @pytest.mark.parametrize(
+        "channel,message",
+        [
+            ("depolarizing:p=0.1,q=0.9", "depolarizing spec takes no parameter 'q'"),
+            ("bit_flip:0.1,p=0.3", "parameter 'p' given twice"),
+        ],
+    )
+    def test_spec_parameter_not_taken(self, channel, message, capsys):
+        # both used to run: depolarizing(0.1) and bit_flip(0.3)
+        code, out, err = run(["characterize", "--channel", channel], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert message in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -282,6 +335,43 @@ class TestSqptAndCompare:
 
     def test_compare_rejects_shots_flag(self, capsys):
         assert cli.main(["compare", "--channel", "identity", "--shots", "100"]) == 2
+
+
+class TestChiReportErrors:
+    # every command that reconstructs chi, in each of its modes
+    CASES = [
+        (["characterize"], 1),
+        (["characterize"], 2),
+        (["characterize", "--shots", "2000", "--seed", "3"], 1),
+        (["characterize", "--shots", "2000", "--seed", "3"], 2),
+        (["characterize", "--optics"], 1),
+        (["characterize", "--optics", "--shots", "500", "--seed", "2"], 1),
+        (["sqpt"], 1),
+        (["sqpt"], 2),
+        (["compare"], 1),
+        (["compare"], 2),
+    ]
+    KEYS = ["frobenius_error_vs_truth", "max_entry_error_vs_truth"]
+
+    IDS = [" ".join(a for a in argv if not a.isdigit()) + f" n={n}" for argv, n in CASES]
+
+    @pytest.mark.parametrize("argv,n", CASES, ids=IDS)
+    def test_both_errors_against_the_channel(self, argv, n, capsys):
+        flag = "amplitude_damping:t=1,T1=2"
+        code, out, _ = run(argv + ["--channel", flag, "--n", str(n)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        truth = channels.Chi.of(serialize.parse_channel_arg(flag), n).matrix
+        if argv[0] == "compare":
+            reports = [report["dcqd"], report["sqpt"]]
+            assert all(list(r)[-3:] == self.KEYS + ["chi"] for r in reports)
+        else:
+            reports = [report]
+            assert list(report)[-2:] == self.KEYS
+        for r in reports:
+            delta = serialize.chi_from_report(r) - truth
+            assert r["frobenius_error_vs_truth"] == float(np.linalg.norm(delta))
+            assert r["max_entry_error_vs_truth"] == float(np.max(np.abs(delta)))
 
 
 class TestPartial:

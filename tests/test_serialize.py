@@ -69,6 +69,58 @@ class TestParseChannelArg:
                 read(f"@{path}")
             assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("bit_flip:0.1,p=0.3", "p"),
+            ("bit_flip:p=0.1,p=0.3", "p"),
+            ("unitary:z,1.5,axis=x", "axis"),
+            ("amplitude_damping:t=1,T1=2,t=3", "t"),
+        ],
+    )
+    def test_rejects_repeated_key(self, text, key):
+        # the later value used to win
+        with pytest.raises(InvalidChannelError, match=f"parameter '{key}' given twice"):
+            serialize.parse_channel_arg(text)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"kind": "bit_flip", "params": {"p": 0.1, "p": 0.3}}',
+            '{"kind": "bit_flip", "kind": "phase_flip", "params": {"p": 0.1}}',
+            '{"kind": "composed", "stages": [{"kind": "identity", "params": {"n": 1, "n": 1}}]}',
+        ],
+        ids=["params", "top", "stage"],
+    )
+    def test_rejects_repeated_key_in_file(self, content, tmp_path):
+        # json.loads keeps the last value of a repeated key
+        path = tmp_path / "spec.json"
+        path.write_text(content)
+        for read in (serialize.parse_channel_arg, serialize.load_channel_arg):
+            with pytest.raises(InvalidChannelError, match="twice") as info:
+                read(f"@{path}")
+            assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "depolarizing:p=0.1,q=0.9",
+            '{"kind": "bit_flip", "params": {"p": 0.1, "q": 1}}',
+            '{"kind": "unitary", "params": {"axis": "x", "angle": 1},'
+            ' "operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+        ],
+        ids=["flag", "file", "unitary_file"],
+    )
+    def test_parameters_the_kind_does_not_take(self, source, tmp_path):
+        # parsed as they are; building the channel rejects them
+        if source.startswith("{"):
+            path = tmp_path / "spec.json"
+            path.write_text(source)
+            source = f"@{path}"
+        spec = serialize.parse_channel_arg(source)
+        with pytest.raises(InvalidChannelError, match="no parameter 'q'|not both"):
+            channels.kraus_from_spec(spec)
+
     def test_nested_spec_beyond_the_stack(self, tmp_path, monkeypatch):
         # where json.loads nests deeper than spec_from_dict can recurse
         path = tmp_path / "spec.json"
