@@ -521,19 +521,33 @@ def _rate_from_args(
 # Declarative channel specifications (the CLI ingestion boundary)
 # ---------------------------------------------------------------------------
 
-# kind -> the names of the parameters its spec takes, each at most once
+# kind -> (the names of the parameters its spec takes, each at most once; how
+# many of them, from the first, the flag form takes by position; the spec
+# field it reads, "operators" or "stages", or None).  A kind that reads a
+# field and takes no parameter can only be given as a file.
 CHANNEL_PARAMS = {
-    "unitary": ("axis", "angle"),
-    "bit_flip": ("p",),
-    "phase_flip": ("p",),
-    "depolarizing": ("p",),
-    "amplitude_damping": ("gamma", "t", "T1"),
-    "phase_damping": ("lambda", "t", "T2"),
-    "composed": (),
-    "explicit_kraus": (),
-    "identity": ("n",),
+    "unitary": (("axis", "angle"), 2, "operators"),
+    "bit_flip": (("p",), 1, None),
+    "phase_flip": (("p",), 1, None),
+    "depolarizing": (("p",), 1, None),
+    "amplitude_damping": (("gamma", "t", "T1"), 1, None),
+    "phase_damping": (("lambda", "t", "T2"), 1, None),
+    "composed": ((), 0, "stages"),
+    "explicit_kraus": ((), 0, "operators"),
+    "identity": (("n",), 0, None),
 }
 CHANNEL_KINDS = tuple(CHANNEL_PARAMS)
+# the one parameter given as text; every other one is a real number
+TEXT_PARAM = "axis"
+
+
+def kind_row(kind) -> tuple[tuple[str, ...], int, Optional[str]]:
+    """`kind`'s row of `CHANNEL_PARAMS`; an unknown kind raises `InvalidChannelError`."""
+    if not (isinstance(kind, str) and kind in CHANNEL_PARAMS):
+        raise InvalidChannelError(
+            f"unknown channel kind {kind!r} (known: {', '.join(CHANNEL_KINDS)})"
+        )
+    return CHANNEL_PARAMS[kind]
 
 
 @dataclass(eq=False)
@@ -542,8 +556,8 @@ class ChannelSpec:
 
     `params` carries scalar parameters (probabilities, angles, durations and
     time constants in one consistent arbitrary time unit); `operators`
-    carries explicit matrices for the unitary and explicit_kraus kinds;
-    `stages` carries sub-specs for the composed kind (applied in order).
+    carries explicit matrices and `stages` sub-specs (applied in order), each
+    for the kinds whose row of `CHANNEL_PARAMS` reads it.
     """
 
     kind: str
@@ -554,23 +568,27 @@ class ChannelSpec:
 
 def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
     """Build the Kraus set a ChannelSpec describes (single qubit unless the
-    spec carries explicit multi-qubit operators)."""
+    spec carries explicit multi-qubit operators).
+
+    A parameter, or an `operators` or `stages` field, that the kind's row of
+    `CHANNEL_PARAMS` does not list raises `InvalidChannelError`.
+    """
     if isinstance(spec, Chi):
         raise _chi_not_kraus()
     if not isinstance(spec, ChannelSpec):
         raise InvalidChannelError(f"expected a ChannelSpec, got {type(spec).__name__}")
     kind = spec.kind
-    params = {k: v if k == "axis" else _number(kind, k, v) for k, v in spec.params.items()}
-    if not (isinstance(kind, str) and kind in CHANNEL_PARAMS):
-        raise InvalidChannelError(
-            f"unknown channel kind {kind!r} (known: {', '.join(CHANNEL_KINDS)})"
-        )
-    unknown = [k for k in params if k not in CHANNEL_PARAMS[kind]]
+    params = {k: v if k == TEXT_PARAM else _number(kind, k, v) for k, v in spec.params.items()}
+    names, _, reads = kind_row(kind)
+    unknown = [k for k in params if k not in names]
     if unknown:
         raise InvalidChannelError(
             f"{kind} spec takes no parameter {', '.join(map(repr, unknown))}; its parameters: "
-            f"{', '.join(map(repr, CHANNEL_PARAMS[kind])) or 'none'}"
+            f"{', '.join(map(repr, names)) or 'none'}"
         )
+    for name in ("operators", "stages"):
+        if name != reads and getattr(spec, name) is not None:
+            raise InvalidChannelError(f"{kind} spec takes no {name}")
     if kind == "identity":
         n = params.pop("n", 1.0)
         if not (n.is_integer() and 1 <= n <= MAX_QUBITS):
@@ -727,9 +745,7 @@ def _take(params: dict, key: str, kind: str) -> float:
 
 
 def _number(kind: str, key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidChannelError(
-            f"{kind} parameter {key!r} must be a number, got {value!r}"
-        ) from None
+    """`value` as a float; anything `ops.is_real` refuses (a bool, text, None) raises."""
+    if not is_real(value):
+        raise InvalidChannelError(f"{kind} parameter {key!r} must be a number, got {value!r}")
+    return float(value)

@@ -5,14 +5,11 @@ through the partial Bell-analyzer model), sqpt (baseline), compare (both
 methods on the same channel), partial (joint T1/T2 estimation), resources
 (experiment-count table) and sample-sweep (shot-noise scaling).
 
-`main` parses with the parser of the invoked subcommand only (`COMMANDS`
-describes all six, and `build_parser` registers the one named by the first
-argument); help, a missing or an unknown command get the parser of all six,
-so their text lists every command.  Each of these seven parsers is built on
-first use and kept for the life of the process; parsing fills a new
-namespace from the parser's defaults on every call, and argparse reads the
-terminal width when it formats help, not when it builds.  The handler is
-looked up by name in this module when `main` runs.
+`main` parses with one parser, of all six subcommands as `COMMANDS`
+describes them, built on first use and kept for the life of the process;
+parsing fills a new namespace from the parser's defaults on every call, and
+argparse reads the terminal width when it formats help, not when it builds.
+The handler is looked up by name in this module when `main` runs.
 
 Every handler loads, runs, then emits: `_load_channel` converts the channel
 once per command, to the `channels.Chi` that every library call takes and
@@ -169,35 +166,22 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The dcqdlab parser, with the subparser of `command` only.
-
-    A `command` outside `COMMANDS` (None included) registers every
-    subcommand, so help and errors about the command itself read as they
-    always have.  With one subcommand registered, usage lines still list
-    every choice.  Every call returns a new parser.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The dcqdlab parser with every subcommand of `COMMANDS`; every call returns a new parser."""
     parser = argparse.ArgumentParser(
         prog="dcqdlab",
         description="Simulate and characterize quantum dynamics on small qubit registers.",
     )
-    if command in COMMANDS:
-        names = [command]
-        # the full choice list, as argparse would print it with all six registered
-        metavar = "{" + ",".join(COMMANDS) + "}"
-    else:
-        names, metavar = list(COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, _ = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 @functools.lru_cache(maxsize=None)
-def _parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """`build_parser(command)`, built once per process; `command` is a `COMMANDS` key or None."""
-    return build_parser(command)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process."""
+    return build_parser()
 
 
 def _emit(args, report: dict, rows: Optional[list] = None) -> None:
@@ -428,10 +412,8 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = _parser(command).parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:

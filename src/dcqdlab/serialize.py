@@ -9,9 +9,13 @@ JSON documents ("@file.json") with the schema
      "stages": [spec, ...]}             # composed
 
 where a matrix is a row-major list of rows of [re, im] pairs -- exactly
-representable and diff friendly.  A spec read from a file is echoed into
-reports by the SHA-256 digest of the file's bytes (and its operator count),
-not by its operators.
+representable and diff friendly.  One table, `channels.CHANNEL_PARAMS`,
+says for each kind which parameters it takes (JSON numbers, but the text
+`axis`), how many the flag form takes by position and which of the two
+lists it reads; a kind that reads a list and takes no parameter is given
+as a file only.  A spec read from a file is echoed into reports by the
+SHA-256 digest of the file's bytes (and its operator count), not by its
+operators.
 
 A process-matrix report stores chi once, as `encode_chi` writes it: the
 base64 text of its little-endian complex128 bytes, with its shape.  Encoding
@@ -36,21 +40,13 @@ import numpy as np
 from . import channels, ops
 from .exceptions import InvalidChannelError
 
-# positional parameter names of the compact "kind:value" flag form
-_POSITIONAL = {
-    "bit_flip": ("p",),
-    "phase_flip": ("p",),
-    "depolarizing": ("p",),
-    "amplitude_damping": ("gamma",),
-    "phase_damping": ("lambda",),
-    "unitary": ("axis", "angle"),
-}
-
-_STRING_PARAMS = {"axis"}
-
 
 def parse_channel_arg(text: str) -> channels.ChannelSpec:
-    """Parse a --channel flag value into a ChannelSpec."""
+    """Parse a --channel flag value into a ChannelSpec.
+
+    The kind's row of `channels.CHANNEL_PARAMS` gives the names of its
+    positional values; every value but `channels.TEXT_PARAM` is a number.
+    """
     text = text.strip()
     if not text:
         raise InvalidChannelError("empty channel specification")
@@ -58,29 +54,25 @@ def parse_channel_arg(text: str) -> channels.ChannelSpec:
         return _read_channel_file(text[1:])[0]
     kind, _, arg_text = text.partition(":")
     kind = kind.strip()
-    if kind not in channels.CHANNEL_KINDS:
-        raise InvalidChannelError(
-            f"unknown channel kind {kind!r}; known kinds: {', '.join(channels.CHANNEL_KINDS)}"
-        )
-    if kind in ("composed", "explicit_kraus"):
+    names, n_positional, reads = channels.kind_row(kind)
+    if reads and not names:
         raise InvalidChannelError(f"{kind} channels must be given as a JSON file (@file.json)")
     params: dict = {}
     if arg_text:
-        positional = list(_POSITIONAL.get(kind, ()))
         for i, piece in enumerate(arg_text.split(",")):
             piece = piece.strip()
             if "=" in piece:
                 key, _, raw = piece.partition("=")
                 key = key.strip()
             else:
-                if i >= len(positional):
+                if i >= n_positional:
                     raise InvalidChannelError(
                         f"too many positional parameters for {kind!r} in {text!r}"
                     )
-                key, raw = positional[i], piece
+                key, raw = names[i], piece
             if key in params:
                 raise InvalidChannelError(f"parameter {key!r} given twice in channel {text!r}")
-            params[key] = raw.strip() if key in _STRING_PARAMS else _parse_number(raw, text)
+            params[key] = raw.strip() if key == channels.TEXT_PARAM else _parse_number(raw, text)
     return channels.ChannelSpec(kind=kind, params=params)
 
 

@@ -414,9 +414,27 @@ class TestSpecs:
             ("unitary", {"axis": "x", "angle": 1, "p": 0}, {}, "no parameter 'p'"),
             # this used the matrix and dropped the axis and angle
             ("unitary", {"axis": "x", "angle": 1}, {"operators": (np.eye(2),)}, "not both"),
+            # these built the channel and dropped the field the kind does not read
+            ("bit_flip", {"p": 0.1}, {"operators": (np.eye(2),)}, "bit_flip spec takes no operators"),
+            (
+                "explicit_kraus", {},
+                {"operators": (np.eye(2),), "stages": (channels.ChannelSpec("identity"),)},
+                "explicit_kraus spec takes no stages",
+            ),
+            (
+                "composed", {},
+                {"stages": (channels.ChannelSpec("identity"),), "operators": (np.eye(2),)},
+                "composed spec takes no operators",
+            ),
+            (
+                "unitary", {"axis": "x", "angle": 1},
+                {"stages": (channels.ChannelSpec("identity"),)},
+                "unitary spec takes no stages",
+            ),
         ],
         ids=["depolarizing", "amplitude_damping", "identity", "composed", "explicit_kraus",
-             "unitary", "unitary_both"],
+             "unitary", "unitary_both", "bit_flip_operators", "explicit_kraus_stages",
+             "composed_operators", "unitary_stages"],
     )
     def test_parameters_the_kind_does_not_take(self, kind, params, extra, message):
         spec = channels.ChannelSpec(kind, params, **extra)
@@ -428,7 +446,11 @@ class TestSpecs:
     def test_parameter_table_lists_every_kind(self):
         assert channels.CHANNEL_KINDS == tuple(channels.CHANNEL_PARAMS)
         for kind, spec in SPEC_OF_KIND.items():
-            assert set(spec.params) <= set(channels.CHANNEL_PARAMS[kind])
+            names, n_positional, reads = channels.CHANNEL_PARAMS[kind]
+            assert set(spec.params) <= set(names)
+            assert n_positional <= len(names)
+            fields = {f for f in ("operators", "stages") if getattr(spec, f) is not None}
+            assert fields <= {reads}
 
     def test_infinite_time_constant_means_no_decay(self):
         assert np.allclose(channels.amplitude_damping(t=1.0, T1=math.inf)[0], np.eye(2))

@@ -193,10 +193,18 @@ class TestExitCodes:
             {"kind": "identity", "params": {"n": 40}},
             {"kind": "identity", "params": {"n": 13}},
             {"kind": "composed", "stages": None},
+            # these ran bit_flip(0.1), echoing one operator; bit_flip(1.0); and bit_flip(0.1)
+            {
+                "kind": "bit_flip", "params": {"p": 0.1},
+                "operators": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]], "stages": [{"kind": "identity"}],
+            },
+            {"kind": "bit_flip", "params": {"p": True}},
+            {"kind": "bit_flip", "params": {"p": "0.1"}},
         ],
         ids=[
             "p_null", "p_text", "kraus_nan", "kraus_huge", "unitary_nan", "angle_nan",
             "identity_fraction", "identity_n40", "identity_n13", "stages_null",
+            "fields_not_read", "p_true", "p_numeric_text",
         ],
     )
     def test_malformed_spec_file(self, doc, tmp_path, capsys):
@@ -710,7 +718,7 @@ class TestEmit:
 
     @staticmethod
     def formats(command):
-        (sub,) = (a for a in cli.build_parser(command)._actions if a.dest == "command")
+        (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
         (fmt,) = (a for a in sub.choices[command]._actions if a.dest == "format")
         return fmt.choices
 
@@ -791,24 +799,21 @@ class TestParser:
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "none")
-    def test_output_matches_full_parser(self, argv, capsys, monkeypatch, cold_parsers):
+    def test_output_matches_full_parser(self, argv, capsys, cold_parsers, monkeypatch):
+        # the parser main keeps, on the call that builds it and on a repeat,
+        # against a new one on every call (cold_parsers is listed first, so it
+        # clears the cache after monkeypatch has put `cli._parser` back)
         monkeypatch.setenv("COLUMNS", "80")
         got = run(argv, capsys)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full(None))
-        # otherwise main would reuse the parser it kept from the first run
-        cli._parser.cache_clear()
+        assert run(argv, capsys) == got
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
         assert got == run(argv, capsys)
         assert got[0] == (0 if "--help" in argv or "-h" in argv else cli.EXIT_PARSE)
 
-    @pytest.mark.parametrize(
-        "argv,parsers",
-        [(["resources", "--n", "2"], 2), (["bogus"], 7)],
-        ids=["known", "unknown"],
-    )
-    def test_parsers_built(self, argv, parsers, capsys, monkeypatch, cold_parsers):
-        # the top-level parser plus the invoked command's, or all six, on the
-        # first call; none on a repeat
+    @pytest.mark.parametrize("argv", [["resources", "--n", "2"], ["bogus"]], ids=["known", "unknown"])
+    def test_parsers_built(self, argv, capsys, monkeypatch, cold_parsers):
+        # the top-level parser and all six subcommands' on the first call,
+        # whatever the command; none on a repeat
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -818,9 +823,9 @@ class TestParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         first = run(argv, capsys)
-        assert len(built) == parsers
+        assert len(built) == 7
         assert run(argv, capsys) == first
-        assert len(built) == parsers
+        assert len(built) == 7
 
     def test_warm_parser_reapplies_defaults(self, capsys, cold_parsers):
         # options given to one call must not leak into the next through the
@@ -846,11 +851,11 @@ class TestParser:
     def test_returned_parser_is_not_kept(self, capsys, cold_parsers):
         expected = run(["resources"], capsys)
         cli._parser.cache_clear()
-        parser = cli.build_parser("resources")
+        parser = cli.build_parser()
         (sub,) = (a for a in parser._actions if a.dest == "command")
         sub.choices["resources"].set_defaults(n_max=2, format="json")
         assert run(["resources"], capsys) == expected
-        assert cli.build_parser("resources") is not parser
+        assert cli.build_parser() is not parser
 
     @pytest.mark.parametrize("argv", [["--help"], ["characterize", "--help"]], ids=" ".join)
     def test_help_width_read_when_printed(self, argv, capsys, monkeypatch, cold_parsers):

@@ -121,6 +121,18 @@ class TestParseChannelArg:
         with pytest.raises(InvalidChannelError, match="no parameter 'q'|not both"):
             channels.kraus_from_spec(spec)
 
+    def test_unknown_kind_message_of_flag_and_file(self, tmp_path):
+        # the flag form had its own message ("...; known kinds: ...")
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "bogus", "params": {"p": 0.5}}')
+        messages = []
+        for source in ("bogus:0.5", f"@{path}"):
+            with pytest.raises(InvalidChannelError) as info:
+                channels.kraus_from_spec(serialize.parse_channel_arg(source))
+            messages.append(str(info.value))
+        known = ", ".join(channels.CHANNEL_KINDS)
+        assert messages == [f"unknown channel kind 'bogus' (known: {known})"] * 2
+
     def test_nested_spec_beyond_the_stack(self, tmp_path, monkeypatch):
         # where json.loads nests deeper than spec_from_dict can recurse
         path = tmp_path / "spec.json"
