@@ -37,10 +37,10 @@ non-finite data raise `InvalidDistributionError`.
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
 readout table (4 settings x 4 outcomes); its 16 x 16 single-pair design A1
-(`inversion.readout_design`) is the design of the amplitudes' per-pair
-scheme (`pair_scheme`, an `inversion.Scheme` of 4 settings x 4 outcomes
-built once per process for each amplitude pair, with its SVD), which
-carries every exact and sampled path:
+(`inversion.readout_design`) is the read-only design of the amplitudes'
+per-pair scheme (`pair_scheme(alpha, beta).design`, an `inversion.Scheme`
+of 4 settings x 4 outcomes built once per process for each amplitude pair,
+with its SVD), which carries every exact and sampled path:
 
 * forward model: the probability array is A1 applied along every pair axis
   of the channel's chi;
@@ -226,7 +226,7 @@ def outcome_probabilities(
         raise InvalidConfigurationError(f"unknown settings {bad}; valid: {SETTINGS}")
     channels.check_register_size(len(settings))
     # rows of A1 grouped by setting: a1[s] is setting s's 4 x 16 design
-    a1 = pair_design(alpha, beta).reshape(4, 4, 16)
+    a1 = pair_scheme(alpha, beta).design.reshape(4, 4, 16)
     chi = channels.as_chi(channel, len(settings))
     return inversion.forward([a1[SETTINGS.index(s)] for s in settings], chi).ravel()
 
@@ -361,17 +361,6 @@ def map_frame(setting: str, coh_stab: complex, coh_norm: complex) -> dict[tuple[
 # ---------------------------------------------------------------------------
 # The design and the solve
 # ---------------------------------------------------------------------------
-
-
-def pair_design(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) -> np.ndarray:
-    """Single-pair complex design A1[(s, k), (m, m')] = C_s[k, m] conj(C_s[k, m']).
-
-    C_s[k, m] = <outcome k| (E_m (x) I) |input of setting s> is the
-    amplitude of outcome k after Pauli error m, read off the readout table
-    (`inversion.readout_design`).  Rows run over (setting, outcome), columns
-    over (m, m') of chi.  It is the read-only design of `pair_scheme`.
-    """
-    return pair_scheme(alpha, beta).design
 
 
 def pair_scheme(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) -> inversion.Scheme:

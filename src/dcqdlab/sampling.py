@@ -1,11 +1,12 @@
 """Finite-shot statistics and the partial Bell-analyzer measurement model.
 
 Sampling is multinomial per configuration, driven by one documented seed:
-`sample(scheme, data, shots, seed)` spawns `numpy.random.SeedSequence(seed)`
-once per configuration and child c draws row c of the configuration layout
-(`inversion.unpair_axes`), so runs are bit-identical for a given seed and
-independent across configurations.  Reconstruction from sampled
-frequencies is the same raw linear inversion as the exact path
+`sample(scheme, data, shots, seed)` checks the whole array once
+(`_cell_probabilities`), spawns `numpy.random.SeedSequence(seed)` once per
+configuration and draws row c of the configuration layout
+(`inversion.unpair_axes`) with child c, so runs are bit-identical for a
+given seed and independent across configurations.  Reconstruction from
+sampled frequencies is the same raw linear inversion as the exact path
 (`dcqd._solve`); no renormalization and no positivity repair is applied,
 so negative chi eigenvalues at finite shots are reported, not hidden.
 
@@ -17,17 +18,16 @@ deficient; measuring the complementary analyzer setting as well (swapping
 which pair is resolved) restores full rank at twice the configuration
 count.  The analyzer is then a scheme of its own, 8 (setting, analyzer)
 settings x 3 outcomes: its design is `_MERGE @ A1`, `_MERGE` the
-block-diagonal [G; G_complement] of each setting, built once per DCQD pair
-scheme, and its data are the DCQD data merged the same way.
-`merged_design_matrix(setting, models, alpha, beta)` gives one setting's
-rows for any analyzer models, and `apply_optics_model(probabilities,
-model)` merges one pair's outcome probabilities."""
+block-diagonal [G; G_complement] of each setting (rows 6s..6s+5), built
+once per DCQD pair scheme, and its data are the DCQD data merged the same
+way.  `apply_optics_model(probabilities, model)` merges one pair's
+probabilities."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "characterize_sampled",
     "characterize_with_optics",
     "empirical_frequencies",
-    "merged_design_matrix",
     "sample",
     "sample_counts",
 ]
@@ -94,28 +93,44 @@ class CountsTable:
     lost: int = 0
 
 
+def _checked_shots(shots) -> None:
+    if not (is_integer(shots) and 1 <= shots <= MAX_SHOTS):
+        raise InvalidDistributionError(f"shots must be an integer in 1..2**63 - 1, got {shots!r}")
+
+
+def _cell_probabilities(rows: np.ndarray) -> np.ndarray:
+    """Each of the real `rows` clipped at 0, its lost mass appended, normalized.
+
+    The first row with an entry below -1e-12 (or NaN) or a sum above
+    1 + 1e-10 raises `InvalidDistributionError`.
+    """
+    lo, total = rows.min(axis=1), rows.sum(axis=1)
+    # written so that NaN fails both checks, -inf the first and inf the second
+    low, high = ~(lo >= -1e-12), ~(total <= 1.0 + 1e-10)
+    first = np.argmax(low | high)
+    if low[first]:
+        raise InvalidDistributionError(f"outcome probability {lo[first]:.3e} is negative or NaN")
+    if high[first]:
+        raise InvalidDistributionError(f"outcome probabilities sum to {total[first]!r} > 1")
+    rows = np.clip(rows, 0.0, None)
+    pvals = np.column_stack([rows, np.maximum(0.0, 1.0 - rows.sum(axis=1))])
+    pvals /= pvals.sum(axis=1, keepdims=True)
+    return pvals
+
+
 def sample_counts(probabilities, shots: int, seed=None) -> CountsTable:
     """Draw a multinomial sample from a vector of outcome probabilities.
 
     `seed` is None, a non-negative integer, a SeedSequence or a Generator;
     identical seeds give identical counts.  `shots` must be an integer in
-    1..`MAX_SHOTS`, the probabilities real and finite and the seed one of
-    those, or `InvalidDistributionError` is raised.
+    1..`MAX_SHOTS`, the probabilities must pass `_cell_probabilities` and
+    the seed must be one of those, or `InvalidDistributionError` is raised.
     """
-    if not (is_integer(shots) and 1 <= shots <= MAX_SHOTS):
-        raise InvalidDistributionError(f"shots must be an integer in 1..2**63 - 1, got {shots!r}")
+    _checked_shots(shots)
     q = dcqd._real_data(probabilities)
     if q.ndim != 1 or not q.size:
         raise DimensionMismatchError(f"expected a non-empty probability vector, got shape {q.shape}")
-    lo, total = q.min(), q.sum()
-    # written so that NaN fails both checks, -inf the first and inf the second
-    if not lo >= -1e-12:
-        raise InvalidDistributionError(f"outcome probability {lo:.3e} is negative or NaN")
-    if not total <= 1.0 + 1e-10:
-        raise InvalidDistributionError(f"outcome probabilities sum to {total!r} > 1")
-    q = np.clip(q, 0.0, None)
-    pvals = np.append(q, max(0.0, 1.0 - q.sum()))
-    pvals /= pvals.sum()
+    (pvals,) = _cell_probabilities(q[None])
     rng = np.random.default_rng(_checked_seed(seed, generator_ok=True))
     drawn = rng.multinomial(shots, pvals)
     return CountsTable(shots=shots, counts=drawn[:-1], lost=int(drawn[-1]))
@@ -167,13 +182,18 @@ def sample(scheme: inversion.Scheme, data: np.ndarray, shots: int, seed) -> np.n
     (`inversion.Scheme.forward`).  Row c of their configuration layout
     (`inversion.unpair_axes` with the scheme's (settings, outcomes) digits)
     is drawn with child c of `SeedSequence(seed)`, spawned once for all
-    rows; `seed` is checked before any shot count.
+    rows.  The seed is checked first, then the shot count, then the whole
+    array (`_cell_probabilities`), whose first bad row raises what
+    `sample_counts` raises for it.
     """
-    n, digits = data.ndim, (scheme.settings, scheme.outcomes)
-    rows = inversion.unpair_axes(data, n, digits)
-    children = _seed_sequence(seed).spawn(len(rows))
-    freqs = [empirical_frequencies(sample_counts(q, shots, c)) for q, c in zip(rows, children)]
-    return inversion.pair_axes(np.array(freqs), n, digits)
+    parent = _seed_sequence(seed)
+    _checked_shots(shots)
+    q = dcqd._real_data(data)
+    n, digits = q.ndim, (scheme.settings, scheme.outcomes)
+    pvals = _cell_probabilities(inversion.unpair_axes(q, n, digits))
+    children = parent.spawn(len(pvals))
+    drawn = np.array([np.random.default_rng(c).multinomial(shots, p) for p, c in zip(pvals, children)])
+    return inversion.pair_axes(drawn[:, :-1] / shots, n, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -232,47 +252,18 @@ class OpticsModel:
 def apply_optics_model(probabilities, model: OpticsModel) -> dict[str, float]:
     """Merge a pair's 4 outcome probabilities that the analyzer cannot tell apart.
 
-    Total probability mass is preserved exactly; only the resolution drops.
-    Complex probabilities raise `InvalidDistributionError`, and a model that
-    is not an `OpticsModel` raises `InvalidConfigurationError`.
+    The merged values are the raw sums, so total mass is preserved exactly.
+    Probabilities that are complex or fail `_cell_probabilities` raise
+    `InvalidDistributionError`, and a model that is not an `OpticsModel`
+    raises `InvalidConfigurationError`.
     """
     if not isinstance(model, OpticsModel):
         raise InvalidConfigurationError(f"model must be an OpticsModel, got {model!r}")
     q = dcqd._real_data(probabilities)
     if q.shape != (4,):
         raise DimensionMismatchError("optics model is defined per pair (n = 1)")
+    _cell_probabilities(q[None])
     return dict(zip(model.labels(), map(float, model.merge_matrix @ q)))
-
-
-def merged_design_matrix(
-    setting: str,
-    models: Sequence[OpticsModel],
-    alpha: complex = dcqd.DEFAULT_ALPHA,
-    beta: complex = dcqd.DEFAULT_BETA,
-) -> np.ndarray:
-    """Stacked complex design matrix of one setting under analyzer models.
-
-    One model per analyzer setting; each contributes its merged rows G @ A,
-    A the 4 rows of A1 (`dcqd.pair_design`) that belong to the setting.
-    With the default model and its complement these are the setting's rows
-    of the design of `characterize_with_optics`.  Rank analysis of this
-    matrix quantifies what a partial Bell analyzer can and cannot
-    reconstruct.  `models` must be a non-empty iterable of `OpticsModel`s
-    (read once), or `InvalidConfigurationError` is raised.
-    """
-    if setting not in dcqd.SETTINGS:
-        raise InvalidConfigurationError(f"unknown setting {setting!r}; valid: {dcqd.SETTINGS}")
-    try:
-        checked = tuple(models)
-    except TypeError:
-        checked = ()
-    if not checked or not all(isinstance(m, OpticsModel) for m in checked):
-        raise InvalidConfigurationError(
-            f"models must be a non-empty sequence of OpticsModel, got {models!r}"
-        )
-    a1 = dcqd.pair_design(alpha, beta).reshape(4, 4, 16)
-    base = a1[dcqd.SETTINGS.index(setting)]
-    return np.vstack([model.merge_matrix @ base for model in checked])
 
 
 # [G; G_complement] of the default analyzer for each setting: rows (setting,

@@ -147,12 +147,16 @@ def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_pairs(rows) -> np.ndarray:
+    """The complex matrix of row-major [re, im] pairs of numbers, or `InvalidChannelError`."""
     try:
-        return np.array(
-            [[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=complex
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidChannelError(f"malformed complex matrix: {exc}") from None
+        parts = [x for row in rows for re, im in row for x in (re, im)]
+        # json reads a number as an int or a float; a bool, text or null is
+        # rejected as a spec parameter is, and so is an int beyond every float
+        if len({len(row) for row in rows}) <= 1 and set(map(type, parts)) <= {int, float}:
+            return np.array(parts, dtype=float).view(complex).reshape(len(rows), -1)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidChannelError(f"malformed complex matrix, not rows of [re, im] numbers: {rows!r:.80}")
 
 
 def spec_to_dict(spec: channels.ChannelSpec) -> dict:

@@ -200,11 +200,16 @@ class TestExitCodes:
             },
             {"kind": "bit_flip", "params": {"p": True}},
             {"kind": "bit_flip", "params": {"p": "0.1"}},
+            # these built the identity: a matrix entry true, or "1", read as 1
+            {"kind": "unitary", "operators": [[[[True, 0], [0, 0]], [[0, 0], ["1", 0]]]]},
+            {"kind": "unitary", "operators": [[[[1, 0], [0, False]], [[0, 0], [1, 0]]]]},
+            {"kind": "explicit_kraus", "operators": [[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]]},
         ],
         ids=[
             "p_null", "p_text", "kraus_nan", "kraus_huge", "unitary_nan", "angle_nan",
             "identity_fraction", "identity_n40", "identity_n13", "stages_null",
-            "fields_not_read", "p_true", "p_numeric_text",
+            "fields_not_read", "p_true", "p_numeric_text", "entry_true", "entry_false",
+            "entry_numeric_text",
         ],
     )
     def test_malformed_spec_file(self, doc, tmp_path, capsys):

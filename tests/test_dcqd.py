@@ -100,7 +100,7 @@ class TestConfiguration:
         "call",
         [
             lambda a, b: dcqd.characterize(channels.bit_flip(0.1), 1, alpha=a, beta=b),
-            lambda a, b: dcqd.pair_design(a, b),
+            lambda a, b: dcqd.pair_scheme(a, b).design,
             lambda a, b: dcqd.outcome_probabilities(channels.bit_flip(0.1), (dcqd.COH_Z,), a, b),
             lambda a, b: relax.joint_estimate(channels.bit_flip(0.1), a, b, 1.0, 1.0),
         ],
@@ -509,7 +509,7 @@ class TestFactoredEngine:
 
     def test_pair_design_matches_single_pair_designs(self):
         dense = stacked_design(dcqd.all_configurations(1))
-        assert np.max(np.abs(dcqd.pair_design() - dense)) < 1e-15
+        assert np.max(np.abs(dcqd.pair_scheme().design - dense)) < 1e-15
 
     @pytest.mark.parametrize(
         "alpha,beta", [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j), (0.8, 0.6)]
@@ -544,20 +544,20 @@ class TestFactoredEngine:
 
     def test_pair_design_cache_keys_on_exact_bits(self):
         # 0.0 == -0.0, but the two amplitudes are different inputs
-        plus = dcqd.pair_design(0.6, complex(0.8, 0.0))
-        minus = dcqd.pair_design(0.6, complex(0.8, -0.0))
+        plus = dcqd.pair_scheme(0.6, complex(0.8, 0.0)).design
+        minus = dcqd.pair_scheme(0.6, complex(0.8, -0.0)).design
         assert plus is not minus
         assert np.array_equal(plus, minus)
-        assert dcqd.pair_design(0.6, complex(0.8, 0.0)) is plus
+        assert dcqd.pair_scheme(0.6, complex(0.8, 0.0)).design is plus
 
     @pytest.mark.parametrize("alpha,beta", [(float("nan"), 0.5), (0.9, 0.1)])
     def test_pair_design_rejects_bad_amplitudes_every_call(self, alpha, beta):
         for _ in range(2):
             with pytest.raises(InvalidConfigurationError):
-                dcqd.pair_design(alpha, beta)
+                dcqd.pair_scheme(alpha, beta).design
 
     def test_cached_arrays_are_read_only(self):
-        a1 = dcqd.pair_design()
+        a1 = dcqd.pair_scheme().design
         with pytest.raises(ValueError):
             a1[0, 0] = 1.0
         pinv, _cond, _rank = dcqd.pair_scheme()._svd
@@ -582,7 +582,7 @@ class TestFactoredEngine:
         assert len(calls) == 1
 
     def test_stacked_design_is_permuted_kronecker_square(self):
-        a1 = dcqd.pair_design()
+        a1 = dcqd.pair_scheme().design
         dense = stacked_design(dcqd.all_configurations(2))
         # kron rows (s1 k1 s2 k2), cols (m1 m1' m2 m2'); dense rows
         # (s1 s2 k1 k2), cols (m1 m2 m1' m2')
@@ -662,7 +662,7 @@ class TestFactoredEngine:
         assert elapsed < 1.0
 
     def test_diagnostics_at_every_n(self):
-        cond1 = np.linalg.cond(dcqd.pair_design())
+        cond1 = np.linalg.cond(dcqd.pair_scheme().design)
         assert cond1 == pytest.approx(6.2, abs=0.01)
         for n in (1, 2, 3):
             result = dcqd.characterize(channels.identity_channel(), n)
@@ -672,7 +672,7 @@ class TestFactoredEngine:
         assert np.linalg.cond(dense) == pytest.approx(cond1**2, rel=1e-10)
 
     def test_degenerate_pair_design_rank(self):
-        assert np.linalg.matrix_rank(dcqd.pair_design(0.8, 0.6)) == 10
+        assert np.linalg.matrix_rank(dcqd.pair_scheme(0.8, 0.6).design) == 10
 
     def test_solver_needs_full_configuration_set(self):
         probs = dcqd.all_outcome_probabilities(channels.identity_channel(), 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import design_matrix, optics_lstsq_oracle
-from dcqdlab import channels, dcqd, relax, sampling
+from dcqdlab import channels, dcqd, inversion, relax, sampling
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     InvalidConfigurationError,
@@ -20,8 +20,9 @@ from dcqdlab.exceptions import (
         lambda q: sampling.sample_counts(q[0], shots=10, seed=1),
         lambda q: sampling.apply_optics_model(q[0], sampling.OpticsModel()),
         lambda q: dcqd.reconstruct_coherence(dcqd.COH_Z, q[1], q[0]),
+        lambda q: sampling.sample(dcqd.pair_scheme(), np.ravel(q), shots=10, seed=1),
     ],
-    ids=["reconstruct", "closed_form", "sample_counts", "optics", "coherence"],
+    ids=["reconstruct", "closed_form", "sample_counts", "optics", "coherence", "sample"],
 )
 def test_complex_data_rejected(call):
     # the imaginary part is not dropped: a complex array raises before the cast
@@ -236,6 +237,49 @@ class TestCharacterizeSampled:
         assert metrics.frobenius_error < 0.05
 
 
+class TestSample:
+    # a hand-made n = 2 DCQD array: 16 configuration rows of 16 outcomes
+    scheme = dcqd.pair_scheme()
+    rows = np.full((16, 16), 1 / 32)
+    NEGATIVE, EXCESS = [-0.5] + [0.0] * 15, [0.5] * 16
+
+    def sample_rows(self, rows, shots=100, seed=0):
+        return sampling.sample(self.scheme, inversion.pair_axes(rows, 2, 4), shots, seed)
+
+    @pytest.mark.parametrize(
+        "bad,later",
+        [
+            (NEGATIVE, EXCESS),
+            ([math.nan] + [0.0] * 15, EXCESS),
+            (EXCESS, NEGATIVE),
+            ([math.inf] + [0.0] * 15, NEGATIVE),
+        ],
+        ids=["negative", "nan", "excess", "inf"],
+    )
+    def test_first_bad_row_reports_what_sample_counts_reports(self, bad, later):
+        # row 11 fails the other check, which must not mask row 7
+        rows = self.rows.copy()
+        rows[7], rows[11] = bad, later
+        with pytest.raises(InvalidDistributionError) as want:
+            sampling.sample_counts(rows[7], 100, seed=0)
+        with pytest.raises(InvalidDistributionError) as got:
+            self.sample_rows(rows)
+        assert str(got.value) == str(want.value)
+
+    def test_seed_then_shots_then_data_before_any_draw(self, monkeypatch):
+        rows = self.rows.copy()
+        rows[7] = -0.5
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed))
+        with pytest.raises(InvalidDistributionError, match="seed must be"):
+            self.sample_rows(rows, shots=0, seed=-1)
+        with pytest.raises(InvalidDistributionError, match="shots"):
+            self.sample_rows(rows, shots=0)
+        with pytest.raises(InvalidDistributionError, match="negative"):
+            self.sample_rows(rows)
+        assert drawn == []
+
+
 class TestOpticsModel:
     def test_default_partition(self):
         model = sampling.OpticsModel()
@@ -264,45 +308,17 @@ class TestOpticsModel:
             with pytest.raises(InvalidConfigurationError, match="OpticsModel"):
                 sampling.apply_optics_model([0.25] * 4, model)
 
-    @pytest.mark.parametrize("setting", ["coh_w", ("pop",), None])
-    def test_merged_design_rejects_unknown_setting(self, setting):
-        with pytest.raises(InvalidConfigurationError, match="unknown setting"):
-            sampling.merged_design_matrix(setting, [sampling.OpticsModel()])
-
-    @pytest.mark.parametrize(
-        "models",
-        [
-            [], (), None, [None], [sampling.OpticsModel(), "base"], [np.eye(3)],
-            iter(()), (m for m in [sampling.OpticsModel(), None]), 3,
-        ],
-        ids=[
-            "empty", "empty-tuple", "none", "none-entry", "string-entry", "matrix-entry",
-            "empty-iterator", "generator-none-entry", "int",
-        ],
-    )
-    def test_merged_design_rejects_bad_models(self, models):
-        # these raised the builtin AttributeError or TypeError, or numpy's
-        # "need at least one array to concatenate"
-        with pytest.raises(InvalidConfigurationError, match="OpticsModel"):
-            sampling.merged_design_matrix(dcqd.POP, models)
-
-    def test_merged_design_reads_a_generator_once(self):
-        # a generator of valid models used to be consumed by the check and then
-        # stacked as empty
-        models = [sampling.OpticsModel(), sampling.OpticsModel().complement()]
-        want = sampling.merged_design_matrix(dcqd.POP, models)
-        got = sampling.merged_design_matrix(dcqd.POP, (m for m in models))
-        assert np.array_equal(got, want)
-
     def test_optics_design_is_the_merged_designs(self):
-        # the design of characterize_with_optics is merged_design_matrix's rows,
-        # stacked over the settings, bit for bit
+        # the design of characterize_with_optics is each setting's 4 rows of A1
+        # merged by the default analyzer and by its complement, bit for bit
         model = sampling.OpticsModel()
         for alpha, beta in [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j)]:
-            scheme = sampling._optics_scheme(dcqd.pair_scheme(alpha, beta))
+            pair = dcqd.pair_scheme(alpha, beta)
+            scheme = sampling._optics_scheme(pair)
             merged = [
-                sampling.merged_design_matrix(s, [model, model.complement()], alpha, beta)
-                for s in dcqd.SETTINGS
+                m.merge_matrix @ pair.design[4 * s : 4 * s + 4]
+                for s in range(4)
+                for m in (model, model.complement())
             ]
             assert np.array_equal(scheme.design, np.vstack(merged))
             assert (scheme.settings, scheme.outcomes) == (8, 3)
@@ -313,6 +329,23 @@ class TestOpticsModel:
     def test_merging_example(self):
         merged = sampling.apply_optics_model([0.75, 0.25, 0, 0], sampling.OpticsModel())
         assert merged == {"phi+/phi-": 0.75, "psi+": 0.25, "psi-": 0.0}
+        # a tiny negative entry passes the check and is summed as it is, not clipped
+        merged = sampling.apply_optics_model([0.5, -1e-13, 0.25, 0.25], sampling.OpticsModel())
+        assert merged == {"phi+/phi-": 0.75, "psi+": -1e-13, "psi-": 0.25}
+
+    @pytest.mark.parametrize(
+        "probs,message",
+        [
+            ([math.nan, 0, 0, math.inf], "negative or NaN"),
+            ([-5, 2, 2, 2], "negative or NaN"),
+            ([0.5, 0.5, 0.5, 0], "sum to"),
+            ([0, 0, 0, math.inf], "sum to"),
+        ],
+    )
+    def test_bad_probabilities_rejected(self, probs, message):
+        # these returned NaN (with numpy's RuntimeWarning) or -3.0 for phi+/phi-
+        with pytest.raises(InvalidDistributionError, match=message):
+            sampling.apply_optics_model(probs, sampling.OpticsModel())
 
     def test_mass_preserved(self, rng):
         kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
@@ -322,9 +355,9 @@ class TestOpticsModel:
             assert sum(merged.values()) == pytest.approx(q.sum(), abs=1e-12)
 
     def test_pop_rank_deficient_then_restored(self):
-        model = sampling.OpticsModel()
-        single = sampling.merged_design_matrix(dcqd.POP, [model])
-        both = sampling.merged_design_matrix(dcqd.POP, [model, model.complement()])
+        # pop's rows of the optics design: 0-2 the default analyzer, 3-5 its complement
+        design = sampling._optics_scheme(dcqd.pair_scheme()).design
+        single, both = design[0:3], design[0:6]
         assert np.linalg.matrix_rank(single) == 3
         assert np.linalg.matrix_rank(both) == 4
 
@@ -333,22 +366,20 @@ class TestOpticsModel:
         model = sampling.OpticsModel()
         for setting in dcqd.SETTINGS:
             dense = design_matrix((setting,), alpha, beta)
-            for models in ([model], [model.complement()], [model, model.complement()]):
+            s = dcqd.SETTINGS.index(setting)
+            rows = sampling._optics_scheme(dcqd.pair_scheme(alpha, beta)).design[6 * s : 6 * s + 6]
+            for models, got in (
+                ([model], rows[:3]),
+                ([model.complement()], rows[3:]),
+                ([model, model.complement()], rows),
+            ):
                 want = np.vstack([m.merge_matrix @ dense for m in models])
-                got = sampling.merged_design_matrix(setting, models, alpha, beta)
                 assert np.max(np.abs(got - want)) < 1e-15
 
     def test_full_configuration_set_rank_restored(self):
-        model = sampling.OpticsModel()
-        single = np.vstack(
-            [sampling.merged_design_matrix(s, [model]) for s in dcqd.SETTINGS]
-        )
-        both = np.vstack(
-            [
-                sampling.merged_design_matrix(s, [model, model.complement()])
-                for s in dcqd.SETTINGS
-            ]
-        )
+        # rows 6s..6s+2 are setting s under the default analyzer alone
+        both = sampling._optics_scheme(dcqd.pair_scheme()).design
+        single = both.reshape(4, 2, 3, 16)[:, 0].reshape(12, 16)
         assert np.linalg.matrix_rank(single) < 16
         assert np.linalg.matrix_rank(both) == 16
 

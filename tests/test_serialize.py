@@ -203,6 +203,10 @@ class TestSpecJson:
         pairs = serialize.matrix_to_pairs(m)
         assert pairs == [[[1.0, 2.0], [3.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
         assert np.array_equal(serialize.matrix_from_pairs(pairs), m)
+        # ints and floats, signed zeros too, are read bit for bit
+        pairs = [[[1, -0.0], [0.25, 2]], [[-3, 1e-300], [0.0, -1]]]
+        want = np.array([[complex(float(re), float(im)) for re, im in row] for row in pairs])
+        assert serialize.matrix_from_pairs(pairs).tobytes() == want.tobytes()
 
     def test_composed_round_trip(self):
         spec = channels.ChannelSpec(
@@ -220,6 +224,11 @@ class TestSpecJson:
             serialize.spec_from_dict({"params": {}})
         with pytest.raises(InvalidChannelError):
             serialize.matrix_from_pairs([[["x", 0.0]]])
+        # a bool or numeric text was read as a number, as float() reads it
+        for entry in (True, False, "1", "0.5"):
+            for pair in ([entry, 0], [0, entry]):
+                with pytest.raises(InvalidChannelError, match="malformed complex matrix"):
+                    serialize.matrix_from_pairs([[pair, [0, 0]], [[0, 0], [1, 0]]])
 
 
 # JSON-like values, valid and not: null, booleans, numbers of any size
