@@ -106,7 +106,7 @@ def _characterize_args(p: argparse.ArgumentParser) -> None:
     _add_amplitudes(p)
     p.add_argument("--shots", type=int, default=None, help="shots per configuration (exact statistics when omitted)")
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
-    p.add_argument("--optics", action="store_true", help="use the partial Bell-analyzer model (n=1)")
+    p.add_argument("--optics", action="store_true", help="use the partial Bell-analyzer model")
     _add_io(p)
 
 
@@ -240,15 +240,15 @@ def _chi_report(
 
 
 def cmd_characterize(args) -> int:
-    if args.optics and args.n != 1:
-        # before the channel is loaded, whose chi would go unused; an n out of
-        # range still gets the register message
-        channels.check_register_size(args.n)
-        raise InvalidConfigurationError("the partial Bell-analyzer model is defined for n=1")
+    if args.optics:
+        # the analyzer's data outgrow chi, so their bound (after the register's)
+        # comes before the channel is loaded; the bound reads only the number
+        # of design rows, the same for all amplitudes
+        sampling._optics_scheme(dcqd.pair_scheme()).check_pairs(args.n)
     chi, spec_dict = _load_channel(args)
     if args.optics:
         result = sampling.characterize_with_optics(
-            chi, alpha=args.alpha, beta=args.beta, shots=args.shots, seed=args.seed
+            chi, alpha=args.alpha, beta=args.beta, shots=args.shots, seed=args.seed, n=args.n
         )
         method = "dcqd_optics"
     elif args.shots is not None:

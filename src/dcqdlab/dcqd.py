@@ -381,7 +381,8 @@ def _pair_scheme(alpha_re: str, alpha_im: str, beta_re: str, beta_im: str) -> in
     """`pair_scheme` of the amplitudes whose parts are given by `float.hex`."""
     alpha = complex(float.fromhex(alpha_re), float.fromhex(alpha_im))
     beta = complex(float.fromhex(beta_re), float.fromhex(beta_im))
-    return inversion.Scheme(inversion.readout_design(_readout_table(alpha, beta)), 4)
+    # each setting has its own input: 4 inputs of one measurement each
+    return inversion.Scheme(inversion.readout_design(_readout_table(alpha, beta)), 4, 4)
 
 
 @dataclass
@@ -391,10 +392,12 @@ class ReconstructionResult:
     `chi` comes from the factored solver and is exactly Hermitian.  For a
     single pair the closed-form route is also evaluated and `residual` is
     the max entrywise distance between the two; with more pairs the closed
-    forms are not defined and both fields are None.  `design_rank` and
-    `design_cond` describe the complex design of all configurations,
-    rank(A1)**n and cond(A1)**n, at every n; the partial Bell-analyzer path
-    reports its merged design instead.
+    forms are not defined and both fields are None.  `n_configurations` is
+    the scheme's count (`inversion.Scheme.counts`): 4**n for DCQD, 8**n for
+    the partial Bell analyzer.  `design_rank` and `design_cond` describe the
+    complex design of all configurations, rank(A1)**n and cond(A1)**n, at
+    every n; the partial Bell-analyzer path reports its merged design
+    instead.
     """
 
     chi: np.ndarray
@@ -456,7 +459,8 @@ def _solve(scheme: inversion.Scheme, data: np.ndarray) -> ReconstructionResult:
     """The result of solving a scheme's data, one axis per pair (`inversion.Scheme.solve`)."""
     n = data.ndim
     chi, cond = scheme.solve(data)
-    return ReconstructionResult(chi, n, scheme.settings**n, design_rank=16**n, design_cond=cond)
+    n_configurations = scheme.counts(n)["n_experiments"]
+    return ReconstructionResult(chi, n, n_configurations, design_rank=16**n, design_cond=cond)
 
 
 def reconstruct_from_probabilities(

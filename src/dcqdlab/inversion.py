@@ -19,9 +19,14 @@ and the experiment on n pairs is D1 applied along every pair axis of chi
   and E_m = ops.PAULIS[m], the one-qubit Pauli table;
 * the forward model `forward` applies a per-pair design along each pair
   axis of chi: q = D1^{(x) n} chi;
-* `Scheme(design, outcomes)` is one pair's experiment: S settings x K
-  outcomes and its read-only per-pair design D1, rows ordered (setting,
-  outcome).  Its `forward` applies D1 to chi, and its `solve` applies the
+* `Scheme(design, outcomes, inputs)` is one pair's experiment: S settings
+  (I inputs x S / I measurements each) x K outcomes and its read-only
+  per-pair design D1, rows ordered (setting, outcome).  It is the one place
+  that knows the size of the experiment on n pairs: `counts(n)` gives its
+  I**n inputs, (S / I)**n measurements per input and S**n configurations,
+  and `check_pairs(n)` bounds its data, len(D1)**n entries, by the
+  16**MAX_QUBITS entries of the largest chi before anything of that size is
+  built.  Its `forward` applies D1 to chi, and its `solve` applies the
   pseudo-inverse: one SVD of D1, kept on the scheme, gives its rank (the
   full design has rank(D1)**n), cond(D1)**n and pinv(D1), and pinv(D1)
   along every pair axis of the data is the least-squares chi.  Each
@@ -44,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ops
-from .exceptions import IllPosedConfigurationError
+from .exceptions import DimensionMismatchError, IllPosedConfigurationError, InvalidConfigurationError
 
 __all__ = ["Scheme", "forward", "pair_axes", "per_pair", "readout_design", "unpair_axes"]
 
@@ -102,17 +107,21 @@ class Scheme:
     """One pair's experiment: `settings` x `outcomes` rows of a read-only per-pair design.
 
     `design` is the R x 16 per-pair design (a read-only copy of the one
-    given), rows ordered (setting, outcome) and columns (m, m') of chi.  The
-    experiment on n pairs runs `settings**n` configurations; its data have
-    one axis of length R per pair, and `unpair_axes(data, n, (settings,
-    outcomes))` puts configurations in rows and joint outcomes in columns.
-    The data are outcome probabilities, or any other data linear in chi,
-    such as the Pauli expectations of `sqpt`'s one-outcome settings;
-    `sampling.sample` draws only from probabilities.
+    given), rows ordered (setting, outcome) and columns (m, m') of chi; the
+    settings are ordered (input, measurement), `inputs` inputs with
+    settings / inputs measurements each.  The experiment on n pairs runs
+    `settings**n` configurations (`counts`); its data have one axis of
+    length R per pair, at most 16**`channels.MAX_QUBITS` entries in all
+    (`check_pairs`), and `unpair_axes(data, n, (settings, outcomes))` puts
+    configurations in rows and joint outcomes in columns.  The data are
+    outcome probabilities, or any other data linear in chi, such as the
+    Pauli expectations of `sqpt`'s one-outcome settings; `sampling.sample`
+    draws only from probabilities.
     """
 
     design: np.ndarray
     outcomes: int
+    inputs: int
 
     def __post_init__(self):
         object.__setattr__(self, "design", np.array(self.design))
@@ -121,6 +130,37 @@ class Scheme:
     @property
     def settings(self) -> int:
         return len(self.design) // self.outcomes
+
+    def counts(self, n: int) -> dict[str, int]:
+        """Inputs, measurements per input and configurations of n pairs, as exact integers."""
+        s, i = self.settings, self.inputs
+        return {"n_inputs": i**n, "n_measurements": (s // i) ** n, "n_experiments": s**n}
+
+    def check_pairs(self, n: int) -> None:
+        """Reject n pairs before anything of their size is built.
+
+        n must pass `channels.check_register_size`, and the data, len(design)**n
+        entries, may not exceed the 16**MAX_QUBITS entries of the largest chi;
+        either raises `InvalidConfigurationError`.
+        """
+        from . import channels  # which imports this module
+
+        channels.check_register_size(n)
+        if len(self.design) ** n > 16**channels.MAX_QUBITS:
+            raise InvalidConfigurationError(
+                f"the data of {n} pairs have {len(self.design)}**{n} entries; the limit is "
+                f"16**{channels.MAX_QUBITS}, the entries of the largest chi"
+            )
+
+    def _pairs(self, data: np.ndarray) -> int:
+        """The pairs of `data`: one axis of len(design) each, at least one (`check_pairs`)."""
+        shape = np.shape(data)
+        if not shape or shape.count(len(self.design)) != len(shape):
+            raise DimensionMismatchError(
+                f"data of shape {shape}, expected one axis of {len(self.design)} per pair"
+            )
+        self.check_pairs(len(shape))
+        return len(shape)
 
     def forward(self, chi: np.ndarray, n: int) -> np.ndarray:
         """Outcome probabilities of n pairs, one axis per pair (`forward`)."""
@@ -141,11 +181,12 @@ class Scheme:
     def solve(self, data: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares chi of n pairs and the condition number of their design.
 
-        `data` has one axis of length R per pair.  Returns the exactly
+        `data` has one axis of length R per pair; no axis, or one of another
+        length, raises `DimensionMismatchError`.  Returns the exactly
         Hermitian (chi + chi^H)/2 and cond(design)**n.  A rank-deficient
         design raises instead of returning a wrong chi.
         """
-        n = data.ndim
+        n = self._pairs(data)
         pinv, cond, rank = self._svd
         if pinv is None:
             raise IllPosedConfigurationError(

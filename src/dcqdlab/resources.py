@@ -5,7 +5,11 @@ needs 4**n input states times 4**n non-commuting measurement settings
 each (16**n experimental configurations); ancilla-assisted tomography
 with non-separable measurements needs a single input and 4**n + 1
 settings; the direct scheme needs 4**n entangled inputs and a single
-fixed Bell-type measurement each.
+fixed Bell-type measurement each.  The counts of the direct scheme and of
+standard tomography are those of the schemes that run them
+(`dcqd.pair_scheme()` and `sqpt._scheme()`, through
+`inversion.Scheme.counts`); only the Hilbert dimensions and the
+ancilla-assisted row, which no scheme here runs, are formulas.
 
 Counts are tabulated for n = 1..`MAX_N`: the largest, 16**n, then fits a
 signed 64-bit integer, so JSON and CSV readers that parse integers into
@@ -15,6 +19,7 @@ integer (a bool, a float, a string), raises `InvalidConfigurationError`.
 
 from __future__ import annotations
 
+from . import dcqd, sqpt
 from .exceptions import InvalidConfigurationError
 from .ops import is_integer
 
@@ -37,24 +42,14 @@ def resource_counts(n: int) -> dict[str, dict[str, int]]:
             f"integer), got {n!r}"
         )
     return {
-        "sqpt": {
-            "hilbert_dim": 2**n,
-            "n_inputs": 4**n,
-            "n_measurements": 4**n,
-            "n_experiments": 16**n,
-        },
+        "sqpt": {"hilbert_dim": 2**n, **sqpt._scheme().counts(n)},
         "aapt_nonseparable": {
             "hilbert_dim": 4**n,
             "n_inputs": 1,
             "n_measurements": 4**n + 1,
             "n_experiments": 4**n + 1,
         },
-        "dcqd": {
-            "hilbert_dim": 4**n,
-            "n_inputs": 4**n,
-            "n_measurements": 1,
-            "n_experiments": 4**n,
-        },
+        "dcqd": {"hilbert_dim": 4**n, **dcqd.pair_scheme().counts(n)},
     }
 
 

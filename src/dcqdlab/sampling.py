@@ -16,11 +16,14 @@ merged symbol.  It is a merge matrix G on the four outcome rows of each
 setting.  Merged outcomes make a single configuration's design rank
 deficient; measuring the complementary analyzer setting as well (swapping
 which pair is resolved) restores full rank at twice the configuration
-count.  The analyzer is then a scheme of its own, 8 (setting, analyzer)
-settings x 3 outcomes: its design is `_MERGE @ A1`, `_MERGE` the
+count per pair.  The analyzer is then a scheme of its own, 8 (setting,
+analyzer) settings x 3 outcomes: its design is `_MERGE @ A1`, `_MERGE` the
 block-diagonal [G; G_complement] of each setting (rows 6s..6s+5), built
-once per DCQD pair scheme, and its data are the DCQD data merged the same
-way.  `apply_optics_model(probabilities, model)` merges one pair's
+once per DCQD pair scheme, and its data on n pairs are the DCQD data
+merged the same way along every pair axis, 8**n configurations.  Those
+data, 24**n entries, outgrow chi's 16**n, so the scheme's data bound
+(`inversion.Scheme.check_pairs`) admits n = 1..4.
+`apply_optics_model(probabilities, model)` merges one pair's
 probabilities."""
 
 from __future__ import annotations
@@ -182,14 +185,15 @@ def sample(scheme: inversion.Scheme, data: np.ndarray, shots: int, seed) -> np.n
     (`inversion.Scheme.forward`).  Row c of their configuration layout
     (`inversion.unpair_axes` with the scheme's (settings, outcomes) digits)
     is drawn with child c of `SeedSequence(seed)`, spawned once for all
-    rows.  The seed is checked first, then the shot count, then the whole
-    array (`_cell_probabilities`), whose first bad row raises what
-    `sample_counts` raises for it.
+    rows.  The seed is checked first, then the shot count, then the shape
+    (no axis, or one that is not len(design) long, raises
+    `DimensionMismatchError`), then the whole array (`_cell_probabilities`),
+    whose first bad row raises what `sample_counts` raises for it.
     """
     parent = _seed_sequence(seed)
     _checked_shots(shots)
     q = dcqd._real_data(data)
-    n, digits = q.ndim, (scheme.settings, scheme.outcomes)
+    n, digits = scheme._pairs(q), (scheme.settings, scheme.outcomes)
     pvals = _cell_probabilities(inversion.unpair_axes(q, n, digits))
     children = parent.spawn(len(pvals))
     drawn = np.array([np.random.default_rng(c).multinomial(shots, p) for p, c in zip(pvals, children)])
@@ -208,7 +212,8 @@ class OpticsModel:
     Outcome indices follow the Bell order (phi+, psi+, psi-, phi-).  The
     default models a standard two-photon interferometric analyzer: the psi
     pair is resolved, the phi pair produces one indistinguishable symbol.
-    Defined for single-pair (n = 1) configurations.  The two groups are
+    A model acts on one pair; the optics scheme puts the default model and
+    its complement on every pair.  The two groups are
     stored as tuples of integers (`ops.is_integer`) that partition 0..3,
     with a non-empty merged group; anything else raises
     `InvalidDistributionError`.
@@ -275,8 +280,11 @@ _MERGE = np.kron(
 
 @functools.lru_cache(maxsize=32)
 def _optics_scheme(pair: inversion.Scheme) -> inversion.Scheme:
-    """The analyzer's scheme on a DCQD pair scheme: 8 (setting, analyzer) settings x 3 groups."""
-    return inversion.Scheme(_MERGE @ pair.design, 3)
+    """The analyzer's scheme on a DCQD pair scheme: 8 (setting, analyzer) settings x 3 groups.
+
+    Its inputs are the pair's, each read by both analyzers.
+    """
+    return inversion.Scheme(_MERGE @ pair.design, 3, pair.inputs)
 
 
 def characterize_with_optics(
@@ -285,18 +293,23 @@ def characterize_with_optics(
     beta: complex = dcqd.DEFAULT_BETA,
     shots: Optional[int] = None,
     seed=None,
+    n: int = 1,
 ) -> dcqd.ReconstructionResult:
-    """Single-qubit reconstruction through a partial Bell analyzer.
+    """Reconstruction of n qubits through a partial Bell analyzer on every pair.
 
-    Every configuration is measured twice, once with the default
-    `OpticsModel` and once with its complement, so the experiment count
-    doubles to 2 * 4 while full rank is recovered.  With `shots` set, each
-    analyzer setting is sampled independently (`sample`).  The merge acts
-    on the DCQD data, so each merged probability is the sum of its terms.
+    Every setting of a pair is measured twice, once with the default
+    `OpticsModel` and once with its complement, so the configuration count
+    grows from 4**n to 8**n while full rank is recovered.  With `shots` set,
+    each configuration is sampled independently (`sample`).  The merge acts
+    on the DCQD data along every pair axis, so each merged probability is
+    the sum of its terms.  The amplitudes' finiteness and norm are checked
+    first, then n against the scheme's data bound (`check_pairs`: n = 1..4),
+    before the channel is looked at.
     """
-    pair, _, q = dcqd._experiment(channel, 1, alpha, beta)
-    scheme = _optics_scheme(pair)
-    data = _MERGE @ q
+    scheme = _optics_scheme(dcqd.pair_scheme(alpha, beta))
+    scheme.check_pairs(n)
+    _, _, q = dcqd._experiment(channel, n, alpha, beta)
+    data = inversion.per_pair(q, [_MERGE] * n)
     if shots is None:
         _checked_seed(seed)
     else:

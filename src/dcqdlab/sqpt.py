@@ -11,8 +11,9 @@ and E_p one of the 4 Paulis of `ops.PAULIS`, is an `inversion.Scheme` of
 16 (input, Pauli) settings x 1 outcome whose data are Pauli expectations.
 It forwards chi and inverts the data; the scheme and its SVD are built
 once per process.  The experiment on n qubits runs the scheme's 16**n
-settings: 4**n inputs times 4**n Pauli settings each, against 4**n
-configurations for the direct protocol in `dcqd` (see `resources`).
+settings: 4**n inputs times 4**n Pauli settings each (`Scheme.counts`),
+against 4**n configurations for the direct protocol in `dcqd`; `resources`
+tabulates both from the schemes.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ def _design() -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _scheme() -> inversion.Scheme:
     """The per-qubit scheme, built once per process: 16 (input, Pauli) settings x 1 outcome."""
-    return inversion.Scheme(_design(), 1)
+    return inversion.Scheme(_design(), 1, len(INPUT_KETS))
 
 
 @dataclass
 class SqptResult:
-    """Process matrix estimated by the SQPT baseline plus resource counts."""
+    """Process matrix estimated by the SQPT baseline plus its scheme's counts (`Scheme.counts`)."""
 
     chi: np.ndarray
     n_qubits: int
@@ -69,11 +70,5 @@ def sqpt_characterize(channel, n: int = 1) -> SqptResult:
     chi = channels.as_chi(channel, n)
     scheme = _scheme()
     chi, _cond = scheme.solve(scheme.forward(chi, n))
-    inputs = len(INPUT_KETS)
-    return SqptResult(
-        chi=chi,
-        n_qubits=n,
-        n_inputs=inputs**n,
-        n_settings_per_input=(scheme.settings // inputs) ** n,
-        n_experiments=scheme.settings**n,
-    )
+    # counts(n) lists n_inputs, n_measurements and n_experiments, in the order of the fields
+    return SqptResult(chi, n, *scheme.counts(n).values())

@@ -236,29 +236,38 @@ def unflatten_hermitian(x, dim):
     return chi
 
 
-def optics_lstsq_oracle(channel, shots=None, seed=None):
-    """Partial Bell-analyzer chi by real-parameter least squares.
+def optics_lstsq_oracle(channel, shots=None, seed=None, n=1):
+    """Partial Bell-analyzer chi on n pairs by real-parameter least squares.
 
-    Sums the rows of each outcome group of the real design and the matching
-    probabilities, draws the same seeded counts as the library (one spawned
-    seed per configuration and analyzer setting, in that order) and solves
-    with a dense `lstsq`; independent of the per-pair solver.
+    A configuration is one (setting, analyzer) per pair, the analyzer the
+    default model or its complement; its outcome groups are the products of
+    each pair's groups.  Sums the rows of each group of the real design and
+    the matching probabilities, draws the same seeded counts as the library
+    (one spawned seed per configuration, in the row order of
+    `unpair_axes(data, n, (8, 3))`: pair 1's (setting, analyzer) most
+    significant) and solves with a dense `lstsq`; independent of the
+    per-pair solver.
     """
-    model = sampling.OpticsModel()
-    probs = dcqd.all_outcome_probabilities(channel, 1)
-    children = np.random.SeedSequence(seed).spawn(2 * len(probs))
+    models = [sampling.OpticsModel(), sampling.OpticsModel().complement()]
+    probs = dcqd.all_outcome_probabilities(channel, n)
+    configs = list(itertools.product(itertools.product(range(4), range(2)), repeat=n))
+    children = np.random.SeedSequence(seed).spawn(len(configs))
     rows, values = [], []
-    for i, (config, q) in enumerate(zip(dcqd.all_configurations(1), probs)):
-        base = real_design(config)
-        for j, setting in enumerate([model, model.complement()]):
-            groups = [list(g) for g in setting.groups()]
-            rows += [base[g].sum(axis=0) for g in groups]
-            merged = np.array([q[g].sum() for g in groups])
-            if shots is not None:
-                merged = sampling.sample_counts(merged, shots, children[2 * i + j]).counts / shots
-            values.append(merged)
+    for config, child in zip(configs, children):
+        settings = [s for s, _ in config]
+        base = real_design(tuple(dcqd.SETTINGS[s] for s in settings))
+        q = probs[np.ravel_multi_index(settings, (4,) * n)]
+        groups = [
+            [np.ravel_multi_index(outcomes, (4,) * n) for outcomes in itertools.product(*product)]
+            for product in itertools.product(*(models[j].groups() for _, j in config))
+        ]
+        rows += [base[g].sum(axis=0) for g in groups]
+        merged = np.array([q[g].sum() for g in groups])
+        if shots is not None:
+            merged = sampling.sample_counts(merged, shots, child).counts / shots
+        values.append(merged)
     x, *_ = np.linalg.lstsq(np.array(rows), np.concatenate(values), rcond=None)
-    return unflatten_hermitian(x, 4)
+    return unflatten_hermitian(x, 4**n)
 
 
 @pytest.fixture

@@ -65,28 +65,30 @@ class TestCharacterize:
         assert len(lines) == 17
 
     def test_optics_mode(self, capsys):
-        code, out, _ = run(
-            ["characterize", "--channel", "bit_flip:0.25", "--optics"], capsys
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["method"] == "dcqd_optics"
-        assert report["n_configurations"] == 8
-
-    def test_optics_needs_single_qubit(self, capsys):
-        code, _, err = run(
-            ["characterize", "--channel", "bit_flip:0.25", "--n", "2", "--optics"], capsys
-        )
-        assert code == 3
-        assert "n=1" in err
+        for n, configurations in ((1, 8), (2, 64)):
+            code, out, _ = run(
+                ["characterize", "--channel", "bit_flip:0.25", "--optics", "--n", str(n)], capsys
+            )
+            assert code == 0
+            report = json.loads(out)
+            assert report["method"] == "dcqd_optics"
+            assert report["n_configurations"] == configurations
+            assert serialize.chi_from_report(report).shape == (4**n, 4**n)
 
     def test_optics_n_checked_before_the_channel(self, capsys, channel_untouched):
-        # chi on all five qubits used to be built and judged first
+        # chi on all five qubits used to be built and judged first; the
+        # analyzer's data on 5 pairs exceed the data bound
         code, _, err = run(
             ["characterize", "--channel", "depolarizing:0.1", "--n", "5", "--optics"], capsys
         )
         assert code == cli.EXIT_ILL_POSED
-        assert "n=1" in err
+        assert "24**5" in err
+        # an n out of range gets the register message first
+        code, _, err = run(
+            ["characterize", "--channel", "depolarizing:0.1", "--n", "9", "--optics"], capsys
+        )
+        assert code == cli.EXIT_ILL_POSED
+        assert "16**9" in err
 
     def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))

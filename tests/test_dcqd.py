@@ -507,6 +507,16 @@ class TestFactoredEngine:
             got = dcqd.outcome_probabilities(kraus, config)
             assert np.max(np.abs(got - want)) < 1e-14
 
+    @pytest.mark.parametrize(
+        "data",
+        [np.float64(0.1), np.full(15, 0.01), np.full((16, 15), 0.01)],
+        ids=["scalar", "15", "16x15"],
+    )
+    def test_solve_rejects_data_of_another_shape(self, data):
+        # a scalar gave a 1 x 1 "chi" with cond 1.0, a 15-long axis numpy's matmul ValueError
+        with pytest.raises(DimensionMismatchError, match="one axis of 16 per pair"):
+            dcqd.pair_scheme().solve(data)
+
     def test_pair_design_matches_single_pair_designs(self):
         dense = stacked_design(dcqd.all_configurations(1))
         assert np.max(np.abs(dcqd.pair_scheme().design - dense)) < 1e-15

@@ -279,6 +279,12 @@ class TestSample:
             self.sample_rows(rows)
         assert drawn == []
 
+    @pytest.mark.parametrize("data", [np.float64(0.1), np.full(15, 0.01), np.full((16, 15), 0.01)])
+    def test_data_of_another_shape_rejected(self, data):
+        # a 15-long axis raised numpy's "cannot reshape" ValueError
+        with pytest.raises(DimensionMismatchError, match="one axis of 16 per pair"):
+            sampling.sample(self.scheme, data, 10, 1)
+
 
 class TestOpticsModel:
     def test_default_partition(self):
@@ -407,6 +413,34 @@ class TestOpticsModel:
             assert np.max(np.abs(result.chi - want)) < 1e-12
         assert result.design_rank == 16
         assert result.design_cond == pytest.approx(9.93, abs=0.01)
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    def test_optics_matches_real_lstsq_oracle_on_two_pairs(self, shots, rng):
+        kraus = channels.random_channel(2, trace_preserving=False, rng=rng)
+        for seed in range(2):
+            result = sampling.characterize_with_optics(kraus, shots=shots, seed=seed, n=2)
+            want = optics_lstsq_oracle(kraus, shots=shots, seed=seed, n=2)
+            assert np.max(np.abs(result.chi - want)) < 1e-10
+        assert result.n_configurations == 64
+        assert result.design_cond == pytest.approx(9.93**2, rel=0.01)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_optics_exact_on_n_pairs(self, n, rng):
+        # a one-qubit (i.i.d.) channel at n = 4 keeps the Kraus set small
+        kraus = channels.random_channel(n if n < 4 else 1, trace_preserving=False, rng=rng)
+        result = sampling.characterize_with_optics(kraus, n=n)
+        assert np.max(np.abs(result.chi - channels.as_chi(kraus, n))) < 1e-12
+        assert (result.n_qubits, result.n_configurations) == (n, 8**n)
+
+    def test_optics_data_bound(self, channel_untouched):
+        # 24**5 data entries exceed the 16**5 of the largest chi; checked
+        # before the channel is looked at, after the register size
+        with pytest.raises(InvalidConfigurationError, match=r"24\*\*5 entries; the limit is 16\*\*5"):
+            sampling.characterize_with_optics(channels.identity_channel(), n=5)
+        with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
+            sampling.characterize_with_optics(channels.identity_channel(), n=6)
+        with pytest.raises(InvalidConfigurationError, match="at least one pair"):
+            sampling.characterize_with_optics(channels.identity_channel(), n=0)
 
     def test_characterize_with_optics_sampled(self):
         result = sampling.characterize_with_optics(channels.bit_flip(0.25), shots=10**5, seed=3)

@@ -19,6 +19,29 @@ def test_plan_counts_and_span():
         assert sqpt._scheme().settings ** n == resources.resource_counts(n)["sqpt"]["n_experiments"]
 
 
+def test_resource_counts_are_the_old_formulas():
+    # the counts the table wrote by hand before it read them from the schemes
+    for n in range(1, resources.MAX_N + 1):
+        assert resources.resource_counts(n) == {
+            "sqpt": {"hilbert_dim": 2**n, "n_inputs": 4**n, "n_measurements": 4**n, "n_experiments": 16**n},
+            "aapt_nonseparable": {
+                "hilbert_dim": 4**n, "n_inputs": 1, "n_measurements": 4**n + 1, "n_experiments": 4**n + 1,
+            },
+            "dcqd": {"hilbert_dim": 4**n, "n_inputs": 4**n, "n_measurements": 1, "n_experiments": 4**n},
+        }
+        assert all(type(v) is int for row in resources.resource_counts(n).values() for v in row.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_resource_rows_are_what_the_schemes_run(n):
+    counts = resources.resource_counts(n)
+    assert counts["dcqd"]["n_experiments"] == dcqd.characterize(channels.identity_channel(), n).n_configurations
+    result = sqpt.sqpt_characterize(channels.identity_channel(), n)
+    assert (counts["sqpt"]["n_inputs"], counts["sqpt"]["n_measurements"], counts["sqpt"]["n_experiments"]) == (
+        result.n_inputs, result.n_settings_per_input, result.n_experiments,
+    )
+
+
 def test_register_size_guard(channel_untouched):
     # the shared bound of every entry point, checked before the channel is expanded
     with pytest.raises(InvalidConfigurationError, match=r"16\*\*6"):
