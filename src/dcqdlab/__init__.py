@@ -5,7 +5,8 @@ the process matrix chi either with the entanglement-assisted DCQD protocol
 (Bell-type error-detecting measurements, 4**n configurations) or with the
 standard process-tomography baseline (16**n configurations), with exact or
 finite-shot statistics, a partial Bell-analyzer measurement model, and
-joint T1/T2 estimation from a single Bell-state measurement.
+joint T1/T2 estimation from a single Bell-state measurement.  Every
+sampled path draws through one sampler, `sampling.sample`.
 """
 
 from .channels import (
@@ -33,27 +34,18 @@ from .dcqd import (
 )
 from .relax import RelaxEstimate, estimate_T1, estimate_T2, joint_estimate
 from .resources import resource_counts, resource_table
-from .sampling import (
-    CountsTable,
-    OpticsModel,
-    apply_optics_model,
-    characterize_sampled,
-    sample_counts,
-)
+from .sampling import characterize_sampled
 from .sqpt import SqptResult, sqpt_characterize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSpec",
-    "CountsTable",
-    "OpticsModel",
     "ReconstructionResult",
     "RelaxEstimate",
     "SqptResult",
     "all_configurations",
     "amplitude_damping",
-    "apply_optics_model",
     "bit_flip",
     "characterize",
     "characterize_sampled",
@@ -74,7 +66,6 @@ __all__ = [
     "resource_counts",
     "resource_table",
     "rotation",
-    "sample_counts",
     "sqpt_characterize",
     "validate_chi",
 ]

@@ -48,7 +48,9 @@ with its SVD), which carries every exact and sampled path:
   Kronecker power of A1, so chi is A1^-1 applied along every pair axis of
   the data, and the design's rank and condition number are rank(A1)**n and
   cond(A1)**n.  `_solve` turns any scheme's solve into a
-  `ReconstructionResult`, the partial Bell analyzer's in `sampling` too.
+  `ReconstructionResult`, the partial Bell analyzer's in `sampling` too;
+* one setting: `setting_scheme` is that setting's 4 rows of A1 as a
+  scheme of its own, the one configuration `relax` forwards and samples.
 
 The single-pair closed forms below (n = 1) are the paper's route and serve
 as an independent cross-check of the solver.  The readout table is the
@@ -383,6 +385,19 @@ def _pair_scheme(alpha_re: str, alpha_im: str, beta_re: str, beta_im: str) -> in
     beta = complex(float.fromhex(beta_re), float.fromhex(beta_im))
     # each setting has its own input: 4 inputs of one measurement each
     return inversion.Scheme(inversion.readout_design(_readout_table(alpha, beta)), 4, 4)
+
+
+def setting_scheme(
+    setting: str, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
+) -> inversion.Scheme:
+    """One setting of `pair_scheme(alpha, beta)` as a scheme: 1 setting x 4 outcomes.
+
+    Its design is rows 4s..4s+3 of A1 for setting s of `SETTINGS`, read by
+    one input.  It has rank 4, so `forward` and `sampling.sample` work on
+    it and `solve` refuses.
+    """
+    s = SETTINGS.index(setting)
+    return inversion.Scheme(pair_scheme(alpha, beta).design[4 * s : 4 * s + 4], 4, 1)
 
 
 @dataclass

@@ -42,8 +42,6 @@ PAULIS = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PHASE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
-BELL_LABELS = ("phi+", "psi+", "psi-", "phi-")
-
 
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool and anything else."""

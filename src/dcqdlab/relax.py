@@ -11,10 +11,12 @@ measurement) then determines both time constants at once:
   t'/T2' = t1/T1 + t2/T2, so t'/T2' = -2 ln(<X^A X^B>_out / <X^A X^B>_in)
   and T2 follows once T1 is known.
 
-This module only estimates.  The outcome distribution comes from the
-per-pair readout table (`dcqd.outcome_probabilities` of the coh_z setting),
-and the input factors <Z^A>_in and <X^A X^B>_in from
-`dcqd.input_pair_expectations`; no state is simulated here.  Real
+This module only estimates.  The outcome distribution is the coh_z
+configuration of the per-pair scheme (`dcqd.setting_scheme`, rows 4..7 of
+A1), forwarded from the channel's chi and, with shots, drawn by the one
+sampler (`sampling.sample`: the one configuration row with child 0 of
+`SeedSequence(seed)`).  The input factors <Z^A>_in and <X^A X^B>_in come
+from `dcqd.input_pair_expectations`; no state is simulated here.  Real
 amplitudes are fine (only <Z^A>_in != 1 and Re(a b*) != 0 are needed),
 unlike the full coherence protocol in `dcqd`, so the amplitudes get only
 `dcqd._check_amplitudes` (finite, normalized numbers).  Non-finite
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import dcqd, sampling
+from . import channels, dcqd, sampling
 from .exceptions import (
     IllPosedInputError,
     InconsistentDataError,
@@ -157,16 +159,19 @@ def joint_estimate(
     sequence under test) on the primary half of a|00> + b|11> and measures
     the canonical Bell projectors once.  Both the stabilizer -1 probability
     and the normalizer expectation are read off that single outcome
-    distribution (or, with `shots`, a single counts table).  `seed` is
-    checked like `sampling.sample_counts`'s, with or without `shots`.
+    distribution (or, with `shots`, a single configuration's frequencies,
+    `sampling.sample` of the coh_z scheme).  `seed` is checked like
+    `sampling.sample`'s, with or without `shots`; with `shots` the seed is
+    checked first, then the shot count, then the data.
     """
     x_in = dcqd.input_pair_expectations(alpha, beta)["normalizer"]
     alpha, beta = complex(alpha), complex(beta)  # numbers, as that call checked
-    q = dcqd.outcome_probabilities(channel, (dcqd.COH_Z,), alpha, beta)
+    scheme = dcqd.setting_scheme(dcqd.COH_Z, alpha, beta)
+    q = scheme.forward(channels.as_chi(channel, 1), 1)
     if shots is not None:
-        q = sampling.empirical_frequencies(sampling.sample_counts(q, shots, seed))
+        q = sampling.sample(scheme, q, shots, seed)
     else:
-        sampling._checked_seed(seed, generator_ok=True)
+        sampling._checked_seed(seed)
     p_minus = float(q[1] + q[2])
     x_out = float(q[0] + q[1] - q[2] - q[3])
     T1 = estimate_T1(p_minus, t1, alpha, beta)

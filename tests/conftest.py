@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dcqdlab import channels, dcqd, sampling
+from dcqdlab import channels, dcqd
 
 # naive Pauli definitions, written out rather than imported
 I2 = np.eye(2, dtype=complex)
@@ -236,19 +236,25 @@ def unflatten_hermitian(x, dim):
     return chi
 
 
+# outcome groups of the partial Bell analyzer and of its complement, in the
+# Bell order (phi+, psi+, psi-, phi-)
+OPTICS_GROUPS = ([(0, 3), (1,), (2,)], [(0,), (1, 2), (3,)])
+
+
 def optics_lstsq_oracle(channel, shots=None, seed=None, n=1):
     """Partial Bell-analyzer chi on n pairs by real-parameter least squares.
 
-    A configuration is one (setting, analyzer) per pair, the analyzer the
-    default model or its complement; its outcome groups are the products of
-    each pair's groups.  Sums the rows of each group of the real design and
-    the matching probabilities, draws the same seeded counts as the library
-    (one spawned seed per configuration, in the row order of
-    `unpair_axes(data, n, (8, 3))`: pair 1's (setting, analyzer) most
-    significant) and solves with a dense `lstsq`; independent of the
-    per-pair solver.
+    A configuration is one (setting, analyzer) per pair, the analyzer
+    `OPTICS_GROUPS[0]` or its complement `OPTICS_GROUPS[1]`; its outcome
+    groups are the products of each pair's groups.  Sums the rows of each
+    group of the real design and the matching probabilities.  With `shots`,
+    draws each configuration's counts itself, the library's seeding
+    contract written out: one spawned seed per configuration, in the row
+    order of `unpair_axes(data, n, (8, 3))` (pair 1's (setting, analyzer)
+    most significant), and a multinomial over the merged probabilities
+    clipped at 0 with the lost mass appended.  Solves with a dense `lstsq`;
+    independent of the per-pair solver and of the library's sampler.
     """
-    models = [sampling.OpticsModel(), sampling.OpticsModel().complement()]
     probs = dcqd.all_outcome_probabilities(channel, n)
     configs = list(itertools.product(itertools.product(range(4), range(2)), repeat=n))
     children = np.random.SeedSequence(seed).spawn(len(configs))
@@ -259,12 +265,14 @@ def optics_lstsq_oracle(channel, shots=None, seed=None, n=1):
         q = probs[np.ravel_multi_index(settings, (4,) * n)]
         groups = [
             [np.ravel_multi_index(outcomes, (4,) * n) for outcomes in itertools.product(*product)]
-            for product in itertools.product(*(models[j].groups() for _, j in config))
+            for product in itertools.product(*(OPTICS_GROUPS[j] for _, j in config))
         ]
         rows += [base[g].sum(axis=0) for g in groups]
         merged = np.array([q[g].sum() for g in groups])
         if shots is not None:
-            merged = sampling.sample_counts(merged, shots, child).counts / shots
+            merged = np.clip(merged, 0.0, None)
+            pvals = np.append(merged, max(0.0, 1.0 - merged.sum()))
+            merged = np.random.default_rng(child).multinomial(shots, pvals / pvals.sum())[:-1] / shots
         values.append(merged)
     x, *_ = np.linalg.lstsq(np.array(rows), np.concatenate(values), rcond=None)
     return unflatten_hermitian(x, 4**n)

@@ -209,21 +209,35 @@ class TestJointEstimate:
         )
 
     def test_uses_single_measurement(self, monkeypatch):
-        # both estimates must come from one counts table
+        # both estimates must come from one draw of one configuration row
         from dcqdlab import sampling
 
         calls = []
-        original = sampling.sample_counts
+        original = sampling.sample
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(scheme, data, shots, seed):
+            calls.append(scheme.counts(np.ndim(data))["n_experiments"])
+            return original(scheme, data, shots, seed)
 
-        monkeypatch.setattr(sampling, "sample_counts", counting)
+        monkeypatch.setattr(sampling, "sample", counting)
         relax.joint_estimate(
             damping_sequence(1.0, 2.0, 1.0, 1.0), ALPHA, BETA, 1.0, 1.0, shots=1000, seed=0
         )
-        assert len(calls) == 1
+        assert calls == [1]
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_seeding_contract(self, seed):
+        # the coh_z row is drawn with child 0 of SeedSequence(seed)
+        seq, shots = damping_sequence(1.0, 2.0, 1.0, 1.0), 3000
+        q = np.clip(dcqd.outcome_probabilities(seq, (dcqd.COH_Z,), ALPHA, BETA), 0.0, None)
+        pvals = np.append(q, max(0.0, 1.0 - q.sum()))
+        (child,) = np.random.SeedSequence(seed).spawn(1)
+        freqs = np.random.default_rng(child).multinomial(shots, pvals / pvals.sum())[:-1] / shots
+        T1 = relax.estimate_T1(float(freqs[1] + freqs[2]), 1.0, ALPHA, BETA)
+        x_in = 2 * ALPHA * BETA
+        _, T2 = relax.estimate_T2(float(freqs[0] + freqs[1] - freqs[2] - freqs[3]), x_in, 1.0, 1.0, T1)
+        est = relax.joint_estimate(seq, ALPHA, BETA, 1.0, 1.0, shots=shots, seed=seed)
+        assert (est.T1, est.T2) == (T1, T2)
 
     def test_sampled_accuracy(self):
         seq = damping_sequence(1.0, 2.0, 1.0, 1.0)

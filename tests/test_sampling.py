@@ -11,17 +11,31 @@ from dcqdlab.exceptions import (
     InvalidDistributionError,
 )
 
+# the partial Bell analyzer on one setting's outcomes (phi+, psi+, psi-, phi-)
+# and its complement, one row per outcome group
+G = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
+G_C = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=float)
+
+# one configuration row of 4 outcomes: the coh_z setting as a scheme
+ONE_ROW = dcqd.setting_scheme(dcqd.COH_Z)
+
+
+def draw(q, shots, seed):
+    """Frequencies of `shots` draws from the outcome probabilities `q` of one row."""
+    return sampling.sample(ONE_ROW, q, shots, seed)
+
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda q: dcqd.reconstruct_from_probabilities(q),
         lambda q: dcqd.closed_form_chi(q),
-        lambda q: sampling.sample_counts(q[0], shots=10, seed=1),
-        lambda q: sampling.apply_optics_model(q[0], sampling.OpticsModel()),
+        lambda q: draw(q[1], shots=10, seed=1),
+        lambda q: sampling.sample(sampling._optics_scheme(dcqd.pair_scheme()), q, shots=10, seed=1),
         lambda q: dcqd.reconstruct_coherence(dcqd.COH_Z, q[1], q[0]),
         lambda q: sampling.sample(dcqd.pair_scheme(), np.ravel(q), shots=10, seed=1),
     ],
+    # sample_counts: one configuration row (`draw`); optics: the analyzer's scheme
     ids=["reconstruct", "closed_form", "sample_counts", "optics", "coherence", "sample"],
 )
 def test_complex_data_rejected(call):
@@ -42,47 +56,48 @@ def test_complex_data_rejected(call):
 def test_non_numeric_counts_data_rejected(data):
     # these raised numpy's ValueError or the builtin TypeError
     with pytest.raises(InvalidDistributionError, match="real"):
-        sampling.sample_counts(data, shots=10, seed=0)
+        draw(data, shots=10, seed=0)
 
 
 class TestSampleCounts:
+    """The counts `sample` draws for one configuration row (`draw`)."""
+
     def test_deterministic_distribution(self):
-        table = sampling.sample_counts([1, 0, 0, 0], shots=1000, seed=3)
-        assert np.array_equal(table.counts, [1000, 0, 0, 0])
-        assert table.lost == 0
+        assert np.array_equal(draw([1, 0, 0, 0], shots=1000, seed=3), [1, 0, 0, 0])
 
     def test_same_seed_same_counts(self):
-        a = sampling.sample_counts([0.4, 0.3, 0.2, 0.1], shots=5000, seed=11)
-        b = sampling.sample_counts([0.4, 0.3, 0.2, 0.1], shots=5000, seed=11)
-        assert np.array_equal(a.counts, b.counts)
+        a = draw([0.4, 0.3, 0.2, 0.1], shots=5000, seed=11)
+        b = draw([0.4, 0.3, 0.2, 0.1], shots=5000, seed=11)
+        assert np.array_equal(a, b)
 
     def test_binomial_concentration(self):
         # 5 sigma band around p = 0.75 at 10^6 shots: sigma = sqrt(pq/N)
         shots = 10**6
-        table = sampling.sample_counts([0.75, 0.25, 0, 0], shots=shots, seed=123)
+        freqs = draw([0.75, 0.25, 0, 0], shots=shots, seed=123)
         sigma = math.sqrt(0.75 * 0.25 / shots)
-        assert abs(table.counts[0] / shots - 0.75) < 5 * sigma
+        assert abs(freqs[0] - 0.75) < 5 * sigma
 
     def test_counts_conserved(self):
-        table = sampling.sample_counts([0.4, 0.3, 0.2, 0.1], shots=777, seed=5)
-        assert table.counts.sum() + table.lost == 777
+        # frequencies are counts / shots, and a normalized row loses no trial
+        counts = draw([0.4, 0.3, 0.2, 0.1], shots=777, seed=5) * 777
+        assert np.max(np.abs(counts - np.rint(counts))) < 1e-9
+        assert np.rint(counts).sum() == 777
 
     def test_subnormalized_mass_goes_to_lost(self):
-        table = sampling.sample_counts([0.25, 0.25, 0, 0], shots=10**5, seed=9)
-        assert table.counts.sum() + table.lost == 10**5
-        assert abs(table.lost / 10**5 - 0.5) < 0.01
+        # frequencies divide by every shot, so the lost half stays lost
+        freqs = draw([0.25, 0.25, 0, 0], shots=10**5, seed=9)
+        assert abs(freqs.sum() - 0.5) < 0.01
 
     def test_negative_probability_rejected(self):
         with pytest.raises(InvalidDistributionError):
-            sampling.sample_counts([0.5, 0.6, -0.1, 0], shots=10, seed=0)
+            draw([0.5, 0.6, -0.1, 0], shots=10, seed=0)
 
     def test_excess_mass_rejected(self):
         with pytest.raises(InvalidDistributionError):
-            sampling.sample_counts([0.5, 0.6, 0, 0], shots=10, seed=0)
+            draw([0.5, 0.6, 0, 0], shots=10, seed=0)
 
     def test_tiny_negative_clipped(self):
-        table = sampling.sample_counts([1.0, -1e-14, 0, 0], shots=100, seed=0)
-        assert table.counts[0] == 100
+        assert np.array_equal(draw([1.0, -1e-14, 0, 0], shots=100, seed=0), [1, 0, 0, 0])
 
     def test_hoeffding_band(self):
         # max_k |qhat_k - q_k| < 5 sqrt(ln(8/delta) / 2N) with delta = 0.01
@@ -90,35 +105,37 @@ class TestSampleCounts:
         shots = 20000
         bound = 5 * math.sqrt(math.log(8 / 0.01) / (2 * shots))
         for seed in range(10):
-            table = sampling.sample_counts(q, shots=shots, seed=seed)
-            assert np.max(np.abs(table.counts / shots - q)) < bound
+            assert np.max(np.abs(draw(q, shots=shots, seed=seed) - q)) < bound
 
-    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [math.inf, 0.0], [0.5, -math.inf]])
+    @pytest.mark.parametrize(
+        "probs", [[math.nan, 0.5, 0, 0], [math.inf, 0.0, 0, 0], [0.5, -math.inf, 0, 0]]
+    )
     def test_non_finite_probability_rejected(self, probs):
         with pytest.raises(InvalidDistributionError, match="NaN| > 1"):
-            sampling.sample_counts(probs, shots=10, seed=0)
+            draw(probs, shots=10, seed=0)
 
     @pytest.mark.parametrize(
         "shots", [0, -5, 2.5, 10.0, math.inf, math.nan, True, 2**63, 10**20, "10"]
     )
     def test_shots_must_be_an_int64_count(self, shots):
         with pytest.raises(InvalidDistributionError, match="shots"):
-            sampling.sample_counts([0.5, 0.5], shots=shots, seed=0)
+            draw([0.5, 0.5, 0, 0], shots=shots, seed=0)
 
     def test_largest_shot_count_accepted(self):
-        table = sampling.sample_counts([1.0, 0.0], shots=sampling.MAX_SHOTS, seed=0)
-        assert table.counts[0] == sampling.MAX_SHOTS == 2**63 - 1
-        assert sampling.sample_counts([1.0], shots=np.int64(7), seed=0).counts[0] == 7
+        assert sampling.MAX_SHOTS == 2**63 - 1
+        assert np.array_equal(draw([1.0, 0, 0, 0], shots=sampling.MAX_SHOTS, seed=0), [1, 0, 0, 0])
+        assert np.array_equal(draw([0, 1.0, 0, 0], shots=np.int64(7), seed=0), [0, 1, 0, 0])
 
     @pytest.mark.parametrize("shape", [(2, 2), (0,), ()])
     def test_needs_probability_vector(self, shape):
         with pytest.raises(DimensionMismatchError):
-            sampling.sample_counts(np.full(shape, 0.25), shots=10, seed=0)
+            draw(np.full(shape, 0.25), shots=10, seed=0)
 
 
 BAD_SEEDS = [-1, 1.5, "abc", True, np.float64(2.0), [1, 2]]
+# sample_counts: the counts of one configuration row (`draw`)
 SEED_ENTRY_POINTS = {
-    "sample_counts": lambda seed: sampling.sample_counts([0.5, 0.5], shots=10, seed=seed),
+    "sample_counts": lambda seed: draw([0.5, 0.5, 0, 0], shots=10, seed=seed),
     "characterize_sampled": lambda seed: sampling.characterize_sampled(
         channels.bit_flip(0.1), shots=10, seed=seed
     ),
@@ -133,6 +150,9 @@ SEED_ENTRY_POINTS = {
             channels.amplitude_damping(t=1.0, T1=2.0), channels.phase_damping(t=1.0, T2=1.0)
         ),
         0.8, 0.6, 1.0, 1.0, shots=10**5, seed=seed,
+    ),
+    "joint_estimate_exact": lambda seed: relax.joint_estimate(
+        channels.identity_channel(), 0.8, 0.6, 1.0, 1.0, seed=seed
     ),
 }
 
@@ -150,11 +170,11 @@ class TestSeeds:
         for seed in (None, 0, np.int64(3), 2**70):
             SEED_ENTRY_POINTS[entry](seed)
 
-    def test_generator_only_for_sample_counts(self):
-        table = sampling.sample_counts([0.5, 0.5], shots=10, seed=np.random.default_rng(4))
-        assert table.counts.sum() == 10
+    @pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+    def test_generator_rejected(self, entry):
+        # joint_estimate took a Generator, with or without shots
         with pytest.raises(InvalidDistributionError, match="seed must be"):
-            sampling.characterize_sampled(channels.bit_flip(0.1), shots=10, seed=np.random.default_rng(4))
+            SEED_ENTRY_POINTS[entry](np.random.default_rng(4))
 
     def test_seed_sequence_accepted(self):
         a, _ = sampling.characterize_sampled(channels.bit_flip(0.1), shots=10, seed=np.random.SeedSequence(8))
@@ -247,24 +267,22 @@ class TestSample:
         return sampling.sample(self.scheme, inversion.pair_axes(rows, 2, 4), shots, seed)
 
     @pytest.mark.parametrize(
-        "bad,later",
+        "bad,later,message",
         [
-            (NEGATIVE, EXCESS),
-            ([math.nan] + [0.0] * 15, EXCESS),
-            (EXCESS, NEGATIVE),
-            ([math.inf] + [0.0] * 15, NEGATIVE),
+            (NEGATIVE, EXCESS, "outcome probability -5.000e-01 is negative or NaN"),
+            ([math.nan] + [0.0] * 15, EXCESS, "outcome probability nan is negative or NaN"),
+            (EXCESS, NEGATIVE, f"outcome probabilities sum to {np.float64(8.0)!r} > 1"),
+            ([math.inf] + [0.0] * 15, NEGATIVE, f"outcome probabilities sum to {np.float64(math.inf)!r} > 1"),
         ],
         ids=["negative", "nan", "excess", "inf"],
     )
-    def test_first_bad_row_reports_what_sample_counts_reports(self, bad, later):
+    def test_first_bad_row_reports_what_sample_counts_reports(self, bad, later, message):
         # row 11 fails the other check, which must not mask row 7
         rows = self.rows.copy()
         rows[7], rows[11] = bad, later
-        with pytest.raises(InvalidDistributionError) as want:
-            sampling.sample_counts(rows[7], 100, seed=0)
         with pytest.raises(InvalidDistributionError) as got:
             self.sample_rows(rows)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == message
 
     def test_seed_then_shots_then_data_before_any_draw(self, monkeypatch):
         rows = self.rows.copy()
@@ -288,56 +306,25 @@ class TestSample:
 
 class TestOpticsModel:
     def test_default_partition(self):
-        model = sampling.OpticsModel()
-        assert set(model.resolved) == {1, 2}
-        assert set(model.merged) == {0, 3}
-        assert model.complement().resolved == model.merged
-
-    def test_bad_partition_rejected(self):
-        # (None, None) and a string entry raised the builtin TypeError; float
-        # and bool entries passed and raised it later, in labels(), and an
-        # empty merged group passed and raised IndexError there
-        cases = [
-            ((1, 2), (2, 3)), (None, None), ((1, 2), (0, "3")), ((1.0, 2.0), (0, 3)),
-            ((True, 2), (0, 3)), ((0, 1, 2, 3), ()), ((1, 2), 3), ("12", "03"),
-        ]
-        for resolved, merged in cases:
-            with pytest.raises(InvalidDistributionError, match="partition"):
-                sampling.OpticsModel(resolved=resolved, merged=merged)
-        # list groups are stored as tuples, so the model hashes and equals the default
-        model = sampling.OpticsModel([1, 2], [0, 3])
-        assert (model.resolved, model.merged) == ((1, 2), (0, 3))
-        assert hash(model) == hash(sampling.OpticsModel()) and model == sampling.OpticsModel()
-        assert sampling.OpticsModel((), range(4)).labels() == ["phi+/psi+/psi-/phi-"]
-        # a model that is not an OpticsModel raised the builtin AttributeError
-        for model in (None, "base", np.eye(3)):
-            with pytest.raises(InvalidConfigurationError, match="OpticsModel"):
-                sampling.apply_optics_model([0.25] * 4, model)
+        # each analyzer's groups partition the 4 outcomes; the analyzer merges
+        # phi+ with phi- and resolves the psi pair, its complement the reverse
+        for g in (sampling._G, sampling._G_C):
+            assert np.array_equal(np.sum(g, axis=0), [1, 1, 1, 1])
+        assert [np.flatnonzero(row).tolist() for row in sampling._G] == [[0, 3], [1], [2]]
+        assert [np.flatnonzero(row).tolist() for row in sampling._G_C] == [[0], [1, 2], [3]]
 
     def test_optics_design_is_the_merged_designs(self):
         # the design of characterize_with_optics is each setting's 4 rows of A1
-        # merged by the default analyzer and by its complement, bit for bit
-        model = sampling.OpticsModel()
+        # merged by the analyzer and by its complement, bit for bit
         for alpha, beta in [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j)]:
             pair = dcqd.pair_scheme(alpha, beta)
             scheme = sampling._optics_scheme(pair)
-            merged = [
-                m.merge_matrix @ pair.design[4 * s : 4 * s + 4]
-                for s in range(4)
-                for m in (model, model.complement())
-            ]
+            merged = [g @ pair.design[4 * s : 4 * s + 4] for s in range(4) for g in (G, G_C)]
             assert np.array_equal(scheme.design, np.vstack(merged))
             assert (scheme.settings, scheme.outcomes) == (8, 3)
         result = sampling.characterize_with_optics(channels.bit_flip(0.25))
         chi_true = channels.chi_from_kraus(channels.bit_flip(0.25))
         assert np.max(np.abs(result.chi - chi_true)) < 1e-12
-
-    def test_merging_example(self):
-        merged = sampling.apply_optics_model([0.75, 0.25, 0, 0], sampling.OpticsModel())
-        assert merged == {"phi+/phi-": 0.75, "psi+": 0.25, "psi-": 0.0}
-        # a tiny negative entry passes the check and is summed as it is, not clipped
-        merged = sampling.apply_optics_model([0.5, -1e-13, 0.25, 0.25], sampling.OpticsModel())
-        assert merged == {"phi+/phi-": 0.75, "psi+": -1e-13, "psi-": 0.25}
 
     @pytest.mark.parametrize(
         "probs,message",
@@ -349,16 +336,21 @@ class TestOpticsModel:
         ],
     )
     def test_bad_probabilities_rejected(self, probs, message):
-        # these returned NaN (with numpy's RuntimeWarning) or -3.0 for phi+/phi-
+        # the pop setting's bad probabilities, summed over each analyzer's
+        # groups, are rejected by the sampler of the optics path
+        merged = sampling._MERGE @ np.full(16, 0.25)
+        merged[:6] = np.concatenate([np.where(g, probs, 0.0).sum(axis=1) for g in (G, G_C)])
         with pytest.raises(InvalidDistributionError, match=message):
-            sampling.apply_optics_model(probs, sampling.OpticsModel())
+            sampling.sample(sampling._optics_scheme(dcqd.pair_scheme()), merged, 10, 0)
 
     def test_mass_preserved(self, rng):
         kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
         for config in dcqd.all_configurations(1):
             q = dcqd.outcome_probabilities(kraus, config)
-            merged = sampling.apply_optics_model(q, sampling.OpticsModel())
-            assert sum(merged.values()) == pytest.approx(q.sum(), abs=1e-12)
+            s = dcqd.SETTINGS.index(config[0])
+            merged = (sampling._MERGE @ np.kron(np.eye(4)[s], q)).reshape(4, 2, 3)
+            # each analyzer's groups of setting s sum to the setting's mass
+            assert merged[s].sum(axis=1) == pytest.approx([q.sum()] * 2, abs=1e-12)
 
     def test_pop_rank_deficient_then_restored(self):
         # pop's rows of the optics design: 0-2 the default analyzer, 3-5 its complement
@@ -369,17 +361,12 @@ class TestOpticsModel:
 
     @pytest.mark.parametrize("alpha,beta", [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j)])
     def test_merged_design_matches_dense_rows(self, alpha, beta):
-        model = sampling.OpticsModel()
         for setting in dcqd.SETTINGS:
             dense = design_matrix((setting,), alpha, beta)
             s = dcqd.SETTINGS.index(setting)
             rows = sampling._optics_scheme(dcqd.pair_scheme(alpha, beta)).design[6 * s : 6 * s + 6]
-            for models, got in (
-                ([model], rows[:3]),
-                ([model.complement()], rows[3:]),
-                ([model, model.complement()], rows),
-            ):
-                want = np.vstack([m.merge_matrix @ dense for m in models])
+            for groups, got in (([G], rows[:3]), ([G_C], rows[3:]), ([G, G_C], rows)):
+                want = np.vstack([g @ dense for g in groups])
                 assert np.max(np.abs(got - want)) < 1e-15
 
     def test_full_configuration_set_rank_restored(self):
@@ -397,9 +384,8 @@ class TestOpticsModel:
         assert result.n_configurations == 8  # doubled
 
     def test_merge_matrix(self):
-        model = sampling.OpticsModel()
-        assert model.merge_matrix.tolist() == [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
-        assert model.complement().merge_matrix.tolist() == [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+        # [G; G_c] on each setting's 4 outcomes, and nothing across settings
+        assert np.array_equal(sampling._MERGE, np.kron(np.eye(4), np.vstack([G, G_C])))
 
     @pytest.mark.parametrize("shots", [None, 1000])
     def test_optics_matches_real_lstsq_oracle(self, shots, rng):
