@@ -244,7 +244,7 @@ def cmd_characterize(args) -> int:
         # the analyzer's data outgrow chi, so their bound (after the register's)
         # comes before the channel is loaded; the bound reads only the number
         # of design rows, the same for all amplitudes
-        sampling._optics_scheme(dcqd.pair_scheme()).check_pairs(args.n)
+        dcqd.optics_scheme().check_pairs(args.n)
     chi, spec_dict = _load_channel(args)
     if args.optics:
         result = sampling.characterize_with_optics(

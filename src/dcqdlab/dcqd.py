@@ -36,21 +36,25 @@ non-finite data raise `InvalidDistributionError`.
 
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
-readout table (4 settings x 4 outcomes); its 16 x 16 single-pair design A1
-(`inversion.readout_design`) is the read-only design of the amplitudes'
-per-pair scheme (`pair_scheme(alpha, beta).design`, an `inversion.Scheme`
-of 4 settings x 4 outcomes built once per process for each amplitude pair,
-with its SVD), which carries every exact and sampled path:
+readout table (4 settings x 4 outcomes), and one cache (`_schemes`) builds
+its 16 x 16 single-pair design A1 (`inversion.readout_design`) and every
+scheme on it, each with its SVD, once per process for each amplitude pair:
 
-* forward model: the probability array is A1 applied along every pair axis
-  of the channel's chi;
-* solver: the stacked design of all configurations is a permuted n-fold
-  Kronecker power of A1, so chi is A1^-1 applied along every pair axis of
-  the data, and the design's rank and condition number are rank(A1)**n and
-  cond(A1)**n.  `_solve` turns any scheme's solve into a
-  `ReconstructionResult`, the partial Bell analyzer's in `sampling` too;
-* one setting: `setting_scheme` is that setting's 4 rows of A1 as a
-  scheme of its own, the one configuration `relax` forwards and samples.
+* `pair_scheme`, 4 settings x 4 outcomes, carries every exact and sampled
+  path.  Its forward model applies A1 along every pair axis of chi; the
+  stacked design of all configurations is a permuted n-fold Kronecker power
+  of A1, so chi is A1^-1 along every pair axis of the data, with rank
+  rank(A1)**n and condition number cond(A1)**n.  `_solve` turns any
+  scheme's solve into a `ReconstructionResult`;
+* `setting_scheme` is one setting's 4 rows of A1, the one configuration
+  `relax` forwards and samples; `outcome_probabilities` forwards through
+  the designs of its settings' schemes;
+* `optics_scheme` is the partial Bell analyzer on every pair: G resolves two
+  of the four Bell states and merges the other two, and measuring its
+  complement G_c as well restores full rank.  Its row map `_MERGE`, the
+  block-diagonal [G; G_c] of each setting, makes 8 (setting, analyzer)
+  settings x 3 outcomes, 8**n configurations whose 24**n data entries
+  limit it to n = 1..4 (`inversion.Scheme.check_pairs`).
 
 The single-pair closed forms below (n = 1) are the paper's route and serve
 as an independent cross-check of the solver.  The readout table is the
@@ -193,7 +197,7 @@ def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
     states rotated the same way, W_s[:, k] = (V_s (x) I) |Bell_k>, with V_s
     from PREP_ROTATIONS.  Outcome k's amplitude after a primary-qubit
     operator K is then sum K[a, a'] M[(s, k), (a, a')].  The amplitudes are
-    checked by `pair_scheme`.
+    checked before `_schemes` builds it.
     """
     # bell[k, a, b]: Bell state k with the primary qubit first
     bell = np.array(ops.bell_basis()).reshape(4, 2, 2)
@@ -205,6 +209,22 @@ def _readout_table(alpha: complex, beta: complex) -> np.ndarray:
         psi = v @ np.diag([pop, pop] if s == POP else [alpha, beta])
         rows.append(np.einsum("kab,cb->kac", w.conj(), psi).reshape(4, 4))
     return np.vstack(rows)
+
+
+# The analyzer on one setting's outcomes (phi+, psi+, psi-, phi-): G merges
+# phi+ with phi- and resolves psi+ and psi-, its complement G_c resolves phi+
+# and phi- and merges psi+ with psi-.  Row g of either is outcome group g,
+# groups in the order of their smallest outcome.
+_G = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+_G_C = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+# [G; G_c] for each setting: rows (setting, analyzer, group), columns (setting, outcome)
+_MERGE = np.kron(np.eye(4), np.vstack([_G, _G_C]))
+
+
+def _check_settings(settings: tuple) -> None:
+    bad = [s for s in settings if s not in SETTINGS]
+    if bad:
+        raise InvalidConfigurationError(f"unknown settings {bad}; valid: {SETTINGS}")
 
 
 def outcome_probabilities(
@@ -223,14 +243,11 @@ def outcome_probabilities(
         raise InvalidConfigurationError(f"settings must be a sequence, got {settings!r}") from None
     if not settings:
         raise InvalidConfigurationError("configuration needs at least one pair")
-    bad = [s for s in settings if s not in SETTINGS]
-    if bad:
-        raise InvalidConfigurationError(f"unknown settings {bad}; valid: {SETTINGS}")
+    _check_settings(settings)
     channels.check_register_size(len(settings))
-    # rows of A1 grouped by setting: a1[s] is setting s's 4 x 16 design
-    a1 = pair_scheme(alpha, beta).design.reshape(4, 4, 16)
+    singles = _schemes(*_check_amplitudes(alpha, beta))[2]
     chi = channels.as_chi(channel, len(settings))
-    return inversion.forward([a1[SETTINGS.index(s)] for s in settings], chi).ravel()
+    return inversion.forward([singles[SETTINGS.index(s)].design for s in settings], chi).ravel()
 
 
 def _experiment(
@@ -365,26 +382,33 @@ def map_frame(setting: str, coh_stab: complex, coh_norm: complex) -> dict[tuple[
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _schemes(alpha: complex, beta: complex) -> tuple:
+    """The pair scheme, the analyzer's and each setting's (in `SETTINGS` order), on one A1.
+
+    Keyed on the checked complex amplitudes, at most 32 pairs: amplitudes
+    that differ only in a signed zero share their (bit-identical) schemes.
+    """
+    a1 = inversion.readout_design(_readout_table(alpha, beta))
+    # each setting has its own input: 4 inputs of one measurement each, which
+    # the analyzer reads twice, with G and with G_c
+    singles = tuple(inversion.Scheme(a1[4 * s : 4 * s + 4], 4, 1) for s in range(4))
+    return inversion.Scheme(a1, 4, 4), inversion.Scheme(a1, 3, 4, _MERGE), singles
+
+
 def pair_scheme(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) -> inversion.Scheme:
     """The per-pair scheme of these amplitudes: 4 settings x 4 outcomes on A1.
 
-    Built once per process for each exact (alpha, beta), so A1 and its SVD
-    are too.  The cache (at most 32 amplitude pairs) is keyed on the bits of
-    both amplitudes, so amplitudes that differ only in a signed zero get
-    their own scheme.  Amplitudes that fail `_check_amplitudes` raise
+    Built once per process for each amplitude pair (`_schemes`), so A1 and
+    its SVD are too.  Amplitudes that fail `_check_amplitudes` raise
     `InvalidConfigurationError` on every call.
     """
-    alpha, beta = _check_amplitudes(alpha, beta)
-    return _pair_scheme(*(x.hex() for z in (alpha, beta) for x in (z.real, z.imag)))
+    return _schemes(*_check_amplitudes(alpha, beta))[0]
 
 
-@functools.lru_cache(maxsize=32)
-def _pair_scheme(alpha_re: str, alpha_im: str, beta_re: str, beta_im: str) -> inversion.Scheme:
-    """`pair_scheme` of the amplitudes whose parts are given by `float.hex`."""
-    alpha = complex(float.fromhex(alpha_re), float.fromhex(alpha_im))
-    beta = complex(float.fromhex(beta_re), float.fromhex(beta_im))
-    # each setting has its own input: 4 inputs of one measurement each
-    return inversion.Scheme(inversion.readout_design(_readout_table(alpha, beta)), 4, 4)
+def optics_scheme(alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA) -> inversion.Scheme:
+    """The partial Bell analyzer's scheme, A1 with the row map `_MERGE`: 8 settings x 3 groups."""
+    return _schemes(*_check_amplitudes(alpha, beta))[1]
 
 
 def setting_scheme(
@@ -394,10 +418,10 @@ def setting_scheme(
 
     Its design is rows 4s..4s+3 of A1 for setting s of `SETTINGS`, read by
     one input.  It has rank 4, so `forward` and `sampling.sample` work on
-    it and `solve` refuses.
+    it and `solve` refuses.  Checks the setting, then the amplitudes.
     """
-    s = SETTINGS.index(setting)
-    return inversion.Scheme(pair_scheme(alpha, beta).design[4 * s : 4 * s + 4], 4, 1)
+    _check_settings((setting,))
+    return _schemes(*_check_amplitudes(alpha, beta))[2][SETTINGS.index(setting)]
 
 
 @dataclass

@@ -19,23 +19,25 @@ and the experiment on n pairs is D1 applied along every pair axis of chi
   and E_m = ops.PAULIS[m], the one-qubit Pauli table;
 * the forward model `forward` applies a per-pair design along each pair
   axis of chi: q = D1^{(x) n} chi;
-* `Scheme(design, outcomes, inputs)` is one pair's experiment: S settings
-  (I inputs x S / I measurements each) x K outcomes and its read-only
-  per-pair design D1, rows ordered (setting, outcome).  It is the one place
-  that knows the size of the experiment on n pairs: `counts(n)` gives its
-  I**n inputs, (S / I)**n measurements per input and S**n configurations,
-  and `check_pairs(n)` bounds its data, len(D1)**n entries, by the
-  16**MAX_QUBITS entries of the largest chi before anything of that size is
-  built.  Its `forward` applies D1 to chi, and its `solve` applies the
-  pseudo-inverse: one SVD of D1, kept on the scheme, gives its rank (the
-  full design has rank(D1)**n), cond(D1)**n and pinv(D1), and pinv(D1)
-  along every pair axis of the data is the least-squares chi.  Each
-  experiment keeps its schemes (per amplitudes, or once per process), so
-  the SVD runs once per scheme.
+* `Scheme(readout, outcomes, inputs, row_map)` is one pair's experiment: S
+  settings (I inputs x S / I measurements each) x K outcomes and its
+  read-only per-pair design D1, `readout` or, with a real row map of its
+  outcomes, `row_map @ readout`, rows ordered (setting, outcome).  It is the
+  one place that knows the size of the experiment on n pairs: `counts(n)`
+  gives its I**n inputs, (S / I)**n measurements per input and S**n
+  configurations, and `check_pairs(n)` bounds its data, len(D1)**n entries,
+  by the 16**MAX_QUBITS entries of the largest chi before anything of that
+  size is built.  Its `forward` applies `readout`, then `row_map`, along
+  each pair axis, and its `solve` applies the pseudo-inverse: one SVD of
+  D1, kept on the scheme, gives its rank (the full design has
+  rank(D1)**n), cond(D1)**n and pinv(D1), and pinv(D1) along every pair
+  axis of the data is the least-squares chi.  Each experiment keeps its
+  schemes (per amplitudes, or once per process), so the SVD runs once per
+  scheme.
 
-The direct protocol (`dcqd`) and the partial Bell analyzer (`sampling`, a
-merge matrix on the rows of D1) are schemes that differ only in T and the
-merge.  The SQPT baseline (`sqpt`) is a square scheme of 16 (input, Pauli)
+The direct protocol's schemes (`dcqd`) share one readout table: the full
+experiment, one setting, and the partial Bell analyzer, which merges outcomes.
+The SQPT baseline (`sqpt`) is a square scheme of 16 (input, Pauli)
 settings x 1 outcome whose data are Pauli expectations; it builds its
 design D1[(i, p), (m, m')] = Tr(E_p E_m rho_i E_m'^dag) itself.
 """
@@ -106,12 +108,13 @@ def readout_design(table: np.ndarray) -> np.ndarray:
 class Scheme:
     """One pair's experiment: `settings` x `outcomes` rows of a read-only per-pair design.
 
-    `design` is the R x 16 per-pair design (a read-only copy of the one
-    given), rows ordered (setting, outcome) and columns (m, m') of chi; the
-    settings are ordered (input, measurement), `inputs` inputs with
-    settings / inputs measurements each.  The experiment on n pairs runs
-    `settings**n` configurations (`counts`); its data have one axis of
-    length R per pair, at most 16**`channels.MAX_QUBITS` entries in all
+    `design` is the R x 16 per-pair design, `readout` (the table's outcomes)
+    or `row_map @ readout` (a real map of them), each copied read-only; rows
+    ordered (setting, outcome) and columns (m, m') of chi; the settings are
+    ordered (input, measurement), `inputs` inputs with settings / inputs
+    measurements each.  The experiment on n pairs runs `settings**n`
+    configurations (`counts`); its data have one axis of length R per pair,
+    at most 16**`channels.MAX_QUBITS` entries in all
     (`check_pairs`), and `unpair_axes(data, n, (settings, outcomes))` puts
     configurations in rows and joint outcomes in columns.  The data are
     outcome probabilities, or any other data linear in chi, such as the
@@ -119,13 +122,22 @@ class Scheme:
     draws only from probabilities.
     """
 
-    design: np.ndarray
+    readout: np.ndarray
     outcomes: int
     inputs: int
+    row_map: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "design", np.array(self.design))
-        self.design.flags.writeable = False
+        for name in ("readout", "row_map"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.array(getattr(self, name)))
+                getattr(self, name).flags.writeable = False
+
+    @functools.cached_property
+    def design(self) -> np.ndarray:
+        design = self.readout if self.row_map is None else self.row_map @ self.readout
+        design.flags.writeable = False
+        return design
 
     @property
     def settings(self) -> int:
@@ -163,8 +175,9 @@ class Scheme:
         return len(shape)
 
     def forward(self, chi: np.ndarray, n: int) -> np.ndarray:
-        """Outcome probabilities of n pairs, one axis per pair (`forward`)."""
-        return forward([self.design] * n, chi)
+        """Outcome probabilities of n pairs, one axis per pair: `forward`, then the row map."""
+        data = forward([self.readout] * n, chi)
+        return data if self.row_map is None else per_pair(data, [self.row_map] * n)
 
     @functools.cached_property
     def _svd(self) -> tuple[Optional[np.ndarray], Optional[float], int]:

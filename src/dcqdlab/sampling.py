@@ -1,4 +1,4 @@
-"""Finite-shot statistics and the partial Bell-analyzer measurement model.
+"""Finite-shot statistics and the partial Bell-analyzer reconstruction.
 
 Sampling is multinomial per configuration, driven by one documented seed,
 and `sample(scheme, data, shots, seed)` is the one sampler: it checks the
@@ -7,36 +7,22 @@ whole array once (`_cell_probabilities`), spawns
 the configuration layout (`inversion.unpair_axes`) with child c, so runs
 are bit-identical for a given seed and independent across configurations.
 Every sampled path draws through it: the full experiment
-(`characterize_sampled`), the analyzer below and the one coh_z
+(`characterize_sampled`), the partial Bell analyzer
+(`characterize_with_optics`, on `dcqd.optics_scheme`) and the one coh_z
 configuration of `relax.joint_estimate` (`dcqd.setting_scheme`).
 Reconstruction from sampled frequencies is the same raw linear inversion as
 the exact path (`dcqd._solve`); no renormalization and no positivity repair
 is applied, so negative chi eigenvalues at finite shots are reported, not
-hidden.
-
-The optics model captures a linear-optics Bell analyzer that can only
-resolve two of the four Bell states and reports the other two as a single
-merged symbol.  It is a merge matrix G on the four outcome rows of each
-setting.  Merged outcomes make a single configuration's design rank
-deficient; measuring the complementary analyzer setting G_c as well
-(swapping which pair is resolved) restores full rank at twice the
-configuration count per pair.  The analyzer is then a scheme of its own, 8
-(setting, analyzer) settings x 3 outcomes: its design is `_MERGE @ A1`,
-`_MERGE` the block-diagonal [G; G_c] of each setting (rows 6s..6s+5), built
-once per DCQD pair scheme, and its data on n pairs are the DCQD data merged
-the same way along every pair axis, 8**n configurations.  Those data, 24**n
-entries, outgrow chi's 16**n, so the scheme's data bound
-(`inversion.Scheme.check_pairs`) admits n = 1..4."""
+hidden."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import dcqd, inversion
+from . import channels, dcqd, inversion
 from .exceptions import InvalidDistributionError
 from .ops import is_integer
 
@@ -88,7 +74,7 @@ def _cell_probabilities(rows: np.ndarray) -> np.ndarray:
     if low[first]:
         raise InvalidDistributionError(f"outcome probability {lo[first]:.3e} is negative or NaN")
     if high[first]:
-        raise InvalidDistributionError(f"outcome probabilities sum to {total[first]!r} > 1")
+        raise InvalidDistributionError(f"outcome probabilities sum to {float(total[first])} > 1")
     rows = np.clip(rows, 0.0, None)
     pvals = np.column_stack([rows, np.maximum(0.0, 1.0 - rows.sum(axis=1))])
     pvals /= pvals.sum(axis=1, keepdims=True)
@@ -146,30 +132,6 @@ def sample(scheme: inversion.Scheme, data: np.ndarray, shots: int, seed) -> np.n
     return inversion.pair_axes(drawn[:, :-1] / shots, n, digits)
 
 
-# ---------------------------------------------------------------------------
-# Partial Bell-state analyzer
-# ---------------------------------------------------------------------------
-
-
-# The analyzer on one setting's outcomes (phi+, psi+, psi-, phi-): G merges
-# phi+ with phi- and resolves psi+ and psi-, its complement G_c resolves phi+
-# and phi- and merges psi+ with psi-.  Row g of either is outcome group g,
-# groups in the order of their smallest outcome.
-_G = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
-_G_C = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
-# [G; G_c] for each setting: rows (setting, analyzer, group), columns (setting, outcome)
-_MERGE = np.kron(np.eye(4), np.vstack([_G, _G_C]))
-
-
-@functools.lru_cache(maxsize=32)
-def _optics_scheme(pair: inversion.Scheme) -> inversion.Scheme:
-    """The analyzer's scheme on a DCQD pair scheme: 8 (setting, analyzer) settings x 3 groups.
-
-    Its inputs are the pair's, each read by both analyzers.
-    """
-    return inversion.Scheme(_MERGE @ pair.design, 3, pair.inputs)
-
-
 def characterize_with_optics(
     channel,
     alpha: complex = dcqd.DEFAULT_ALPHA,
@@ -181,18 +143,18 @@ def characterize_with_optics(
     """Reconstruction of n qubits through a partial Bell analyzer on every pair.
 
     Every setting of a pair is measured twice, once with the analyzer G and
-    once with its complement G_c (`_MERGE`), so the configuration count
-    grows from 4**n to 8**n while full rank is recovered.  With `shots` set,
-    each configuration is sampled independently (`sample`).  The merge acts
-    on the DCQD data along every pair axis, so each merged probability is
-    the sum of its terms.  The amplitudes' finiteness and norm are checked
-    first, then n against the scheme's data bound (`check_pairs`: n = 1..4),
-    before the channel is looked at.
+    once with its complement G_c (`dcqd.optics_scheme`), so the
+    configuration count grows from 4**n to 8**n while full rank is
+    recovered.  With `shots` set, each configuration is sampled
+    independently (`sample`).  The amplitudes' finiteness and norm are
+    checked first, then n against the scheme's data bound (`check_pairs`:
+    n = 1..4), then the amplitudes for a full experiment
+    (`dcqd.validate_amplitudes`), before the channel is looked at.
     """
-    scheme = _optics_scheme(dcqd.pair_scheme(alpha, beta))
+    scheme = dcqd.optics_scheme(alpha, beta)
     scheme.check_pairs(n)
-    _, _, q = dcqd._experiment(channel, n, alpha, beta)
-    data = inversion.per_pair(q, [_MERGE] * n)
+    dcqd.validate_amplitudes(alpha, beta)
+    data = scheme.forward(channels.as_chi(channel, n), n)
     if shots is None:
         _checked_seed(seed)
     else:

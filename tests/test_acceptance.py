@@ -155,7 +155,7 @@ def test_07_shot_noise_scaling():
 
 def test_08_partial_bell_analyzer():
     # the pop rows of the optics design: 0-2 the default analyzer, 3-5 its complement too
-    design = sampling._optics_scheme(dcqd.pair_scheme()).design
+    design = dcqd.optics_scheme().design
     rank_single = np.linalg.matrix_rank(design[0:3])
     rank_double = np.linalg.matrix_rank(design[0:6])
     result = sampling.characterize_with_optics(channels.bit_flip(0.25))

@@ -765,7 +765,7 @@ class TestCommandSequence:
         warm = [run(argv, capsys) for argv in self.SEQUENCE]
         cold = []
         for argv in self.SEQUENCE:
-            for cache in (dcqd._pair_scheme, sqpt._scheme, sampling._optics_scheme, cli._parser):
+            for cache in (dcqd._schemes, sqpt._scheme, cli._parser):
                 cache.cache_clear()
             cold.append(run(argv, capsys))
         assert [c[0] for c in warm] == [0, 0, 0, 2, 0, 0, 2, 0, 0, 0]

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import time
 
@@ -97,14 +98,32 @@ class TestConfiguration:
             dcqd.outcome_probabilities(None, (dcqd.POP,), math.nan)
 
     @pytest.mark.parametrize(
+        "setting,shown",
+        [("bogus", "['bogus']"), (None, "[None]"), (["pop"], "[['pop']]")],
+        ids=["bogus", "none", "list"],
+    )
+    def test_setting_scheme_rejects_unknown_setting(self, setting, shown):
+        # these raised the builtin ValueError of tuple.index; the check and its
+        # message are outcome_probabilities'
+        message = f"unknown settings {shown}; valid: ('pop', 'coh_z', 'coh_x', 'coh_y')"
+        for call in (
+            lambda: dcqd.setting_scheme(setting),
+            lambda: dcqd.outcome_probabilities(channels.identity_channel(), (setting,)),
+        ):
+            with pytest.raises(InvalidConfigurationError) as got:
+                call()
+            assert str(got.value) == message
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda a, b: dcqd.characterize(channels.bit_flip(0.1), 1, alpha=a, beta=b),
             lambda a, b: dcqd.pair_scheme(a, b).design,
+            lambda a, b: dcqd.optics_scheme(a, b).design,
             lambda a, b: dcqd.outcome_probabilities(channels.bit_flip(0.1), (dcqd.COH_Z,), a, b),
             lambda a, b: relax.joint_estimate(channels.bit_flip(0.1), a, b, 1.0, 1.0),
         ],
-        ids=["characterize", "pair_design", "outcome_probabilities", "joint_estimate"],
+        ids=["characterize", "pair_design", "optics_design", "outcome_probabilities", "joint_estimate"],
     )
     @pytest.mark.parametrize(
         "alpha,beta",
@@ -543,22 +562,38 @@ class TestFactoredEngine:
             return original(table)
 
         monkeypatch.setattr(inversion, "readout_design", counting)
-        dcqd._pair_scheme.cache_clear()
+        dcqd._schemes.cache_clear()
         kraus = channels.random_channel(1, seed=2)
         dcqd.characterize(kraus, n)
         assert len(calls) == 1
         dcqd.characterize(kraus, n)
         assert len(calls) == 1
+        # every scheme of the same amplitudes comes from that one A1
+        dcqd.optics_scheme()
+        for setting in dcqd.SETTINGS:
+            dcqd.setting_scheme(setting)
+        dcqd.outcome_probabilities(kraus, (dcqd.COH_Y,) * n)
+        assert len(calls) == 1
         dcqd.characterize(kraus, n, alpha=0.6, beta=0.8 * cmath.exp(1j * math.pi / 3))
         assert len(calls) == 2
 
-    def test_pair_design_cache_keys_on_exact_bits(self):
-        # 0.0 == -0.0, but the two amplitudes are different inputs
-        plus = dcqd.pair_scheme(0.6, complex(0.8, 0.0)).design
-        minus = dcqd.pair_scheme(0.6, complex(0.8, -0.0)).design
-        assert plus is not minus
-        assert np.array_equal(plus, minus)
-        assert dcqd.pair_scheme(0.6, complex(0.8, 0.0)).design is plus
+    @pytest.mark.parametrize("alpha,beta", [(0.6 + 0j, 0.8j), (0.6 + 0j, 0.48 + 0.64j)])
+    def test_signed_zero_amplitudes_give_bit_identical_schemes(self, alpha, beta):
+        # 0.0 == -0.0, so the cache keeps one entry for both signs of a zero
+        # part; built on its own, each variant has the same designs and chi bit
+        # for bit
+        chi = channels.as_chi(channels.random_channel(1, trace_preserving=False, seed=5), 2)
+        parts = (alpha.real, alpha.imag, beta.real, beta.imag)
+        built = []
+        for signs in itertools.product((1.0, -1.0), repeat=4):
+            p = [math.copysign(x, s) if x == 0 else x for x, s in zip(parts, signs)]
+            dcqd._schemes.cache_clear()
+            pair, optics, singles = dcqd._schemes(complex(p[0], p[1]), complex(p[2], p[3]))
+            designs = [s.design for s in (pair, optics, *singles)]
+            built.append(designs + [pair.solve(pair.forward(chi, 2))[0]])
+        for other in built[1:]:
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(built[0], other))
+        assert dcqd.pair_scheme(alpha, beta) is dcqd.pair_scheme(alpha.conjugate(), beta)
 
     @pytest.mark.parametrize("alpha,beta", [(float("nan"), 0.5), (0.9, 0.1)])
     def test_pair_design_rejects_bad_amplitudes_every_call(self, alpha, beta):
@@ -585,7 +620,7 @@ class TestFactoredEngine:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
-        dcqd._pair_scheme.cache_clear()
+        dcqd._schemes.cache_clear()
         kraus = channels.random_channel(1, seed=2)
         for _ in range(100):
             dcqd.characterize(kraus, 1)

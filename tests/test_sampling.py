@@ -31,7 +31,7 @@ def draw(q, shots, seed):
         lambda q: dcqd.reconstruct_from_probabilities(q),
         lambda q: dcqd.closed_form_chi(q),
         lambda q: draw(q[1], shots=10, seed=1),
-        lambda q: sampling.sample(sampling._optics_scheme(dcqd.pair_scheme()), q, shots=10, seed=1),
+        lambda q: sampling.sample(dcqd.optics_scheme(), q, shots=10, seed=1),
         lambda q: dcqd.reconstruct_coherence(dcqd.COH_Z, q[1], q[0]),
         lambda q: sampling.sample(dcqd.pair_scheme(), np.ravel(q), shots=10, seed=1),
     ],
@@ -271,12 +271,12 @@ class TestSample:
         [
             (NEGATIVE, EXCESS, "outcome probability -5.000e-01 is negative or NaN"),
             ([math.nan] + [0.0] * 15, EXCESS, "outcome probability nan is negative or NaN"),
-            (EXCESS, NEGATIVE, f"outcome probabilities sum to {np.float64(8.0)!r} > 1"),
-            ([math.inf] + [0.0] * 15, NEGATIVE, f"outcome probabilities sum to {np.float64(math.inf)!r} > 1"),
+            (EXCESS, NEGATIVE, "outcome probabilities sum to 8.0 > 1"),
+            ([math.inf] + [0.0] * 15, NEGATIVE, "outcome probabilities sum to inf > 1"),
         ],
         ids=["negative", "nan", "excess", "inf"],
     )
-    def test_first_bad_row_reports_what_sample_counts_reports(self, bad, later, message):
+    def test_first_bad_row_reported(self, bad, later, message):
         # row 11 fails the other check, which must not mask row 7
         rows = self.rows.copy()
         rows[7], rows[11] = bad, later
@@ -308,23 +308,33 @@ class TestOpticsModel:
     def test_default_partition(self):
         # each analyzer's groups partition the 4 outcomes; the analyzer merges
         # phi+ with phi- and resolves the psi pair, its complement the reverse
-        for g in (sampling._G, sampling._G_C):
+        for g in (dcqd._G, dcqd._G_C):
             assert np.array_equal(np.sum(g, axis=0), [1, 1, 1, 1])
-        assert [np.flatnonzero(row).tolist() for row in sampling._G] == [[0, 3], [1], [2]]
-        assert [np.flatnonzero(row).tolist() for row in sampling._G_C] == [[0], [1, 2], [3]]
+        assert [np.flatnonzero(row).tolist() for row in dcqd._G] == [[0, 3], [1], [2]]
+        assert [np.flatnonzero(row).tolist() for row in dcqd._G_C] == [[0], [1, 2], [3]]
 
     def test_optics_design_is_the_merged_designs(self):
         # the design of characterize_with_optics is each setting's 4 rows of A1
         # merged by the analyzer and by its complement, bit for bit
         for alpha, beta in [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8j)]:
-            pair = dcqd.pair_scheme(alpha, beta)
-            scheme = sampling._optics_scheme(pair)
+            pair, scheme = dcqd.pair_scheme(alpha, beta), dcqd.optics_scheme(alpha, beta)
             merged = [g @ pair.design[4 * s : 4 * s + 4] for s in range(4) for g in (G, G_C)]
             assert np.array_equal(scheme.design, np.vstack(merged))
             assert (scheme.settings, scheme.outcomes) == (8, 3)
         result = sampling.characterize_with_optics(channels.bit_flip(0.25))
         chi_true = channels.chi_from_kraus(channels.bit_flip(0.25))
         assert np.max(np.abs(result.chi - chi_true)) < 1e-12
+
+    @pytest.mark.parametrize("alpha,beta", [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.48 + 0.64j)])
+    def test_forward_merges_the_dcqd_data(self, alpha, beta, rng):
+        # the analyzer's scheme forwards A1 and then its row map, which is
+        # the DCQD data merged along every pair axis, bit for bit
+        pair, optics = dcqd.pair_scheme(alpha, beta), dcqd.optics_scheme(alpha, beta)
+        kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
+        for n in range(1, 5):
+            chi = channels.as_chi(kraus, n)
+            want = inversion.per_pair(pair.forward(chi, n), [dcqd._MERGE] * n)
+            assert np.array_equal(optics.forward(chi, n), want)
 
     @pytest.mark.parametrize(
         "probs,message",
@@ -338,23 +348,23 @@ class TestOpticsModel:
     def test_bad_probabilities_rejected(self, probs, message):
         # the pop setting's bad probabilities, summed over each analyzer's
         # groups, are rejected by the sampler of the optics path
-        merged = sampling._MERGE @ np.full(16, 0.25)
+        merged = dcqd._MERGE @ np.full(16, 0.25)
         merged[:6] = np.concatenate([np.where(g, probs, 0.0).sum(axis=1) for g in (G, G_C)])
         with pytest.raises(InvalidDistributionError, match=message):
-            sampling.sample(sampling._optics_scheme(dcqd.pair_scheme()), merged, 10, 0)
+            sampling.sample(dcqd.optics_scheme(), merged, 10, 0)
 
     def test_mass_preserved(self, rng):
         kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
         for config in dcqd.all_configurations(1):
             q = dcqd.outcome_probabilities(kraus, config)
             s = dcqd.SETTINGS.index(config[0])
-            merged = (sampling._MERGE @ np.kron(np.eye(4)[s], q)).reshape(4, 2, 3)
+            merged = (dcqd._MERGE @ np.kron(np.eye(4)[s], q)).reshape(4, 2, 3)
             # each analyzer's groups of setting s sum to the setting's mass
             assert merged[s].sum(axis=1) == pytest.approx([q.sum()] * 2, abs=1e-12)
 
     def test_pop_rank_deficient_then_restored(self):
         # pop's rows of the optics design: 0-2 the default analyzer, 3-5 its complement
-        design = sampling._optics_scheme(dcqd.pair_scheme()).design
+        design = dcqd.optics_scheme().design
         single, both = design[0:3], design[0:6]
         assert np.linalg.matrix_rank(single) == 3
         assert np.linalg.matrix_rank(both) == 4
@@ -364,14 +374,14 @@ class TestOpticsModel:
         for setting in dcqd.SETTINGS:
             dense = design_matrix((setting,), alpha, beta)
             s = dcqd.SETTINGS.index(setting)
-            rows = sampling._optics_scheme(dcqd.pair_scheme(alpha, beta)).design[6 * s : 6 * s + 6]
+            rows = dcqd.optics_scheme(alpha, beta).design[6 * s : 6 * s + 6]
             for groups, got in (([G], rows[:3]), ([G_C], rows[3:]), ([G, G_C], rows)):
                 want = np.vstack([g @ dense for g in groups])
                 assert np.max(np.abs(got - want)) < 1e-15
 
     def test_full_configuration_set_rank_restored(self):
         # rows 6s..6s+2 are setting s under the default analyzer alone
-        both = sampling._optics_scheme(dcqd.pair_scheme()).design
+        both = dcqd.optics_scheme().design
         single = both.reshape(4, 2, 3, 16)[:, 0].reshape(12, 16)
         assert np.linalg.matrix_rank(single) < 16
         assert np.linalg.matrix_rank(both) == 16
@@ -385,7 +395,7 @@ class TestOpticsModel:
 
     def test_merge_matrix(self):
         # [G; G_c] on each setting's 4 outcomes, and nothing across settings
-        assert np.array_equal(sampling._MERGE, np.kron(np.eye(4), np.vstack([G, G_C])))
+        assert np.array_equal(dcqd._MERGE, np.kron(np.eye(4), np.vstack([G, G_C])))
 
     @pytest.mark.parametrize("shots", [None, 1000])
     def test_optics_matches_real_lstsq_oracle(self, shots, rng):
