@@ -35,7 +35,7 @@ from .dcqd import (
 from .relax import RelaxEstimate, estimate_T1, estimate_T2, joint_estimate
 from .resources import resource_counts, resource_table
 from .sampling import characterize_sampled
-from .sqpt import SqptResult, sqpt_characterize
+from .sqpt import sqpt_characterize
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "ChannelSpec",
     "ReconstructionResult",
     "RelaxEstimate",
-    "SqptResult",
     "all_configurations",
     "amplitude_damping",
     "bit_flip",

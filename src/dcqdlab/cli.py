@@ -14,10 +14,12 @@ The handler is looked up by name in this module when `main` runs.
 Every handler loads, runs, then emits: `_load_channel` converts the channel
 once per command, to the `channels.Chi` that every library call takes and
 every error against the truth reads, and `_emit` writes every report.  Each
-reconstructed chi (`characterize` in every mode, `sqpt`) is reported by
-`_chi_report`: it validates the estimate, refuses one from exact statistics
-that fails, and ends the report with the Frobenius and largest-entry errors
-against the channel's chi, which `compare` gives for both of its methods.
+reconstruction (`characterize` in every mode, `sqpt`) is reported by
+`_chi_report` from its `inversion.ReconstructionResult`: it validates the
+estimate, refuses one from exact statistics that fails, writes the result's
+configuration count, closed-form residual, design rank and condition number,
+and ends the report with the Frobenius and largest-entry errors against the
+channel's chi, which `compare` gives for both of its methods.
 
 Reports are JSON by default (chi bit-exact, as `serialize.encode_chi`
 writes it; a channel file echoed by its digest) or CSV for tabular views.
@@ -40,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channels, dcqd, relax, resources, sampling, serialize, sqpt
+from . import channels, dcqd, inversion, relax, resources, sampling, serialize, sqpt
 from .exceptions import (
     DcqdLabError,
     DimensionMismatchError,
@@ -218,15 +220,18 @@ def _errors_vs_truth(estimate: np.ndarray, chi: channels.Chi) -> dict:
 
 
 def _chi_report(
-    chi: channels.Chi, echo: dict, estimate: np.ndarray, method: str, n_configurations: int,
+    chi: channels.Chi, echo: dict, result: inversion.ReconstructionResult, method: str,
     exact: bool, **fields,
 ) -> dict:
-    """The report of every command that reconstructs chi.
+    """The report of every command that reconstructs chi, written from its result.
 
     The estimate is validated with the channel's TP flag; one from `exact`
-    statistics that fails raises `InvalidStateError`.  The method's own
-    `fields` come first, then both errors against the channel's chi.
+    statistics that fails raises `InvalidStateError`.  After the channel
+    come the result's diagnostics (`closed_form_residual`, `design_rank`,
+    `design_cond`), then the method's own `fields`, then both errors against
+    the channel's chi.
     """
+    estimate = result.chi
     validation = channels.validate_chi(estimate, trace_preserving=chi.trace_preserving)
     if exact and not validation.all_ok:
         raise InvalidStateError(
@@ -234,8 +239,9 @@ def _chi_report(
             f"{serialize.validation_to_dict(validation)}"
         )
     return serialize.chi_report(
-        estimate, method, chi.n, n_configurations, validation, echo,
-        **fields, **_errors_vs_truth(estimate, chi),
+        estimate, method, chi.n, result.n_configurations, validation, echo,
+        closed_form_residual=result.residual, design_rank=result.design_rank,
+        design_cond=result.design_cond, **fields, **_errors_vs_truth(estimate, chi),
     )
 
 
@@ -263,9 +269,7 @@ def cmd_characterize(args) -> int:
         sampling._checked_seed(args.seed)
         method = "dcqd"
     report = _chi_report(
-        chi, spec_dict, result.chi, method, result.n_configurations, exact=args.shots is None,
-        closed_form_residual=result.residual, design_rank=result.design_rank,
-        design_cond=result.design_cond, shots=args.shots, seed=args.seed,
+        chi, spec_dict, result, method, exact=args.shots is None, shots=args.shots, seed=args.seed
     )
     _emit(args, report)
     return EXIT_OK
@@ -274,9 +278,10 @@ def cmd_characterize(args) -> int:
 def cmd_sqpt(args) -> int:
     chi, spec_dict = _load_channel(args)
     result = sqpt.sqpt_characterize(chi, n=args.n)
+    counts = resources.resource_counts(args.n)["sqpt"]
     report = _chi_report(
-        chi, spec_dict, result.chi, "sqpt", result.n_experiments, exact=True,
-        n_inputs=result.n_inputs, n_settings_per_input=result.n_settings_per_input,
+        chi, spec_dict, result, "sqpt", exact=True,
+        n_inputs=counts["n_inputs"], n_settings_per_input=counts["n_measurements"],
     )
     _emit(args, report)
     return EXIT_OK
@@ -303,7 +308,7 @@ def cmd_compare(args) -> int:
         "max_entry_difference": float(np.max(np.abs(diff))),
         "frobenius_difference": float(np.linalg.norm(diff)),
         "dcqd": sub_report(r_dcqd.chi, r_dcqd.n_configurations),
-        "sqpt": sub_report(r_sqpt.chi, r_sqpt.n_experiments),
+        "sqpt": sub_report(r_sqpt.chi, r_sqpt.n_configurations),
         "resources": resources.resource_counts(args.n),
     }
     keys = ("n_experiments", "frobenius_error_vs_truth")
@@ -390,7 +395,7 @@ def cmd_sweep(args) -> int:
         for _ in range(args.repeats):
             (child,) = parent.spawn(1)
             freqs = sampling.sample(scheme, data, shots, child)
-            errors.append(float(np.linalg.norm(dcqd._solve(scheme, freqs).chi - chi_true)))
+            errors.append(float(np.linalg.norm(scheme.solve(freqs).chi - chi_true)))
         rows.append(
             {
                 "shots": shots,

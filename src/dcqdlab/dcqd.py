@@ -44,8 +44,9 @@ scheme on it, each with its SVD, once per process for each amplitude pair:
   path.  Its forward model applies A1 along every pair axis of chi; the
   stacked design of all configurations is a permuted n-fold Kronecker power
   of A1, so chi is A1^-1 along every pair axis of the data, with rank
-  rank(A1)**n and condition number cond(A1)**n.  `_solve` turns any
-  scheme's solve into a `ReconstructionResult`;
+  rank(A1)**n and condition number cond(A1)**n.  Its `solve` returns the
+  `inversion.ReconstructionResult` that every scheme's does, named here as
+  `ReconstructionResult` too;
 * `setting_scheme` is one setting's 4 rows of A1, the one configuration
   `relax` forwards and samples; `outcome_probabilities` forwards through
   the designs of its settings' schemes;
@@ -69,8 +70,6 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -81,6 +80,7 @@ from .exceptions import (
     InvalidConfigurationError,
     InvalidDistributionError,
 )
+from .inversion import ReconstructionResult
 
 POP = "pop"
 COH_Z = "coh_z"
@@ -424,30 +424,6 @@ def setting_scheme(
     return _schemes(*_check_amplitudes(alpha, beta))[2][SETTINGS.index(setting)]
 
 
-@dataclass
-class ReconstructionResult:
-    """Reconstructed process matrix plus solver diagnostics.
-
-    `chi` comes from the factored solver and is exactly Hermitian.  For a
-    single pair the closed-form route is also evaluated and `residual` is
-    the max entrywise distance between the two; with more pairs the closed
-    forms are not defined and both fields are None.  `n_configurations` is
-    the scheme's count (`inversion.Scheme.counts`): 4**n for DCQD, 8**n for
-    the partial Bell analyzer.  `design_rank` and `design_cond` describe the
-    complex design of all configurations, rank(A1)**n and cond(A1)**n, at
-    every n; the partial Bell-analyzer path reports its merged design
-    instead.
-    """
-
-    chi: np.ndarray
-    n_qubits: int
-    n_configurations: int
-    residual: Optional[float] = None
-    chi_closed_form: Optional[np.ndarray] = None
-    design_rank: Optional[int] = None
-    design_cond: Optional[float] = None
-
-
 def _real_data(data) -> np.ndarray:
     """Outcome data as a float array, the one check of outcome data.
 
@@ -494,14 +470,6 @@ def closed_form_chi(
     return chi
 
 
-def _solve(scheme: inversion.Scheme, data: np.ndarray) -> ReconstructionResult:
-    """The result of solving a scheme's data, one axis per pair (`inversion.Scheme.solve`)."""
-    n = data.ndim
-    chi, cond = scheme.solve(data)
-    n_configurations = scheme.counts(n)["n_experiments"]
-    return ReconstructionResult(chi, n, n_configurations, design_rank=16**n, design_cond=cond)
-
-
 def reconstruct_from_probabilities(
     probabilities, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
 ) -> ReconstructionResult:
@@ -523,7 +491,7 @@ def reconstruct_from_probabilities(
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
     channels.check_register_size(n)
     _check_finite(q)
-    return _solve(pair_scheme(alpha, beta), inversion.pair_axes(q, n, 4))
+    return pair_scheme(alpha, beta).solve(inversion.pair_axes(q, n, 4))
 
 
 def characterize(
@@ -541,7 +509,7 @@ def characterize(
     the data.
     """
     scheme, _, data = _experiment(channel, n, alpha, beta)
-    result = _solve(scheme, data)
+    result = scheme.solve(data)
     if n == 1:
         chi_cf = closed_form_chi(data.reshape(4, 4), alpha, beta)
         result.chi_closed_form = chi_cf

@@ -33,7 +33,10 @@ and the experiment on n pairs is D1 applied along every pair axis of chi
   rank(D1)**n), cond(D1)**n and pinv(D1), and pinv(D1) along every pair
   axis of the data is the least-squares chi.  Each experiment keeps its
   schemes (per amplitudes, or once per process), so the SVD runs once per
-  scheme.
+  scheme;
+* `ReconstructionResult` is what every `solve` returns, for every scheme:
+  chi, the qubit and configuration counts and the design's rank and
+  condition number on n pairs.
 
 The direct protocol's schemes (`dcqd`) share one readout table: the full
 experiment, one setting, and the partial Bell analyzer, which merges outcomes.
@@ -53,7 +56,9 @@ import numpy as np
 from . import ops
 from .exceptions import DimensionMismatchError, IllPosedConfigurationError, InvalidConfigurationError
 
-__all__ = ["Scheme", "forward", "pair_axes", "per_pair", "readout_design", "unpair_axes"]
+__all__ = [
+    "ReconstructionResult", "Scheme", "forward", "pair_axes", "per_pair", "readout_design", "unpair_axes",
+]
 
 
 def pair_axes(x: np.ndarray, n: int, d) -> np.ndarray:
@@ -102,6 +107,29 @@ def readout_design(table: np.ndarray) -> np.ndarray:
     """Per-pair design D1[r, (m, m')] = c[r, m] conj(c[r, m']) of an R x 4 readout table."""
     c = np.asarray(table) @ np.reshape(ops.PAULIS, (4, 4)).T
     return np.einsum("rm,rn->rmn", c, c.conj()).reshape(len(c), 16)
+
+
+@dataclass
+class ReconstructionResult:
+    """Reconstructed process matrix plus solver diagnostics, built by `Scheme.solve`.
+
+    `chi` is the exactly Hermitian least-squares estimate on `n_qubits`
+    pairs; `n_configurations` is the scheme's `counts(n)["n_experiments"]`
+    (4**n for DCQD, 8**n for the partial Bell analyzer, 16**n for SQPT).
+    `design_rank` and `design_cond` describe the design of all
+    configurations, rank(D1)**n and cond(D1)**n, at every n.  For a single
+    pair `dcqd.characterize` also evaluates the closed-form route:
+    `chi_closed_form` is that chi and `residual` the max entrywise distance
+    between the two; elsewhere both are None.
+    """
+
+    chi: np.ndarray
+    n_qubits: int
+    n_configurations: int
+    residual: Optional[float] = None
+    chi_closed_form: Optional[np.ndarray] = None
+    design_rank: Optional[int] = None
+    design_cond: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,13 +219,14 @@ class Scheme:
         pinv.flags.writeable = False
         return pinv, float(s[0] / s[-1]), rank
 
-    def solve(self, data: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares chi of n pairs and the condition number of their design.
+    def solve(self, data: np.ndarray) -> ReconstructionResult:
+        """Least-squares chi of n pairs, with the counts and conditioning of their design.
 
         `data` has one axis of length R per pair; no axis, or one of another
-        length, raises `DimensionMismatchError`.  Returns the exactly
-        Hermitian (chi + chi^H)/2 and cond(design)**n.  A rank-deficient
-        design raises instead of returning a wrong chi.
+        length, raises `DimensionMismatchError`.  The result's chi is the
+        exactly Hermitian (chi + chi^H)/2, with rank(design)**n and
+        cond(design)**n.  A rank-deficient design raises instead of
+        returning a wrong chi.
         """
         n = self._pairs(data)
         pinv, cond, rank = self._svd
@@ -208,4 +237,7 @@ class Scheme:
             )
         # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
         chi = unpair_axes(per_pair(data, [pinv] * n), n, 4)
-        return ops.hermitian_part(chi), cond**n
+        return ReconstructionResult(
+            ops.hermitian_part(chi), n, self.counts(n)["n_experiments"],
+            design_rank=rank**n, design_cond=cond**n,
+        )

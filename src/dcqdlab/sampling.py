@@ -11,9 +11,9 @@ Every sampled path draws through it: the full experiment
 (`characterize_with_optics`, on `dcqd.optics_scheme`) and the one coh_z
 configuration of `relax.joint_estimate` (`dcqd.setting_scheme`).
 Reconstruction from sampled frequencies is the same raw linear inversion as
-the exact path (`dcqd._solve`); no renormalization and no positivity repair
-is applied, so negative chi eigenvalues at finite shots are reported, not
-hidden."""
+the exact path (`inversion.Scheme.solve`); no renormalization and no
+positivity repair is applied, so negative chi eigenvalues at finite shots
+are reported, not hidden."""
 
 from __future__ import annotations
 
@@ -97,7 +97,7 @@ def characterize_sampled(
     seed=None,
     alpha: complex = dcqd.DEFAULT_ALPHA,
     beta: complex = dcqd.DEFAULT_BETA,
-) -> tuple[dcqd.ReconstructionResult, SampledMetrics]:
+) -> tuple[inversion.ReconstructionResult, SampledMetrics]:
     """Full reconstruction from `shots` samples per configuration.
 
     Returns the reconstruction (raw linear inversion of the empirical
@@ -105,7 +105,7 @@ def characterize_sampled(
     process matrix of the channel.
     """
     scheme, chi_true, data = dcqd._experiment(channel, n, alpha, beta)
-    result = dcqd._solve(scheme, sample(scheme, data, shots, seed))
+    result = scheme.solve(sample(scheme, data, shots, seed))
     delta = result.chi - chi_true
     return result, SampledMetrics(shots, float(np.linalg.norm(delta)), float(np.max(np.abs(delta))))
 
@@ -139,7 +139,7 @@ def characterize_with_optics(
     shots: Optional[int] = None,
     seed=None,
     n: int = 1,
-) -> dcqd.ReconstructionResult:
+) -> inversion.ReconstructionResult:
     """Reconstruction of n qubits through a partial Bell analyzer on every pair.
 
     Every setting of a pair is measured twice, once with the analyzer G and
@@ -159,4 +159,4 @@ def characterize_with_optics(
         _checked_seed(seed)
     else:
         data = sample(scheme, data, shots, seed)
-    return dcqd._solve(scheme, data)
+    return scheme.solve(data)

@@ -252,10 +252,12 @@ def chi_from_report(report: dict) -> np.ndarray:
     """The complex process matrix stored in a chi report, bit for bit.
 
     Reads the `encode_chi` form under "chi" and, for reports written before
-    it, separate "chi_real" and "chi_imag" lists of rows.  A missing or
-    malformed field raises `InvalidChannelError`; the matrix then passes the
-    chi input check (`DimensionMismatchError` unless 4**n x 4**n,
-    `InvalidChannelError` for a non-finite entry).
+    it, separate "chi_real" and "chi_imag" lists of rows, zipped into the
+    [re, im] pairs that `matrix_from_pairs` reads, so their entries must be
+    JSON numbers like every JSON matrix's.  A missing or malformed field
+    raises `InvalidChannelError`; the matrix then passes the chi input check
+    (`DimensionMismatchError` unless 4**n x 4**n, `InvalidChannelError` for
+    a non-finite entry).
     """
     if not isinstance(report, dict):
         raise InvalidChannelError("a chi report must be a JSON object")
@@ -263,17 +265,15 @@ def chi_from_report(report: dict) -> np.ndarray:
         chi = _decode_chi(report["chi"])
     elif "chi_real" in report and "chi_imag" in report:
         try:
-            re = np.array(report["chi_real"], dtype=float)
-            im = np.array(report["chi_imag"], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidChannelError(f"malformed chi lists: {exc}") from None
-        if re.shape != im.shape:
+            rows = [
+                list(zip(re, im, strict=True))
+                for re, im in zip(report["chi_real"], report["chi_imag"], strict=True)
+            ]
+        except (TypeError, ValueError):
             raise InvalidChannelError(
-                f"chi_real shape {re.shape} differs from chi_imag shape {im.shape}"
-            )
-        # set, not added: re + 1j * im would turn an imaginary -0.0 into +0.0
-        chi = re.astype(complex)
-        chi.imag = im
+                "chi_real and chi_imag must be lists of rows of one shape"
+            ) from None
+        chi = matrix_from_pairs(rows)
     else:
         raise InvalidChannelError("chi report has no 'chi' (or 'chi_real' and 'chi_imag') field")
     return channels._checked_matrix(chi, "chi", qubits=True)[0]

@@ -13,14 +13,16 @@ It forwards chi and inverts the data; the scheme and its SVD are built
 once per process.  The experiment on n qubits runs the scheme's 16**n
 settings: 4**n inputs times 4**n Pauli settings each (`Scheme.counts`),
 against 4**n configurations for the direct protocol in `dcqd`; `resources`
-tabulates both from the schemes.
+tabulates both from the schemes.  Its result is the
+`inversion.ReconstructionResult` of every scheme: 16**n configurations, a
+design of rank 16**n and cond(D)**n, about 3.23**n against DCQD's
+6.20**n.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,27 +50,15 @@ def _scheme() -> inversion.Scheme:
     return inversion.Scheme(_design(), 1, len(INPUT_KETS))
 
 
-@dataclass
-class SqptResult:
-    """Process matrix estimated by the SQPT baseline plus its scheme's counts (`Scheme.counts`)."""
-
-    chi: np.ndarray
-    n_qubits: int
-    n_inputs: int
-    n_settings_per_input: int
-    n_experiments: int
-
-
-def sqpt_characterize(channel, n: int = 1) -> SqptResult:
+def sqpt_characterize(channel, n: int = 1) -> inversion.ReconstructionResult:
     """Reconstruct chi by preparing product inputs and tomographing outputs.
 
     Exact expectations make the tomography lossless, so the result matches
     the ground-truth process matrix to solver precision; what this baseline
-    quantifies is the experiment count, not accuracy.
+    quantifies is the experiment count, not accuracy.  Returns the scheme's
+    `inversion.ReconstructionResult`, with 16**n configurations.
     """
     # as_chi checks the register first, so a bad n gets its message
     chi = channels.as_chi(channel, n)
     scheme = _scheme()
-    chi, _cond = scheme.solve(scheme.forward(chi, n))
-    # counts(n) lists n_inputs, n_measurements and n_experiments, in the order of the fields
-    return SqptResult(chi, n, *scheme.counts(n).values())
+    return scheme.solve(scheme.forward(chi, n))

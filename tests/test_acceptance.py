@@ -96,7 +96,7 @@ def test_05_method_equivalence_and_advantage():
         r_dcqd = dcqd.characterize(kraus, 1)
         r_sqpt = sqpt.sqpt_characterize(kraus, 1)
         worst = max(worst, float(np.max(np.abs(r_dcqd.chi - r_sqpt.chi))))
-        assert (r_sqpt.n_experiments, r_dcqd.n_configurations) == (16, 4)
+        assert (r_sqpt.n_configurations, r_dcqd.n_configurations) == (16, 4)
     verdict(
         5,
         worst < 1e-8,

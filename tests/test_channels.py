@@ -21,6 +21,9 @@ from dcqdlab.exceptions import (
 )
 
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
 def amplitude_damping_total(sub=1.0):
     # gamma = 1: K0 = |0><0|, K1 = |0><1|
     return [
@@ -112,6 +115,11 @@ class TestKrausFromChi:
             atol=1e-9,
             rng=rng,
         )
+
+    def test_zero_chi_gives_one_zero_operator(self):
+        kraus = channels.kraus_from_chi(np.zeros((4, 4)))
+        assert len(kraus) == 1
+        assert np.array_equal(kraus[0], np.zeros((2, 2)))
 
     def test_rejects_negative_chi(self):
         chi = np.diag([1.2, -0.2, 0, 0]).astype(complex)
@@ -227,6 +235,10 @@ class TestCompose:
         seq = channels.compose(channels.bit_flip(0.2), channels.depolarizing(0.1))
         assert len(seq) == 8
 
+    def test_dimensions_must_match(self):
+        with pytest.raises(DimensionMismatchError, match="cannot compose"):
+            channels.compose(channels.bit_flip(0.1), channels.identity_channel(2))
+
     def test_order_matters(self, rng):
         first = channels.rotation("x", 0.9)
         second = channels.amplitude_damping(gamma=0.5)
@@ -333,6 +345,11 @@ class TestRandomChannel:
         with pytest.raises(InvalidChannelError, match="rank must be an integer"):
             channels.random_channel(1, rank=rank, seed=1)
 
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rank_must_be_in_range(self, rank):
+        with pytest.raises(InvalidChannelError, match=r"Kraus rank must be in 1\.\.4"):
+            channels.random_channel(1, rank=rank, seed=1)
+
 
 class TestChoi:
     def test_round_trip_action(self, rng):
@@ -361,9 +378,16 @@ class TestSpecs:
             (channels.ChannelSpec("amplitude_damping", {"t": 1.0, "T1": 2.0}), 2),
             (channels.ChannelSpec("phase_damping", {"t": 1.0, "T2": 2.0}), 2),
             (channels.ChannelSpec("unitary", {"axis": "z", "angle": 0.5}), 1),
+            (channels.ChannelSpec("unitary", operators=(PAULI_X,)), 1),
             (channels.ChannelSpec("identity"), 1),
         ]:
             assert len(channels.kraus_from_spec(spec)) == expect_len
+        matrix = channels.kraus_from_spec(channels.ChannelSpec("unitary", operators=(PAULI_X,)))[0]
+        assert np.array_equal(matrix, PAULI_X)
+
+    def test_spec_must_be_a_channel_spec(self):
+        with pytest.raises(InvalidChannelError, match="expected a ChannelSpec"):
+            channels.kraus_from_spec("bit_flip:0.1")
 
     def test_parameter_ranges_enforced(self):
         with pytest.raises(InvalidChannelError):
@@ -431,10 +455,13 @@ class TestSpecs:
                 {"stages": (channels.ChannelSpec("identity"),)},
                 "unitary spec takes no stages",
             ),
+            ("unitary", {}, {"operators": (PAULI_X, PAULI_X)}, "exactly one matrix"),
+            ("unitary", {}, {"operators": (0.5 * PAULI_X,)}, "not trace preserving"),
         ],
         ids=["depolarizing", "amplitude_damping", "identity", "composed", "explicit_kraus",
              "unitary", "unitary_both", "bit_flip_operators", "explicit_kraus_stages",
-             "composed_operators", "unitary_stages"],
+             "composed_operators", "unitary_stages", "unitary_two_matrices",
+             "unitary_not_unitary"],
     )
     def test_parameters_the_kind_does_not_take(self, kind, params, extra, message):
         spec = channels.ChannelSpec(kind, params, **extra)
@@ -516,6 +543,7 @@ BAD_RAW_KRAUS = {
     "ragged_set": [np.eye(2), np.eye(4)],
     "one_dimensional": [np.array([1, 0])],
     "three_dimensional": [np.zeros((2, 2, 2))],
+    "increases_trace": [np.eye(2), 0.5 * PAULI_X],
 }
 
 # the message of each malformed set, one stacked (K, d, d) array of numbers
@@ -561,6 +589,20 @@ def test_malformed_kraus_message(case):
     for convert in (channels.chi_from_kraus, lambda k: channels.compose(k, channels.bit_flip(0.1))):
         with pytest.raises(InvalidChannelError, match=message):
             convert(kraus)
+
+
+@pytest.mark.parametrize(
+    "kraus,flag,message",
+    [
+        (BAD_RAW_KRAUS["increases_trace"], None, "Kraus set increases trace"),
+        ([0.9 * np.eye(2)], True, "not trace preserving within"),
+        (channels.bit_flip(0.1), False, "flagged non-trace-preserving"),
+    ],
+    ids=["increases", "flagged_tp", "flagged_non_tp"],
+)
+def test_trace_checks(kraus, flag, message):
+    with pytest.raises(InvalidChannelError, match=message):
+        channels.check_kraus(kraus, trace_preserving=flag)
 
 
 SPEC_OF_KIND = {

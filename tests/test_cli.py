@@ -252,6 +252,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_resources", fail)
         assert run(["resources", "--n", "1"], capsys) == (code, "", "error: boom\n")
 
+    def test_exact_estimate_failing_validation(self, capsys, monkeypatch):
+        # an exact estimate that fails validation is refused, not reported
+        original = dcqd.characterize
+
+        def negated(*args, **kwargs):
+            result = original(*args, **kwargs)
+            result.chi = -result.chi
+            return result
+
+        monkeypatch.setattr(dcqd, "characterize", negated)
+        code, out, err = run(["characterize", "--channel", "depolarizing:0.1"], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: dcqd reconstruction from exact statistics failed validation")
+
     def test_every_dcqdlab_error_has_a_code(self):
         defined = {
             c for c in vars(exceptions).values() if isinstance(c, type) and issubclass(c, Exception)
@@ -328,6 +343,22 @@ class TestSqptAndCompare:
         chi = serialize.chi_from_report(report)
         assert chi[1, 1].real == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sqpt_report_diagnostics(self, n, capsys):
+        # the diagnostics of every chi report, then the counts of the inputs
+        code, out, _ = run(["sqpt", "--channel", "depolarizing:0.1", "--n", str(n)], capsys)
+        assert code == 0
+        report = strict_json(out)
+        keys = list(report)
+        assert keys[keys.index("channel") + 1 :][:5] == [
+            "closed_form_residual", "design_rank", "design_cond", "n_inputs", "n_settings_per_input",
+        ]
+        assert report["closed_form_residual"] is None
+        assert report["design_rank"] == 16**n
+        assert report["design_cond"] == pytest.approx(3.2255**n, rel=1e-4)
+        assert report["n_inputs"] == report["n_settings_per_input"] == 4**n
+        assert report["n_configurations"] == 16**n
+
     def test_compare_reports_both_methods(self, capsys):
         code, out, _ = run(["compare", "--channel", "amplitude_damping:0.4"], capsys)
         assert code == 0
@@ -387,6 +418,32 @@ class TestChiReportErrors:
             delta = serialize.chi_from_report(r) - truth
             assert r["frobenius_error_vs_truth"] == float(np.linalg.norm(delta))
             assert r["max_entry_error_vs_truth"] == float(np.max(np.abs(delta)))
+
+    SCHEMES = {
+        "dcqd": dcqd.pair_scheme,
+        "dcqd_sampled": dcqd.pair_scheme,
+        "dcqd_optics": dcqd.optics_scheme,
+        "sqpt": sqpt._scheme,
+    }
+
+    @pytest.mark.parametrize(
+        "argv,n",
+        [c for c in CASES if c[0][0] != "compare"],
+        ids=[i for c, i in zip(CASES, IDS) if c[0][0] != "compare"],
+    )
+    def test_diagnostics_from_the_result(self, argv, n, capsys):
+        # every chi report writes the same three diagnostics right after the channel
+        code, out, _ = run(argv + ["--channel", "amplitude_damping:t=1,T1=2", "--n", str(n)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        keys = list(report)
+        diagnostics = ["closed_form_residual", "design_rank", "design_cond"]
+        assert keys[keys.index("channel") + 1 :][:3] == diagnostics
+        scheme = self.SCHEMES[report["method"]]()
+        _pinv, cond, rank = scheme._svd
+        assert (report["design_rank"], report["design_cond"]) == (rank**n, cond**n)
+        assert report["n_configurations"] == scheme.counts(n)["n_experiments"]
+        assert (report["closed_form_residual"] is None) == (report["method"] != "dcqd" or n > 1)
 
 
 class TestPartial:
@@ -466,6 +523,13 @@ class TestResources:
             resources.resource_table(range(1, 10**8))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [["--n-min", "0"], ["--n-min", "3", "--n-max", "2"]])
+    def test_bad_range(self, argv, capsys):
+        code, out, err = run(["resources"] + argv, capsys)
+        assert code == cli.EXIT_ILL_POSED
+        assert out == ""
+        assert "bad range" in err
+
     def test_single_n_text(self, capsys):
         code, out, _ = run(["resources", "--n", "3"], capsys)
         assert code == 0
@@ -538,6 +602,13 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert [r["shots"] for r in rows] == [1000, 100000]
         assert rows[1]["median_frobenius_error"] < rows[0]["median_frobenius_error"]
+
+    @pytest.mark.parametrize("argv", [["--shots", "0"], ["--shots", "10", "--repeats", "0"]])
+    def test_shots_and_repeats_must_be_positive(self, argv, capsys):
+        code, out, err = run(["sample-sweep", "--channel", "identity"] + argv, capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: shots and repeats must be positive\n"
 
     def test_seeded_identical_output(self, capsys):
         args = [

@@ -279,6 +279,11 @@ class TestReconstructPopulation:
         assert np.array_equal(diag, probs[0])
         assert np.allclose(diag, [1, 0, 0, 0])
 
+    def test_closed_form_needs_four_distributions(self):
+        probs = dcqd.all_outcome_probabilities(channels.identity_channel(), 1)
+        with pytest.raises(InvalidConfigurationError, match="4 single-pair distributions"):
+            dcqd.closed_form_chi(probs[:3])
+
     def test_bit_flip(self):
         diag = dcqd.outcome_probabilities(channels.bit_flip(0.25), (dcqd.POP,))
         want = np.diag(channels.chi_from_kraus(channels.bit_flip(0.25))).real
@@ -376,6 +381,10 @@ class TestMapFrame:
     def test_coh_y_targets(self):
         entries = dcqd.map_frame(dcqd.COH_Y, 0.1 + 0.2j, 0.3 - 0.4j)
         assert set(entries.keys()) == {(0, 2), (1, 3)}
+
+    def test_pop_has_no_frame(self):
+        with pytest.raises(InvalidConfigurationError, match="no frame mapping"):
+            dcqd.map_frame(dcqd.POP, 0.1 + 0.2j, 0.3 - 0.4j)
 
 
 class TestDesignMatrix:
@@ -590,7 +599,7 @@ class TestFactoredEngine:
             dcqd._schemes.cache_clear()
             pair, optics, singles = dcqd._schemes(complex(p[0], p[1]), complex(p[2], p[3]))
             designs = [s.design for s in (pair, optics, *singles)]
-            built.append(designs + [pair.solve(pair.forward(chi, 2))[0]])
+            built.append(designs + [pair.solve(pair.forward(chi, 2)).chi])
         for other in built[1:]:
             assert all(x.tobytes() == y.tobytes() for x, y in zip(built[0], other))
         assert dcqd.pair_scheme(alpha, beta) is dcqd.pair_scheme(alpha.conjugate(), beta)

@@ -88,6 +88,10 @@ class TestEstimateT1:
         with pytest.raises(InconsistentDataError):
             relax.estimate_T1(BETA**2 + 0.05, 1.0, ALPHA, BETA)
 
+    def test_negative_probability(self):
+        with pytest.raises(InconsistentDataError, match="negative probability"):
+            relax.estimate_T1(-0.1, 1.0, ALPHA, BETA)
+
     def test_ill_posed_input(self):
         with pytest.raises(IllPosedInputError):
             relax.estimate_T1(0.1, 1.0, 1.0, 0.0)

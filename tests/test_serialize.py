@@ -346,6 +346,9 @@ class TestChiReport:
         assert text.splitlines()[0] == "row,col,real,imag"
         assert len(text.splitlines()) == 17
 
+    def test_csv_of_no_rows_is_empty(self):
+        assert serialize.dump_csv([]) == ""
+
 
 def _bits(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
@@ -436,6 +439,15 @@ _EYE4 = np.eye(4, dtype=complex)
         (_encoded(np.diag([1, 0, 0, math.nan])), InvalidChannelError),
         ({"chi_real": [[1.0, 0.0], [0.0]], "chi_imag": [[0.0, 0.0], [0.0]]}, InvalidChannelError),
         ({"chi_real": [["x"] * 4] * 4, "chi_imag": [[0.0] * 4] * 4}, InvalidChannelError),
+        # these decoded to diag(1, 0, 0, 1): the text "1" and the boolean true read as numbers
+        (
+            {"chi_real": [["1", 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, 1]], "chi_imag": [[0] * 4] * 4},
+            InvalidChannelError,
+        ),
+        (
+            {"chi_real": [[1, 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, True]], "chi_imag": [[0] * 4] * 4},
+            InvalidChannelError,
+        ),
         ({"chi_real": [[1e400] * 4] * 4, "chi_imag": [[0.0] * 4] * 4}, InvalidChannelError),
         ({"chi_real": [[10**400] * 4] * 4, "chi_imag": [[0.0] * 4] * 4}, InvalidChannelError),
         ({"chi_real": _EYE4.real.tolist(), "chi_imag": [[0.0] * 4]}, InvalidChannelError),
@@ -445,7 +457,7 @@ _EYE4 = np.eye(4, dtype=complex)
         "not-object", "no-chi", "no-imag", "chi-string", "no-encoding", "unknown-encoding",
         "bad-base64", "data-null", "data-non-ascii", "byte-count", "shape-1d", "shape-floats",
         "shape-negative", "truncated", "2x2", "not-square", "nan", "ragged-lists",
-        "text-entries", "inf-entries", "huge-int-entries", "list-shapes-differ", "3x3-lists",
+        "text-entries", "numeric-text-entry", "bool-entry", "inf-entries", "huge-int-entries", "list-shapes-differ", "3x3-lists",
     ],
 )
 def test_malformed_report_rejected(report, error):

@@ -9,11 +9,12 @@ from dcqdlab.exceptions import InvalidConfigurationError
 
 def test_plan_counts_and_span():
     result = sqpt.sqpt_characterize(channels.identity_channel(), 1)
-    assert result.n_inputs == 4
-    assert result.n_settings_per_input == 4
-    assert result.n_experiments == 16
+    counts = sqpt._scheme().counts(1)
+    assert counts["n_inputs"] == 4
+    assert counts["n_measurements"] == 4
+    assert result.n_configurations == 16
     result2 = sqpt.sqpt_characterize(channels.identity_channel(2), 2)
-    assert result2.n_experiments == 256
+    assert result2.n_configurations == 256
     # the scheme runs the experiments that the resource table counts
     for n in range(1, resources.MAX_N + 1):
         assert sqpt._scheme().settings ** n == resources.resource_counts(n)["sqpt"]["n_experiments"]
@@ -37,8 +38,9 @@ def test_resource_rows_are_what_the_schemes_run(n):
     counts = resources.resource_counts(n)
     assert counts["dcqd"]["n_experiments"] == dcqd.characterize(channels.identity_channel(), n).n_configurations
     result = sqpt.sqpt_characterize(channels.identity_channel(), n)
+    scheme_counts = sqpt._scheme().counts(n)
     assert (counts["sqpt"]["n_inputs"], counts["sqpt"]["n_measurements"], counts["sqpt"]["n_experiments"]) == (
-        result.n_inputs, result.n_settings_per_input, result.n_experiments,
+        scheme_counts["n_inputs"], scheme_counts["n_measurements"], result.n_configurations,
     )
 
 
@@ -54,6 +56,18 @@ def test_single_qubit_design():
     assert design.shape == (16, 16)
     assert np.linalg.matrix_rank(design) == 16
     assert np.linalg.cond(design) == pytest.approx(3.23, abs=0.01)
+
+
+def test_diagnostics_at_every_n():
+    # the result every scheme returns: 16**n configurations on a design of
+    # rank 16**n and cond 3.23**n, with no closed form
+    cond1 = np.linalg.cond(sqpt._scheme().design)
+    for n in (1, 2, 3):
+        result = sqpt.sqpt_characterize(channels.identity_channel(), n)
+        assert type(result) is inversion.ReconstructionResult
+        assert (result.n_qubits, result.n_configurations, result.design_rank) == (n, 16**n, 16**n)
+        assert result.design_cond == pytest.approx(cond1**n, rel=1e-12)
+        assert result.residual is None and result.chi_closed_form is None
 
 
 def test_design_built_once_and_read_only(monkeypatch):
@@ -80,7 +94,7 @@ def test_identity_channel():
     want = np.zeros((4, 4))
     want[0, 0] = 1.0
     assert np.allclose(result.chi, want, atol=1e-10)
-    assert result.n_experiments == 16
+    assert result.n_configurations == 16
 
 
 @pytest.mark.parametrize("tp", [True, False])
@@ -99,7 +113,7 @@ def test_method_equivalence_with_dcqd(tp, rng):
         r_sqpt = sqpt.sqpt_characterize(kraus, 1)
         r_dcqd = dcqd.characterize(kraus, 1)
         assert np.max(np.abs(r_sqpt.chi - r_dcqd.chi)) < 1e-8
-        assert (r_sqpt.n_experiments, r_dcqd.n_configurations) == (16, 4)
+        assert (r_sqpt.n_configurations, r_dcqd.n_configurations) == (16, 4)
 
 
 def test_two_qubit_baseline(rng):
@@ -107,7 +121,7 @@ def test_two_qubit_baseline(rng):
     chi_true = channels.chi_from_kraus(kraus)
     result = sqpt.sqpt_characterize(kraus, 2)
     assert np.linalg.norm(result.chi - chi_true) < 1e-8
-    assert result.n_experiments == 256
+    assert result.n_configurations == 256
 
 
 @pytest.mark.parametrize("tp", [True, False])
@@ -130,7 +144,8 @@ def test_three_qubit_baseline(kind, rng):
     elapsed = time.perf_counter() - start
     chi_true = channels.chi_from_kraus(channels.as_kraus(channel, 3))
     assert np.max(np.abs(result.chi - chi_true)) < 1e-10
-    assert (result.n_inputs, result.n_settings_per_input, result.n_experiments) == (64, 64, 4096)
+    counts = sqpt._scheme().counts(3)
+    assert (counts["n_inputs"], counts["n_measurements"], result.n_configurations) == (64, 64, 4096)
     assert elapsed < 1.0
 
 
@@ -142,7 +157,8 @@ def test_four_qubit_baseline_against_expanded_kraus():
         chi_true = channels.chi_from_kraus(channels.as_kraus(spec, n))
         result = sqpt.sqpt_characterize(spec, n)
         assert np.max(np.abs(result.chi - chi_true)) < 1e-10
-        assert (result.n_inputs, result.n_settings_per_input, result.n_experiments) == (
+        counts = sqpt._scheme().counts(n)
+        assert (counts["n_inputs"], counts["n_measurements"], result.n_configurations) == (
             4**n,
             4**n,
             16**n,
