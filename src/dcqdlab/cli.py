@@ -187,20 +187,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, report: dict, rows: Optional[list] = None) -> None:
-    """Write `report` (JSON), `rows` (CSV; a chi report's chi rows by default) or their table."""
+    """Write `report` (JSON), `rows` (CSV; a chi report's chi by default) or their table.
+
+    The report is built, or chi decoded, before the output file is opened; a
+    chi CSV is written one chi row at a time (`serialize.chi_csv`).
+    """
     if args.format == "json":
-        text = serialize.dump_json(report)
+        chunks = [serialize.dump_json(report)]
     elif args.format == "csv":
-        text = serialize.dump_csv(serialize.chi_rows(report) if rows is None else rows)
+        chunks = serialize.chi_csv(report) if rows is None else [serialize.dump_csv(rows)]
     else:
-        text = resources.format_table(rows) + "\n"
+        chunks = [resources.format_table(rows) + "\n"]
     if args.output:
         # an absolute --output replaces the directory
         path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), args.output)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _load_channel(args) -> tuple[channels.Chi, dict]:

@@ -78,7 +78,6 @@ from .exceptions import (
     DimensionMismatchError,
     IllPosedConfigurationError,
     InvalidConfigurationError,
-    InvalidDistributionError,
 )
 from .inversion import ReconstructionResult
 
@@ -156,7 +155,8 @@ def validate_amplitudes(alpha, beta) -> None:
     They must pass `_check_amplitudes`; then, since coherence reconstruction
     divides by <Z^A>, <U> and <Z^A U> of the input pair, which are
     proportional to |alpha|^2 - |beta|^2, Re(alpha beta*) and
-    Im(alpha beta*), all three must exceed `FACTOR_TOL` in magnitude.
+    Im(alpha beta*) (read from `input_pair_expectations`), all three must
+    exceed `FACTOR_TOL` in magnitude.
     Raises `InvalidConfigurationError`.
     """
     a, b = _check_amplitudes(alpha, beta)
@@ -165,11 +165,15 @@ def validate_amplitudes(alpha, beta) -> None:
             "coherence settings need both amplitudes nonzero, got "
             f"alpha={a!r}, beta={b!r}"
         )
-    cross = a * b.conjugate()
+    factors = input_pair_expectations(a, b)
     checks = [
-        (abs(a) ** 2 - abs(b) ** 2, "|alpha| = |beta| makes <Z^A> vanish"),
-        (cross.real, "Re(alpha beta*) = 0 makes the normalizer expectation <U> vanish"),
-        (cross.imag, "Im(alpha beta*) = 0 makes <Z^A U> vanish"),
+        (factors["stabilizer_bias"], "|alpha| = |beta| makes <Z^A> vanish"),
+        # normalizer = 2 Re(alpha beta*), so half of it is Re(alpha beta*) exactly
+        (
+            factors["normalizer"] / 2,
+            "Re(alpha beta*) = 0 makes the normalizer expectation <U> vanish",
+        ),
+        (factors["cross_imag"], "Im(alpha beta*) = 0 makes <Z^A U> vanish"),
     ]
     for value, message in checks:
         if abs(value) < FACTOR_TOL:
@@ -334,7 +338,7 @@ def reconstruct_coherence(
                 f"configuration {setting} has vanishing factor {name}; "
                 "choose amplitudes with |alpha| != |beta| and complex alpha beta*"
             )
-    q, dp = _real_data(probabilities), _real_data(diagonals)
+    q, dp = inversion._real_data(probabilities), inversion._real_data(diagonals)
     if q.shape != (4,) or dp.shape != (4,):
         raise DimensionMismatchError(
             "coherence reconstruction needs 4 probabilities and 4 diagonals, "
@@ -424,30 +428,6 @@ def setting_scheme(
     return _schemes(*_check_amplitudes(alpha, beta))[2][SETTINGS.index(setting)]
 
 
-def _real_data(data) -> np.ndarray:
-    """Outcome data as a float array, the one check of outcome data.
-
-    Complex data raise `InvalidDistributionError` instead of losing their
-    imaginary part, and so do strings (not parsed as numbers) and anything
-    else numpy cannot read as real numbers.
-    """
-    try:
-        a = np.asarray(data)
-        # a complex array would lose its imaginary part, a string array be parsed
-        if a.dtype.kind not in "cSUV":
-            return np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
-        pass
-    raise InvalidDistributionError(
-        f"outcome data must be real numbers, not complex, strings or other objects: {data!r:.80}"
-    )
-
-
-def _check_finite(data: np.ndarray) -> None:
-    if not np.isfinite(data).all():
-        raise InvalidDistributionError("outcome data contain NaN or infinite entries")
-
-
 def closed_form_chi(
     probabilities, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
 ) -> np.ndarray:
@@ -456,10 +436,10 @@ def closed_form_chi(
     Expects the 4 x 4 probability array of one pair, rows in setting order
     (pop, coh_z, coh_x, coh_y).
     """
-    q = _real_data(probabilities)
+    q = inversion._real_data(probabilities)
     if q.shape != (4, 4):
         raise InvalidConfigurationError("closed form needs the 4 single-pair distributions")
-    _check_finite(q)
+    inversion._check_finite(q)
     # outcome m of the pop setting detects Pauli error m: the pop row is diag(chi)
     chi = np.diag(q[0]).astype(complex)
     for setting, row in zip(SETTINGS[1:], q[1:]):
@@ -484,13 +464,12 @@ def reconstruct_from_probabilities(
     complex or non-finite data or a rank-deficient A1 (degenerate
     amplitudes) raises instead of returning a wrong chi.
     """
-    q = _real_data(probabilities)
+    q = inversion._real_data(probabilities)
     rows = q.shape[0] if q.ndim else 0
     n = (rows.bit_length() - 1) // 2
     if n < 1 or q.shape != (4**n, 4**n):
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
     channels.check_register_size(n)
-    _check_finite(q)
     return pair_scheme(alpha, beta).solve(inversion.pair_axes(q, n, 4))
 
 

@@ -27,8 +27,10 @@ and the experiment on n pairs is D1 applied along every pair axis of chi
   gives its I**n inputs, (S / I)**n measurements per input and S**n
   configurations, and `check_pairs(n)` bounds its data, len(D1)**n entries,
   by the 16**MAX_QUBITS entries of the largest chi before anything of that
-  size is built.  Its `forward` applies `readout`, then `row_map`, along
-  each pair axis, and its `solve` applies the pseudo-inverse: one SVD of
+  size is built.  Its `forward` checks n and the shape of chi, then
+  applies `readout`, then `row_map`, along each pair axis; its `solve`
+  checks that the data are real (`_real_data`) and finite (`_check_finite`),
+  then applies the pseudo-inverse: one SVD of
   D1, kept on the scheme, gives its rank (the full design has
   rank(D1)**n), cond(D1)**n and pinv(D1), and pinv(D1) along every pair
   axis of the data is the least-squares chi.  Each experiment keeps its
@@ -54,7 +56,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ops
-from .exceptions import DimensionMismatchError, IllPosedConfigurationError, InvalidConfigurationError
+from .exceptions import (
+    DimensionMismatchError,
+    IllPosedConfigurationError,
+    InvalidConfigurationError,
+    InvalidDistributionError,
+)
 
 __all__ = [
     "ReconstructionResult", "Scheme", "forward", "pair_axes", "per_pair", "readout_design", "unpair_axes",
@@ -107,6 +114,30 @@ def readout_design(table: np.ndarray) -> np.ndarray:
     """Per-pair design D1[r, (m, m')] = c[r, m] conj(c[r, m']) of an R x 4 readout table."""
     c = np.asarray(table) @ np.reshape(ops.PAULIS, (4, 4)).T
     return np.einsum("rm,rn->rmn", c, c.conj()).reshape(len(c), 16)
+
+
+def _real_data(data) -> np.ndarray:
+    """Outcome data as a float array, the one check that data are real numbers.
+
+    Complex data raise `InvalidDistributionError` instead of losing their
+    imaginary part, and so do strings (not parsed as numbers) and anything
+    else numpy cannot read as real numbers.
+    """
+    try:
+        a = np.asarray(data)
+        # a complex array would lose its imaginary part, a string array be parsed
+        if a.dtype.kind not in "cSUV":
+            return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidDistributionError(
+        f"outcome data must be real numbers, not complex, strings or other objects: {data!r:.80}"
+    )
+
+
+def _check_finite(data: np.ndarray) -> None:
+    if not np.isfinite(data).all():
+        raise InvalidDistributionError("outcome data contain NaN or infinite entries")
 
 
 @dataclass
@@ -203,7 +234,16 @@ class Scheme:
         return len(shape)
 
     def forward(self, chi: np.ndarray, n: int) -> np.ndarray:
-        """Outcome probabilities of n pairs, one axis per pair: `forward`, then the row map."""
+        """Outcome probabilities of n pairs, one axis per pair: `forward`, then the row map.
+
+        Before any arithmetic, n must pass `check_pairs` and chi must be
+        4**n x 4**n (`DimensionMismatchError`).
+        """
+        self.check_pairs(n)
+        if np.shape(chi) != (4**n, 4**n):
+            raise DimensionMismatchError(
+                f"chi of shape {np.shape(chi)} on {n} pair(s), expected ({4**n}, {4**n})"
+            )
         data = forward([self.readout] * n, chi)
         return data if self.row_map is None else per_pair(data, [self.row_map] * n)
 
@@ -222,13 +262,17 @@ class Scheme:
     def solve(self, data: np.ndarray) -> ReconstructionResult:
         """Least-squares chi of n pairs, with the counts and conditioning of their design.
 
-        `data` has one axis of length R per pair; no axis, or one of another
-        length, raises `DimensionMismatchError`.  The result's chi is the
+        `data` has one axis of length R per pair; data that are not real
+        numbers raise `InvalidDistributionError` (`_real_data`), then no
+        axis, or one of another length, `DimensionMismatchError`, then a NaN
+        or infinite entry `InvalidDistributionError`.  The result's chi is the
         exactly Hermitian (chi + chi^H)/2, with rank(design)**n and
         cond(design)**n.  A rank-deficient design raises instead of
         returning a wrong chi.
         """
+        data = _real_data(data)
         n = self._pairs(data)
+        _check_finite(data)
         pinv, cond, rank = self._svd
         if pinv is None:
             raise IllPosedConfigurationError(

@@ -124,7 +124,7 @@ def sample(scheme: inversion.Scheme, data: np.ndarray, shots: int, seed) -> np.n
     """
     parent = _seed_sequence(seed)
     _checked_shots(shots)
-    q = dcqd._real_data(data)
+    q = inversion._real_data(data)
     n, digits = scheme._pairs(q), (scheme.settings, scheme.outcomes)
     pvals = _cell_probabilities(inversion.unpair_axes(q, n, digits))
     children = parent.spawn(len(pvals))

@@ -20,8 +20,9 @@ operators.
 A process-matrix report stores chi once, as `encode_chi` writes it: the
 base64 text of its little-endian complex128 bytes, with its shape.  Encoding
 and decoding are linear in the number of entries and bit-exact; the report
-also carries the Pauli-string index legend, and `chi_rows` gives the
-per-entry, human-readable CSV view.
+also carries the Pauli-string index legend.  `chi_csv` gives the
+per-entry, human-readable CSV view, one `row,col,real,imag` line per entry,
+written one chi row at a time; the other CSV reports go through `dump_csv`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import hashlib
 import io
 import json
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -313,16 +314,25 @@ def load_json(text: str) -> dict:
     return json.loads(text)
 
 
-def chi_rows(report: dict) -> list[dict]:
-    """Flatten a chi report into per-entry CSV rows."""
+def chi_csv(report: dict) -> Iterator[str]:
+    """The CSV view of a chi report: the header, then one text chunk per chi row.
+
+    Each entry is a `row,col,real,imag` line of its Pauli-string labels and
+    the repr of each part, the bytes `csv.DictWriter` writes for them: the
+    labels are [IXYZ]+ and the parts finite floats, so no cell is quoted.
+    chi is decoded here, with `chi_from_report`'s checks; each chunk is
+    formatted when it is read, so the whole text is never held at once.
+    """
     labels = report["basis"]
     chi = chi_from_report(report)
-    re, im = chi.real.tolist(), chi.imag.tolist()
-    return [
-        {"row": labels[m], "col": labels[n], "real": re[m][n], "imag": im[m][n]}
-        for m in range(len(labels))
-        for n in range(len(labels))
-    ]
+
+    def chunks() -> Iterator[str]:
+        yield "row,col,real,imag\n"
+        for label, row in zip(labels, chi):
+            re, im = row.real.tolist(), row.imag.tolist()
+            yield "".join([f"{label},{col},{r!r},{i!r}\n" for col, r, i in zip(labels, re, im)])
+
+    return chunks()
 
 
 def dump_csv(rows: Sequence[dict]) -> str:

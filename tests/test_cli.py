@@ -814,6 +814,19 @@ class TestEmit:
                 assert fmt == "text"
                 assert out == resources.format_table(resources.resource_table([2])) + "\n"
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_output_file_matches_stdout(self, command, tmp_path, capsys):
+        # --output gets the bytes stdout gets, in every format; a chi CSV is
+        # written one chi row at a time
+        args, _, _ = self.CASES[command]
+        for fmt in self.formats(command):
+            code, out, err = run([command, *args, "--format", fmt], capsys)
+            assert (code, err) == (0, "")
+            path = tmp_path / f"report.{fmt}"
+            code, printed, err = run([command, *args, "--format", fmt, "--output", str(path)], capsys)
+            assert (code, printed, err) == (0, "", "")
+            assert path.read_bytes() == out.encode("utf-8")
+
 
 class TestCommandSequence:
     # each command run alone on cold design caches, then all of them in one

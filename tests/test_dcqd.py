@@ -545,6 +545,28 @@ class TestFactoredEngine:
         with pytest.raises(DimensionMismatchError, match="one axis of 16 per pair"):
             dcqd.pair_scheme().solve(data)
 
+    @pytest.mark.parametrize(
+        "scheme,shape,n,error,message",
+        [
+            (dcqd.optics_scheme, (1024, 1024), 5, InvalidConfigurationError, r"24\*\*5 entries"),
+            (dcqd.pair_scheme, (4096, 4096), 6, InvalidConfigurationError, r"16\*\*6"),
+            (dcqd.pair_scheme, (4, 4), 2, DimensionMismatchError, r"\(4, 4\) on 2 pair"),
+            (dcqd.pair_scheme, (16, 4), 1, DimensionMismatchError, r"expected \(4, 4\)"),
+            (lambda: dcqd.setting_scheme(dcqd.COH_X), (4, 4, 4), 1, DimensionMismatchError, "expected"),
+        ],
+        ids=["optics_n5", "pair_n6", "chi_of_one_pair", "non_square", "3d"],
+    )
+    def test_forward_checks_before_building(self, scheme, shape, n, error, message, monkeypatch):
+        # the analyzer's 24**5 data entries were built (199 MB) before the
+        # bound that refuses them, and a chi of the wrong size for n raised
+        # numpy's reshape ValueError; both are refused before any arithmetic
+        def untouched(*args, **kwargs):
+            raise AssertionError("forward model reached")
+
+        monkeypatch.setattr(inversion, "per_pair", untouched)
+        with pytest.raises(error, match=message):
+            scheme().forward(np.broadcast_to(0j, shape), n)
+
     def test_pair_design_matches_single_pair_designs(self):
         dense = stacked_design(dcqd.all_configurations(1))
         assert np.max(np.abs(dcqd.pair_scheme().design - dense)) < 1e-15
@@ -755,6 +777,9 @@ class TestFactoredEngine:
             probs[-1, 0] = bad
             with pytest.raises(InvalidDistributionError, match="NaN or infinite"):
                 dcqd.reconstruct_from_probabilities(probs)
+            # the scheme's own solve, which returned a NaN chi with a RuntimeWarning
+            with pytest.raises(InvalidDistributionError, match="NaN or infinite"):
+                dcqd.pair_scheme().solve(inversion.pair_axes(probs, n, 4))
         probs = dcqd.all_outcome_probabilities(channels.depolarizing(0.1), 1)
         probs[2, 1] = bad
         with pytest.raises(InvalidDistributionError, match="NaN or infinite"):

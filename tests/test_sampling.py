@@ -34,9 +34,10 @@ def draw(q, shots, seed):
         lambda q: sampling.sample(dcqd.optics_scheme(), q, shots=10, seed=1),
         lambda q: dcqd.reconstruct_coherence(dcqd.COH_Z, q[1], q[0]),
         lambda q: sampling.sample(dcqd.pair_scheme(), np.ravel(q), shots=10, seed=1),
+        lambda q: dcqd.pair_scheme().solve(q),
     ],
     # sample_counts: one configuration row (`draw`); optics: the analyzer's scheme
-    ids=["reconstruct", "closed_form", "sample_counts", "optics", "coherence", "sample"],
+    ids=["reconstruct", "closed_form", "sample_counts", "optics", "coherence", "sample", "solve"],
 )
 def test_complex_data_rejected(call):
     # the imaginary part is not dropped: a complex array raises before the cast
@@ -46,10 +47,13 @@ def test_complex_data_rejected(call):
     # the same values with a zero imaginary part are still complex data
     with pytest.raises(InvalidDistributionError, match="real"):
         call(dcqd.all_outcome_probabilities(channels.bit_flip(0.1), 1) + 0j)
-    # non-numeric data raised numpy's own ValueError; numeric strings are not parsed
-    for strings in (np.full((4, 4), "abc"), np.full((4, 4), "0.25")):
+    # non-numeric data raised numpy's own ValueError (or, in `solve`, its
+    # UFuncTypeError, and a TypeError for an object array); numeric strings
+    # are not parsed, and complex objects are complex data
+    objects = np.full((4, 4), 0.25j, dtype=object)
+    for bad in (np.full((4, 4), "abc"), np.full((4, 4), "0.25"), objects):
         with pytest.raises(InvalidDistributionError, match="real"):
-            call(strings)
+            call(bad)
 
 
 @pytest.mark.parametrize("data", ["abc", (q for q in [0.5, 0.5]), [[0.5], [0.2, 0.3]], [None, 1j]])

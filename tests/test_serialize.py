@@ -1,5 +1,7 @@
 import base64
+import csv
 import hashlib
+import io
 import json
 import math
 
@@ -334,7 +336,8 @@ class TestChiReport:
 
     def test_csv_rows(self):
         report, chi = self.make_report()
-        rows = serialize.chi_rows(report)
+        text = "".join(serialize.chi_csv(report))
+        rows = _csv_entries(text)
         assert len(rows) == 16
         assert rows[3] == {
             "row": "I",
@@ -342,7 +345,6 @@ class TestChiReport:
             "real": chi[0, 3].real,
             "imag": chi[0, 3].imag,
         }
-        text = serialize.dump_csv(rows)
         assert text.splitlines()[0] == "row,col,real,imag"
         assert len(text.splitlines()) == 17
 
@@ -364,6 +366,14 @@ def _awkward_chi(n: int) -> np.ndarray:
     chi[1, 0] = complex(-0.0, -0.0)
     chi[-1, -1] = complex(-1e-310, 1e-300)
     return chi
+
+
+def _csv_entries(text: str) -> list[dict]:
+    """The entries of a chi CSV, their parts read back as floats."""
+    return [
+        {**row, "real": float(row["real"]), "imag": float(row["imag"])}
+        for row in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def _report_of(chi: np.ndarray, n: int) -> dict:
@@ -402,12 +412,40 @@ class TestChiEncoding:
 
     def test_csv_rows_match_list_form(self):
         chi = _awkward_chi(2)
-        rows = serialize.chi_rows(_report_of(chi, 2))
+        text = "".join(serialize.chi_csv(_report_of(chi, 2)))
+        rows = _csv_entries(text)
         labels = ops.pauli_labels(2)
         assert [(r["row"], r["col"]) for r in rows] == [(a, b) for a in labels for b in labels]
         assert [r["real"] for r in rows] == [v for row in chi.real.tolist() for v in row]
         assert [r["imag"] for r in rows] == [v for row in chi.imag.tolist() for v in row]
-        assert "-0.0" in serialize.dump_csv(rows)
+        assert "-0.0" in text
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_csv_matches_dict_writer(self, n):
+        # the per-entry dicts that csv.DictWriter wrote before the chi CSV was
+        # formatted directly, kept here as the oracle of its bytes
+        chi = _awkward_chi(n)
+        chi[0, 2] = complex(1e-5, -1e16)
+        chi[2, 0] = complex(-1e16, 1e-5)
+        chi[-1, 0] = complex(5e-324, -0.0)
+        report = _report_of(chi, n)
+        labels = report["basis"]
+        re, im = chi.real.tolist(), chi.imag.tolist()
+        entries = [
+            {"row": labels[m], "col": labels[k], "real": re[m][k], "imag": im[m][k]}
+            for m in range(len(labels))
+            for k in range(len(labels))
+        ]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(entries[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(entries)
+        chunks = list(serialize.chi_csv(report))
+        # the header, then one chunk of 4**n lines per chi row
+        assert len(chunks) == 1 + 4**n
+        assert all(chunk.count("\n") == 4**n for chunk in chunks[1:])
+        assert "".join(chunks) == buf.getvalue()
+        assert "1e-05" in chunks[1] and "-1e+16" in chunks[1] and "5e-324" in chunks[-1]
 
 
 def _encoded(chi, **override) -> dict:
