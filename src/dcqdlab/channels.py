@@ -125,7 +125,8 @@ def check_kraus(
     The set must be non-empty, square, of uniform power-of-two dimension,
     and trace non-increasing: sum K^dag K <= I within `KRAUS_ATOL`.  With
     trace_preserving=True equality is required; with False, strict decrease
-    somewhere.  A set that is not an array of numbers raises
+    somewhere.  A set that is not an array of numbers (`ops.number_array`:
+    text, None entries and object arrays are not) raises
     `InvalidChannelError` too.
     """
     return list(_stacked_kraus(kraus, trace_preserving))
@@ -139,35 +140,42 @@ def _chi_not_kraus() -> InvalidChannelError:
 
 
 def _malformed(kraus) -> InvalidChannelError:
-    """The error for a Kraus set that does not stack into one (K, d, d) array of numbers."""
+    """The error for a Kraus set that does not stack into one (K, d, d) array of numbers.
+
+    Each operator is judged on its own by `ops.number_array`; when all are
+    arrays of numbers, the message names the first shape that is not the
+    first operator's square one.
+    """
     if isinstance(kraus, Chi):
         return _chi_not_kraus()
     try:
-        mats = [np.asarray(k, dtype=complex) for k in kraus]
-    except (TypeError, ValueError, OverflowError):
-        return InvalidChannelError("Kraus operators must be arrays of numbers of one shape")
+        mats = [ops.number_array(k, complex_ok=True) for k in kraus]
+    except TypeError:  # not a sequence
+        mats = [None]
     if not mats:
         return InvalidChannelError("empty Kraus set")
+    if any(k is None for k in mats):
+        return InvalidChannelError("Kraus operators must be arrays of numbers of one shape")
     d = mats[0].shape[0] if mats[0].ndim == 2 else 0
-    shape = next((k.shape for k in mats if k.ndim != 2 or k.shape != (d, d)), None)
+    shape = next((k.shape for k in mats if k.shape != (d, d)), None)
     return InvalidChannelError(f"Kraus operators must share a square shape, got {shape}")
 
 
 def _kraus_array(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """A Kraus set stacked once into a (K, d, d) complex array, K >= 1 and d a power of 2.
 
-    Only the structure is checked; anything else raises `InvalidChannelError`.
+    The set must be an array of numbers, complex ones included, by the rule
+    of `ops.number_array`: numeric text is not parsed and a None entry is
+    not read as NaN.  Only the structure is checked; anything else raises
+    `InvalidChannelError`.
     """
-    try:
-        stacked = np.ascontiguousarray(kraus, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        raise _malformed(kraus) from None
-    if stacked.ndim != 3 or stacked.shape[1] != stacked.shape[2] or not len(stacked):
+    a = ops.number_array(kraus, complex_ok=True)
+    if a is None or a.ndim != 3 or a.shape[1] != a.shape[2] or not len(a):
         raise _malformed(kraus)
-    d = stacked.shape[1]
+    d = a.shape[1]
     if d < 2 or d & (d - 1):
         raise InvalidChannelError(f"Kraus dimension {d} is not a power of 2")
-    return stacked
+    return np.ascontiguousarray(a, dtype=complex)
 
 
 def _stacked_kraus(
@@ -199,8 +207,8 @@ def _stacked_kraus(
 
 
 def n_qubits(kraus: Sequence[np.ndarray]) -> int:
-    d = np.asarray(kraus[0]).shape[0]
-    return int(round(math.log2(d)))
+    """The qubits of a checked Kraus set: its operators are 2**n x 2**n arrays."""
+    return len(kraus[0]).bit_length() - 1
 
 
 def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -208,8 +216,9 @@ def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
     Expands each operator as K_i = sum_m c[i, m] E_m with
     c[i, m] = Tr(E_m K_i) / 2**n, then chi[m, n] = sum_i c[i, m] c[i, n]*.
-    Only the set's structure is checked (`_kraus_array`): a set that
-    `check_kraus` already passed is not checked again.
+    Only the set's structure is checked (`_kraus_array`: an array of
+    numbers by the rule of `ops.number_array`, of shape (K, d, d)): a set
+    that `check_kraus` already passed is not checked again.
     """
     mats = _kraus_array(kraus)
     n = n_qubits(mats)
@@ -228,15 +237,11 @@ def _checked_matrix(matrix, name: str, qubits: bool) -> tuple[np.ndarray, int]:
     The side must be d**2 with d >= 2, a power of 2 for chi (4**n x 4**n),
     or `DimensionMismatchError` is raised; a non-finite entry raises
     `InvalidChannelError`, and so does anything that is not an array of
-    numbers (strings are not parsed).
+    numbers (`ops.number_array`).
     """
-    try:
-        m = np.asarray(matrix)
-    except (TypeError, ValueError):  # ragged
-        m = None
-    if m is None or m.dtype.kind not in "biufc":
+    m = ops.number_array(matrix, complex_ok=True)
+    if m is None:
         raise InvalidChannelError(f"{name} must be an array of numbers, got {matrix!r:.80}")
-    m = m.astype(complex, copy=False)
     side = m.shape[0] if m.ndim == 2 else 0
     d = math.isqrt(side)
     if d < 2 or m.shape != (d * d, d * d) or (qubits and d & (d - 1)):
@@ -244,7 +249,7 @@ def _checked_matrix(matrix, name: str, qubits: bool) -> tuple[np.ndarray, int]:
         raise DimensionMismatchError(f"{name} shape {m.shape} is not {form}")
     if not np.isfinite(m).all():
         raise InvalidChannelError(f"{name} has a non-finite entry")
-    return m, d
+    return m.astype(complex, copy=False), d
 
 
 def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:

@@ -321,7 +321,9 @@ def reconstruct_coherence(
     determine Im(chi'_03) and Re(chi'_12).  `diagonals` are the
     canonical-frame populations (the pop setting's probabilities); they are
     permuted into the rotated frame internally.  Use `map_frame` to place
-    the returned values into the canonical chi.
+    the returned values into the canonical chi.  Both must be 4 finite real
+    numbers: data that are not real numbers, or not finite, raise
+    `InvalidDistributionError`, and another shape `DimensionMismatchError`.
     """
     if setting not in (COH_Z, COH_X, COH_Y):
         raise InvalidConfigurationError(
@@ -344,6 +346,7 @@ def reconstruct_coherence(
             "coherence reconstruction needs 4 probabilities and 4 diagonals, "
             f"got {q.shape} and {dp.shape}"
         )
+    inversion._check_finite(np.concatenate((q, dp)))
     dp = dp[np.argsort(FRAME_PERM[setting])]
     s_plus, s_minus = q[0] + q[3], q[1] + q[2]
     d_plus, d_minus = q[0] - q[3], q[1] - q[2]
@@ -434,12 +437,12 @@ def closed_form_chi(
     """Single-pair chi assembled from the four per-setting closed forms.
 
     Expects the 4 x 4 probability array of one pair, rows in setting order
-    (pop, coh_z, coh_x, coh_y).
+    (pop, coh_z, coh_x, coh_y), real and finite: `reconstruct_coherence`
+    checks every row's finiteness, the pop row as its diagonals.
     """
     q = inversion._real_data(probabilities)
     if q.shape != (4, 4):
         raise InvalidConfigurationError("closed form needs the 4 single-pair distributions")
-    inversion._check_finite(q)
     # outcome m of the pop setting detects Pauli error m: the pop row is diag(chi)
     chi = np.diag(q[0]).astype(complex)
     for setting, row in zip(SETTINGS[1:], q[1:]):

@@ -117,22 +117,18 @@ def readout_design(table: np.ndarray) -> np.ndarray:
 
 
 def _real_data(data) -> np.ndarray:
-    """Outcome data as a float array, the one check that data are real numbers.
+    """Outcome data as a float array, if they are an array of real numbers (`ops.number_array`).
 
-    Complex data raise `InvalidDistributionError` instead of losing their
-    imaginary part, and so do strings (not parsed as numbers) and anything
-    else numpy cannot read as real numbers.
+    Anything else raises `InvalidDistributionError`: complex data instead of
+    losing their imaginary part, text instead of being parsed, and an object
+    array, None entries included, instead of reading None as NaN.
     """
-    try:
-        a = np.asarray(data)
-        # a complex array would lose its imaginary part, a string array be parsed
-        if a.dtype.kind not in "cSUV":
-            return np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
-        pass
-    raise InvalidDistributionError(
-        f"outcome data must be real numbers, not complex, strings or other objects: {data!r:.80}"
-    )
+    a = ops.number_array(data, complex_ok=False)
+    if a is None:
+        raise InvalidDistributionError(
+            f"outcome data must be real numbers, not complex, strings or other objects: {data!r:.80}"
+        )
+    return a.astype(float, copy=False)
 
 
 def _check_finite(data: np.ndarray) -> None:

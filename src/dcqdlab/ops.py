@@ -27,9 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
+
+from .exceptions import InvalidConfigurationError
 
 PAULI_LABELS = "IXYZ"
 
@@ -61,8 +63,31 @@ def is_real(value) -> bool:
     return True
 
 
+def number_array(value, complex_ok: bool) -> Optional[np.ndarray]:
+    """`np.asarray(value)` if it holds numbers, else None: the one rule for input arrays.
+
+    Every array that crosses the library boundary is judged here.  Numbers
+    are entries of dtype kind bool, int, uint or float, and complex where
+    `complex_ok`.  Text, an object array (whatever it holds, None included)
+    and ragged input are not, and are refused before any cast, so no string
+    is parsed and no None becomes NaN.  The caller raises its own error and
+    casts the array it gets.
+    """
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # ragged
+        return None
+    return a if a.dtype.kind in ("biufc" if complex_ok else "biuf") else None
+
+
 def pauli_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All 4**n Pauli strings on n qubits in lexicographic (index) order."""
+    """All 4**n Pauli strings on n qubits in lexicographic (index) order.
+
+    n must be a non-negative integer (`is_integer`), or
+    `InvalidConfigurationError` is raised.
+    """
+    if not (is_integer(n) and n >= 0):
+        raise InvalidConfigurationError(f"n must be a non-negative integer, got {n!r:.80}")
     return itertools.product(range(4), repeat=n)
 
 

@@ -56,8 +56,11 @@ def resource_counts(n: int) -> dict[str, dict[str, int]]:
 def resource_table(n_values) -> list[dict[str, int | str]]:
     """Flat table rows (one per n and scheme) for reporting.
 
-    The first n outside 1..`MAX_N` raises, so a long range fails at once.
+    `n_values` must be iterable and the first n outside 1..`MAX_N` raises,
+    each with `InvalidConfigurationError`, so a long range fails at once.
     """
+    if not hasattr(n_values, "__iter__"):
+        raise InvalidConfigurationError(f"qubit counts must be iterable, got {n_values!r:.80}")
     rows: list[dict[str, int | str]] = []
     for n in n_values:
         counts = resource_counts(n)

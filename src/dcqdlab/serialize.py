@@ -204,10 +204,8 @@ def _finite_or_none(x: Optional[float]):
 
 def validation_to_dict(report: channels.ChiValidation) -> dict:
     """`report`'s fields in their order, a non-finite `tp_residual` as text, then `all_ok`."""
-    out = dataclasses.asdict(report)
-    out["tp_residual"] = _finite_or_none(report.tp_residual)
-    out["all_ok"] = report.all_ok
-    return out
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {**fields, "tp_residual": _finite_or_none(report.tp_residual), "all_ok": report.all_ok}
 
 
 def chi_report(
@@ -231,8 +229,7 @@ def chi_report(
     }
     if channel_spec is not None:
         report["channel"] = channel_spec
-    for key, value in extra.items():
-        report[key] = value
+    report.update(extra)
     return report
 
 

@@ -523,6 +523,12 @@ class TestResources:
             resources.resource_table(range(1, 10**8))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n_values", [None, 3])
+    def test_library_needs_an_iterable(self, n_values):
+        # raised the builtin TypeError
+        with pytest.raises(InvalidConfigurationError, match="iterable"):
+            resources.resource_table(n_values)
+
     @pytest.mark.parametrize("argv", [["--n-min", "0"], ["--n-min", "3", "--n-max", "2"]])
     def test_bad_range(self, argv, capsys):
         code, out, err = run(["resources"] + argv, capsys)

@@ -317,6 +317,15 @@ class TestReconstructCoherence:
         with pytest.raises(DimensionMismatchError):
             dcqd.reconstruct_coherence(dcqd.COH_Z, q, diag)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["probabilities", "diagonals"])
+    def test_non_finite_data_rejected(self, which, bad):
+        # returned (nan+nanj, ...) or -inf+infj, as closed_form_chi does not
+        data = {"probabilities": [0.4, 0.2, 0.3, 0.1], "diagonals": [0.25] * 4}
+        data[which][0] = bad
+        with pytest.raises(InvalidDistributionError, match="NaN or infinite"):
+            dcqd.reconstruct_coherence(dcqd.COH_Z, data["probabilities"], data["diagonals"])
+
     def test_identity_channel_no_coherence(self):
         entries = self.run_closed_form(channels.identity_channel(), dcqd.COH_Z)
         assert entries[(0, 3)] == pytest.approx(0.0, abs=1e-12)

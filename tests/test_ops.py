@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dcqdlab import ops
+from dcqdlab import channels, dcqd, ops, sampling
+from dcqdlab.exceptions import (
+    InvalidChannelError,
+    InvalidConfigurationError,
+    InvalidDistributionError,
+)
 
 
 def string_matrix(s):
@@ -99,3 +104,67 @@ class TestHermitianPart:
         herm = ops.hermitian_part(np.array([[complex(-0.0, 0.0)]]))
         assert math.copysign(1.0, herm[0, 0].real) == -1.0
         assert math.copysign(1.0, herm[0, 0].imag) == 1.0
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, "2", None, True])
+def test_pauli_strings_need_a_non_negative_integer(n):
+    # -1 raised itertools' ValueError and 1.5 or "2" a TypeError
+    for call in (ops.pauli_strings, ops.pauli_labels):
+        with pytest.raises(InvalidConfigurationError, match="non-negative integer"):
+            call(n)
+
+
+def _with_entry(value, side):
+    """A side x side nested list of numbers with `value` at [1][1]."""
+    rows = [[0.25 if i == j else 0 for j in range(side)] for i in range(side)]
+    rows[1][1] = value
+    return rows
+
+
+# entry point -> (a call on one side x side matrix, that side, its error); a
+# Kraus entry point gets a set of that one operator
+ARRAY_ENTRY_POINTS = {
+    "check_kraus": (lambda m: channels.check_kraus([m]), 2, InvalidChannelError),
+    "as_chi": (lambda m: channels.as_chi([m], 1), 2, InvalidChannelError),
+    "chi_from_kraus": (lambda m: channels.chi_from_kraus([m]), 2, InvalidChannelError),
+    "compose": (lambda m: channels.compose(channels.bit_flip(0.1), [m]), 2, InvalidChannelError),
+    "validate_chi": (channels.validate_chi, 4, InvalidChannelError),
+    "kraus_from_chi": (channels.kraus_from_chi, 4, InvalidChannelError),
+    "kraus_from_choi": (channels.kraus_from_choi, 4, InvalidChannelError),
+    "solve": (lambda q: dcqd.pair_scheme().solve(np.reshape(q, 16)), 4, InvalidDistributionError),
+    "sample": (
+        lambda q: sampling.sample(dcqd.pair_scheme(), np.reshape(q, 16), 10, 1),
+        4,
+        InvalidDistributionError,
+    ),
+    "reconstruct_from_probabilities": (
+        dcqd.reconstruct_from_probabilities, 4, InvalidDistributionError
+    ),
+    "closed_form_chi": (dcqd.closed_form_chi, 4, InvalidDistributionError),
+    "reconstruct_coherence": (
+        lambda q: dcqd.reconstruct_coherence(dcqd.COH_Z, q[1], q[0]), 4, InvalidDistributionError
+    ),
+}
+NOT_NUMBERS = {
+    "numeric_strings": lambda side: [[str(x) for x in row] for row in _with_entry(0.25, side)],
+    "none_entry": lambda side: _with_entry(None, side),
+    "object_numbers": lambda side: np.array(_with_entry(0.25, side), dtype=object),
+    "complex": lambda side: np.array(_with_entry(0.25, side)) + 0j,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+def test_arrays_must_hold_numbers(entry, case):
+    # one rule (`ops.number_array`) at every array entry point: numeric text
+    # was parsed in a Kraus set, a None entry read as NaN and an object array
+    # of numbers accepted as a Kraus set or as data; each is refused as not
+    # numbers, before any NaN can appear
+    call, side, error = ARRAY_ENTRY_POINTS[entry]
+    matrix = NOT_NUMBERS[case](side)
+    if case == "complex" and error is InvalidChannelError:
+        call(matrix)  # complex values are numbers in a channel
+        return
+    message = "real numbers" if error is InvalidDistributionError else "of numbers"
+    with pytest.raises(error, match=message):
+        call(matrix)
