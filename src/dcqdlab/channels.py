@@ -109,8 +109,11 @@ _PAULI_PRODUCTS = np.einsum("nab,mbc->acmn", ops.PAULIS, ops.PAULIS).reshape(4, 
 
 
 def trace_gap(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """I - sum K^dag K: zero for a trace-preserving set, PSD for a trace-decreasing one."""
-    mats = np.asarray(kraus, dtype=complex)
+    """I - sum K^dag K: zero for a trace-preserving set, PSD for a trace-decreasing one.
+
+    The set must be a (K, d, d) stack of numbers (`ops.square_array`).
+    """
+    mats = ops.square_array(kraus, 3, "Kraus set")
     d = mats.shape[-1]
     # the operators stacked as one (K d) x d matrix F, so sum K^dag K = F^H F
     f = mats.reshape(-1, d)
@@ -234,22 +237,20 @@ def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
 def _checked_matrix(matrix, name: str, qubits: bool) -> tuple[np.ndarray, int]:
     """A chi (`qubits`) or Choi matrix as a complex array, and d with side d**2.
 
-    The side must be d**2 with d >= 2, a power of 2 for chi (4**n x 4**n),
-    or `DimensionMismatchError` is raised; a non-finite entry raises
+    It must be a square matrix of numbers (`ops.square_array`), its side
+    d**2 with d >= 2, a power of 2 for chi (4**n x 4**n), or
+    `DimensionMismatchError` is raised; a non-finite entry raises
     `InvalidChannelError`, and so does anything that is not an array of
-    numbers (`ops.number_array`).
+    numbers.
     """
-    m = ops.number_array(matrix, complex_ok=True)
-    if m is None:
-        raise InvalidChannelError(f"{name} must be an array of numbers, got {matrix!r:.80}")
-    side = m.shape[0] if m.ndim == 2 else 0
-    d = math.isqrt(side)
-    if d < 2 or m.shape != (d * d, d * d) or (qubits and d & (d - 1)):
+    m = ops.square_array(matrix, 2, name)
+    d = math.isqrt(len(m))
+    if d < 2 or d * d != len(m) or (qubits and d & (d - 1)):
         form = "4**n x 4**n" if qubits else "d**2 x d**2"
         raise DimensionMismatchError(f"{name} shape {m.shape} is not {form}")
     if not np.isfinite(m).all():
         raise InvalidChannelError(f"{name} has a non-finite entry")
-    return m.astype(complex, copy=False), d
+    return m, d
 
 
 def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:

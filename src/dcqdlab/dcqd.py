@@ -25,7 +25,9 @@ one measurement.  All 4**n configurations together determine every entry.
 The input amplitudes (alpha, beta) are shared by every coh pair and are
 plain arguments of every entry point; `validate_amplitudes` is their one
 check for a full experiment, and `_check_amplitudes` the one check that
-they are finite, normalized numbers.  A configuration's data are its
+they are finite, normalized numbers.  `_coherence_factors` is the one
+judge of the three factors that the coherence equations divide by: it
+serves `validate_amplitudes` and both closed forms.  A configuration's data are its
 outcome probabilities (`outcome_probabilities(channel, settings, alpha,
 beta)`, a vector of 4**n).  An experiment's data are one float array of
 shape (4**n, 4**n): row c is configuration c of `all_configurations(n)`
@@ -58,7 +60,11 @@ scheme on it, each with its SVD, once per process for each amplitude pair:
   limit it to n = 1..4 (`inversion.Scheme.check_pairs`).
 
 The single-pair closed forms below (n = 1) are the paper's route and serve
-as an independent cross-check of the solver.  The readout table is the
+as an independent cross-check of the solver.  `closed_form_chi` solves the
+three coh settings in one array pass (`_coherences`) and places them with a
+frame table built once at import from `FRAME_PERM` and `FRAME_SIGN`;
+`reconstruct_coherence` is its one-setting case and `map_frame` reads
+the same table.  The readout table is the
 module's only model of the experiment: no 2n-qubit state or measurement
 basis is ever built.
 """
@@ -76,8 +82,8 @@ import numpy as np
 from . import channels, inversion, ops
 from .exceptions import (
     DimensionMismatchError,
-    IllPosedConfigurationError,
     InvalidConfigurationError,
+    InvalidDistributionError,
 )
 from .inversion import ReconstructionResult
 
@@ -118,12 +124,21 @@ def _conjugation_permutation(v: np.ndarray) -> tuple[tuple[int, ...], tuple[int,
     return tuple(int(k) for k in perm), tuple(int(s) for s in sign)
 
 
-FRAME_PERM = {}
-FRAME_SIGN = {}
-for _setting in (COH_Z, COH_X, COH_Y):
-    FRAME_PERM[_setting], FRAME_SIGN[_setting] = _conjugation_permutation(
-        PREP_ROTATIONS[_setting]
-    )
+_COH = SETTINGS[1:]
+FRAME_PERM, FRAME_SIGN = {}, {}
+for _setting in _COH:
+    FRAME_PERM[_setting], FRAME_SIGN[_setting] = _conjugation_permutation(PREP_ROTATIONS[_setting])
+
+# The frame table, one row per coh setting in `_COH` order, built once and
+# read by `map_frame` and the closed forms.  Frame label j of setting s is
+# canonical label _FRAME_LABELS[s, j], and chi[m, n] at (m, n) =
+# _FRAME_ENTRIES[s, k] is _FRAME_SIGNS[s, k] times coherence k of
+# (chi'_03, chi'_12).
+_FRAME_LABELS = np.argsort([FRAME_PERM[s] for s in _COH], axis=1)
+_FRAME_ENTRIES = _FRAME_LABELS[:, [[0, 3], [1, 2]]]
+_FRAME_SIGNS = np.array(
+    [[FRAME_SIGN[s][m] * FRAME_SIGN[s][n] for m, n in mn] for s, mn in zip(_COH, _FRAME_ENTRIES)]
+)
 
 
 def _check_amplitudes(alpha, beta) -> tuple[complex, complex]:
@@ -149,15 +164,22 @@ def _check_amplitudes(alpha, beta) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def validate_amplitudes(alpha, beta) -> None:
-    """Check amplitudes for the coherence settings, which every full experiment has.
+def _factors(a: complex, b: complex) -> tuple[float, float, float]:
+    """The coherence factors of checked amplitudes, not judged (`_coherence_factors` judges them).
 
-    They must pass `_check_amplitudes`; then, since coherence reconstruction
-    divides by <Z^A>, <U> and <Z^A U> of the input pair, which are
-    proportional to |alpha|^2 - |beta|^2, Re(alpha beta*) and
-    Im(alpha beta*) (read from `input_pair_expectations`), all three must
-    exceed `FACTOR_TOL` in magnitude.
-    Raises `InvalidConfigurationError`.
+    <Z^A> = |alpha|^2 - |beta|^2, <U> = 2 Re(alpha beta*) and Im(alpha beta*).
+    """
+    cross = a * b.conjugate()
+    return abs(a) ** 2 - abs(b) ** 2, 2.0 * cross.real, cross.imag
+
+
+def _coherence_factors(alpha, beta) -> tuple[float, float, float]:
+    """The three factors of the coherence equations (`_factors`), judged nonzero: the one rule.
+
+    The amplitudes must pass `_check_amplitudes` and both exceed
+    `FACTOR_TOL` in magnitude; then |alpha|^2 - |beta|^2, Re(alpha beta*)
+    and Im(alpha beta*) must, in that order.  The first that does not raises
+    `InvalidConfigurationError`, whose message names the vanishing factor.
     """
     a, b = _check_amplitudes(alpha, beta)
     if abs(a) < FACTOR_TOL or abs(b) < FACTOR_TOL:
@@ -165,19 +187,28 @@ def validate_amplitudes(alpha, beta) -> None:
             "coherence settings need both amplitudes nonzero, got "
             f"alpha={a!r}, beta={b!r}"
         )
-    factors = input_pair_expectations(a, b)
+    z_bias, u_exp, cross_imag = factors = _factors(a, b)
     checks = [
-        (factors["stabilizer_bias"], "|alpha| = |beta| makes <Z^A> vanish"),
-        # normalizer = 2 Re(alpha beta*), so half of it is Re(alpha beta*) exactly
-        (
-            factors["normalizer"] / 2,
-            "Re(alpha beta*) = 0 makes the normalizer expectation <U> vanish",
-        ),
-        (factors["cross_imag"], "Im(alpha beta*) = 0 makes <Z^A U> vanish"),
+        (z_bias, "|alpha| = |beta| makes <Z^A> vanish"),
+        # <U> = 2 Re(alpha beta*), so half of it is Re(alpha beta*) exactly
+        (u_exp / 2, "Re(alpha beta*) = 0 makes the normalizer expectation <U> vanish"),
+        (cross_imag, "Im(alpha beta*) = 0 makes <Z^A U> vanish"),
     ]
     for value, message in checks:
         if abs(value) < FACTOR_TOL:
             raise InvalidConfigurationError(message)
+    return factors
+
+
+def validate_amplitudes(alpha, beta) -> None:
+    """Check amplitudes for the coherence settings, which every full experiment has.
+
+    Coherence reconstruction divides by <Z^A>, <U> and <Z^A U> of the input
+    pair, which are proportional to |alpha|^2 - |beta|^2, Re(alpha beta*)
+    and Im(alpha beta*); `_coherence_factors`, which the closed forms call
+    too, judges them.  Raises `InvalidConfigurationError`.
+    """
+    _coherence_factors(alpha, beta)
 
 
 def all_configurations(n: int) -> list[tuple[str, ...]]:
@@ -295,15 +326,32 @@ def input_pair_expectations(alpha: complex, beta: complex) -> dict[str, float]:
     Keys: 'stabilizer_bias' = <Z^A> = |alpha|^2 - |beta|^2,
     'normalizer' = <X^A X^B> = 2 Re(alpha beta*),
     'cross_imag' = Im(alpha beta*), i.e. <Z^A X^A X^B> = -2i * cross_imag.
-    The amplitudes are checked by `_check_amplitudes`.
+    The amplitudes are checked by `_check_amplitudes`; the factors are not
+    judged, since real amplitudes are legal where no coherence is solved.
     """
-    a, b = _check_amplitudes(alpha, beta)
-    cross = a * b.conjugate()
-    return {
-        "stabilizer_bias": abs(a) ** 2 - abs(b) ** 2,
-        "normalizer": 2.0 * cross.real,
-        "cross_imag": cross.imag,
-    }
+    keys = ("stabilizer_bias", "normalizer", "cross_imag")
+    return dict(zip(keys, _factors(*_check_amplitudes(alpha, beta))))
+
+
+def _coherences(q: np.ndarray, frame_pops: np.ndarray, factors: tuple) -> np.ndarray:
+    """Rotated-frame coherences (chi'_03, chi'_12) of k coh settings, a k x 2 complex array.
+
+    q holds the settings' k x 4 outcome probabilities and frame_pops the
+    k x 4 populations in each setting's frame; the factors come from
+    `_coherence_factors`.  The stabilizer sums q0+q3 and q1+q2 give
+    Re(chi'_03) and Im(chi'_12), the normalizer differences q0-q3 and q1-q2
+    give Im(chi'_03) and Re(chi'_12).  The parts are written into an empty
+    array, so that no sum with 1j can flip the sign of a zero.
+    """
+    z_bias, u_exp, cross_imag = factors
+    q0, q1, q2, q3 = q.T
+    d0, d1, d2, d3 = frame_pops.T
+    coh = np.empty((len(q), 2), dtype=complex)
+    coh[:, 0].real = (q0 + q3 - d0 - d3) / (2.0 * z_bias)
+    coh[:, 0].imag = (q0 - q3 - (d0 - d3) * u_exp) / (4.0 * cross_imag)
+    coh[:, 1].real = ((d1 - d2) * u_exp - (q1 - q2)) / (4.0 * cross_imag)
+    coh[:, 1].imag = (q1 + q2 - d1 - d2) / (2.0 * z_bias)
+    return coh
 
 
 def reconstruct_coherence(
@@ -315,49 +363,31 @@ def reconstruct_coherence(
 ) -> tuple[complex, complex]:
     """Rotated-frame coherences (chi'_03, chi'_12) of one coh setting on a single pair.
 
-    The four outcome probabilities give four real equations: the stabilizer
-    sums q0+q3 and q1+q2 determine Re(chi'_03) and Im(chi'_12) once the
-    diagonals are known, and the normalizer differences q0-q3 and q1-q2
-    determine Im(chi'_03) and Re(chi'_12).  `diagonals` are the
-    canonical-frame populations (the pop setting's probabilities); they are
-    permuted into the rotated frame internally.  Use `map_frame` to place
-    the returned values into the canonical chi.  Both must be 4 finite real
-    numbers: data that are not real numbers, or not finite, raise
-    `InvalidDistributionError`, and another shape `DimensionMismatchError`.
+    The one-setting case of `closed_form_chi`'s pass (`_coherences`).
+    `diagonals` are the canonical-frame populations (the pop setting's
+    probabilities); the frame table permutes them into the rotated frame.
+    Use `map_frame` to place the returned values into the canonical chi.
+    Checks the setting, then the amplitudes and their factors
+    (`_coherence_factors`, `InvalidConfigurationError`), then the data:
+    both must be 4 finite real numbers.  Data that are not real numbers,
+    or not finite, raise `InvalidDistributionError`, and another shape
+    `DimensionMismatchError`.
     """
-    if setting not in (COH_Z, COH_X, COH_Y):
+    if setting not in _COH:
         raise InvalidConfigurationError(
             f"coherence reconstruction needs one coh-type pair, got {setting}"
         )
-    factors = input_pair_expectations(alpha, beta)
-    for key, name in (
-        ("stabilizer_bias", "<Z^A>"),
-        ("normalizer", "<U> = <X^A X^B>"),
-        ("cross_imag", "<Z^A U>"),
-    ):
-        if abs(factors[key]) < FACTOR_TOL:
-            raise IllPosedConfigurationError(
-                f"configuration {setting} has vanishing factor {name}; "
-                "choose amplitudes with |alpha| != |beta| and complex alpha beta*"
-            )
-    q, dp = inversion._real_data(probabilities), inversion._real_data(diagonals)
-    if q.shape != (4,) or dp.shape != (4,):
+    factors = _coherence_factors(alpha, beta)
+    q, diag = inversion._real_data(probabilities), inversion._real_data(diagonals)
+    if q.shape != (4,) or diag.shape != (4,):
         raise DimensionMismatchError(
             "coherence reconstruction needs 4 probabilities and 4 diagonals, "
-            f"got {q.shape} and {dp.shape}"
+            f"got {q.shape} and {diag.shape}"
         )
-    inversion._check_finite(np.concatenate((q, dp)))
-    dp = dp[np.argsort(FRAME_PERM[setting])]
-    s_plus, s_minus = q[0] + q[3], q[1] + q[2]
-    d_plus, d_minus = q[0] - q[3], q[1] - q[2]
-    z_bias = factors["stabilizer_bias"]
-    u_exp = factors["normalizer"]
-    cross4 = 4.0 * factors["cross_imag"]
-    re03 = (s_plus - dp[0] - dp[3]) / (2.0 * z_bias)
-    im12 = (s_minus - dp[1] - dp[2]) / (2.0 * z_bias)
-    im03 = (d_plus - (dp[0] - dp[3]) * u_exp) / cross4
-    re12 = ((dp[1] - dp[2]) * u_exp - d_minus) / cross4
-    return complex(re03, im03), complex(re12, im12)
+    inversion._check_finite(np.concatenate((q, diag)))
+    frame_pops = diag[_FRAME_LABELS[[_COH.index(setting)]]]
+    coh_stab, coh_norm = _coherences(q[None], frame_pops, factors)[0]
+    return complex(coh_stab), complex(coh_norm)
 
 
 def map_frame(setting: str, coh_stab: complex, coh_norm: complex) -> dict[tuple[int, int], complex]:
@@ -366,22 +396,22 @@ def map_frame(setting: str, coh_stab: complex, coh_norm: complex) -> dict[tuple[
     The preparation rotation V permutes Pauli labels with signs,
     V^dag E_m V = sign[m] E_perm[m], so the rotated-frame entries
     (chi'_03, chi'_12) land at canonical positions chi[m, n] =
-    sign[m] sign[n] chi'[perm[m], perm[n]].  Returns the two upper-triangle
-    entries this configuration pins down (conjugates implied).
+    sign[m] sign[n] chi'[perm[m], perm[n]]; the frame table holds those
+    positions and signs.  Returns the two upper-triangle entries this
+    configuration pins down (conjugates implied).  Both values must be
+    numbers (not bools), or `InvalidDistributionError` is raised.
     """
-    if setting not in (COH_Z, COH_X, COH_Y):
+    if setting not in _COH:
         raise InvalidConfigurationError(f"no frame mapping for setting {setting!r}")
-    perm = FRAME_PERM[setting]
-    sign = FRAME_SIGN[setting]
-    iperm = np.argsort(perm)
-    out: dict[tuple[int, int], complex] = {}
-    for (a, b), value in (((0, 3), coh_stab), ((1, 2), coh_norm)):
-        m, n = int(iperm[a]), int(iperm[b])
-        v = sign[m] * sign[n] * value
-        if m > n:
-            m, n, v = n, m, v.conjugate()
-        out[(m, n)] = v
-    return out
+    values = (coh_stab, coh_norm)
+    if not all(isinstance(v, numbers.Number) and not isinstance(v, bool) for v in values):
+        raise InvalidDistributionError(f"coherences must be numbers, got {values!r:.80}")
+    s = _COH.index(setting)
+    # an entry below the diagonal is stored as its conjugate above it
+    return {
+        (min(m, n), max(m, n)): sign * v if m < n else (sign * v).conjugate()
+        for (m, n), sign, v in zip(_FRAME_ENTRIES[s].tolist(), _FRAME_SIGNS[s].tolist(), values)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +464,29 @@ def setting_scheme(
 def closed_form_chi(
     probabilities, alpha: complex = DEFAULT_ALPHA, beta: complex = DEFAULT_BETA
 ) -> np.ndarray:
-    """Single-pair chi assembled from the four per-setting closed forms.
+    """Single-pair chi from the paper's closed forms, all three coh settings in one pass.
 
     Expects the 4 x 4 probability array of one pair, rows in setting order
-    (pop, coh_z, coh_x, coh_y), real and finite: `reconstruct_coherence`
-    checks every row's finiteness, the pop row as its diagonals.
+    (pop, coh_z, coh_x, coh_y), real and finite.  The pop row is diag(chi);
+    `_coherences` solves the three coh rows against it and the frame table
+    places them, entry for entry what `reconstruct_coherence` and
+    `map_frame` give setting by setting.  Checks that the data are real
+    numbers (`InvalidDistributionError`) of shape 4 x 4
+    (`DimensionMismatchError`), then the amplitudes and their factors
+    (`_coherence_factors`), then that the data are finite.
     """
     q = inversion._real_data(probabilities)
     if q.shape != (4, 4):
-        raise InvalidConfigurationError("closed form needs the 4 single-pair distributions")
+        raise DimensionMismatchError(f"closed form needs 4 single-pair distributions, got {q.shape}")
+    factors = _coherence_factors(alpha, beta)
+    inversion._check_finite(q)
     # outcome m of the pop setting detects Pauli error m: the pop row is diag(chi)
     chi = np.diag(q[0]).astype(complex)
-    for setting, row in zip(SETTINGS[1:], q[1:]):
-        coh_stab, coh_norm = reconstruct_coherence(setting, row, q[0], alpha, beta)
-        for (m, n), value in map_frame(setting, coh_stab, coh_norm).items():
-            chi[m, n] = value
-            chi[n, m] = value.conjugate()
+    coh = _FRAME_SIGNS * _coherences(q[1:], q[0][_FRAME_LABELS], factors)
+    # each entry and its conjugate, on whichever side of the diagonal it lies
+    m, n = _FRAME_ENTRIES[..., 0], _FRAME_ENTRIES[..., 1]
+    chi[m, n] = coh
+    chi[n, m] = coh.conj()
     return chi
 
 

@@ -28,9 +28,9 @@ class InvalidConfigurationError(DcqdLabError, ValueError):
 
 
 class IllPosedConfigurationError(DcqdLabError, ValueError):
-    """A configuration is formally valid but yields a singular or
-    rank-deficient reconstruction system.  The message names the vanishing
-    factor or the rank defect."""
+    """A configuration is formally valid but yields a rank-deficient
+    reconstruction system.  The message names the rank defect; a vanishing
+    coherence factor is an `InvalidConfigurationError`."""
 
 
 class InvalidDistributionError(DcqdLabError, ValueError):

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .exceptions import InvalidConfigurationError
+from .exceptions import DimensionMismatchError, InvalidChannelError, InvalidConfigurationError
 
 PAULI_LABELS = "IXYZ"
 
@@ -80,6 +80,23 @@ def number_array(value, complex_ok: bool) -> Optional[np.ndarray]:
     return a if a.dtype.kind in ("biufc" if complex_ok else "biuf") else None
 
 
+def square_array(value, ndim: int, name: str) -> np.ndarray:
+    """`value`, an array of numbers (`number_array`) of `ndim` square matrices, as complex.
+
+    Its `ndim` axes (2 for one matrix, 3 for a (K, d, d) stack) must end
+    in two of one length, and it must not be empty.  Not numbers raise
+    `InvalidChannelError` and another shape `DimensionMismatchError`: the
+    one rule for a matrix or a stack of them in a channel.
+    """
+    a = number_array(value, complex_ok=True)
+    if a is None:
+        raise InvalidChannelError(f"{name} must be an array of numbers, got {value!r:.80}")
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or not a.size:
+        form = "(K, d, d)" if ndim == 3 else "(d, d)"
+        raise DimensionMismatchError(f"{name} shape {a.shape} is not a nonempty {form}")
+    return a.astype(complex, copy=False)
+
+
 def pauli_strings(n: int) -> Iterator[tuple[int, ...]]:
     """All 4**n Pauli strings on n qubits in lexicographic (index) order.
 
@@ -111,9 +128,9 @@ def bell_basis() -> list[np.ndarray]:
 
 
 def hermiticity_deviation(a: np.ndarray) -> float:
-    """Max entrywise deviation of a from its conjugate transpose."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    """Max entrywise deviation of a square matrix (`square_array`) from its conjugate transpose."""
+    a = square_array(a, 2, "matrix")
+    return float(np.max(np.abs(a - a.conj().T)))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -131,6 +148,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of a."""
-    return float(np.linalg.eigvalsh(hermitian_part(np.asarray(a, dtype=complex))).min())
+    """Smallest eigenvalue of the Hermitian part of a square matrix (`square_array`)."""
+    return float(np.linalg.eigvalsh(hermitian_part(square_array(a, 2, "matrix"))).min())
 

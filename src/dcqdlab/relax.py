@@ -80,7 +80,7 @@ def estimate_T1(p_minus: float, t1: float, alpha: complex, beta: complex) -> flo
     if not (is_real(t1) and 0 < t1 < math.inf):
         raise InvalidStateError(f"t1 must be positive and finite to resolve T1, got {t1!r}")
     z_in = dcqd.input_pair_expectations(alpha, beta)["stabilizer_bias"]
-    if abs(1.0 - z_in) < 1e-12:
+    if abs(1.0 - z_in) < dcqd.FACTOR_TOL:
         raise IllPosedInputError("<Z^A> = 1 on the input (beta = 0); T1 leaves no signature")
     if not (is_real(p_minus) and math.isfinite(p_minus)):
         raise InconsistentDataError(
@@ -126,7 +126,7 @@ def estimate_T2(
         raise InconsistentDataError(
             f"expectations must be finite, got {x_expect_out!r:.80} and {x_expect_in!r:.80}"
         )
-    if abs(x_expect_in) < 1e-12:
+    if abs(x_expect_in) < dcqd.FACTOR_TOL:
         raise IllPosedInputError(
             "<X^A X^B> vanishes on the input (Re(alpha beta*) = 0); T2 leaves no signature"
         )

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import itertools
 import math
@@ -281,7 +282,7 @@ class TestReconstructPopulation:
 
     def test_closed_form_needs_four_distributions(self):
         probs = dcqd.all_outcome_probabilities(channels.identity_channel(), 1)
-        with pytest.raises(InvalidConfigurationError, match="4 single-pair distributions"):
+        with pytest.raises(DimensionMismatchError, match="4 single-pair distributions"):
             dcqd.closed_form_chi(probs[:3])
 
     def test_bit_flip(self):
@@ -370,7 +371,7 @@ class TestReconstructCoherence:
             (0.8, 0.6, "<Z^A U>"),  # Im(alpha beta*) = 0
         ]
         for alpha, beta, name in cases:
-            with pytest.raises(IllPosedConfigurationError, match=__import__("re").escape(name)):
+            with pytest.raises(InvalidConfigurationError, match=__import__("re").escape(name)):
                 dcqd.reconstruct_coherence(dcqd.COH_Z, q, diag, alpha, beta)
 
 
@@ -394,6 +395,86 @@ class TestMapFrame:
     def test_pop_has_no_frame(self):
         with pytest.raises(InvalidConfigurationError, match="no frame mapping"):
             dcqd.map_frame(dcqd.POP, 0.1 + 0.2j, 0.3 - 0.4j)
+
+    @pytest.mark.parametrize("value", [None, "1", True, [1]])
+    def test_values_must_be_numbers(self, value):
+        # None raised a builtin TypeError and "1" came back as '1'
+        for values in ((value, 1), (0.5j, value)):
+            with pytest.raises(InvalidDistributionError, match="must be numbers"):
+                dcqd.map_frame(dcqd.COH_Z, *values)
+
+
+class TestOneFactorRule:
+    # reconstruct_coherence and closed_form_chi judged the factors apart from
+    # validate_amplitudes: another class and message, and |2 Re(alpha beta*)|
+    # where validate_amplitudes tests |Re(alpha beta*)|, so Re = 7e-13 passed
+    @pytest.mark.parametrize(
+        "alpha,beta,name",
+        [
+            (S2, S2 * 1j, "<Z^A>"),  # |alpha| = |beta|
+            (0.8, 0.6j, "<U>"),  # Re(alpha beta*) = 0
+            (0.8, 0.6, "<Z^A U>"),  # Im(alpha beta*) = 0
+            (0.8, 0.6 * cmath.exp(-1j * math.acos(7e-13 / 0.48)), "<U>"),  # Re = 7e-13
+        ],
+        ids=["equal_magnitudes", "real_cross_zero", "imag_cross_zero", "real_cross_7e-13"],
+    )
+    def test_one_class_and_message(self, alpha, beta, name):
+        q = np.full((4, 4), 0.25)
+        calls = [
+            lambda: dcqd.validate_amplitudes(alpha, beta),
+            lambda: dcqd.reconstruct_coherence(dcqd.COH_Z, q[1], q[0], alpha, beta),
+            lambda: dcqd.closed_form_chi(q, alpha, beta),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(InvalidConfigurationError) as info:
+                call()
+            assert type(info.value) is InvalidConfigurationError
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert name + " vanish" in messages.pop()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (16,), (4, 4, 1)])
+    def test_closed_form_needs_a_4_by_4_array(self, shape):
+        with pytest.raises(DimensionMismatchError, match="4 single-pair distributions"):
+            dcqd.closed_form_chi(np.full(shape, 0.25))
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), (0.6, 0.8 * cmath.exp(1j * math.pi / 3))],
+    )
+    def test_one_pass_is_the_settings_one_by_one(self, alpha, beta, rng):
+        # exact zeros too (identity, a Z flip), whose signs the pass keeps
+        kinds = [channels.identity_channel(), channels.rotation("z", math.pi)]
+        kinds += [channels.random_channel(1, trace_preserving=i % 2 == 0, rng=rng) for i in range(20)]
+        for kraus in kinds:
+            q = dcqd.all_outcome_probabilities(kraus, 1, alpha, beta)
+            want = np.diag(q[0]).astype(complex)
+            for setting, row in zip(dcqd.SETTINGS[1:], q[1:]):
+                coh = dcqd.reconstruct_coherence(setting, row, q[0], alpha, beta)
+                for (m, n), value in dcqd.map_frame(setting, *coh).items():
+                    want[m, n], want[n, m] = value, value.conjugate()
+            assert dcqd.closed_form_chi(q, alpha, beta).tobytes() == want.tobytes()
+
+    def test_characterize_checks_each_input_once_per_route(self, monkeypatch):
+        # the closed forms judged the amplitudes and the data once per coh
+        # setting: 6 amplitude checks, 8 real-data checks and 4 finiteness checks
+        counts = collections.Counter()
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(dcqd, "_check_amplitudes")
+        count(inversion, "_real_data")
+        count(inversion, "_check_finite")
+        dcqd.characterize(channels.Chi.of(channels.depolarizing(0.1), 1), 1)
+        assert counts == {"_check_amplitudes": 3, "_real_data": 2, "_check_finite": 2}
 
 
 class TestDesignMatrix:

@@ -7,6 +7,7 @@ import pytest
 
 from dcqdlab import channels, dcqd, ops, sampling
 from dcqdlab.exceptions import (
+    DimensionMismatchError,
     InvalidChannelError,
     InvalidConfigurationError,
     InvalidDistributionError,
@@ -129,6 +130,9 @@ ARRAY_ENTRY_POINTS = {
     "chi_from_kraus": (lambda m: channels.chi_from_kraus([m]), 2, InvalidChannelError),
     "compose": (lambda m: channels.compose(channels.bit_flip(0.1), [m]), 2, InvalidChannelError),
     "validate_chi": (channels.validate_chi, 4, InvalidChannelError),
+    "trace_gap": (lambda m: channels.trace_gap([m]), 2, InvalidChannelError),
+    "min_eigenvalue": (ops.min_eigenvalue, 2, InvalidChannelError),
+    "hermiticity_deviation": (ops.hermiticity_deviation, 2, InvalidChannelError),
     "kraus_from_chi": (channels.kraus_from_chi, 4, InvalidChannelError),
     "kraus_from_choi": (channels.kraus_from_choi, 4, InvalidChannelError),
     "solve": (lambda q: dcqd.pair_scheme().solve(np.reshape(q, 16)), 4, InvalidDistributionError),
@@ -168,3 +172,29 @@ def test_arrays_must_hold_numbers(entry, case):
     message = "real numbers" if error is InvalidDistributionError else "of numbers"
     with pytest.raises(error, match=message):
         call(matrix)
+
+
+@pytest.mark.parametrize(
+    "call,value",
+    [
+        (channels.trace_gap, np.ones((2, 2))),
+        (channels.trace_gap, np.ones((1, 2, 3))),
+        (channels.trace_gap, np.ones((0, 2, 2))),
+        (ops.min_eigenvalue, np.ones(3)),
+        (ops.min_eigenvalue, np.ones((2, 3))),
+        (ops.hermiticity_deviation, np.ones(3)),
+        (ops.hermiticity_deviation, np.ones((0, 0))),
+    ],
+)
+def test_square_helpers_need_square_matrices(call, value):
+    # min_eigenvalue leaked numpy's LinAlgError and hermiticity_deviation
+    # returned 0.0 for a vector
+    with pytest.raises(DimensionMismatchError, match="is not a nonempty"):
+        call(value)
+
+
+def test_trace_gap_casts_a_stack_of_numbers():
+    # an integer stack is cast to complex, as the stacked Kraus set is
+    gap = channels.trace_gap([[[1, 0], [0, 0]]])
+    assert gap.dtype == complex
+    np.testing.assert_array_equal(gap, [[0, 0], [0, 1]])
