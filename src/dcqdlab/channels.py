@@ -128,9 +128,9 @@ def check_kraus(
     The set must be non-empty, square, of uniform power-of-two dimension,
     and trace non-increasing: sum K^dag K <= I within `KRAUS_ATOL`.  With
     trace_preserving=True equality is required; with False, strict decrease
-    somewhere.  A set that is not an array of numbers (`ops.number_array`:
-    text, None entries and object arrays are not) raises
-    `InvalidChannelError` too.
+    somewhere; the flag must be None or a bool (`_checked_flag`).  A set
+    that is not an array of numbers (`ops.number_array`: text, None entries
+    and object arrays are not) raises `InvalidChannelError` too.
     """
     return list(_stacked_kraus(kraus, trace_preserving))
 
@@ -181,10 +181,19 @@ def _kraus_array(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=complex)
 
 
+def _checked_flag(flag, none_ok: bool = False) -> Optional[bool]:
+    """A `trace_preserving` flag as a bool: a Python or numpy bool, or None
+    where `none_ok`; anything else (1, "yes") raises `InvalidChannelError`."""
+    if not (isinstance(flag, (bool, np.bool_)) or (none_ok and flag is None)):
+        raise InvalidChannelError(f"trace_preserving must be a bool{' or None' * none_ok}, got {flag!r:.80}")
+    return None if flag is None else bool(flag)
+
+
 def _stacked_kraus(
     kraus: Sequence[np.ndarray], trace_preserving: Optional[bool] = None
 ) -> np.ndarray:
     """`check_kraus` on the set stacked once, returned as one (K, d, d) complex array."""
+    trace_preserving = _checked_flag(trace_preserving, none_ok=True)
     stacked = _kraus_array(kraus)
     # sum K^dag K <= I bounds every entry by 1; checking first also keeps
     # NaN and overflow out of the eigenvalue check below
@@ -328,8 +337,10 @@ def validate_chi(chi: np.ndarray, trace_preserving: bool = False) -> ChiValidati
     TP residual is the max deviation of sum_mn chi[m, n] E_n E_m from the
     identity; it is only computed when trace_preserving is requested.  The
     checks use `HERMITIAN_ATOL`, `EIG_FLOOR`, `TRACE_ATOL` and `TP_ATOL`.
-    chi must be 4**n x 4**n and finite (`_checked_matrix`).
+    The flag must be a bool (`_checked_flag`), and chi 4**n x 4**n and
+    finite (`_checked_matrix`).
     """
+    trace_preserving = _checked_flag(trace_preserving)
     chi, _ = _checked_matrix(chi, "chi", qubits=True)
     dev = ops.hermiticity_deviation(chi)
     lo = ops.min_eigenvalue(chi)
@@ -385,10 +396,12 @@ def random_channel(
     The trace-preserving variant whitens the input marginal so that
     Tr_out C = I exactly; the non-TP variant rescales so the map is trace
     non-increasing with a random overall survival weight.  n is bounded
-    like every register (`check_register_size`); `seed` is None or a
-    non-negative integer, and `rng` None or a numpy Generator.
+    like every register (`check_register_size`); `trace_preserving` is a
+    bool (`_checked_flag`), `seed` None or a non-negative integer, and `rng`
+    None or a numpy Generator.
     """
     check_register_size(n)
+    trace_preserving = _checked_flag(trace_preserving)
     if rank is not None and not is_integer(rank):
         raise InvalidChannelError(f"Kraus rank must be an integer, got {rank!r}")
     if not (seed is None or (is_integer(seed) and seed >= 0)):
@@ -577,13 +590,16 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
     spec carries explicit multi-qubit operators).
 
     A parameter, or an `operators` or `stages` field, that the kind's row of
-    `CHANNEL_PARAMS` does not list raises `InvalidChannelError`.
+    `CHANNEL_PARAMS` does not list raises `InvalidChannelError`, and so do
+    `params` that are not a mapping.
     """
     if isinstance(spec, Chi):
         raise _chi_not_kraus()
     if not isinstance(spec, ChannelSpec):
         raise InvalidChannelError(f"expected a ChannelSpec, got {type(spec).__name__}")
     kind = spec.kind
+    if not isinstance(spec.params, Mapping):
+        raise InvalidChannelError(f"{kind} spec params must be a mapping, got {spec.params!r:.80}")
     params = {k: v if k == TEXT_PARAM else _number(kind, k, v) for k, v in spec.params.items()}
     names, _, reads = kind_row(kind)
     unknown = [k for k in params if k not in names]

@@ -144,10 +144,10 @@ _FRAME_SIGNS = np.array(
 def _check_amplitudes(alpha, beta) -> tuple[complex, complex]:
     """The input amplitudes as complex numbers; they must be finite, normalized numbers.
 
-    A string, None or any other non-number raises `InvalidConfigurationError`
-    like a non-finite or unnormalized pair.
+    A string, a bool (Python's or numpy's), None or any other non-number
+    raises `InvalidConfigurationError` like a non-finite or unnormalized pair.
     """
-    if not (isinstance(alpha, numbers.Number) and isinstance(beta, numbers.Number)):
+    if not all(isinstance(x, numbers.Number) and not isinstance(x, bool) for x in (alpha, beta)):
         raise InvalidConfigurationError(
             f"amplitudes must be numbers, got alpha={alpha!r}, beta={beta!r}"
         )
@@ -297,7 +297,7 @@ def _experiment(
     validate_amplitudes(alpha, beta)
     scheme = pair_scheme(alpha, beta)
     chi = channels.as_chi(channel, n)
-    return scheme, chi, scheme.forward(chi, n)
+    return scheme, chi, scheme.forward(chi)
 
 
 def all_outcome_probabilities(

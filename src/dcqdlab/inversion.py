@@ -27,8 +27,10 @@ and the experiment on n pairs is D1 applied along every pair axis of chi
   gives its I**n inputs, (S / I)**n measurements per input and S**n
   configurations, and `check_pairs(n)` bounds its data, len(D1)**n entries,
   by the 16**MAX_QUBITS entries of the largest chi before anything of that
-  size is built.  Its `forward` checks n and the shape of chi, then
-  applies `readout`, then `row_map`, along each pair axis; its `solve`
+  size is built.  Its `forward(chi)` judges chi by the chi rule of
+  `channels` (an array of numbers, 4**n x 4**n and finite), reads n from
+  its side and checks it with `check_pairs`, then applies `readout`, then
+  `row_map`, along each pair axis; its `solve`
   checks that the data are real (`_real_data`) and finite (`_check_finite`),
   then applies the pseudo-inverse: one SVD of
   D1, kept on the scheme, gives its rank (the full design has
@@ -229,17 +231,18 @@ class Scheme:
         self.check_pairs(len(shape))
         return len(shape)
 
-    def forward(self, chi: np.ndarray, n: int) -> np.ndarray:
+    def forward(self, chi: np.ndarray) -> np.ndarray:
         """Outcome probabilities of n pairs, one axis per pair: `forward`, then the row map.
 
-        Before any arithmetic, n must pass `check_pairs` and chi must be
-        4**n x 4**n (`DimensionMismatchError`).
+        Before any arithmetic, chi is judged by the chi rule of `channels`
+        (`_checked_matrix`: an array of numbers, 4**n x 4**n and finite), and
+        the n its side gives must pass `check_pairs`.
         """
+        from . import channels  # which imports this module
+
+        chi, d = channels._checked_matrix(chi, "chi", qubits=True)
+        n = d.bit_length() - 1
         self.check_pairs(n)
-        if np.shape(chi) != (4**n, 4**n):
-            raise DimensionMismatchError(
-                f"chi of shape {np.shape(chi)} on {n} pair(s), expected ({4**n}, {4**n})"
-            )
         data = forward([self.readout] * n, chi)
         return data if self.row_map is None else per_pair(data, [self.row_map] * n)
 

@@ -13,13 +13,14 @@ measurement) then determines both time constants at once:
 
 This module only estimates.  The outcome distribution is the coh_z
 configuration of the per-pair scheme (`dcqd.setting_scheme`, rows 4..7 of
-A1), forwarded from the channel's chi and, with shots, drawn by the one
-sampler (`sampling.sample`: the one configuration row with child 0 of
-`SeedSequence(seed)`).  The input factors <Z^A>_in and <X^A X^B>_in come
-from `dcqd.input_pair_expectations`; no state is simulated here.  Real
-amplitudes are fine (only <Z^A>_in != 1 and Re(a b*) != 0 are needed),
-unlike the full coherence protocol in `dcqd`, so the amplitudes get only
-`dcqd._check_amplitudes` (finite, normalized numbers).  Non-finite
+A1), measured from the channel's chi by `sampling.measure`: exact, or with
+shots drawn by the one sampler (`sampling.sample`: the one configuration
+row with child 0 of `SeedSequence(seed)`).  The input factors <Z^A>_in and
+<X^A X^B>_in come from `dcqd.input_pair_expectations`; no state is
+simulated here.  Real amplitudes are fine (only <Z^A>_in != 1 and
+Re(a b*) != 0 are needed), unlike the full coherence protocol in `dcqd`,
+so the amplitudes get only `dcqd._check_amplitudes` (finite, normalized
+numbers, not bools).  Non-finite
 data and data that are not real numbers raise `InconsistentDataError`;
 durations and T1 that are not real numbers in range (NaN included) raise
 `InvalidStateError`.  Zero decay is a legitimate limit and is reported as
@@ -159,19 +160,15 @@ def joint_estimate(
     sequence under test) on the primary half of a|00> + b|11> and measures
     the canonical Bell projectors once.  Both the stabilizer -1 probability
     and the normalizer expectation are read off that single outcome
-    distribution (or, with `shots`, a single configuration's frequencies,
-    `sampling.sample` of the coh_z scheme).  `seed` is checked like
-    `sampling.sample`'s, with or without `shots`; with `shots` the seed is
-    checked first, then the shot count, then the data.
+    distribution (or, with `shots`, a single configuration's frequencies),
+    both from `sampling.measure` on the coh_z scheme, which checks `seed`
+    like `sampling.sample`'s with or without `shots`; with `shots` the seed
+    is checked first, then the shot count, then the data.
     """
     x_in = dcqd.input_pair_expectations(alpha, beta)["normalizer"]
     alpha, beta = complex(alpha), complex(beta)  # numbers, as that call checked
     scheme = dcqd.setting_scheme(dcqd.COH_Z, alpha, beta)
-    q = scheme.forward(channels.as_chi(channel, 1), 1)
-    if shots is not None:
-        q = sampling.sample(scheme, q, shots, seed)
-    else:
-        sampling._checked_seed(seed)
+    q = sampling.measure(scheme, channels.as_chi(channel, 1), shots, seed)
     p_minus = float(q[1] + q[2])
     x_out = float(q[0] + q[1] - q[2] - q[3])
     T1 = estimate_T1(p_minus, t1, alpha, beta)

@@ -34,13 +34,15 @@ def resource_counts(n: int) -> dict[str, dict[str, int]]:
 
     Keys per scheme: hilbert_dim (dimension the experiment acts in),
     n_inputs, n_measurements (settings per input) and n_experiments
-    (their product).  n must be an integer in 1..`MAX_N`.
+    (their product).  n must be an integer in 1..`MAX_N`; a numpy integer
+    gives Python ints too, so every count is exact and JSON-serializable.
     """
     if not (is_integer(n) and 1 <= n <= MAX_N):
         raise InvalidConfigurationError(
             f"qubit count must be an integer in 1..{MAX_N} (16**n must fit a signed 64-bit "
             f"integer), got {n!r}"
         )
+    n = int(n)
     return {
         "sqpt": {"hilbert_dim": 2**n, **sqpt._scheme().counts(n)},
         "aapt_nonseparable": {
@@ -65,7 +67,7 @@ def resource_table(n_values) -> list[dict[str, int | str]]:
     for n in n_values:
         counts = resource_counts(n)
         for scheme in SCHEMES:
-            rows.append({"n": n, "scheme": scheme, **counts[scheme]})
+            rows.append({"n": int(n), "scheme": scheme, **counts[scheme]})
     return rows
 
 

@@ -10,6 +10,9 @@ Every sampled path draws through it: the full experiment
 (`characterize_sampled`), the partial Bell analyzer
 (`characterize_with_optics`, on `dcqd.optics_scheme`) and the one coh_z
 configuration of `relax.joint_estimate` (`dcqd.setting_scheme`).
+`measure(scheme, chi, shots, seed)` is the one step from chi to data, exact
+or drawn: `scheme.forward(chi)`, then `sample` with shots set, or the seed
+check alone without; the analyzer and `relax` take their data from it.
 Reconstruction from sampled frequencies is the same raw linear inversion as
 the exact path (`inversion.Scheme.solve`); no renormalization and no
 positivity repair is applied, so negative chi eigenvalues at finite shots
@@ -30,6 +33,7 @@ __all__ = [
     "SampledMetrics",
     "characterize_sampled",
     "characterize_with_optics",
+    "measure",
     "sample",
 ]
 
@@ -132,6 +136,20 @@ def sample(scheme: inversion.Scheme, data: np.ndarray, shots: int, seed) -> np.n
     return inversion.pair_axes(drawn[:, :-1] / shots, n, digits)
 
 
+def measure(scheme: inversion.Scheme, chi: np.ndarray, shots: Optional[int] = None, seed=None) -> np.ndarray:
+    """A scheme's data of chi, one axis per pair: exact, or drawn with `shots` set.
+
+    The exact data are `scheme.forward(chi)`; with `shots` set they are
+    `sample(scheme, data, shots, seed)`.  The seed is checked either way
+    (`_checked_seed`), after chi and its pairs (`inversion.Scheme.forward`).
+    """
+    data = scheme.forward(chi)
+    if shots is None:
+        _checked_seed(seed)
+        return data
+    return sample(scheme, data, shots, seed)
+
+
 def characterize_with_optics(
     channel,
     alpha: complex = dcqd.DEFAULT_ALPHA,
@@ -145,18 +163,13 @@ def characterize_with_optics(
     Every setting of a pair is measured twice, once with the analyzer G and
     once with its complement G_c (`dcqd.optics_scheme`), so the
     configuration count grows from 4**n to 8**n while full rank is
-    recovered.  With `shots` set, each configuration is sampled
-    independently (`sample`).  The amplitudes' finiteness and norm are
-    checked first, then n against the scheme's data bound (`check_pairs`:
-    n = 1..4), then the amplitudes for a full experiment
+    recovered.  The data come from `measure`: exact, or with `shots` set
+    each configuration sampled independently.  The amplitudes' finiteness
+    and norm are checked first, then n against the scheme's data bound
+    (`check_pairs`: n = 1..4), then the amplitudes for a full experiment
     (`dcqd.validate_amplitudes`), before the channel is looked at.
     """
     scheme = dcqd.optics_scheme(alpha, beta)
     scheme.check_pairs(n)
     dcqd.validate_amplitudes(alpha, beta)
-    data = scheme.forward(channels.as_chi(channel, n), n)
-    if shots is None:
-        _checked_seed(seed)
-    else:
-        data = sample(scheme, data, shots, seed)
-    return scheme.solve(data)
+    return scheme.solve(measure(scheme, channels.as_chi(channel, n), shots, seed))

@@ -61,4 +61,4 @@ def sqpt_characterize(channel, n: int = 1) -> inversion.ReconstructionResult:
     # as_chi checks the register first, so a bad n gets its message
     chi = channels.as_chi(channel, n)
     scheme = _scheme()
-    return scheme.solve(scheme.forward(chi, n))
+    return scheme.solve(scheme.forward(chi))

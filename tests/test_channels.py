@@ -385,6 +385,12 @@ class TestSpecs:
         matrix = channels.kraus_from_spec(channels.ChannelSpec("unitary", operators=(PAULI_X,)))[0]
         assert np.array_equal(matrix, PAULI_X)
 
+    @pytest.mark.parametrize("params", [None, [("p", 0.1)], "p=0.1"], ids=repr)
+    def test_spec_params_must_be_a_mapping(self, params):
+        # None and a list of pairs raised AttributeError ("no attribute 'items'")
+        with pytest.raises(InvalidChannelError, match="params must be a mapping"):
+            channels.kraus_from_spec(channels.ChannelSpec("bit_flip", params=params))
+
     def test_spec_must_be_a_channel_spec(self):
         with pytest.raises(InvalidChannelError, match="expected a ChannelSpec"):
             channels.kraus_from_spec("bit_flip:0.1")
@@ -603,6 +609,35 @@ def test_malformed_kraus_message(case):
 def test_trace_checks(kraus, flag, message):
     with pytest.raises(InvalidChannelError, match=message):
         channels.check_kraus(kraus, trace_preserving=flag)
+
+
+@pytest.mark.parametrize("flag", [1, 0, "yes", "no", 1.0, np.int64(1)], ids=repr)
+def test_check_kraus_flag_must_be_a_bool(flag):
+    # np.True_ and 1 passed `is True` and skipped the TP requirement
+    with pytest.raises(InvalidChannelError, match="trace_preserving must be a bool or None"):
+        channels.check_kraus([0.5 * np.eye(2)], trace_preserving=flag)
+    with pytest.raises(InvalidChannelError, match="not trace preserving"):
+        channels.check_kraus([0.5 * np.eye(2)], trace_preserving=np.True_)
+    assert len(channels.check_kraus(channels.bit_flip(0.1), trace_preserving=np.True_)) == 2
+
+
+@pytest.mark.parametrize("flag", [None, 1, "no", 0.0], ids=repr)
+def test_random_channel_flag_must_be_a_bool(flag):
+    # "no" is truthy, so it drew a trace-preserving map
+    with pytest.raises(InvalidChannelError, match="trace_preserving must be a bool"):
+        channels.random_channel(1, trace_preserving=flag, seed=1)
+    got, want = (channels.random_channel(1, trace_preserving=f, seed=1) for f in (np.False_, False))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("flag", [None, 1, "no", 0.0], ids=repr)
+def test_validate_chi_flag_must_be_a_bool(flag):
+    # "no" ran the TP check
+    chi = channels.chi_from_kraus(channels.bit_flip(0.1))
+    with pytest.raises(InvalidChannelError, match="trace_preserving must be a bool"):
+        channels.validate_chi(chi, trace_preserving=flag)
+    assert channels.validate_chi(chi, trace_preserving=np.True_).tp_ok is True
+    assert channels.validate_chi(chi, trace_preserving=np.False_).tp_residual is None
 
 
 SPEC_OF_KIND = {

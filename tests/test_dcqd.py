@@ -14,6 +14,7 @@ from dcqdlab import channels, dcqd, inversion, ops, relax
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     IllPosedConfigurationError,
+    InvalidChannelError,
     InvalidConfigurationError,
     InvalidDistributionError,
 )
@@ -123,12 +124,20 @@ class TestConfiguration:
             lambda a, b: dcqd.optics_scheme(a, b).design,
             lambda a, b: dcqd.outcome_probabilities(channels.bit_flip(0.1), (dcqd.COH_Z,), a, b),
             lambda a, b: relax.joint_estimate(channels.bit_flip(0.1), a, b, 1.0, 1.0),
+            lambda a, b: dcqd.input_pair_expectations(a, b),
         ],
-        ids=["characterize", "pair_design", "optics_design", "outcome_probabilities", "joint_estimate"],
+        ids=[
+            "characterize", "pair_design", "optics_design", "outcome_probabilities", "joint_estimate",
+            "input_pair_expectations",
+        ],
     )
     @pytest.mark.parametrize(
         "alpha,beta",
-        [("x", dcqd.DEFAULT_BETA), ("a", "b"), (None, 0.6), (0.8, [0.6]), ("0.8", 0.6)],
+        [
+            ("x", dcqd.DEFAULT_BETA), ("a", "b"), (None, 0.6), (0.8, [0.6]), ("0.8", 0.6),
+            # bools were read as 1 and 0, so (True, False) built and cached a scheme
+            (True, False), (True, 0.0), (0.0, True), (np.True_, np.False_),
+        ],
     )
     def test_non_numeric_amplitudes_raise_dcqdlab_error(self, call, alpha, beta):
         with pytest.raises(InvalidConfigurationError, match="must be numbers"):
@@ -636,26 +645,35 @@ class TestFactoredEngine:
             dcqd.pair_scheme().solve(data)
 
     @pytest.mark.parametrize(
-        "scheme,shape,n,error,message",
+        "scheme,chi,error,message",
         [
-            (dcqd.optics_scheme, (1024, 1024), 5, InvalidConfigurationError, r"24\*\*5 entries"),
-            (dcqd.pair_scheme, (4096, 4096), 6, InvalidConfigurationError, r"16\*\*6"),
-            (dcqd.pair_scheme, (4, 4), 2, DimensionMismatchError, r"\(4, 4\) on 2 pair"),
-            (dcqd.pair_scheme, (16, 4), 1, DimensionMismatchError, r"expected \(4, 4\)"),
-            (lambda: dcqd.setting_scheme(dcqd.COH_X), (4, 4, 4), 1, DimensionMismatchError, "expected"),
+            (dcqd.optics_scheme, np.broadcast_to(0j, (1024, 1024)), InvalidConfigurationError, r"24\*\*5 entries"),
+            (dcqd.pair_scheme, np.broadcast_to(0j, (4096, 4096)), InvalidConfigurationError, r"16\*\*6"),
+            (dcqd.pair_scheme, np.broadcast_to(0j, (16, 4)), DimensionMismatchError, r"chi shape \(16, 4\)"),
+            (
+                lambda: dcqd.setting_scheme(dcqd.COH_X), np.broadcast_to(0j, (4, 4, 4)),
+                DimensionMismatchError, r"chi shape \(4, 4, 4\)",
+            ),
+            (dcqd.pair_scheme, [[0.25] * 4] * 3 + [[0.25] * 3], InvalidChannelError, "array of numbers"),
+            (dcqd.pair_scheme, [["0.25"] * 4] * 4, InvalidChannelError, "array of numbers"),
+            (dcqd.pair_scheme, np.full((4, 4), None), InvalidChannelError, "array of numbers"),
+            (dcqd.pair_scheme, np.full((4, 4), np.nan), InvalidChannelError, "non-finite"),
+            (dcqd.optics_scheme, np.full((4, 4), np.inf), InvalidChannelError, "non-finite"),
         ],
-        ids=["optics_n5", "pair_n6", "chi_of_one_pair", "non_square", "3d"],
+        ids=["optics_n5", "pair_n6", "non_square", "3d", "ragged", "text", "none", "nan", "inf"],
     )
-    def test_forward_checks_before_building(self, scheme, shape, n, error, message, monkeypatch):
+    def test_forward_checks_before_building(self, scheme, chi, error, message, monkeypatch):
         # the analyzer's 24**5 data entries were built (199 MB) before the
-        # bound that refuses them, and a chi of the wrong size for n raised
-        # numpy's reshape ValueError; both are refused before any arithmetic
+        # bound that refuses them, a chi of the wrong size raised numpy's
+        # reshape ValueError, and a chi that is not a finite array of numbers
+        # raised numpy's or Python's errors or gave NaN data; chi is judged by
+        # the chi rule and its pairs are bounded before any arithmetic
         def untouched(*args, **kwargs):
             raise AssertionError("forward model reached")
 
         monkeypatch.setattr(inversion, "per_pair", untouched)
         with pytest.raises(error, match=message):
-            scheme().forward(np.broadcast_to(0j, shape), n)
+            scheme().forward(chi)
 
     def test_pair_design_matches_single_pair_designs(self):
         dense = stacked_design(dcqd.all_configurations(1))
@@ -711,7 +729,7 @@ class TestFactoredEngine:
             dcqd._schemes.cache_clear()
             pair, optics, singles = dcqd._schemes(complex(p[0], p[1]), complex(p[2], p[3]))
             designs = [s.design for s in (pair, optics, *singles)]
-            built.append(designs + [pair.solve(pair.forward(chi, 2)).chi])
+            built.append(designs + [pair.solve(pair.forward(chi)).chi])
         for other in built[1:]:
             assert all(x.tobytes() == y.tobytes() for x, y in zip(built[0], other))
         assert dcqd.pair_scheme(alpha, beta) is dcqd.pair_scheme(alpha.conjugate(), beta)

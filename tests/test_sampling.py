@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import design_matrix, optics_lstsq_oracle
-from dcqdlab import channels, dcqd, inversion, relax, sampling
+from dcqdlab import channels, dcqd, inversion, relax, sampling, sqpt
 from dcqdlab.exceptions import (
     DimensionMismatchError,
     InvalidConfigurationError,
@@ -158,6 +158,10 @@ SEED_ENTRY_POINTS = {
     "joint_estimate_exact": lambda seed: relax.joint_estimate(
         channels.identity_channel(), 0.8, 0.6, 1.0, 1.0, seed=seed
     ),
+    "measure": lambda seed: sampling.measure(ONE_ROW, channels.as_chi(channels.bit_flip(0.1), 1), 10, seed),
+    "measure_exact": lambda seed: sampling.measure(
+        ONE_ROW, channels.as_chi(channels.bit_flip(0.1), 1), seed=seed
+    ),
 }
 
 
@@ -308,6 +312,40 @@ class TestSample:
             sampling.sample(self.scheme, data, 10, 1)
 
 
+class TestMeasure:
+    # a scheme's data of chi: its exact data, or `sample` of them with shots set
+    SCHEMES = {
+        "pair": dcqd.pair_scheme,
+        "optics": dcqd.optics_scheme,
+        "coh_y": lambda: dcqd.setting_scheme(dcqd.COH_Y, 0.6, 0.48 + 0.64j),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_exact_or_drawn_bit_for_bit(self, name, n, rng):
+        scheme = self.SCHEMES[name]()
+        chi = channels.as_chi(channels.random_channel(1, trace_preserving=False, rng=rng), n)
+        exact = scheme.forward(chi)
+        assert sampling.measure(scheme, chi).tobytes() == exact.tobytes()
+        drawn = sampling.measure(scheme, chi, 200, 5)
+        assert drawn.tobytes() == sampling.sample(scheme, exact, 200, 5).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sqpt_expectations_exact_only(self, n, rng):
+        # SQPT's data are Pauli expectations, which the sampler refuses
+        scheme = sqpt._scheme()
+        chi = channels.as_chi(channels.random_channel(1, rng=rng), n)
+        assert sampling.measure(scheme, chi).tobytes() == scheme.forward(chi).tobytes()
+        with pytest.raises(InvalidDistributionError, match="negative"):
+            sampling.measure(scheme, chi, 10, 1)
+
+    def test_chi_as_nested_lists(self):
+        # a list chi raised AttributeError in the forward model
+        chi = channels.as_chi(channels.bit_flip(0.25), 1)
+        scheme = dcqd.pair_scheme()
+        assert sampling.measure(scheme, chi.tolist()).tobytes() == scheme.forward(chi).tobytes()
+
+
 class TestOpticsModel:
     def test_default_partition(self):
         # each analyzer's groups partition the 4 outcomes; the analyzer merges
@@ -337,8 +375,8 @@ class TestOpticsModel:
         kraus = channels.random_channel(1, trace_preserving=False, rng=rng)
         for n in range(1, 5):
             chi = channels.as_chi(kraus, n)
-            want = inversion.per_pair(pair.forward(chi, n), [dcqd._MERGE] * n)
-            assert np.array_equal(optics.forward(chi, n), want)
+            want = inversion.per_pair(pair.forward(chi), [dcqd._MERGE] * n)
+            assert np.array_equal(optics.forward(chi), want)
 
     @pytest.mark.parametrize(
         "probs,message",

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from dcqdlab import channels, dcqd, inversion, ops, resources, sqpt
+from dcqdlab import channels, dcqd, inversion, ops, resources, serialize, sqpt
 from dcqdlab.exceptions import InvalidConfigurationError
 
 
@@ -31,6 +31,16 @@ def test_resource_counts_are_the_old_formulas():
             "dcqd": {"hilbert_dim": 4**n, "n_inputs": 4**n, "n_measurements": 1, "n_experiments": 4**n},
         }
         assert all(type(v) is int for row in resources.resource_counts(n).values() for v in row.values())
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.uint8(15), np.int32(1)], ids=repr)
+def test_numpy_qubit_counts_give_python_ints(n):
+    # np.int64(3) gave numpy int64 counts, which json refused to dump
+    counts = resources.resource_counts(n)
+    assert all(type(v) is int for row in counts.values() for v in row.values())
+    rows = resources.resource_table([n])
+    assert all(type(v) is int for row in rows for k, v in row.items() if k != "scheme")
+    assert serialize.load_json(serialize.dump_json({"rows": rows}))["rows"] == rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
