@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -398,7 +398,8 @@ def random_channel(
     non-increasing with a random overall survival weight.  n is bounded
     like every register (`check_register_size`); `trace_preserving` is a
     bool (`_checked_flag`), `seed` None or a non-negative integer, and `rng`
-    None or a numpy Generator.
+    None or a numpy Generator; giving both `seed` and `rng` raises
+    `InvalidChannelError`.
     """
     check_register_size(n)
     trace_preserving = _checked_flag(trace_preserving)
@@ -408,6 +409,8 @@ def random_channel(
         raise InvalidChannelError(f"seed must be None or a non-negative integer, got {seed!r}")
     if not (rng is None or isinstance(rng, np.random.Generator)):
         raise InvalidChannelError(f"rng must be None or a numpy Generator, got {rng!r:.80}")
+    if rng is not None and seed is not None:
+        raise InvalidChannelError("give either rng or seed, not both")
     if rng is None:
         rng = np.random.default_rng(seed)
     d = 2**n
@@ -438,6 +441,16 @@ def random_channel(
 def identity_channel(n: int = 1) -> list[np.ndarray]:
     check_register_size(n)
     return [np.eye(2**n, dtype=complex)]
+
+
+def _identity(n: Optional[float] = None) -> list[np.ndarray]:
+    """`identity_channel` of a spec's n, a float (1 when absent) that must be an integer."""
+    n = 1.0 if n is None else n
+    if not (n.is_integer() and 1 <= n <= MAX_QUBITS):
+        raise InvalidChannelError(
+            f"identity n must be an integer in 1..{MAX_QUBITS}, got {n!r}"
+        )
+    return identity_channel(int(n))
 
 
 def bit_flip(p: float) -> list[np.ndarray]:
@@ -542,25 +555,28 @@ def _rate_from_args(
 
 # kind -> (the names of the parameters its spec takes, each at most once; how
 # many of them, from the first, the flag form takes by position; the spec
-# field it reads, "operators" or "stages", or None).  A kind that reads a
-# field and takes no parameter can only be given as a file.
+# field it reads, "operators" or "stages", or None; the builder that takes
+# the parameters in that order, each absent one as None, or None for a kind
+# built from its field alone).  A kind that reads a field and takes no
+# parameter can only be given as a file.  A new named kind is one row and
+# one builder.
 CHANNEL_PARAMS = {
-    "unitary": (("axis", "angle"), 2, "operators"),
-    "bit_flip": (("p",), 1, None),
-    "phase_flip": (("p",), 1, None),
-    "depolarizing": (("p",), 1, None),
-    "amplitude_damping": (("gamma", "t", "T1"), 1, None),
-    "phase_damping": (("lambda", "t", "T2"), 1, None),
-    "composed": ((), 0, "stages"),
-    "explicit_kraus": ((), 0, "operators"),
-    "identity": (("n",), 0, None),
+    "unitary": (("axis", "angle"), 2, "operators", rotation),
+    "bit_flip": (("p",), 1, None, bit_flip),
+    "phase_flip": (("p",), 1, None, phase_flip),
+    "depolarizing": (("p",), 1, None, depolarizing),
+    "amplitude_damping": (("gamma", "t", "T1"), 1, None, amplitude_damping),
+    "phase_damping": (("lambda", "t", "T2"), 1, None, phase_damping),
+    "composed": ((), 0, "stages", None),
+    "explicit_kraus": ((), 0, "operators", None),
+    "identity": (("n",), 0, None, _identity),
 }
 CHANNEL_KINDS = tuple(CHANNEL_PARAMS)
 # the one parameter given as text; every other one is a real number
 TEXT_PARAM = "axis"
 
 
-def kind_row(kind) -> tuple[tuple[str, ...], int, Optional[str]]:
+def kind_row(kind) -> tuple[tuple[str, ...], int, Optional[str], Optional[Callable]]:
     """`kind`'s row of `CHANNEL_PARAMS`; an unknown kind raises `InvalidChannelError`."""
     if not (isinstance(kind, str) and kind in CHANNEL_PARAMS):
         raise InvalidChannelError(
@@ -589,9 +605,14 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
     """Build the Kraus set a ChannelSpec describes (single qubit unless the
     spec carries explicit multi-qubit operators).
 
-    A parameter, or an `operators` or `stages` field, that the kind's row of
-    `CHANNEL_PARAMS` does not list raises `InvalidChannelError`, and so do
-    `params` that are not a mapping.
+    `params` that are not a mapping, a parameter that is not a number (the
+    text `axis` aside), a parameter, or an `operators` or `stages` field,
+    that the kind's row of `CHANNEL_PARAMS` does not list raise
+    `InvalidChannelError`, in that order.  Then a kind that reads `stages`
+    composes them, explicit_kraus checks its operators and a unitary given
+    as a matrix checks that one matrix; every other spec is its row's
+    builder called with the row's parameters in order, each absent one as
+    None, so the builder's own checks judge a missing parameter.
     """
     if isinstance(spec, Chi):
         raise _chi_not_kraus()
@@ -601,7 +622,7 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
     if not isinstance(spec.params, Mapping):
         raise InvalidChannelError(f"{kind} spec params must be a mapping, got {spec.params!r:.80}")
     params = {k: v if k == TEXT_PARAM else _number(kind, k, v) for k, v in spec.params.items()}
-    names, _, reads = kind_row(kind)
+    names, _, reads, build = kind_row(kind)
     unknown = [k for k in params if k not in names]
     if unknown:
         raise InvalidChannelError(
@@ -611,48 +632,24 @@ def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
     for name in ("operators", "stages"):
         if name != reads and getattr(spec, name) is not None:
             raise InvalidChannelError(f"{kind} spec takes no {name}")
-    if kind == "identity":
-        n = params.pop("n", 1.0)
-        if not (n.is_integer() and 1 <= n <= MAX_QUBITS):
-            raise InvalidChannelError(
-                f"identity n must be an integer in 1..{MAX_QUBITS}, got {n!r}"
-            )
-        return identity_channel(int(n))
-    if kind == "bit_flip":
-        return bit_flip(_take(params, "p", kind))
-    if kind == "phase_flip":
-        return phase_flip(_take(params, "p", kind))
-    if kind == "depolarizing":
-        return depolarizing(_take(params, "p", kind))
-    if kind == "amplitude_damping":
-        return amplitude_damping(
-            gamma=params.get("gamma"), t=params.get("t"), T1=params.get("T1")
-        )
-    if kind == "phase_damping":
-        return phase_damping(lam=params.get("lambda"), t=params.get("t"), T2=params.get("T2"))
-    if kind == "unitary":
-        if spec.operators is not None:
-            if params:
-                raise InvalidChannelError("unitary spec takes a matrix or axis and angle, not both")
-            if len(spec.operators) != 1:
-                raise InvalidChannelError("unitary spec takes exactly one matrix")
-            return check_kraus(spec.operators, trace_preserving=True)
-        axis = params.pop("axis", None)
-        angle = params.pop("angle", None)
-        if axis is None or angle is None:
-            raise InvalidChannelError("unitary spec needs a matrix or axis and angle")
-        return rotation(str(axis), angle)
-    if kind == "explicit_kraus":
+    if reads == "stages":
+        if not spec.stages:
+            raise InvalidChannelError(f"{kind} spec carries no stages")
+        kraus = kraus_from_spec(spec.stages[0])
+        for stage in spec.stages[1:]:
+            kraus = _canonical(compose(kraus, kraus_from_spec(stage)))
+        return kraus
+    if build is None:  # built from its operators alone
         if not spec.operators:
-            raise InvalidChannelError("explicit_kraus spec carries no operators")
+            raise InvalidChannelError(f"{kind} spec carries no operators")
         return check_kraus(spec.operators)
-    # composed
-    if not spec.stages:
-        raise InvalidChannelError("composed spec carries no stages")
-    kraus = kraus_from_spec(spec.stages[0])
-    for stage in spec.stages[1:]:
-        kraus = _canonical(compose(kraus, kraus_from_spec(stage)))
-    return kraus
+    if spec.operators is not None:  # a unitary given as its matrix
+        if params:
+            raise InvalidChannelError(f"{kind} spec takes a matrix or axis and angle, not both")
+        if len(spec.operators) != 1:
+            raise InvalidChannelError(f"{kind} spec takes exactly one matrix")
+        return check_kraus(spec.operators, trace_preserving=True)
+    return build(*(params.get(k) for k in names))
 
 
 def _canonical(kraus: list[np.ndarray]) -> list[np.ndarray]:
@@ -757,13 +754,6 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
     for _ in range(copies - 1):
         out = [np.kron(a, b) for a in out for b in kraus]
     return out
-
-
-def _take(params: dict, key: str, kind: str) -> float:
-    try:
-        return params.pop(key)
-    except KeyError:
-        raise InvalidChannelError(f"{kind} spec needs parameter {key!r}") from None
 
 
 def _number(kind: str, key: str, value) -> float:

@@ -137,8 +137,9 @@ def _partial_args(p: argparse.ArgumentParser) -> None:
 
 def _resources_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help=f"single qubit count (1..{resources.MAX_N})")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=4)
+    # a range, 1..4 unless given; refused together with --n
+    p.add_argument("--n-min", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None)
     _add_io(p, formats=("text", "json", "csv"), default="text")
 
 
@@ -372,13 +373,17 @@ def cmd_partial(args) -> int:
 
 def cmd_resources(args) -> int:
     if args.n is not None:
+        if args.n_min is not None or args.n_max is not None:
+            raise InvalidConfigurationError("give --n or --n-min/--n-max, not both")
         n_values = [args.n]
     else:
-        if args.n_min < 1 or args.n_max < args.n_min:
+        n_min = 1 if args.n_min is None else args.n_min
+        n_max = 4 if args.n_max is None else args.n_max
+        if n_min < 1 or n_max < n_min:
             raise InvalidConfigurationError(
-                f"bad range --n-min {args.n_min} --n-max {args.n_max}"
+                f"bad range --n-min {n_min} --n-max {n_max}"
             )
-        n_values = range(args.n_min, args.n_max + 1)
+        n_values = range(n_min, n_max + 1)
     rows = resources.resource_table(n_values)
     _emit(args, {"kind": "resource_report", "rows": rows}, rows)
     return EXIT_OK

@@ -11,9 +11,11 @@ JSON documents ("@file.json") with the schema
 where a matrix is a row-major list of rows of [re, im] pairs -- exactly
 representable and diff friendly.  One table, `channels.CHANNEL_PARAMS`,
 says for each kind which parameters it takes (JSON numbers, but the text
-`axis`), how many the flag form takes by position and which of the two
-lists it reads; a kind that reads a list and takes no parameter is given
-as a file only.  A spec read from a file is echoed into reports by the
+`axis`), how many the flag form takes by position, which of the two lists
+it reads and what builds it; a kind that reads a list and takes no
+parameter is given as a file only.  `load_channel_arg` reads both forms;
+a spec's parameters are judged once, when `channels.kraus_from_spec`
+builds it.  A spec read from a file is echoed into reports by the
 SHA-256 digest of the file's bytes (and its operator count), not by its
 operators.
 
@@ -43,19 +45,31 @@ from .exceptions import InvalidChannelError
 
 
 def parse_channel_arg(text: str) -> channels.ChannelSpec:
-    """Parse a --channel flag value into a ChannelSpec.
+    """Parse a --channel value, flag text or @file, into a ChannelSpec (`load_channel_arg`)."""
+    return load_channel_arg(text)[0]
 
-    The kind's row of `channels.CHANNEL_PARAMS` gives the names of its
+
+def load_channel_arg(text: str) -> tuple[channels.ChannelSpec, dict]:
+    """A --channel value's ChannelSpec and its echo for reports.
+
+    The kind's row of `channels.CHANNEL_PARAMS` gives the names of a flag's
     positional values; every value but `channels.TEXT_PARAM` is a number.
+    A flag-form spec is echoed whole, in `spec_to_dict`'s form, with a
+    non-finite number (T1=inf) written as its repr, as `_finite_or_none`
+    writes one, so the echo stays strict JSON; an @file spec by its kind,
+    the SHA-256 digest of the file's bytes and, when the file lists
+    operators, their count.  Which parameters the kind takes, and their
+    values, are judged once, when the spec is built
+    (`channels.kraus_from_spec`).
     """
     text = text.strip()
     if not text:
         raise InvalidChannelError("empty channel specification")
     if text.startswith("@"):
-        return _read_channel_file(text[1:])[0]
+        return _read_channel_file(text[1:])
     kind, _, arg_text = text.partition(":")
     kind = kind.strip()
-    names, n_positional, reads = channels.kind_row(kind)
+    names, n_positional, reads, _ = channels.kind_row(kind)
     if reads and not names:
         raise InvalidChannelError(f"{kind} channels must be given as a JSON file (@file.json)")
     params: dict = {}
@@ -74,28 +88,10 @@ def parse_channel_arg(text: str) -> channels.ChannelSpec:
             if key in params:
                 raise InvalidChannelError(f"parameter {key!r} given twice in channel {text!r}")
             params[key] = raw.strip() if key == channels.TEXT_PARAM else _parse_number(raw, text)
-    return channels.ChannelSpec(kind=kind, params=params)
-
-
-def load_channel_arg(text: str) -> tuple[channels.ChannelSpec, dict]:
-    """A --channel value's ChannelSpec and its echo for reports.
-
-    A flag-form spec is echoed whole (`spec_to_dict`), with a non-finite
-    number (T1=inf) written as its repr, as `_finite_or_none` writes one, so
-    the echo stays strict JSON; an @file spec by its kind, the SHA-256 digest
-    of the file's bytes and, when the file lists operators, their count.
-    """
-    text = text.strip()
-    if text.startswith("@"):
-        return _read_channel_file(text[1:])
-    spec = parse_channel_arg(text)
-    echo = spec_to_dict(spec)
-    if "params" in echo:
-        # a flag param is a float (an unknown key's too) or the axis string
-        echo["params"] = {
-            k: v if isinstance(v, str) else _finite_or_none(v) for k, v in echo["params"].items()
-        }
-    return spec, echo
+    # a flag param is a float (an unknown key's too) or the axis string
+    echo = {k: v if isinstance(v, str) else _finite_or_none(v) for k, v in params.items()}
+    spec = channels.ChannelSpec(kind=kind, params=params)
+    return spec, {"kind": kind, "params": echo} if echo else {"kind": kind}
 
 
 def _read_channel_file(path: str) -> tuple[channels.ChannelSpec, dict]:
@@ -176,8 +172,6 @@ def spec_from_dict(data: dict) -> channels.ChannelSpec:
         raise InvalidChannelError("channel JSON must be an object with a 'kind' field")
     kind = data["kind"]
     params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise InvalidChannelError("'params' must be an object")
     for key in ("operators", "stages"):
         if not isinstance(data.get(key, []), list):
             raise InvalidChannelError(f"'{key}' must be a list")

@@ -339,6 +339,11 @@ class TestRandomChannel:
         with pytest.raises(InvalidChannelError, match="seed|rng"):
             channels.random_channel(1, **kwargs)
 
+    def test_rng_and_seed_not_both(self):
+        # the seed was dropped: rng=g, seed=s drew from g alone
+        with pytest.raises(InvalidChannelError, match="either rng or seed, not both"):
+            channels.random_channel(1, rng=np.random.default_rng(1), seed=2)
+
     @pytest.mark.parametrize("rank", [2.5, 2.0, "2", True], ids=["2.5", "2.0", "str", "bool"])
     def test_rank_must_be_an_integer(self, rank):
         # these raised the builtin TypeError from inside numpy or a comparison
@@ -479,11 +484,17 @@ class TestSpecs:
     def test_parameter_table_lists_every_kind(self):
         assert channels.CHANNEL_KINDS == tuple(channels.CHANNEL_PARAMS)
         for kind, spec in SPEC_OF_KIND.items():
-            names, n_positional, reads = channels.CHANNEL_PARAMS[kind]
+            names, n_positional, reads, build = channels.CHANNEL_PARAMS[kind]
             assert set(spec.params) <= set(names)
             assert n_positional <= len(names)
             fields = {f for f in ("operators", "stages") if getattr(spec, f) is not None}
             assert fields <= {reads}
+            if build is not None:
+                # the spec is its row's builder on the row's parameters, bit for bit
+                got = channels.kraus_from_spec(spec)
+                want = build(*(spec.params.get(k) for k in names))
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_infinite_time_constant_means_no_decay(self):
         assert np.allclose(channels.amplitude_damping(t=1.0, T1=math.inf)[0], np.eye(2))

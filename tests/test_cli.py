@@ -223,6 +223,40 @@ class TestExitCodes:
         assert code == cli.EXIT_PARSE
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "channel,message",
+        [
+            # a missing parameter is judged by the kind's builder
+            ("bit_flip", "p must be a probability in [0, 1], got None"),
+            ("unitary:z", "rotation angle must be finite, got None"),
+            ("unitary:angle=1", "rotation axis must be x, y or z, got None"),
+            ("amplitude_damping:t=1", "need gamma or both t and T1"),
+            ({"kind": "unitary", "params": {"axis": "z"}}, "rotation angle must be finite, got None"),
+            # params that are not an object are judged by kraus_from_spec, not the file reader
+            (
+                {"kind": "bit_flip", "params": [["p", 0.1]]},
+                "bit_flip spec params must be a mapping, got [['p', 0.1]]",
+            ),
+            (
+                {"kind": "bit_flip", "params": None},
+                "bit_flip spec params must be a mapping, got None",
+            ),
+        ],
+        ids=["bit_flip", "unitary_axis", "unitary_angle", "amplitude_damping", "file_axis",
+             "file_params_list", "file_params_null"],
+    )
+    def test_spec_message(self, channel, message, tmp_path, capsys):
+        if isinstance(channel, dict):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(channel))
+            channel = f"@{path}"
+        with pytest.raises(InvalidChannelError) as info:
+            channels.kraus_from_spec(serialize.parse_channel_arg(channel))
+        assert str(info.value) == message
+        assert run(["characterize", "--channel", channel], capsys) == (
+            cli.EXIT_PARSE, "", f"error: {message}\n"
+        )
+
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
@@ -535,6 +569,22 @@ class TestResources:
         assert code == cli.EXIT_ILL_POSED
         assert out == ""
         assert "bad range" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["--n-min", "5"], ["--n-max", "3"], ["--n-min", "1", "--n-max", "4"]],
+        ids=["n_min", "n_max", "both"],
+    )
+    def test_n_and_range_refused(self, argv, capsys):
+        # --n 2 --n-min 5 printed the n = 2 table and ignored the range
+        code, out, err = run(["resources", "--n", "2"] + argv, capsys)
+        assert (code, out) == (cli.EXIT_ILL_POSED, "")
+        assert "give --n or --n-min/--n-max, not both" in err
+
+    @pytest.mark.parametrize("argv,n_values", [(["--n-min", "3"], [3, 4]), (["--n-max", "2"], [1, 2])])
+    def test_range_defaults(self, argv, n_values, capsys):
+        code, out, _ = run(["resources", "--format", "json"] + argv, capsys)
+        assert code == 0
+        assert sorted({r["n"] for r in json.loads(out)["rows"]}) == n_values
 
     def test_single_n_text(self, capsys):
         code, out, _ = run(["resources", "--n", "3"], capsys)
