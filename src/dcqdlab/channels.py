@@ -11,15 +11,18 @@ with rows/columns ordered like `ops.pauli_strings(n)`.  chi is Hermitian,
 positive semidefinite, and has trace <= 1 (= 1 for trace-preserving maps);
 its diagonal and off-diagonal entries are referred to as the dynamical
 population and coherence of the map.  `as_chi` is the channel boundary of
-every reconstruction: it checks the register size before anything is
-allocated, validates a channel once and returns its chi on n qubits, the
+every reconstruction: it checks the register size (`ops.check_register_size`,
+n in 1..`ops.MAX_QUBITS`; this module re-exports both names) before anything
+is allocated, validates a channel once and returns its chi on n qubits, the
 Kronecker power of the 4 x 4 chi for a one-qubit channel, so no i.i.d.
 channel is expanded to 4**n Kraus operators.  A raw Kraus set is stacked
 into one (K, d, d) complex array and validated once (`check_kraus`); the
 conversion to chi takes that same array, so the set is not stacked again.
 `Chi.of(channel, n)` keeps that result, with n and its trace preservation,
 as one value that every entry point takes and `as_chi` hands back as it is.
-Each check has one tolerance, a module constant (`*_ATOL`, `KEEP_TOL`, `EIG_FLOOR`).
+Every chi or Choi matrix given here is judged by the chi rule of
+`ops.checked_matrix`.  Each check has one tolerance, a module constant
+(`*_ATOL`, `KEEP_TOL`, `EIG_FLOOR`).
 
 The Choi matrix used here lives on (input factor) x (output factor):
 C = sum_ij |i><j| (x) E(|i><j|), so trace-preservation reads
@@ -35,13 +38,8 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import inversion, ops
-from .exceptions import (
-    DimensionMismatchError,
-    InvalidChannelError,
-    InvalidConfigurationError,
-    NotCompletelyPositiveError,
-)
-from .ops import is_integer, is_real
+from .exceptions import DimensionMismatchError, InvalidChannelError, NotCompletelyPositiveError
+from .ops import MAX_QUBITS, check_register_size, is_integer, is_real  # the first two re-exported
 
 __all__ = [
     "ChannelSpec",
@@ -66,11 +64,6 @@ __all__ = [
     "validate_chi",
 ]
 
-# Largest register any entry point accepts: its process matrix has
-# 16**n complex entries, 16 MiB at n = 5.  Checked before anything of size
-# 16**n is allocated.
-MAX_QUBITS = 5
-
 # Tolerances: of sum K^dag K <= I; of chi and Choi eigenvalues (below -CP_ATOL
 # the map is not CP, up to KEEP_TOL they give no Kraus operator); of `validate_chi`
 KRAUS_ATOL = 1e-10
@@ -80,23 +73,6 @@ HERMITIAN_ATOL = 1e-10
 EIG_FLOOR = -1e-9
 TRACE_ATOL = 1e-10
 TP_ATOL = 1e-10
-
-
-def check_register_size(n: int) -> None:
-    """Reject register sizes that are not integers in 1..`MAX_QUBITS` (chi of 16**n entries).
-
-    An integer is an `int` or a numpy integer; a bool, a float (even 2.0)
-    or a string is not.
-    """
-    if not is_integer(n):
-        raise InvalidConfigurationError(f"qubit count must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidConfigurationError(f"need at least one pair, got n={n}")
-    if n > MAX_QUBITS:
-        raise InvalidConfigurationError(
-            f"n = {n} needs a process matrix of 16**{n} complex entries; the limit is "
-            f"16**{MAX_QUBITS} entries (16 MiB)"
-        )
 
 
 # One-qubit Pauli matrices (E_m = ops.PAULIS[m]) that the n-qubit maps below
@@ -243,33 +219,14 @@ def chi_from_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return c.T @ c.conj()
 
 
-def _checked_matrix(matrix, name: str, qubits: bool) -> tuple[np.ndarray, int]:
-    """A chi (`qubits`) or Choi matrix as a complex array, and d with side d**2.
-
-    It must be a square matrix of numbers (`ops.square_array`), its side
-    d**2 with d >= 2, a power of 2 for chi (4**n x 4**n), or
-    `DimensionMismatchError` is raised; a non-finite entry raises
-    `InvalidChannelError`, and so does anything that is not an array of
-    numbers.
-    """
-    m = ops.square_array(matrix, 2, name)
-    d = math.isqrt(len(m))
-    if d < 2 or d * d != len(m) or (qubits and d & (d - 1)):
-        form = "4**n x 4**n" if qubits else "d**2 x d**2"
-        raise DimensionMismatchError(f"{name} shape {m.shape} is not {form}")
-    if not np.isfinite(m).all():
-        raise InvalidChannelError(f"{name} has a non-finite entry")
-    return m, d
-
-
 def kraus_from_chi(chi: np.ndarray) -> list[np.ndarray]:
     """Kraus set of a process matrix, via eigendecomposition of chi.
 
     Eigenvalues up to `KEEP_TOL` are dropped; eigenvalues below -`CP_ATOL`
     mean the map is not completely positive and raise.  chi must be
-    4**n x 4**n and finite (`_checked_matrix`).
+    4**n x 4**n and finite (`ops.checked_matrix`).
     """
-    chi, d = _checked_matrix(chi, "chi", qubits=True)
+    chi, d = ops.checked_matrix(chi, "chi", qubits=True)
     n = d.bit_length() - 1
     return _kraus_from_psd(
         chi, d, "chi has eigenvalue {:.3e} below -{}; no Kraus form exists",
@@ -338,10 +295,10 @@ def validate_chi(chi: np.ndarray, trace_preserving: bool = False) -> ChiValidati
     identity; it is only computed when trace_preserving is requested.  The
     checks use `HERMITIAN_ATOL`, `EIG_FLOOR`, `TRACE_ATOL` and `TP_ATOL`.
     The flag must be a bool (`_checked_flag`), and chi 4**n x 4**n and
-    finite (`_checked_matrix`).
+    finite (`ops.checked_matrix`).
     """
     trace_preserving = _checked_flag(trace_preserving)
-    chi, _ = _checked_matrix(chi, "chi", qubits=True)
+    chi, _ = ops.checked_matrix(chi, "chi", qubits=True)
     dev = ops.hermiticity_deviation(chi)
     lo = ops.min_eigenvalue(chi)
     tr = float(np.trace(chi).real)
@@ -376,7 +333,7 @@ def _tp_residual(chi: np.ndarray) -> float:
 
 def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     """Kraus set of a Choi matrix (input-major convention of this module), as `kraus_from_chi`."""
-    choi, d = _checked_matrix(choi, "Choi", qubits=False)
+    choi, d = ops.checked_matrix(choi, "Choi", qubits=False)
     return _kraus_from_psd(
         choi, d, "Choi matrix has eigenvalue {:.3e} below -{}",
         lambda columns: [c.reshape(d, d).T for c in columns.T],
@@ -396,12 +353,12 @@ def random_channel(
     The trace-preserving variant whitens the input marginal so that
     Tr_out C = I exactly; the non-TP variant rescales so the map is trace
     non-increasing with a random overall survival weight.  n is bounded
-    like every register (`check_register_size`); `trace_preserving` is a
+    like every register (`ops.check_register_size`); `trace_preserving` is a
     bool (`_checked_flag`), `seed` None or a non-negative integer, and `rng`
     None or a numpy Generator; giving both `seed` and `rng` raises
     `InvalidChannelError`.
     """
-    check_register_size(n)
+    ops.check_register_size(n)
     trace_preserving = _checked_flag(trace_preserving)
     if rank is not None and not is_integer(rank):
         raise InvalidChannelError(f"Kraus rank must be an integer, got {rank!r}")
@@ -439,16 +396,16 @@ def random_channel(
 
 
 def identity_channel(n: int = 1) -> list[np.ndarray]:
-    check_register_size(n)
+    ops.check_register_size(n)
     return [np.eye(2**n, dtype=complex)]
 
 
 def _identity(n: Optional[float] = None) -> list[np.ndarray]:
     """`identity_channel` of a spec's n, a float (1 when absent) that must be an integer."""
     n = 1.0 if n is None else n
-    if not (n.is_integer() and 1 <= n <= MAX_QUBITS):
+    if not (n.is_integer() and 1 <= n <= ops.MAX_QUBITS):
         raise InvalidChannelError(
-            f"identity n must be an integer in 1..{MAX_QUBITS}, got {n!r}"
+            f"identity n must be an integer in 1..{ops.MAX_QUBITS}, got {n!r}"
         )
     return identity_channel(int(n))
 
@@ -713,11 +670,11 @@ def as_chi(channel, n: int) -> np.ndarray:
     (Pauli strings are ordered like `ops.pauli_strings`, qubit 1 most
     significant, so no permutation is needed).  A `Chi` on n qubits gives
     its own read-only matrix back.  Any other size raises
-    `DimensionMismatchError`.  n outside 1..`MAX_QUBITS` raises
+    `DimensionMismatchError`.  n outside 1..`ops.MAX_QUBITS` raises
     `InvalidConfigurationError` before the channel is looked at.  A bare 2-D
     array is rejected: it could be chi or a one-operator Kraus set.
     """
-    check_register_size(n)
+    ops.check_register_size(n)
     if isinstance(channel, Chi):
         if channel.n != n:
             raise DimensionMismatchError(f"channel acts on {channel.n} qubits, expected {n}")
@@ -736,7 +693,7 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
     For callers that need the Kraus operators themselves; chi comes from
     `as_chi`, which never expands a channel.  A raw Kraus sequence is
     validated by `check_kraus`.  When `n` is given (an integer in
-    1..`MAX_QUBITS`, or `InvalidConfigurationError`), a single-qubit set is
+    1..`ops.MAX_QUBITS`, or `InvalidConfigurationError`), a single-qubit set is
     extended to n qubits as an i.i.d. tensor product of up to 4**n
     operators (it is first reduced by `_canonical`); an explicit n-qubit
     set is passed through.  The expansion stays, although no library path
@@ -745,7 +702,7 @@ def as_kraus(channel, n: Optional[int] = None) -> list[np.ndarray]:
     ground truths built on it check that power instead of repeating it.
     """
     if n is not None:
-        check_register_size(n)
+        ops.check_register_size(n)
     kraus, copies = _validated(channel, n)
     if copies == 1:
         return list(kraus)

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channels, dcqd, inversion, relax, resources, sampling, serialize, sqpt
+from . import channels, dcqd, inversion, ops, relax, resources, sampling, serialize, sqpt
 from .exceptions import (
     DcqdLabError,
     DimensionMismatchError,
@@ -137,9 +137,9 @@ def _partial_args(p: argparse.ArgumentParser) -> None:
 
 def _resources_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help=f"single qubit count (1..{resources.MAX_N})")
-    # a range, 1..4 unless given; refused together with --n
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    without_n = "; used only without --n, and refused together with it"
+    p.add_argument("--n-min", type=int, default=None, help=f"first qubit count of a range (default 1{without_n})")
+    p.add_argument("--n-max", type=int, default=None, help=f"last qubit count of a range (default 4{without_n})")
     _add_io(p, formats=("text", "json", "csv"), default="text")
 
 
@@ -210,7 +210,7 @@ def _emit(args, report: dict, rows: Optional[list] = None) -> None:
 
 def _load_channel(args) -> tuple[channels.Chi, dict]:
     """The --channel map as a `channels.Chi` on --n qubits (checked first) and its echo."""
-    channels.check_register_size(args.n)
+    ops.check_register_size(args.n)
     spec, echo = serialize.load_channel_arg(args.channel)
     return channels.Chi.of(spec, args.n), echo
 
@@ -293,6 +293,13 @@ def cmd_sqpt(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _emit(args, *_compare_report(args))
+    return EXIT_OK
+
+
+def _compare_report(args) -> tuple[dict, list]:
+    """`compare`'s report and CSV rows; its chis and their difference (16 MiB each
+    at n = 5) are freed when it returns, before `_emit` writes the report."""
     chi, spec_dict = _load_channel(args)
     r_dcqd = dcqd.characterize(chi, n=args.n, alpha=args.alpha, beta=args.beta)
     r_sqpt = sqpt.sqpt_characterize(chi, n=args.n)
@@ -318,8 +325,7 @@ def cmd_compare(args) -> int:
     }
     keys = ("n_experiments", "frobenius_error_vs_truth")
     rows = [{"method": name, **{k: report[name][k] for k in keys}} for name in ("dcqd", "sqpt")]
-    _emit(args, report, rows)
-    return EXIT_OK
+    return report, rows
 
 
 def cmd_partial(args) -> int:

@@ -214,9 +214,9 @@ def validate_amplitudes(alpha, beta) -> None:
 def all_configurations(n: int) -> list[tuple[str, ...]]:
     """The 4**n configurations in index order, each a tuple of setting names (pair 1 first).
 
-    n is bounded like every register (`channels.check_register_size`).
+    n is bounded like every register (`ops.check_register_size`).
     """
-    channels.check_register_size(n)
+    ops.check_register_size(n)
     return list(itertools.product(SETTINGS, repeat=n))
 
 
@@ -268,10 +268,13 @@ def outcome_probabilities(
     """Probabilities q_k = Tr[P_k E(rho_c)] of one configuration, a vector of 4**n.
 
     `settings` names the setting of each of the n pairs, and the channel acts
-    on the primary block.  Checks the settings (unknown, none or not a
-    sequence raise `InvalidConfigurationError`), the register size, the
-    amplitudes (`_check_amplitudes`) and then the channel.
+    on the primary block.  Checks the settings (unknown, none, a bare str or
+    bytes, whose letters are not settings, or not a sequence raise
+    `InvalidConfigurationError`), the register size, the amplitudes
+    (`_check_amplitudes`) and then the channel.
     """
+    if isinstance(settings, (str, bytes)):
+        raise InvalidConfigurationError(f"settings must be a sequence of setting names, got {settings!r:.80}")
     try:
         settings = tuple(settings)
     except TypeError:
@@ -279,7 +282,7 @@ def outcome_probabilities(
     if not settings:
         raise InvalidConfigurationError("configuration needs at least one pair")
     _check_settings(settings)
-    channels.check_register_size(len(settings))
+    ops.check_register_size(len(settings))
     singles = _schemes(*_check_amplitudes(alpha, beta))[2]
     chi = channels.as_chi(channel, len(settings))
     return inversion.forward([singles[SETTINGS.index(s)].design for s in settings], chi).ravel()
@@ -293,7 +296,7 @@ def _experiment(
     Checks the register size, then the amplitudes (`validate_amplitudes`),
     then the channel.  Axis i of the data is (setting_i, outcome_i).
     """
-    channels.check_register_size(n)
+    ops.check_register_size(n)
     validate_amplitudes(alpha, beta)
     scheme = pair_scheme(alpha, beta)
     chi = channels.as_chi(channel, n)
@@ -378,13 +381,13 @@ def reconstruct_coherence(
             f"coherence reconstruction needs one coh-type pair, got {setting}"
         )
     factors = _coherence_factors(alpha, beta)
-    q, diag = inversion._real_data(probabilities), inversion._real_data(diagonals)
+    q, diag = ops.real_data(probabilities), ops.real_data(diagonals)
     if q.shape != (4,) or diag.shape != (4,):
         raise DimensionMismatchError(
             "coherence reconstruction needs 4 probabilities and 4 diagonals, "
             f"got {q.shape} and {diag.shape}"
         )
-    inversion._check_finite(np.concatenate((q, diag)))
+    ops.check_finite(np.concatenate((q, diag)))
     frame_pops = diag[_FRAME_LABELS[[_COH.index(setting)]]]
     coh_stab, coh_norm = _coherences(q[None], frame_pops, factors)[0]
     return complex(coh_stab), complex(coh_norm)
@@ -399,13 +402,18 @@ def map_frame(setting: str, coh_stab: complex, coh_norm: complex) -> dict[tuple[
     sign[m] sign[n] chi'[perm[m], perm[n]]; the frame table holds those
     positions and signs.  Returns the two upper-triangle entries this
     configuration pins down (conjugates implied).  Both values must be
-    numbers (not bools), or `InvalidDistributionError` is raised.
+    numbers (not bools), and then finite complex numbers, as the data of
+    `reconstruct_coherence` must be finite; each check raises
+    `InvalidDistributionError` with its own message.
     """
     if setting not in _COH:
         raise InvalidConfigurationError(f"no frame mapping for setting {setting!r}")
     values = (coh_stab, coh_norm)
     if not all(isinstance(v, numbers.Number) and not isinstance(v, bool) for v in values):
         raise InvalidDistributionError(f"coherences must be numbers, got {values!r:.80}")
+    # each part a real number a float holds (`ops.is_real`: no int beyond every float) and finite
+    if not all(ops.is_real(p) and math.isfinite(p) for v in values for p in (v.real, v.imag)):
+        raise InvalidDistributionError(f"coherences must be finite complex numbers, got {values!r:.80}")
     s = _COH.index(setting)
     # an entry below the diagonal is stored as its conjugate above it
     return {
@@ -475,11 +483,11 @@ def closed_form_chi(
     (`DimensionMismatchError`), then the amplitudes and their factors
     (`_coherence_factors`), then that the data are finite.
     """
-    q = inversion._real_data(probabilities)
+    q = ops.real_data(probabilities)
     if q.shape != (4, 4):
         raise DimensionMismatchError(f"closed form needs 4 single-pair distributions, got {q.shape}")
     factors = _coherence_factors(alpha, beta)
-    inversion._check_finite(q)
+    ops.check_finite(q)
     # outcome m of the pop setting detects Pauli error m: the pop row is diag(chi)
     chi = np.diag(q[0]).astype(complex)
     coh = _FRAME_SIGNS * _coherences(q[1:], q[0][_FRAME_LABELS], factors)
@@ -500,16 +508,16 @@ def reconstruct_from_probabilities(
     outcome), exact probabilities or empirical frequencies alike;
     n comes from its shape, and no renormalization or positivity repair is
     applied.  The solve (`pair_scheme`) applies A1^-1 along each pair
-    axis of the data.  A register beyond `channels.check_register_size`,
+    axis of the data.  A register beyond `ops.check_register_size`,
     complex or non-finite data or a rank-deficient A1 (degenerate
     amplitudes) raises instead of returning a wrong chi.
     """
-    q = inversion._real_data(probabilities)
+    q = ops.real_data(probabilities)
     rows = q.shape[0] if q.ndim else 0
     n = (rows.bit_length() - 1) // 2
     if n < 1 or q.shape != (4**n, 4**n):
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
-    channels.check_register_size(n)
+    ops.check_register_size(n)
     return pair_scheme(alpha, beta).solve(inversion.pair_axes(q, n, 4))
 
 

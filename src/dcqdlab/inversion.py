@@ -26,13 +26,13 @@ and the experiment on n pairs is D1 applied along every pair axis of chi
   one place that knows the size of the experiment on n pairs: `counts(n)`
   gives its I**n inputs, (S / I)**n measurements per input and S**n
   configurations, and `check_pairs(n)` bounds its data, len(D1)**n entries,
-  by the 16**MAX_QUBITS entries of the largest chi before anything of that
-  size is built.  Its `forward(chi)` judges chi by the chi rule of
-  `channels` (an array of numbers, 4**n x 4**n and finite), reads n from
-  its side and checks it with `check_pairs`, then applies `readout`, then
-  `row_map`, along each pair axis; its `solve`
-  checks that the data are real (`_real_data`) and finite (`_check_finite`),
-  then applies the pseudo-inverse: one SVD of
+  by the 16**`ops.MAX_QUBITS` entries of the largest chi before anything of
+  that size is built.  Its `forward(chi)` judges chi by the chi rule
+  (`ops.checked_matrix`: an array of numbers, 4**n x 4**n and finite), reads
+  n from its side and checks it with `check_pairs`, then applies `readout`,
+  then `row_map`, along each pair axis; its `solve` checks the data by the
+  data rule, real (`ops.real_data`) and finite (`ops.check_finite`), then
+  applies the pseudo-inverse: one SVD of
   D1, kept on the scheme, gives its rank (the full design has
   rank(D1)**n), cond(D1)**n and pinv(D1), and pinv(D1) along every pair
   axis of the data is the least-squares chi.  Each experiment keeps its
@@ -58,12 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ops
-from .exceptions import (
-    DimensionMismatchError,
-    IllPosedConfigurationError,
-    InvalidConfigurationError,
-    InvalidDistributionError,
-)
+from .exceptions import DimensionMismatchError, IllPosedConfigurationError, InvalidConfigurationError
 
 __all__ = [
     "ReconstructionResult", "Scheme", "forward", "pair_axes", "per_pair", "readout_design", "unpair_axes",
@@ -118,26 +113,6 @@ def readout_design(table: np.ndarray) -> np.ndarray:
     return np.einsum("rm,rn->rmn", c, c.conj()).reshape(len(c), 16)
 
 
-def _real_data(data) -> np.ndarray:
-    """Outcome data as a float array, if they are an array of real numbers (`ops.number_array`).
-
-    Anything else raises `InvalidDistributionError`: complex data instead of
-    losing their imaginary part, text instead of being parsed, and an object
-    array, None entries included, instead of reading None as NaN.
-    """
-    a = ops.number_array(data, complex_ok=False)
-    if a is None:
-        raise InvalidDistributionError(
-            f"outcome data must be real numbers, not complex, strings or other objects: {data!r:.80}"
-        )
-    return a.astype(float, copy=False)
-
-
-def _check_finite(data: np.ndarray) -> None:
-    if not np.isfinite(data).all():
-        raise InvalidDistributionError("outcome data contain NaN or infinite entries")
-
-
 @dataclass
 class ReconstructionResult:
     """Reconstructed process matrix plus solver diagnostics, built by `Scheme.solve`.
@@ -171,7 +146,7 @@ class Scheme:
     ordered (input, measurement), `inputs` inputs with settings / inputs
     measurements each.  The experiment on n pairs runs `settings**n`
     configurations (`counts`); its data have one axis of length R per pair,
-    at most 16**`channels.MAX_QUBITS` entries in all
+    at most 16**`ops.MAX_QUBITS` entries in all
     (`check_pairs`), and `unpair_axes(data, n, (settings, outcomes))` puts
     configurations in rows and joint outcomes in columns.  The data are
     outcome probabilities, or any other data linear in chi, such as the
@@ -208,17 +183,15 @@ class Scheme:
     def check_pairs(self, n: int) -> None:
         """Reject n pairs before anything of their size is built.
 
-        n must pass `channels.check_register_size`, and the data, len(design)**n
-        entries, may not exceed the 16**MAX_QUBITS entries of the largest chi;
-        either raises `InvalidConfigurationError`.
+        n must pass `ops.check_register_size`, and the data, len(design)**n
+        entries, may not exceed the 16**`ops.MAX_QUBITS` entries of the largest
+        chi; either raises `InvalidConfigurationError`.
         """
-        from . import channels  # which imports this module
-
-        channels.check_register_size(n)
-        if len(self.design) ** n > 16**channels.MAX_QUBITS:
+        ops.check_register_size(n)
+        if len(self.design) ** n > 16**ops.MAX_QUBITS:
             raise InvalidConfigurationError(
                 f"the data of {n} pairs have {len(self.design)}**{n} entries; the limit is "
-                f"16**{channels.MAX_QUBITS}, the entries of the largest chi"
+                f"16**{ops.MAX_QUBITS}, the entries of the largest chi"
             )
 
     def _pairs(self, data: np.ndarray) -> int:
@@ -234,13 +207,11 @@ class Scheme:
     def forward(self, chi: np.ndarray) -> np.ndarray:
         """Outcome probabilities of n pairs, one axis per pair: `forward`, then the row map.
 
-        Before any arithmetic, chi is judged by the chi rule of `channels`
-        (`_checked_matrix`: an array of numbers, 4**n x 4**n and finite), and
-        the n its side gives must pass `check_pairs`.
+        Before any arithmetic, chi is judged by the chi rule
+        (`ops.checked_matrix`: an array of numbers, 4**n x 4**n and finite),
+        and the n its side gives must pass `check_pairs`.
         """
-        from . import channels  # which imports this module
-
-        chi, d = channels._checked_matrix(chi, "chi", qubits=True)
+        chi, d = ops.checked_matrix(chi, "chi", qubits=True)
         n = d.bit_length() - 1
         self.check_pairs(n)
         data = forward([self.readout] * n, chi)
@@ -262,16 +233,16 @@ class Scheme:
         """Least-squares chi of n pairs, with the counts and conditioning of their design.
 
         `data` has one axis of length R per pair; data that are not real
-        numbers raise `InvalidDistributionError` (`_real_data`), then no
+        numbers raise `InvalidDistributionError` (`ops.real_data`), then no
         axis, or one of another length, `DimensionMismatchError`, then a NaN
         or infinite entry `InvalidDistributionError`.  The result's chi is the
         exactly Hermitian (chi + chi^H)/2, with rank(design)**n and
         cond(design)**n.  A rank-deficient design raises instead of
         returning a wrong chi.
         """
-        data = _real_data(data)
+        data = ops.real_data(data)
         n = self._pairs(data)
-        _check_finite(data)
+        ops.check_finite(data)
         pinv, cond, rank = self._svd
         if pinv is None:
             raise IllPosedConfigurationError(

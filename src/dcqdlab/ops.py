@@ -1,4 +1,10 @@
-"""Dense complex linear algebra and qubit primitives.
+"""Dense complex linear algebra, qubit primitives and the input rules every module shares.
+
+The input rules: `is_integer` and `is_real` for scalars, `number_array`
+and `square_array` for arrays, the register bound (`check_register_size`,
+n in 1..`MAX_QUBITS`), the chi rule (`checked_matrix`: a finite 4**n x
+4**n chi or d**2 x d**2 Choi matrix of numbers) and the data rule
+(`real_data`, then `check_finite`); callers reach the last three as `ops.<name>`.
 
 Everything else in the package is built on the conventions fixed here:
 
@@ -31,7 +37,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, InvalidChannelError, InvalidConfigurationError
+from .exceptions import (
+    DimensionMismatchError,
+    InvalidChannelError,
+    InvalidConfigurationError,
+    InvalidDistributionError,
+)
 
 PAULI_LABELS = "IXYZ"
 
@@ -43,6 +54,11 @@ PAULIS = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PHASE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
+
+# Largest register any entry point accepts: its process matrix has
+# 16**n complex entries, 16 MiB at n = 5.  Checked before anything of size
+# 16**n is allocated.
+MAX_QUBITS = 5
 
 
 def is_integer(value) -> bool:
@@ -95,6 +111,64 @@ def square_array(value, ndim: int, name: str) -> np.ndarray:
         form = "(K, d, d)" if ndim == 3 else "(d, d)"
         raise DimensionMismatchError(f"{name} shape {a.shape} is not a nonempty {form}")
     return a.astype(complex, copy=False)
+
+
+def check_register_size(n: int) -> None:
+    """Reject register sizes that are not integers in 1..`MAX_QUBITS` (chi of 16**n entries).
+
+    An integer is an `int` or a numpy integer; a bool, a float (even 2.0)
+    or a string is not.
+    """
+    if not is_integer(n):
+        raise InvalidConfigurationError(f"qubit count must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidConfigurationError(f"need at least one pair, got n={n}")
+    if n > MAX_QUBITS:
+        raise InvalidConfigurationError(
+            f"n = {n} needs a process matrix of 16**{n} complex entries; the limit is "
+            f"16**{MAX_QUBITS} entries (16 MiB)"
+        )
+
+
+def checked_matrix(matrix, name: str, qubits: bool) -> tuple[np.ndarray, int]:
+    """A chi (`qubits`) or Choi matrix as a complex array, and d with side d**2: the chi rule.
+
+    It must be a square matrix of numbers (`square_array`), its side
+    d**2 with d >= 2, a power of 2 for chi (4**n x 4**n), or
+    `DimensionMismatchError` is raised; a non-finite entry raises
+    `InvalidChannelError`, and so does anything that is not an array of
+    numbers.
+    """
+    m = square_array(matrix, 2, name)
+    d = math.isqrt(len(m))
+    if d < 2 or d * d != len(m) or (qubits and d & (d - 1)):
+        form = "4**n x 4**n" if qubits else "d**2 x d**2"
+        raise DimensionMismatchError(f"{name} shape {m.shape} is not {form}")
+    if not np.isfinite(m).all():
+        raise InvalidChannelError(f"{name} has a non-finite entry")
+    return m, d
+
+
+def real_data(data) -> np.ndarray:
+    """Outcome data as a float array, if they are an array of real numbers (`number_array`).
+
+    Anything else raises `InvalidDistributionError`: complex data instead of
+    losing their imaginary part, text instead of being parsed, and an object
+    array, None entries included, instead of reading None as NaN.  With
+    `check_finite`, the data rule.
+    """
+    a = number_array(data, complex_ok=False)
+    if a is None:
+        raise InvalidDistributionError(
+            f"outcome data must be real numbers, not complex, strings or other objects: {data!r:.80}"
+        )
+    return a.astype(float, copy=False)
+
+
+def check_finite(data: np.ndarray) -> None:
+    """Reject outcome data with a NaN or infinite entry (`InvalidDistributionError`)."""
+    if not np.isfinite(data).all():
+        raise InvalidDistributionError("outcome data contain NaN or infinite entries")
 
 
 def pauli_strings(n: int) -> Iterator[tuple[int, ...]]:

@@ -25,9 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import channels, dcqd, inversion
+from . import channels, dcqd, inversion, ops
 from .exceptions import InvalidDistributionError
-from .ops import is_integer
 
 __all__ = [
     "SampledMetrics",
@@ -46,7 +45,7 @@ def _checked_seed(seed):
     """`seed` if it is None, a non-negative integer (not a bool) or a
     SeedSequence; anything else, a Generator included, raises
     `InvalidDistributionError`."""
-    if seed is None or isinstance(seed, np.random.SeedSequence) or (is_integer(seed) and seed >= 0):
+    if seed is None or isinstance(seed, np.random.SeedSequence) or (ops.is_integer(seed) and seed >= 0):
         return seed
     raise InvalidDistributionError(
         f"seed must be None, a non-negative integer or a SeedSequence, got {seed!r}"
@@ -61,7 +60,7 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _checked_shots(shots) -> None:
-    if not (is_integer(shots) and 1 <= shots <= MAX_SHOTS):
+    if not (ops.is_integer(shots) and 1 <= shots <= MAX_SHOTS):
         raise InvalidDistributionError(f"shots must be an integer in 1..2**63 - 1, got {shots!r}")
 
 
@@ -128,7 +127,7 @@ def sample(scheme: inversion.Scheme, data: np.ndarray, shots: int, seed) -> np.n
     """
     parent = _seed_sequence(seed)
     _checked_shots(shots)
-    q = inversion._real_data(data)
+    q = ops.real_data(data)
     n, digits = scheme._pairs(q), (scheme.settings, scheme.outcomes)
     pvals = _cell_probabilities(inversion.unpair_axes(q, n, digits))
     children = parent.spawn(len(pvals))

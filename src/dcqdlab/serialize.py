@@ -268,7 +268,7 @@ def chi_from_report(report: dict) -> np.ndarray:
         chi = matrix_from_pairs(rows)
     else:
         raise InvalidChannelError("chi report has no 'chi' (or 'chi_real' and 'chi_imag') field")
-    return channels._checked_matrix(chi, "chi", qubits=True)[0]
+    return ops.checked_matrix(chi, "chi", qubits=True)[0]
 
 
 def _decode_chi(field) -> np.ndarray:

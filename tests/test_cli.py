@@ -586,6 +586,16 @@ class TestResources:
         assert code == 0
         assert sorted({r["n"] for r in json.loads(out)["rows"]}) == n_values
 
+    def test_help_describes_range_bounds(self, capsys):
+        # --n-min N_MIN and --n-max N_MAX were listed with no text; the help
+        # is read with its wrapping and alignment undone
+        code, out, _ = run(["resources", "--help"], capsys)
+        assert code == 0
+        text = " ".join(out.split())
+        refused = "used only without --n, and refused together with it"
+        assert f"--n-min N_MIN first qubit count of a range (default 1; {refused})" in text
+        assert f"--n-max N_MAX last qubit count of a range (default 4; {refused})" in text
+
     def test_single_n_text(self, capsys):
         code, out, _ = run(["resources", "--n", "3"], capsys)
         assert code == 0

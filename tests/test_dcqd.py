@@ -87,8 +87,14 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("settings", [(), ("pop", "coh_w"), "pop", (None,), None, 3])
     def test_outcome_probabilities_rejects_bad_settings(self, settings):
-        with pytest.raises(InvalidConfigurationError):
+        # a bare string was iterated: "unknown settings ['p', 'o', 'p']"
+        match = "settings must be a sequence of setting names, got 'pop'" if settings == "pop" else None
+        with pytest.raises(InvalidConfigurationError, match=match):
             dcqd.outcome_probabilities(channels.identity_channel(), settings)
+
+    def test_outcome_probabilities_rejects_bytes_settings(self):
+        with pytest.raises(InvalidConfigurationError, match="sequence of setting names, got b'pop'"):
+            dcqd.outcome_probabilities(channels.identity_channel(), b"pop")
 
     def test_outcome_probabilities_check_order(self, channel_untouched):
         # settings, then register size, then amplitudes, then the channel
@@ -412,6 +418,17 @@ class TestMapFrame:
             with pytest.raises(InvalidDistributionError, match="must be numbers"):
                 dcqd.map_frame(dcqd.COH_Z, *values)
 
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, complex(math.nan), complex(0, math.inf), np.complex128(math.nan), 10**400],
+        ids=["nan", "inf", "-inf", "complex_nan", "inf_imag", "numpy_nan", "int_beyond_float"],
+    )
+    def test_values_must_be_finite(self, value):
+        # passed through: map_frame("coh_z", nan, 0) gave {(0, 3): nan, (1, 2): 0}
+        for values in ((value, 1), (0.5j, value)):
+            with pytest.raises(InvalidDistributionError, match="coherences must be finite complex numbers"):
+                dcqd.map_frame(dcqd.COH_Z, *values)
+
 
 class TestOneFactorRule:
     # reconstruct_coherence and closed_form_chi judged the factors apart from
@@ -480,10 +497,10 @@ class TestOneFactorRule:
             monkeypatch.setattr(module, name, counted)
 
         count(dcqd, "_check_amplitudes")
-        count(inversion, "_real_data")
-        count(inversion, "_check_finite")
+        count(ops, "real_data")
+        count(ops, "check_finite")
         dcqd.characterize(channels.Chi.of(channels.depolarizing(0.1), 1), 1)
-        assert counts == {"_check_amplitudes": 3, "_real_data": 2, "_check_finite": 2}
+        assert counts == {"_check_amplitudes": 3, "real_data": 2, "check_finite": 2}
 
 
 class TestDesignMatrix:
