@@ -13,8 +13,13 @@ The handler is looked up by name in this module when `main` runs.
 
 Every handler loads, runs, then emits: `_load_channel` converts the channel
 once per command, to the `channels.Chi` that every library call takes and
-every error against the truth reads, and `_emit` writes every report.  Each
-reconstruction (`characterize` in every mode, `sqpt`) is reported by
+every error against the truth reads, and `_emit` writes every report.
+Before it reads the channel, `_load_channel` bounds --n with the scheme the
+command will run (`inversion.Scheme.check_pairs`): the pair or analyzer
+scheme of --alpha/--beta for characterize, the pair scheme for compare and
+sample-sweep, `sqpt._scheme()` for sqpt.  Looking the scheme up judges the
+amplitudes as numbers first, so the CLI keeps the one order of `dcqd` up to
+the channel and calls no `ops` rule itself.  Each reconstruction (`characterize` in every mode, `sqpt`) is reported by
 `_chi_report` from its `inversion.ReconstructionResult`: it validates the
 estimate, refuses one from exact statistics that fails, writes the result's
 configuration count, closed-form residual, design rank and condition number,
@@ -42,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channels, dcqd, inversion, ops, relax, resources, sampling, serialize, sqpt
+from . import channels, dcqd, inversion, relax, resources, sampling, serialize, sqpt
 from .exceptions import (
     DcqdLabError,
     DimensionMismatchError,
@@ -208,9 +213,13 @@ def _emit(args, report: dict, rows: Optional[list] = None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _load_channel(args) -> tuple[channels.Chi, dict]:
-    """The --channel map as a `channels.Chi` on --n qubits (checked first) and its echo."""
-    ops.check_register_size(args.n)
+def _load_channel(args, scheme: inversion.Scheme) -> tuple[channels.Chi, dict]:
+    """The --channel map as a `channels.Chi` on --n qubits and its echo.
+
+    --n is bounded first, by `scheme.check_pairs` of the scheme the command
+    will run, so an n too large for it fails before the channel is read.
+    """
+    scheme.check_pairs(args.n)
     spec, echo = serialize.load_channel_arg(args.channel)
     return channels.Chi.of(spec, args.n), echo
 
@@ -251,12 +260,8 @@ def _chi_report(
 
 
 def cmd_characterize(args) -> int:
-    if args.optics:
-        # the analyzer's data outgrow chi, so their bound (after the register's)
-        # comes before the channel is loaded; the bound reads only the number
-        # of design rows, the same for all amplitudes
-        dcqd.optics_scheme().check_pairs(args.n)
-    chi, spec_dict = _load_channel(args)
+    scheme = (dcqd.optics_scheme if args.optics else dcqd.pair_scheme)(args.alpha, args.beta)
+    chi, spec_dict = _load_channel(args, scheme)
     if args.optics:
         result = sampling.characterize_with_optics(
             chi, alpha=args.alpha, beta=args.beta, shots=args.shots, seed=args.seed, n=args.n
@@ -281,7 +286,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_sqpt(args) -> int:
-    chi, spec_dict = _load_channel(args)
+    chi, spec_dict = _load_channel(args, sqpt._scheme())
     result = sqpt.sqpt_characterize(chi, n=args.n)
     counts = resources.resource_counts(args.n)["sqpt"]
     report = _chi_report(
@@ -300,7 +305,7 @@ def cmd_compare(args) -> int:
 def _compare_report(args) -> tuple[dict, list]:
     """`compare`'s report and CSV rows; its chis and their difference (16 MiB each
     at n = 5) are freed when it returns, before `_emit` writes the report."""
-    chi, spec_dict = _load_channel(args)
+    chi, spec_dict = _load_channel(args, dcqd.pair_scheme(args.alpha, args.beta))
     r_dcqd = dcqd.characterize(chi, n=args.n, alpha=args.alpha, beta=args.beta)
     r_sqpt = sqpt.sqpt_characterize(chi, n=args.n)
     diff = r_dcqd.chi - r_sqpt.chi
@@ -396,11 +401,12 @@ def cmd_resources(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    chi, spec_dict = _load_channel(args)
+    scheme = dcqd.pair_scheme(args.alpha, args.beta)
+    chi, spec_dict = _load_channel(args, scheme)
     if args.repeats < 1 or any(s < 1 for s in args.shots):
         raise InvalidDistributionError("shots and repeats must be positive")
     # the exact data once per command
-    scheme, chi_true, data = dcqd._experiment(chi, args.n, args.alpha, args.beta)
+    data = scheme.forward(dcqd._experiment(scheme, chi, args.n, args.alpha, args.beta))
     # one child per run, spawned when the run starts: the same children in
     # the same order as spawning all len(shots) * repeats of them up front
     parent = sampling._seed_sequence(args.seed)
@@ -410,7 +416,7 @@ def cmd_sweep(args) -> int:
         for _ in range(args.repeats):
             (child,) = parent.spawn(1)
             freqs = sampling.sample(scheme, data, shots, child)
-            errors.append(float(np.linalg.norm(scheme.solve(freqs).chi - chi_true)))
+            errors.append(float(np.linalg.norm(scheme.solve(freqs).chi - chi.matrix)))
         rows.append(
             {
                 "shots": shots,

@@ -36,6 +36,21 @@ and column k its joint outcome (digits pair 1 first).  Exact probabilities
 `reconstruct_from_probabilities` reads n from its shape.  Complex or
 non-finite data raise `InvalidDistributionError`.
 
+A full experiment is judged by the scheme that runs it, in one order:
+the amplitudes as numbers (`_check_amplitudes`, as the scheme is looked
+up), then n against that scheme (`inversion.Scheme.check_pairs`: the
+register bound, then the data bound), then the amplitude factors
+(`validate_amplitudes`), then the channel (`channels.as_chi`), then the
+seed and the shots.  `_experiment` is the whole setup of `characterize`,
+`all_outcome_probabilities`, `sampling.characterize_sampled`,
+`sampling.characterize_with_optics` and the CLI's sample-sweep; it takes
+the scheme and returns the channel's chi, which the caller forwards.
+`reconstruct_from_probabilities` reads n from its data's shape and bounds
+it with `pair_scheme(alpha, beta)`, whose lookup judges the amplitudes as
+numbers first; it judges no factors, since degenerate amplitudes meet the
+rank check of its solve.  The CLI bounds --n with the scheme of its
+command before it reads the channel.
+
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
 readout table (4 settings x 4 outcomes), and one cache (`_schemes`) builds
@@ -289,18 +304,18 @@ def outcome_probabilities(
 
 
 def _experiment(
-    channel, n: int, alpha: complex, beta: complex
-) -> tuple[inversion.Scheme, np.ndarray, np.ndarray]:
-    """The pair scheme, the channel's chi on n qubits and its exact data, one axis per pair.
+    scheme: inversion.Scheme, channel, n: int, alpha: complex, beta: complex
+) -> np.ndarray:
+    """The channel's chi on n qubits, after the checks of a full experiment in their one order.
 
-    Checks the register size, then the amplitudes (`validate_amplitudes`),
-    then the channel.  Axis i of the data is (setting_i, outcome_i).
+    `scheme` is the one that will run the experiment, looked up by the caller
+    from the amplitudes, which judges them as numbers.  Then n must pass
+    `scheme.check_pairs`, the amplitudes `validate_amplitudes`, and the
+    channel `channels.as_chi`; the caller forwards the chi it returns.
     """
-    ops.check_register_size(n)
+    scheme.check_pairs(n)
     validate_amplitudes(alpha, beta)
-    scheme = pair_scheme(alpha, beta)
-    chi = channels.as_chi(channel, n)
-    return scheme, chi, scheme.forward(chi)
+    return channels.as_chi(channel, n)
 
 
 def all_outcome_probabilities(
@@ -309,11 +324,12 @@ def all_outcome_probabilities(
     """Exact outcome probabilities of all 4**n configurations, shape (4**n, 4**n).
 
     Row c is configuration c of `all_configurations(n)` and column k its
-    joint outcome.  Checks the register size, then the amplitudes, then the
-    channel, and applies A1 along every pair axis of the channel's chi
-    (`channels.as_chi`).
+    joint outcome.  Checks its inputs in the one order (module docstring),
+    with n against `pair_scheme`, and applies A1 along every pair axis of
+    the channel's chi (`channels.as_chi`).
     """
-    _, _, q = _experiment(channel, n, alpha, beta)
+    scheme = pair_scheme(alpha, beta)
+    q = scheme.forward(_experiment(scheme, channel, n, alpha, beta))
     # rows become configurations
     return inversion.unpair_axes(q, n, 4)
 
@@ -508,16 +524,18 @@ def reconstruct_from_probabilities(
     outcome), exact probabilities or empirical frequencies alike;
     n comes from its shape, and no renormalization or positivity repair is
     applied.  The solve (`pair_scheme`) applies A1^-1 along each pair
-    axis of the data.  A register beyond `ops.check_register_size`,
-    complex or non-finite data or a rank-deficient A1 (degenerate
-    amplitudes) raises instead of returning a wrong chi.
+    axis of the data.  Complex data or another shape raise first; then,
+    in the one order (module docstring), the amplitudes as numbers and n
+    against the scheme (`check_pairs`); then non-finite data or a
+    rank-deficient A1 (degenerate amplitudes) raise instead of returning a
+    wrong chi.
     """
     q = ops.real_data(probabilities)
     rows = q.shape[0] if q.ndim else 0
     n = (rows.bit_length() - 1) // 2
     if n < 1 or q.shape != (4**n, 4**n):
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
-    ops.check_register_size(n)
+    pair_scheme(alpha, beta).check_pairs(n)
     return pair_scheme(alpha, beta).solve(inversion.pair_axes(q, n, 4))
 
 
@@ -533,9 +551,10 @@ def characterize(
     matrix of the channel to solver precision, for trace-preserving and
     trace-decreasing channels alike.  One scheme (`pair_scheme`, built once
     per process for these amplitudes) forwards the channel's chi and solves
-    the data.
+    the data.  Checks its inputs in the one order (module docstring).
     """
-    scheme, _, data = _experiment(channel, n, alpha, beta)
+    scheme = pair_scheme(alpha, beta)
+    data = scheme.forward(_experiment(scheme, channel, n, alpha, beta))
     result = scheme.solve(data)
     if n == 1:
         chi_cf = closed_form_chi(data.reshape(4, 4), alpha, beta)

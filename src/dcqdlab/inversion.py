@@ -25,9 +25,11 @@ and the experiment on n pairs is D1 applied along every pair axis of chi
   outcomes, `row_map @ readout`, rows ordered (setting, outcome).  It is the
   one place that knows the size of the experiment on n pairs: `counts(n)`
   gives its I**n inputs, (S / I)**n measurements per input and S**n
-  configurations, and `check_pairs(n)` bounds its data, len(D1)**n entries,
-  by the 16**`ops.MAX_QUBITS` entries of the largest chi before anything of
-  that size is built.  Its `forward(chi)` judges chi by the chi rule
+  configurations as Python ints, for an integer n in 1..`MAX_N` (so
+  SQPT's 16**n fits a signed 64-bit integer), and `check_pairs(n)` bounds
+  its data, len(D1)**n entries, by the 16**`ops.MAX_QUBITS` entries of the
+  largest chi before anything of that size is built.  Its `forward(chi)`
+  judges chi by the chi rule
   (`ops.checked_matrix`: an array of numbers, 4**n x 4**n and finite), reads
   n from its side and checks it with `check_pairs`, then applies `readout`,
   then `row_map`, along each pair axis; its `solve` checks the data by the
@@ -63,6 +65,10 @@ from .exceptions import DimensionMismatchError, IllPosedConfigurationError, Inva
 __all__ = [
     "ReconstructionResult", "Scheme", "forward", "pair_axes", "per_pair", "readout_design", "unpair_axes",
 ]
+
+# Largest n that `Scheme.counts` takes: 16**15 = 2**60 < 2**63, so SQPT's
+# 16**n configurations, the most of any scheme here, fit a signed 64-bit integer
+MAX_N = 15
 
 
 def pair_axes(x: np.ndarray, n: int, d) -> np.ndarray:
@@ -176,8 +182,18 @@ class Scheme:
         return len(self.design) // self.outcomes
 
     def counts(self, n: int) -> dict[str, int]:
-        """Inputs, measurements per input and configurations of n pairs, as exact integers."""
-        s, i = self.settings, self.inputs
+        """Inputs, measurements per input and configurations of n pairs, as exact Python ints.
+
+        n must be an integer (`ops.is_integer`: not a bool) in 1..`MAX_N`, or
+        `InvalidConfigurationError` is raised; a numpy integer is converted
+        first, so no count overflows.
+        """
+        if not (ops.is_integer(n) and 1 <= n <= MAX_N):
+            raise InvalidConfigurationError(
+                f"qubit count must be an integer in 1..{MAX_N} (16**n must fit a signed "
+                f"64-bit integer), got {n!r}"
+            )
+        n, s, i = int(n), self.settings, self.inputs
         return {"n_inputs": i**n, "n_measurements": (s // i) ** n, "n_experiments": s**n}
 
     def check_pairs(self, n: int) -> None:
@@ -251,7 +267,9 @@ class Scheme:
             )
         # axis i of x is (m_i, m'_i); rows of chi are (m_1..m_n)
         chi = unpair_axes(per_pair(data, [pinv] * n), n, 4)
+        # settings**n is counts(n)["n_experiments"], without judging n again:
+        # it comes from the data's axes, which `_pairs` has bounded
         return ReconstructionResult(
-            ops.hermitian_part(chi), n, self.counts(n)["n_experiments"],
+            ops.hermitian_part(chi), n, self.settings**n,
             design_rank=rank**n, design_cond=cond**n,
         )

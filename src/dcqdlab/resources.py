@@ -11,22 +11,22 @@ standard tomography are those of the schemes that run them
 `inversion.Scheme.counts`); only the Hilbert dimensions and the
 ancilla-assisted row, which no scheme here runs, are formulas.
 
-Counts are tabulated for n = 1..`MAX_N`: the largest, 16**n, then fits a
-signed 64-bit integer, so JSON and CSV readers that parse integers into
-int64 read every count exactly.  Any other n, and any n that is not an
-integer (a bool, a float, a string), raises `InvalidConfigurationError`.
+Counts are tabulated for n = 1..`MAX_N`, the bound of
+`inversion.Scheme.counts`: the largest, 16**n, then fits a signed 64-bit
+integer, so JSON and CSV readers that parse integers into int64 read
+every count exactly.  `counts` judges n for every scheme, and
+`resource_counts` asks the SQPT scheme's first: any other n, and any n
+that is not an integer (a bool, a float, a string), raises
+`InvalidConfigurationError` there.
 """
 
 from __future__ import annotations
 
 from . import dcqd, sqpt
 from .exceptions import InvalidConfigurationError
-from .ops import is_integer
+from .inversion import MAX_N  # re-exported: the counts' bound
 
 SCHEMES = ("sqpt", "aapt_nonseparable", "dcqd")
-
-# 16**15 = 2**60 < 2**63
-MAX_N = 15
 
 
 def resource_counts(n: int) -> dict[str, dict[str, int]]:
@@ -34,17 +34,14 @@ def resource_counts(n: int) -> dict[str, dict[str, int]]:
 
     Keys per scheme: hilbert_dim (dimension the experiment acts in),
     n_inputs, n_measurements (settings per input) and n_experiments
-    (their product).  n must be an integer in 1..`MAX_N`; a numpy integer
-    gives Python ints too, so every count is exact and JSON-serializable.
+    (their product).  n is judged by the SQPT scheme's `counts` first (an
+    integer in 1..`MAX_N`); a numpy integer gives Python ints too, so every
+    count is exact and JSON-serializable.
     """
-    if not (is_integer(n) and 1 <= n <= MAX_N):
-        raise InvalidConfigurationError(
-            f"qubit count must be an integer in 1..{MAX_N} (16**n must fit a signed 64-bit "
-            f"integer), got {n!r}"
-        )
+    sqpt_counts = sqpt._scheme().counts(n)
     n = int(n)
     return {
-        "sqpt": {"hilbert_dim": 2**n, **sqpt._scheme().counts(n)},
+        "sqpt": {"hilbert_dim": 2**n, **sqpt_counts},
         "aapt_nonseparable": {
             "hilbert_dim": 4**n,
             "n_inputs": 1,

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channels, dcqd, inversion, ops
+from . import dcqd, inversion, ops
 from .exceptions import InvalidDistributionError
 
 __all__ = [
@@ -105,10 +105,12 @@ def characterize_sampled(
 
     Returns the reconstruction (raw linear inversion of the empirical
     frequencies) together with its Frobenius distance from the exact
-    process matrix of the channel.
+    process matrix of the channel.  Checks its inputs in the one order of
+    `dcqd`, with n against `dcqd.pair_scheme`.
     """
-    scheme, chi_true, data = dcqd._experiment(channel, n, alpha, beta)
-    result = scheme.solve(sample(scheme, data, shots, seed))
+    scheme = dcqd.pair_scheme(alpha, beta)
+    chi_true = dcqd._experiment(scheme, channel, n, alpha, beta)
+    result = scheme.solve(sample(scheme, scheme.forward(chi_true), shots, seed))
     delta = result.chi - chi_true
     return result, SampledMetrics(shots, float(np.linalg.norm(delta)), float(np.max(np.abs(delta))))
 
@@ -163,12 +165,9 @@ def characterize_with_optics(
     once with its complement G_c (`dcqd.optics_scheme`), so the
     configuration count grows from 4**n to 8**n while full rank is
     recovered.  The data come from `measure`: exact, or with `shots` set
-    each configuration sampled independently.  The amplitudes' finiteness
-    and norm are checked first, then n against the scheme's data bound
-    (`check_pairs`: n = 1..4), then the amplitudes for a full experiment
-    (`dcqd.validate_amplitudes`), before the channel is looked at.
+    each configuration sampled independently.  Checks its inputs in the
+    one order of `dcqd`, with n against this scheme's data bound
+    (`check_pairs`: n = 1..4).
     """
     scheme = dcqd.optics_scheme(alpha, beta)
-    scheme.check_pairs(n)
-    dcqd.validate_amplitudes(alpha, beta)
-    return scheme.solve(measure(scheme, channels.as_chi(channel, n), shots, seed))
+    return scheme.solve(measure(scheme, dcqd._experiment(scheme, channel, n, alpha, beta), shots, seed))

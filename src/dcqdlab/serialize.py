@@ -311,11 +311,13 @@ def chi_csv(report: dict) -> Iterator[str]:
     Each entry is a `row,col,real,imag` line of its Pauli-string labels and
     the repr of each part, the bytes `csv.DictWriter` writes for them: the
     labels are [IXYZ]+ and the parts finite floats, so no cell is quoted.
-    chi is decoded here, with `chi_from_report`'s checks; each chunk is
+    chi is decoded here, with `chi_from_report`'s checks, and is the
+    report's one source: the labels are `ops.pauli_labels` of the n its
+    side gives, whatever the report's "basis" says.  Each chunk is
     formatted when it is read, so the whole text is never held at once.
     """
-    labels = report["basis"]
     chi = chi_from_report(report)
+    labels = ops.pauli_labels((len(chi).bit_length() - 1) // 2)
 
     def chunks() -> Iterator[str]:
         yield "row,col,real,imag\n"

@@ -367,6 +367,75 @@ class TestExitCodes:
         assert message in err
 
 
+NAN = float("nan")
+
+# (alpha, beta), n and the text of the first error, in the one order of a
+# full experiment: the amplitudes as numbers, then n against the scheme, then
+# the amplitude factors; the CLI runs the non-finite case at --n 9
+ORDER_CASES = {
+    "non-finite": ((NAN, 0.5), 6, "amplitudes must be finite"),
+    "default-n6": ((dcqd.DEFAULT_ALPHA, dcqd.DEFAULT_BETA), 6, "16**6"),
+    # real amplitudes make Im(alpha beta*) vanish, but n is judged first
+    "real-n6": ((0.8, 0.6), 6, "16**6"),
+    "real-n1": ((0.8, 0.6), 1, "Im(alpha beta*) = 0"),
+}
+
+ORDER_LIBRARY = {
+    "characterize": lambda ch, n, a, b: dcqd.characterize(ch, n, a, b),
+    "all_outcome_probabilities": lambda ch, n, a, b: dcqd.all_outcome_probabilities(ch, n, a, b),
+    "characterize_sampled": lambda ch, n, a, b: sampling.characterize_sampled(ch, n, 100, 1, a, b),
+    "characterize_with_optics": lambda ch, n, a, b: sampling.characterize_with_optics(ch, a, b, n=n),
+    # no channel: n comes from the data's shape (a read-only view, no copy)
+    "reconstruct_from_probabilities": lambda ch, n, a, b: dcqd.reconstruct_from_probabilities(
+        np.broadcast_to(4.0**-n, (4**n, 4**n)), a, b
+    ),
+}
+
+ORDER_CLI = {
+    "characterize": ["characterize"],
+    "characterize-optics": ["characterize", "--optics"],
+    "compare": ["compare"],
+    "sample-sweep": ["sample-sweep", "--shots", "100", "--repeats", "2"],
+}
+
+
+class TestOneOrder:
+    # reconstruct_from_probabilities judges no factors: degenerate amplitudes
+    # meet the rank check of its solve
+    @pytest.mark.parametrize(
+        "entry,case",
+        [(e, c) for e in ORDER_LIBRARY for c in ORDER_CASES if (e, c) != ("reconstruct_from_probabilities", "real-n1")],
+    )
+    def test_library_entry_points(self, entry, case, channel_untouched):
+        (alpha, beta), n, message = ORDER_CASES[case]
+        with pytest.raises(InvalidConfigurationError) as info:
+            ORDER_LIBRARY[entry](channels.identity_channel(), n, alpha, beta)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("case", ORDER_CASES)
+    @pytest.mark.parametrize("command", ORDER_CLI)
+    def test_cli_commands(self, command, case, capsys, request):
+        (alpha, beta), n, message = ORDER_CASES[case]
+        if case != "real-n1":
+            # these fail before the channel is loaded; the factors are judged after it
+            request.getfixturevalue("channel_untouched")
+        argv = ORDER_CLI[command] + ["--channel", "identity", "--n", str(9 if case == "non-finite" else n)]
+        if case != "default-n6":
+            argv += ["--alpha", str(alpha), "--beta", str(beta)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_ILL_POSED, "")
+        assert message in err
+
+    def test_bound_before_the_channel_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(
+            ["characterize", "--optics", "--n", "5", "--alpha", "0.8", "--beta", "0.6", "--channel", f"@{missing}"],
+            capsys,
+        )
+        assert (code, out) == (cli.EXIT_ILL_POSED, "")
+        assert "24**5" in err
+
+
 class TestSqptAndCompare:
     def test_sqpt_report(self, capsys):
         code, out, _ = run(["sqpt", "--channel", "bit_flip:0.25"], capsys)

@@ -420,6 +420,22 @@ class TestChiEncoding:
         assert [r["imag"] for r in rows] == [v for row in chi.imag.tolist() for v in row]
         assert "-0.0" in text
 
+    @pytest.mark.parametrize(
+        "basis", [["I", "X", "Y"], ["I", "X", "Y", "Z"], None], ids=["three-labels", "n1-labels", "no-basis"]
+    )
+    def test_csv_labels_come_from_chi(self, basis):
+        # the labels were zipped from report["basis"]: three of them wrote 3
+        # rows of a 16 x 16 chi, the n = 1 labels 4 x 4 entries, and a report
+        # without them raised the builtin KeyError
+        chi = _awkward_chi(2)
+        report = _report_of(chi, 2)
+        expected = "".join(serialize.chi_csv(report))
+        if basis is None:
+            del report["basis"]
+        else:
+            report["basis"] = basis
+        assert "".join(serialize.chi_csv(report)) == expected
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_csv_matches_dict_writer(self, n):
         # the per-entry dicts that csv.DictWriter wrote before the chi CSV was

@@ -43,6 +43,26 @@ def test_numpy_qubit_counts_give_python_ints(n):
     assert serialize.load_json(serialize.dump_json({"rows": rows}))["rows"] == rows
 
 
+@pytest.mark.parametrize("scheme", [dcqd.pair_scheme, dcqd.optics_scheme, sqpt._scheme], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "n", [-1, 0, 16, 2.5, 2.0, True, "2", None, np.int64(16), np.int64(40)], ids=repr
+)
+def test_scheme_counts_judge_n(scheme, n):
+    # counts(-1) gave 0.25, counts(2.5) 32.0, counts(True) 4 and counts("2")
+    # the builtin TypeError, and numpy integers overflowed: SQPT's
+    # n_experiments at np.int64(16) and the pair scheme's n_inputs at
+    # np.int64(40) were 0
+    with pytest.raises(InvalidConfigurationError, match=r"qubit count must be an integer in 1\.\.15"):
+        scheme().counts(n)
+
+
+@pytest.mark.parametrize("n", [15, np.int64(15), np.uint8(15)], ids=repr)
+def test_scheme_counts_are_python_ints(n):
+    counts = sqpt._scheme().counts(n)
+    assert counts == {"n_inputs": 4**15, "n_measurements": 4**15, "n_experiments": 16**15}
+    assert all(type(v) is int for v in counts.values())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_resource_rows_are_what_the_schemes_run(n):
     counts = resources.resource_counts(n)
