@@ -12,12 +12,13 @@ positive semidefinite, and has trace <= 1 (= 1 for trace-preserving maps);
 its diagonal and off-diagonal entries are referred to as the dynamical
 population and coherence of the map.  `as_chi` is the channel boundary of
 every reconstruction: it checks the register size (`ops.check_register_size`,
-n in 1..`ops.MAX_QUBITS`; this module re-exports both names) before anything
-is allocated, validates a channel once and returns its chi on n qubits, the
-Kronecker power of the 4 x 4 chi for a one-qubit channel, so no i.i.d.
-channel is expanded to 4**n Kraus operators.  A raw Kraus set is stacked
-into one (K, d, d) complex array and validated once (`check_kraus`); the
-conversion to chi takes that same array, so the set is not stacked again.
+n in 1..`ops.MAX_QUBITS`; this module re-exports both names and keeps no
+bound of its own) before anything is allocated, validates a channel once
+and returns its chi on n qubits, the Kronecker power of the 4 x 4 chi for a
+one-qubit channel, so no i.i.d. channel is expanded to 4**n Kraus
+operators.  A raw Kraus set is stacked into one (K, d, d) complex array and
+validated once (`check_kraus`); the conversion to chi takes that same
+array, so the set is not stacked again.
 `Chi.of(channel, n)` keeps that result, with n and its trace preservation,
 as one value that every entry point takes and `as_chi` hands back as it is.
 Every chi or Choi matrix given here is judged by the chi rule of
@@ -400,16 +401,6 @@ def identity_channel(n: int = 1) -> list[np.ndarray]:
     return [np.eye(2**n, dtype=complex)]
 
 
-def _identity(n: Optional[float] = None) -> list[np.ndarray]:
-    """`identity_channel` of a spec's n, a float (1 when absent) that must be an integer."""
-    n = 1.0 if n is None else n
-    if not (n.is_integer() and 1 <= n <= ops.MAX_QUBITS):
-        raise InvalidChannelError(
-            f"identity n must be an integer in 1..{ops.MAX_QUBITS}, got {n!r}"
-        )
-    return identity_channel(int(n))
-
-
 def bit_flip(p: float) -> list[np.ndarray]:
     """X applied with probability p."""
     _check_probability("p", p)
@@ -515,8 +506,9 @@ def _rate_from_args(
 # field it reads, "operators" or "stages", or None; the builder that takes
 # the parameters in that order, each absent one as None, or None for a kind
 # built from its field alone).  A kind that reads a field and takes no
-# parameter can only be given as a file.  A new named kind is one row and
-# one builder.
+# parameter can only be given as a file.  Every builder makes a one-qubit
+# channel, so no kind takes a register size: n is the entry point's alone.
+# A new named kind is one row and one builder.
 CHANNEL_PARAMS = {
     "unitary": (("axis", "angle"), 2, "operators", rotation),
     "bit_flip": (("p",), 1, None, bit_flip),
@@ -526,7 +518,7 @@ CHANNEL_PARAMS = {
     "phase_damping": (("lambda", "t", "T2"), 1, None, phase_damping),
     "composed": ((), 0, "stages", None),
     "explicit_kraus": ((), 0, "operators", None),
-    "identity": (("n",), 0, None, _identity),
+    "identity": ((), 0, None, identity_channel),
 }
 CHANNEL_KINDS = tuple(CHANNEL_PARAMS)
 # the one parameter given as text; every other one is a real number
@@ -560,7 +552,8 @@ class ChannelSpec:
 
 def kraus_from_spec(spec: ChannelSpec) -> list[np.ndarray]:
     """Build the Kraus set a ChannelSpec describes (single qubit unless the
-    spec carries explicit multi-qubit operators).
+    spec carries explicit multi-qubit operators; a spec never carries a
+    register size, which `as_chi` takes as its n).
 
     `params` that are not a mapping, a parameter that is not a number (the
     text `axis` aside), a parameter, or an `operators` or `stages` field,

@@ -18,13 +18,19 @@ Before it reads the channel, `_load_channel` bounds --n with the scheme the
 command will run (`inversion.Scheme.check_pairs`): the pair or analyzer
 scheme of --alpha/--beta for characterize, the pair scheme for compare and
 sample-sweep, `sqpt._scheme()` for sqpt.  Looking the scheme up judges the
-amplitudes as numbers first, so the CLI keeps the one order of `dcqd` up to
-the channel and calls no `ops` rule itself.  Each reconstruction (`characterize` in every mode, `sqpt`) is reported by
-`_chi_report` from its `inversion.ReconstructionResult`: it validates the
-estimate, refuses one from exact statistics that fails, writes the result's
-configuration count, closed-form residual, design rank and condition number,
-and ends the report with the Frobenius and largest-entry errors against the
-channel's chi, which `compare` gives for both of its methods.
+amplitudes as numbers first, and for every command that takes them
+`_load_channel` judges their factors (`dcqd.validate_amplitudes`) after --n.
+So every command keeps the one order of `dcqd` (amplitudes, n, factors, then
+the channel) and calls no `ops` rule and no private `dcqd` setup itself:
+sample-sweep forwards the `channels.Chi` it loaded, once.  characterize (in
+every mode) and sample-sweep judge --seed before they compute anything from
+the channel.  Each reconstruction (`characterize` in every mode, `sqpt`) is
+reported by `_chi_report` from its `inversion.ReconstructionResult`: it
+validates the estimate, refuses one from exact statistics that fails, writes
+the result's configuration count, closed-form residual, design rank and
+condition number, and ends the report with the Frobenius and largest-entry
+errors against the channel's chi, which `compare` gives for both of its
+methods.
 
 Reports are JSON by default (chi bit-exact, as `serialize.encode_chi`
 writes it; a channel file echoed by its digest) or CSV for tabular views.
@@ -216,10 +222,14 @@ def _emit(args, report: dict, rows: Optional[list] = None) -> None:
 def _load_channel(args, scheme: inversion.Scheme) -> tuple[channels.Chi, dict]:
     """The --channel map as a `channels.Chi` on --n qubits and its echo.
 
-    --n is bounded first, by `scheme.check_pairs` of the scheme the command
-    will run, so an n too large for it fails before the channel is read.
+    The inputs are judged in `dcqd`'s one order before the channel is read:
+    --n by `scheme.check_pairs` of the scheme the command will run (looked
+    up from --alpha/--beta, which judges them as numbers), then, for a
+    command that takes amplitudes, their factors (`dcqd.validate_amplitudes`).
     """
     scheme.check_pairs(args.n)
+    if "alpha" in args:
+        dcqd.validate_amplitudes(args.alpha, args.beta)
     spec, echo = serialize.load_channel_arg(args.channel)
     return channels.Chi.of(spec, args.n), echo
 
@@ -262,6 +272,8 @@ def _chi_report(
 def cmd_characterize(args) -> int:
     scheme = (dcqd.optics_scheme if args.optics else dcqd.pair_scheme)(args.alpha, args.beta)
     chi, spec_dict = _load_channel(args, scheme)
+    # every mode judges the seed after the channel; judged here, a bad one fails before any run
+    sampling._checked_seed(args.seed)
     if args.optics:
         result = sampling.characterize_with_optics(
             chi, alpha=args.alpha, beta=args.beta, shots=args.shots, seed=args.seed, n=args.n
@@ -275,8 +287,6 @@ def cmd_characterize(args) -> int:
         method = "dcqd_sampled"
     else:
         result = dcqd.characterize(chi, n=args.n, alpha=args.alpha, beta=args.beta)
-        # no seed is used here, but a bad one fails as in the sampled modes
-        sampling._checked_seed(args.seed)
         method = "dcqd"
     report = _chi_report(
         chi, spec_dict, result, method, exact=args.shots is None, shots=args.shots, seed=args.seed
@@ -405,11 +415,12 @@ def cmd_sweep(args) -> int:
     chi, spec_dict = _load_channel(args, scheme)
     if args.repeats < 1 or any(s < 1 for s in args.shots):
         raise InvalidDistributionError("shots and repeats must be positive")
-    # the exact data once per command
-    data = scheme.forward(dcqd._experiment(scheme, chi, args.n, args.alpha, args.beta))
     # one child per run, spawned when the run starts: the same children in
-    # the same order as spawning all len(shots) * repeats of them up front
+    # the same order as spawning all len(shots) * repeats of them up front;
+    # the seed is judged before the exact data are computed
     parent = sampling._seed_sequence(args.seed)
+    # the exact data once per command
+    data = scheme.forward(chi.matrix)
     rows = []
     for shots in args.shots:
         errors = []

@@ -42,14 +42,15 @@ up), then n against that scheme (`inversion.Scheme.check_pairs`: the
 register bound, then the data bound), then the amplitude factors
 (`validate_amplitudes`), then the channel (`channels.as_chi`), then the
 seed and the shots.  `_experiment` is the whole setup of `characterize`,
-`all_outcome_probabilities`, `sampling.characterize_sampled`,
-`sampling.characterize_with_optics` and the CLI's sample-sweep; it takes
-the scheme and returns the channel's chi, which the caller forwards.
-`reconstruct_from_probabilities` reads n from its data's shape and bounds
-it with `pair_scheme(alpha, beta)`, whose lookup judges the amplitudes as
-numbers first; it judges no factors, since degenerate amplitudes meet the
-rank check of its solve.  The CLI bounds --n with the scheme of its
-command before it reads the channel.
+`all_outcome_probabilities`, `sampling.characterize_sampled` and
+`sampling.characterize_with_optics`; it takes the scheme and returns the
+channel's chi, which the caller forwards.  `reconstruct_from_probabilities`
+reads n from its data's shape and bounds it with `pair_scheme(alpha,
+beta)`, whose lookup judges the amplitudes as numbers first; it judges no
+factors (its docstring says why).  The CLI keeps the whole order: it judges
+--alpha/--beta, --n and the factors with the scheme of its command before
+it reads the channel, and the seed before it computes anything from the
+channel, so every command that takes amplitudes fails as the library would.
 
 Every pair sees the same four settings and the same measurement, so the
 experiment factorizes over pairs.  This module supplies the 16 x 4 per-pair
@@ -311,7 +312,9 @@ def _experiment(
     `scheme` is the one that will run the experiment, looked up by the caller
     from the amplitudes, which judges them as numbers.  Then n must pass
     `scheme.check_pairs`, the amplitudes `validate_amplitudes`, and the
-    channel `channels.as_chi`; the caller forwards the chi it returns.
+    channel `channels.as_chi`; the caller forwards the chi it returns.  The
+    CLI makes the same checks in the same order (`cli._load_channel`), so it
+    forwards its loaded `channels.Chi` without calling this.
     """
     scheme.check_pairs(n)
     validate_amplitudes(alpha, beta)
@@ -529,14 +532,22 @@ def reconstruct_from_probabilities(
     against the scheme (`check_pairs`); then non-finite data or a
     rank-deficient A1 (degenerate amplitudes) raise instead of returning a
     wrong chi.
+
+    Unlike every other full-experiment entry point it judges no amplitude
+    factors: the paper's ill-posed guard (acceptance criterion 10,
+    `tests/test_acceptance.py`) needs the solver itself to refuse data taken
+    with degenerate amplitudes such as (0.8, 0.6), with
+    `IllPosedConfigurationError` from its rank check, and a factor check
+    would raise `InvalidConfigurationError` first.
     """
     q = ops.real_data(probabilities)
     rows = q.shape[0] if q.ndim else 0
     n = (rows.bit_length() - 1) // 2
     if n < 1 or q.shape != (4**n, 4**n):
         raise DimensionMismatchError(f"data of shape {q.shape}, expected (4**n, 4**n) with n >= 1")
-    pair_scheme(alpha, beta).check_pairs(n)
-    return pair_scheme(alpha, beta).solve(inversion.pair_axes(q, n, 4))
+    scheme = pair_scheme(alpha, beta)
+    scheme.check_pairs(n)
+    return scheme.solve(inversion.pair_axes(q, n, 4))
 
 
 def characterize(

@@ -443,7 +443,7 @@ class TestSpecs:
             # these built the channel and ignored the unknown key
             ("depolarizing", {"p": 0.1, "q": 0.9}, {}, "no parameter 'q'; its parameters: 'p'"),
             ("amplitude_damping", {"t": 1, "T1": 2, "T2": 1}, {}, "'gamma', 't', 'T1'"),
-            ("identity", {"p": 0.1}, {}, "its parameters: 'n'"),
+            ("identity", {"p": 0.1}, {}, "its parameters: none"),
             ("composed", {"p": 0.1}, {"stages": (channels.ChannelSpec("identity"),)}, "none"),
             ("explicit_kraus", {"n": 1}, {"operators": (np.eye(2),)}, "none"),
             ("unitary", {"axis": "x", "angle": 1, "p": 0}, {}, "no parameter 'p'"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import NESTED_CHANNEL_FILES
-from dcqdlab import channels, cli, dcqd, exceptions, resources, sampling, serialize, sqpt
+from dcqdlab import channels, cli, dcqd, exceptions, inversion, resources, sampling, serialize, sqpt
 from dcqdlab.exceptions import InvalidChannelError, InvalidConfigurationError
 
 
@@ -348,6 +348,38 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: seed must be None, a non-negative integer or a SeedSequence, got -1\n"
 
+    def test_exact_seed_judged_before_the_run(self, capsys, monkeypatch):
+        # a bad seed fails right after the channel is loaded, before any reconstruction
+        def never(*args, **kwargs):
+            raise AssertionError("reconstruction ran before the seed was judged")
+
+        monkeypatch.setattr(dcqd, "characterize", never)
+        code, out, err = run(["characterize", "--channel", "identity", "--n", "5", "--seed", "-1"], capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == "error: seed must be None, a non-negative integer or a SeedSequence, got -1\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_on_n_qubits(self, n):
+        # plain identity on --n K is K copies: the K-qubit identity's chi bit for bit
+        chi, _ = cli._load_channel(argparse.Namespace(channel="identity", n=n), dcqd.pair_scheme())
+        assert chi.matrix.tobytes() == channels.chi_from_kraus(channels.identity_channel(n)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("as_file", [False, True], ids=["flag", "file"])
+    def test_identity_takes_no_n(self, n, as_file, tmp_path, capsys):
+        # the register size is --n alone, never a spec parameter
+        channel = f"identity:n={n}"
+        if as_file:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"kind": "identity", "params": {"n": n}}))
+            channel = f"@{path}"
+        message = "identity spec takes no parameter 'n'; its parameters: none"
+        with pytest.raises(InvalidChannelError, match=message):
+            channels.kraus_from_spec(serialize.parse_channel_arg(channel))
+        assert run(["characterize", "--channel", channel, "--n", str(n)], capsys) == (
+            cli.EXIT_PARSE, "", f"error: {message}\n"
+        )
+
     @pytest.mark.parametrize("shots", [[], ["--shots", "10"]], ids=["exact", "shots"])
     @pytest.mark.parametrize(
         "argv,code,message",
@@ -400,8 +432,8 @@ ORDER_CLI = {
 
 
 class TestOneOrder:
-    # reconstruct_from_probabilities judges no factors: degenerate amplitudes
-    # meet the rank check of its solve
+    # reconstruct_from_probabilities judges no factors: acceptance criterion
+    # 10 needs degenerate amplitudes to meet the rank check of its solve
     @pytest.mark.parametrize(
         "entry,case",
         [(e, c) for e in ORDER_LIBRARY for c in ORDER_CASES if (e, c) != ("reconstruct_from_probabilities", "real-n1")],
@@ -414,17 +446,28 @@ class TestOneOrder:
 
     @pytest.mark.parametrize("case", ORDER_CASES)
     @pytest.mark.parametrize("command", ORDER_CLI)
-    def test_cli_commands(self, command, case, capsys, request):
+    def test_cli_commands(self, command, case, capsys, channel_untouched):
+        # every case fails before the channel is loaded, the factors included
         (alpha, beta), n, message = ORDER_CASES[case]
-        if case != "real-n1":
-            # these fail before the channel is loaded; the factors are judged after it
-            request.getfixturevalue("channel_untouched")
         argv = ORDER_CLI[command] + ["--channel", "identity", "--n", str(9 if case == "non-finite" else n)]
         if case != "default-n6":
             argv += ["--alpha", str(alpha), "--beta", str(beta)]
         code, out, err = run(argv, capsys)
         assert (code, out) == (cli.EXIT_ILL_POSED, "")
         assert message in err
+
+    @pytest.mark.parametrize("command", ORDER_CLI)
+    def test_factors_before_an_unknown_channel(self, command, capsys):
+        argv = ORDER_CLI[command] + ["--channel", "nonsense:1", "--alpha", "0.8", "--beta", "0.6"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_ILL_POSED, "")
+        assert "Im(alpha beta*) = 0" in err
+
+    def test_sweep_factors_before_shots(self, capsys, channel_untouched):
+        argv = ["sample-sweep", "--channel", "identity", "--shots", "10", "--repeats", "0"]
+        code, out, err = run(argv + ["--alpha", "0.8", "--beta", "0.6"], capsys)
+        assert (code, out) == (cli.EXIT_ILL_POSED, "")
+        assert "Im(alpha beta*) = 0" in err
 
     def test_bound_before_the_channel_file_is_read(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -708,6 +751,25 @@ class TestSweep:
         _, reference, _ = run(self.ARGV, capsys)
         assert next(children, None) is None
         assert out == reference
+
+    def test_forwards_the_loaded_chi(self, capsys, monkeypatch):
+        # the CLI has judged every input when it loads the channel; no second setup runs
+        def never(*args, **kwargs):
+            raise AssertionError("sample-sweep ran dcqd._experiment")
+
+        monkeypatch.setattr(dcqd, "_experiment", never)
+        code, out, err = run(self.ARGV, capsys)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["rows"]) == 2
+
+    def test_seed_judged_before_the_forward(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("exact data computed before the seed was judged")
+
+        monkeypatch.setattr(inversion.Scheme, "forward", never)
+        code, out, err = run(self.ARGV[:-1] + ["-1"], capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert err == "error: seed must be None, a non-negative integer or a SeedSequence, got -1\n"
 
     def test_seeds_spawned_per_run(self, capsys, monkeypatch):
         requests = []
